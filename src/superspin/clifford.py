@@ -10,6 +10,7 @@ then e'_1^{a_1}...e'_{2n}^{a_{2n}}, with total fermionic degree capped.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Mapping, Sequence
@@ -24,7 +25,15 @@ from .exceptions import (
     ParityError,
     ShapeMismatchError,
 )
-from .grassmann import DEFAULT_TOL, GrassmannNumber, random_grassmann, reorder_sign
+from .grassmann import (
+    CANON_EPS,
+    DEFAULT_TOL,
+    GrassmannNumber,
+    flip_table,
+    mul_terms,
+    random_grassmann,
+    reorder_sign,
+)
 from .supermatrix import GrassmannMatrix, Supermatrix, symplectic_form
 
 DEFAULT_CAP = 8
@@ -50,17 +59,18 @@ def _blade_mul(mask_a: int, mask_b: int) -> tuple[int, int]:
     return sign, mask_a ^ mask_b
 
 
-def _plane_reorder(p1: int, q1: int, p2: int, q2: int) -> list[tuple[int, int, float]]:
+@functools.cache
+def _plane_reorder(p1: int, q1: int, p2: int, q2: int) -> tuple[tuple[int, int, float], ...]:
     """Normal-order x^p1 y^q1 x^p2 y^q2 within one symplectic plane.
 
     With [x, y] = 1 one has y^q x^p = sum_k (-1)^k k! C(p,k) C(q,k)
     x^{p-k} y^{q-k}; returns (x exponent, y exponent, coefficient) triples.
     """
-    out = []
-    for k in range(min(q1, p2) + 1):
-        coeff = ((-1.0) ** k) * math.factorial(k) * math.comb(p2, k) * math.comb(q1, k)
-        out.append((p1 + p2 - k, q1 + q2 - k, coeff))
-    return out
+    return tuple(
+        (p1 + p2 - k, q1 + q2 - k,
+         ((-1.0) ** k) * math.factorial(k) * math.comb(p2, k) * math.comb(q1, k))
+        for k in range(min(q1, p2) + 1)
+    )
 
 
 class CliffordElement:
@@ -174,16 +184,24 @@ class CliffordElement:
         return NotImplemented
 
     def multiply(self, other: "CliffordElement", strict: bool = False) -> "CliffordElement":
-        """Normal-ordered product; over-cap terms raise in strict mode."""
+        """Normal-ordered product; over-cap terms raise in strict mode.
+
+        Coefficient products are accumulated as raw {mask: complex} maps per
+        output key, and each output coefficient is built once at the end.
+        """
         self._require_compatible(other)
         cap = max(self.cap, other.cap)
-        out: dict[tuple[int, tuple[int, ...]], GrassmannNumber] = {}
+        flip = flip_table(self.order)
+        acc: dict[tuple[int, tuple[int, ...]], dict[int, complex]] = {}
         truncated = False
         for (ea, aa), ca in self.terms.items():
             deg_a = sum(aa)
             for (eb, ab), cb in other.terms.items():
-                coeff = ca * cb
-                if not coeff.terms:
+                coeff = [
+                    (mask, c) for mask, c in mul_terms(ca.terms, cb.terms, flip).items()
+                    if not (abs(c.real) < CANON_EPS and abs(c.imag) < CANON_EPS)
+                ]
+                if not coeff:
                     continue
                 sign = 1
                 # e-generators of the right factor step over the left
@@ -214,8 +232,13 @@ class CliffordElement:
                         truncated = True
                         continue
                     key = (emask, tuple(alpha))
-                    term = coeff * weight
-                    out[key] = out[key] + term if key in out else term
+                    raw = acc.get(key)
+                    if raw is None:
+                        acc[key] = {mask: c * weight for mask, c in coeff}
+                    else:
+                        for mask, c in coeff:
+                            raw[mask] = raw.get(mask, 0.0) + c * weight
+        out = {key: GrassmannNumber(self.order, raw) for key, raw in acc.items()}
         result = CliffordElement(self.m, self.n, self.order, cap, out)
         result.truncated = self.truncated or other.truncated or truncated
         return result

@@ -9,7 +9,7 @@ fractional powers finite computations on the nilpotent side.
 from __future__ import annotations
 
 import cmath
-import math
+import functools
 from typing import Mapping
 
 from .exceptions import AlgebraError, OrderMismatchError, SingularBodyError
@@ -31,7 +31,8 @@ def reorder_sign(a: int, b: int) -> int:
     """Sign from interleaving blade ``b`` behind blade ``a``.
 
     Counts pairs (i in a, j in b) with i > j; each such pair is one
-    transposition of anticommuting generators.
+    transposition of anticommuting generators.  This is the reference
+    definition; the product kernels read the same sign from ``flip_table``.
     """
     a >>= 1
     swaps = 0
@@ -41,10 +42,42 @@ def reorder_sign(a: int, b: int) -> int:
     return 1 - ((swaps & 1) << 1)
 
 
-def _check_finite(c: complex) -> complex:
-    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-        raise AlgebraError(f"non-finite coefficient {c!r}")
-    return c
+@functools.cache
+def flip_table(order: int) -> tuple[int, ...]:
+    """Per-order blade sign table, built on first use.
+
+    Bit j of ``flip[a]`` is set when blade ``a`` has an odd number of
+    generators above j, so ``reorder_sign(a, b) == -1`` exactly when
+    ``(flip[a] & b).bit_count()`` is odd.  Removing the top bit h of ``a``
+    toggles the parity of every bit below h, hence
+    ``flip[a] = flip[a ^ h] ^ (h - 1)``.
+    """
+    table = [0] * (1 << order)
+    for a in range(1, 1 << order):
+        h = 1 << (a.bit_length() - 1)
+        table[a] = table[a ^ h] ^ (h - 1)
+    return tuple(table)
+
+
+def mul_terms(ta: Mapping[int, complex], tb: Mapping[int, complex],
+              flip: tuple[int, ...]) -> dict[int, complex]:
+    """Raw product of two {mask: coefficient} maps, not canonicalised.
+
+    ``flip`` is ``flip_table(order)`` for an order covering every mask.
+    """
+    out: dict[int, complex] = {}
+    get = out.get
+    for ma, ca in ta.items():
+        fa = flip[ma]
+        for mb, cb in tb.items():
+            if ma & mb:
+                continue  # repeated generator squares to zero
+            m = ma | mb
+            if (fa & mb).bit_count() & 1:
+                out[m] = get(m, 0.0) - ca * cb
+            else:
+                out[m] = get(m, 0.0) + ca * cb
+    return out
 
 
 class GrassmannNumber:
@@ -65,7 +98,9 @@ class GrassmannNumber:
             for mask, coeff in terms.items():
                 if not 0 <= mask < limit:
                     raise OrderMismatchError(f"mask {mask} out of range for order {order}")
-                c = _check_finite(complex(coeff))
+                c = complex(coeff)
+                if not cmath.isfinite(c):
+                    raise AlgebraError(f"non-finite coefficient {c!r}")
                 if abs(c.real) < CANON_EPS and abs(c.imag) < CANON_EPS:
                     continue
                 canonical[mask] = c
@@ -137,15 +172,9 @@ class GrassmannNumber:
     def __mul__(self, other):
         if isinstance(other, GrassmannNumber):
             self._require_same_order(other)
-            out: dict[int, complex] = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    if ma & mb:
-                        continue  # repeated generator squares to zero
-                    m = ma | mb
-                    c = ca * cb * reorder_sign(ma, mb)
-                    out[m] = out.get(m, 0.0) + c
-            return GrassmannNumber(self.order, out)
+            return GrassmannNumber(
+                self.order, mul_terms(self.terms, other.terms, flip_table(self.order))
+            )
         if isinstance(other, (int, float, complex)):
             return GrassmannNumber(
                 self.order, {m: c * other for m, c in self.terms.items()}

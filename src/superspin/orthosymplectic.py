@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .exceptions import MembershipError, NotInvertibleError, SingularBodyError
 from .grassmann import DEFAULT_TOL, GrassmannNumber, random_grassmann
@@ -84,7 +83,12 @@ def o0_block_residuals(mat: Supermatrix) -> tuple[float, float, float]:
 
 
 def check_o0(mat: Supermatrix, tol: float = DEFAULT_TOL) -> GroupReport:
-    """Does mat preserve the super inner product?  Never raises."""
+    """Does mat preserve the super inner product?
+
+    A Berezinian that fails on a singular body is reported as sdet None with
+    ok False.  Raises MembershipError for odd q and AlgebraError when an
+    entry overflows.
+    """
     m, n = _shape(mat)
     gram = q_gram_matrix(m, n, mat.order)
     defining = (mat.supertranspose() @ gram @ mat - gram).norm()
@@ -159,6 +163,8 @@ def rotation_log(a0: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise MembershipError("matrix is not orthogonal")
     if abs(np.linalg.det(a0) - 1.0) > tol:
         raise MembershipError("matrix is not special orthogonal")
+    from scipy.linalg import schur
+
     t, z = schur(a0, output="real")
     log_t = np.zeros_like(t)
     flips = []
@@ -250,6 +256,8 @@ def compact_symplectic_log(r: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarra
             or np.abs(r.T @ omega @ r - omega).max() > tol:
         raise MembershipError("matrix is not symplectic orthogonal")
     u = to_unitary(r)
+    from scipy.linalg import schur
+
     t, z = schur(u, output="complex")
     diag = np.diag(t)
     if np.abs(t - np.diag(diag)).max() > math.sqrt(tol):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import schur
 
 from .clifford import (
     DEFAULT_CAP,
@@ -325,6 +324,8 @@ def kernel_sign(biv: ExtendedSuperbivector, tol: float = 1e-8) -> int | None:
     if n and biv.bb:
         d_block = bivector_to_matrix(biv).body_matrix()[m:, m:].real
         u = to_unitary(d_block)
+        from scipy.linalg import schur
+
         eigenvalues = np.diag(schur(u, output="complex")[0])
         for lam in eigenvalues:
             angle = -lam.imag  # eigenvalue -i*theta per block angle theta

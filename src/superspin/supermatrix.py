@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .exceptions import (
+    AlgebraError,
     LogDomainError,
     NotInvertibleError,
     OrderMismatchError,
@@ -23,7 +24,7 @@ from .exceptions import (
     ShapeMismatchError,
     SingularBodyError,
 )
-from .grassmann import CANON_EPS, DEFAULT_TOL, GrassmannNumber, reorder_sign
+from .grassmann import CANON_EPS, DEFAULT_TOL, GrassmannNumber, flip_table
 
 # Relative truncation threshold for the exp/ln power series.
 SERIES_EPS = 1e-14
@@ -55,7 +56,7 @@ class GrassmannMatrix:
                         f"blade slice shape {arr.shape} != ({rows}, {cols})"
                     )
                 if not np.all(np.isfinite(arr)):
-                    raise SingularBodyError("non-finite entry in blade slice")
+                    raise AlgebraError("non-finite entry in blade slice")
                 if np.any(arr != 0):
                     data[mask] = arr.copy()
         self.blades = data
@@ -96,9 +97,6 @@ class GrassmannMatrix:
                         out.blades[mask] = slice_
                     slice_[i, j] = c
         return out
-
-    def copy(self) -> "GrassmannMatrix":
-        return GrassmannMatrix(self.rows, self.cols, self.order, self.blades)
 
     # -- access ------------------------------------------------------------
 
@@ -148,13 +146,15 @@ class GrassmannMatrix:
         if isinstance(factor, GrassmannNumber):
             if factor.order != self.order:
                 raise OrderMismatchError("order mismatch in scale")
+            flip = flip_table(self.order)
             out: dict[int, np.ndarray] = {}
             for fm, fc in factor.terms.items():
+                ff = flip[fm]
                 for mask, s in self.blades.items():
                     if fm & mask:
                         continue
                     key = fm | mask
-                    term = (fc * reorder_sign(fm, mask)) * s
+                    term = (-fc if (ff & mask).bit_count() & 1 else fc) * s
                     out[key] = out[key] + term if key in out else term
             return GrassmannMatrix(self.rows, self.cols, self.order, out)
         return GrassmannMatrix(
@@ -169,13 +169,17 @@ class GrassmannMatrix:
             )
         if self.order != other.order:
             raise OrderMismatchError(f"order mismatch: {self.order} vs {other.order}")
+        flip = flip_table(self.order)
         out: dict[int, np.ndarray] = {}
         for ma, sa in self.blades.items():
+            fa = flip[ma]
             for mb, sb in other.blades.items():
                 if ma & mb:
                     continue
                 key = ma | mb
-                term = reorder_sign(ma, mb) * (sa @ sb)
+                term = sa @ sb
+                if (fa & mb).bit_count() & 1:
+                    term = -term
                 out[key] = out[key] + term if key in out else term
         return GrassmannMatrix(self.rows, other.cols, self.order, out)
 

@@ -51,6 +51,15 @@ def test_identity_in_group():
     assert check_so0(Supermatrix.eye(M_DIM, Q_DIM, ORDER)).ok
 
 
+def test_check_o0_reports_singular_body_and_rejects_odd_q():
+    body = np.eye(M_DIM + Q_DIM, dtype=complex)
+    body[M_DIM, M_DIM] = 0.0  # singular D body
+    report = check_o0(Supermatrix.from_body(M_DIM, Q_DIM, body, ORDER))
+    assert report.sdet is None and not report.ok
+    with pytest.raises(MembershipError):
+        check_o0(Supermatrix.eye(M_DIM, 3, ORDER))
+
+
 def test_reflections_in_o0_but_not_so0():
     for seed in range(5):
         w = random_sphere_vector(M_DIM, N_PLANES, ORDER, seed=seed)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from superspin import (
+    AlgebraError,
     GrassmannMatrix,
     GrassmannNumber,
     LogDomainError,
@@ -189,6 +190,15 @@ def test_log_exp_roundtrip_near_identity():
     for seed in range(10):
         m = eye() + rand(seed, scale=0.04)
         assert (expm(logm(m)) - m).norm() <= 1e-9 * max(1.0, m.norm())
+
+
+def test_exp_overflow_raises_plain_algebra_error():
+    body = np.eye(SIZE, dtype=complex)
+    body[0, 0] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(AlgebraError, match="non-finite") as info:
+        expm(Supermatrix.from_body(M_DIM, Q_DIM, body, ORDER))
+    assert type(info.value) is AlgebraError  # not SingularBodyError
 
 
 def test_log_domain_error():
