@@ -23,7 +23,7 @@ from .clifford import (
     reflection_matrix,
 )
 from .exceptions import AlgebraError
-from .grassmann import DEFAULT_TOL
+from .grassmann import DEFAULT_TOL, MAX_ORDER
 from .orthosymplectic import check_o0, check_so0, check_so0_algebra, decompose_rotation
 from .spin import SpinElement, action_matrix, fractional_fourier, lift_rotation, oscillator_exp
 from .supermatrix import Supermatrix, expm, logm
@@ -50,8 +50,7 @@ def _load_json(path: str | None):
 
 
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2, allow_nan=False)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _parse(kind, data):
@@ -227,19 +226,31 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high] (no upper bound if high is None)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f"[{low}, {high}]" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"{value} is out of range ({bound})")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL,
                         help="comparison tolerance (default 1e-9)")
     common.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED,
                         help="seed for randomized commands")
-    common.add_argument("--cap", type=int, default=8,
+    common.add_argument("--cap", type=_int_in(0), default=8,
                         help="fermionic degree cap")
-    common.add_argument("--m", type=int, default=3, help="bosonic dimension")
-    common.add_argument("--n", type=int, default=1,
+    common.add_argument("--m", type=_int_in(0), default=3, help="bosonic dimension")
+    common.add_argument("--n", type=_int_in(0), default=1,
                         help="number of fermionic planes (q = 2n)")
-    common.add_argument("--N", dest="grassmann_order", type=int, default=4,
-                        help="Grassmann algebra order")
+    common.add_argument("--N", dest="grassmann_order", type=_int_in(0, MAX_ORDER),
+                        default=4, help="Grassmann algebra order")
     common.add_argument("--strict", action="store_true",
                         help="error out instead of truncating over-cap terms")
     parser = argparse.ArgumentParser(
@@ -275,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     osc = add("osc-exp", _cmd_osc_exp, needs_input=False,
               help="normal-ordered oscillator exponential")
     osc.add_argument("--theta", type=_finite_float, required=True)
-    osc.add_argument("--plane", type=int, default=1)
+    osc.add_argument("--plane", type=_int_in(1), default=1,
+                     help="fermionic plane, 1..n")
     frft = add("frft", _cmd_frft, needs_input=False,
                help="fractional Fourier spin element")
     frft.add_argument("--thetas", required=True,
@@ -290,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "plane", 1) > args.n:
+        parser.error(f"argument --plane: {args.plane} exceeds --n {args.n}")
     try:
         return args.handler(args)
     except AlgebraError as exc:

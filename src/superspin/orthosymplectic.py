@@ -136,13 +136,9 @@ def grade_path(mat: Supermatrix, t: float, tol: float = DEFAULT_TOL) -> Supermat
     """Connectivity path M(t) = sum_j t^j [M]_j from the body (t=0) to M (t=1)."""
     if not check_so0(mat, tol).ok:
         raise MembershipError("grade path requires a special superrotation")
-    blades = {mask: (t ** mask.bit_count()) * s
-              for mask, s in mat.mat.blades.items()}
-    return Supermatrix(
-        mat.p, mat.q,
-        GrassmannMatrix(mat.size, mat.size, mat.order, blades),
-        validate=False,
-    )
+    weights = np.array([t ** mask.bit_count() for mask in mat.mat.masks])
+    stack = weights.reshape(-1, 1, 1) * mat.mat.stack
+    return Supermatrix(mat.p, mat.q, mat.mat.with_stack(mat.mat.masks, stack), validate=False)
 
 
 # -- real matrix logarithms -----------------------------------------------------
@@ -352,12 +348,8 @@ def osp_standard_form(mat: Supermatrix, tol: float = DEFAULT_TOL) -> Supermatrix
     right[m:, m:] = 1j * math.sqrt(2.0) * perm.T
     left = np.eye(size, dtype=complex)
     left[m:, m:] = (-1j / math.sqrt(2.0)) * perm
-    blades = {mask: left @ s @ right for mask, s in mat.mat.blades.items()}
-    return Supermatrix(
-        mat.p, mat.q,
-        GrassmannMatrix(size, size, mat.order, blades),
-        validate=False,
-    )
+    stack = left @ mat.mat.stack @ right
+    return Supermatrix(mat.p, mat.q, mat.mat.with_stack(mat.mat.masks, stack), validate=False)
 
 
 def osp_defect(mat: Supermatrix) -> float:

@@ -132,10 +132,10 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     images = [bivector_to_matrix(b) for b in basis]
     flattened = []
     for mat in images:
-        vec = np.zeros((1 << order) * mat.size * mat.size, dtype=complex)
-        for mask, s in mat.mat.blades.items():
-            vec[mask * mat.size * mat.size:(mask + 1) * mat.size * mat.size] = s.ravel()
-        flattened.append(vec)
+        width = mat.size * mat.size
+        dense = np.zeros((1 << order, width), dtype=complex)
+        dense[list(mat.mat.masks)] = mat.mat.stack.reshape(len(mat.mat.masks), width)
+        flattened.append(dense.ravel())
     rank = np.linalg.matrix_rank(np.array(flattened))
     if rank != expected:
         return _result(3, "bivector-matrix Lie isomorphism",

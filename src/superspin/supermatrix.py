@@ -1,17 +1,23 @@
 """Block supermatrices over the Grassmann algebra.
 
-A matrix over Lambda_N is stored as a stack of complex matrices indexed by
-blade mask, so ordinary numpy products drive the entry arithmetic; the blade
-reordering sign is the only Grassmann-specific ingredient.  Supermatrix adds
-the (p|q) parity pattern, supertranspose, supertrace, Berezinian, inverse and
-the exp/ln pair.
+A matrix over Lambda_N is stored packed: an ascending tuple of the blade
+masks that carry a nonzero slice, and one read-only complex array stacking
+those slices, so that every entrywise operation is a whole-stack numpy op.
+All Grassmann products of matrices (``@`` and scaling by a GrassmannNumber)
+go through one kernel: a pair plan lists the disjoint blade pairs with their
+reordering signs (from ``flip_table``), grouped by product mask, and the
+product is one batched gather-and-combine followed by ``np.add.reduceat``.
+Supermatrix adds the (p|q) parity pattern, supertranspose, supertrace,
+Berezinian, inverse and the exp/ln pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,34 +38,172 @@ SERIES_EPS = 1e-14
 # Bodies with condition number beyond this are treated as singular.
 COND_LIMIT = 1e12
 
+# Bound, in array elements, on each intermediate of one product tile: the
+# candidate pair grid and the gathered and combined slices.  Larger products
+# are cut into tiles, so memory stays bounded up to MAX_ORDER.
+_TILE_ELEMENTS = 1 << 20
+
+# Pair plans with at most this many candidate pairs are memoised, at most
+# _PLAN_CACHE of them; the rest are built per tile and dropped.
+_CACHED_PAIRS = 1 << 12
+_PLAN_CACHE = 256
+
+
+# -- the product kernel --------------------------------------------------------
+
+
+class _PairPlan(NamedTuple):
+    """Disjoint blade pairs of two mask tuples, grouped by product mask.
+
+    Pair k combines left slice ``ia[k]`` with right slice ``ib[k]`` under
+    ``sign[k]``; the groups start at ``starts`` and have product masks
+    ``keys`` (ascending).
+    """
+
+    ia: np.ndarray
+    ib: np.ndarray
+    sign: np.ndarray
+    starts: np.ndarray
+    keys: tuple[int, ...]
+
+
+@functools.cache
+def _flip_array(order: int) -> np.ndarray:
+    return np.asarray(flip_table(order), dtype=np.int64)
+
+
+@functools.cache
+def _parity_array(order: int) -> np.ndarray:
+    """Bit-count parity of every mask below 2^order."""
+    parity = np.zeros(1 << order, dtype=np.int8)
+    for bit in range(order):
+        parity[1 << bit:2 << bit] = parity[:1 << bit] ^ 1
+    return parity
+
+
+def _build_plan(masks_a: Sequence[int], masks_b: Sequence[int], order: int) -> _PairPlan:
+    ma = np.asarray(masks_a, dtype=np.int64)
+    mb = np.asarray(masks_b, dtype=np.int64)
+    ia, ib = np.nonzero((ma[:, None] & mb[None, :]) == 0)
+    left, right = ma[ia], mb[ib]
+    keys = left | right
+    by_key = np.argsort(keys, kind="stable")
+    ia, ib, keys = ia[by_key], ib[by_key], keys[by_key]
+    odd = _parity_array(order)[_flip_array(order)[left[by_key]] & right[by_key]]
+    sign = 1.0 - 2.0 * odd
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return _PairPlan(ia, ib, sign, starts, tuple(keys[starts].tolist()))
+
+
+_cached_plan = functools.lru_cache(maxsize=_PLAN_CACHE)(_build_plan)
+
+
+def _combine(plan: _PairPlan, op: Callable, a_stack: np.ndarray,
+             b_stack: np.ndarray) -> np.ndarray:
+    """Per product mask, the signed sum of op(left slice, right slice)."""
+    terms = op(a_stack[plan.ia], b_stack[plan.ib])
+    terms *= plan.sign[:, None, None]
+    return np.add.reduceat(terms, plan.starts, axis=0)
+
+
+def _blade_product(op: Callable, masks_a: tuple[int, ...], a_stack: np.ndarray,
+                   masks_b: tuple[int, ...], b_stack: np.ndarray, order: int,
+                   shape: tuple[int, int]) -> tuple[tuple[int, ...], np.ndarray]:
+    """Grassmann product of two blade stacks: (masks, stack) of the result.
+
+    ``op`` combines gathered slices pairwise (``np.matmul`` for matrix
+    products, ``np.multiply`` for scaling by coefficients of shape
+    (k, 1, 1)).
+    """
+    na, nb = len(masks_a), len(masks_b)
+    if not na or not nb:
+        return (), np.zeros((0, *shape), dtype=complex)
+    per_pair = max(a_stack[0].size, b_stack[0].size, shape[0] * shape[1], 1)
+    tile = max(1, _TILE_ELEMENTS // per_pair)
+    if na * nb <= tile:
+        plan = (_cached_plan if na * nb <= _CACHED_PAIRS else _build_plan)(
+            masks_a, masks_b, order)
+        if not plan.keys:
+            return (), np.zeros((0, *shape), dtype=complex)
+        return plan.keys, _combine(plan, op, a_stack, b_stack)
+    # Tiled: fix the output masks first, then add each tile's groups in.
+    tb = min(nb, tile)
+    ta = max(1, tile // tb)
+    tiles = [(slice(a0, a0 + ta), slice(b0, b0 + tb))
+             for a0 in range(0, na, ta) for b0 in range(0, nb, tb)]
+    ma = np.asarray(masks_a, dtype=np.int64)
+    mb = np.asarray(masks_b, dtype=np.int64)
+    present = np.zeros(1 << order, dtype=bool)
+    for sa, sb in tiles:
+        left, right = ma[sa, None], mb[None, sb]
+        present[(left | right)[(left & right) == 0]] = True
+    keys = np.flatnonzero(present)
+    out = np.zeros((len(keys), *shape), dtype=complex)
+    for sa, sb in tiles:
+        plan = _build_plan(masks_a[sa], masks_b[sb], order)
+        if plan.keys:
+            rows = np.searchsorted(keys, plan.keys)
+            out[rows] += _combine(plan, op, a_stack[sa], b_stack[sb])
+    return tuple(keys.tolist()), out
+
+
+# -- matrices ---------------------------------------------------------------------
+
 
 class GrassmannMatrix:
     """Rectangular matrix with Grassmann-number entries (no parity pattern).
 
-    blades maps blade mask -> complex ndarray of shape (rows, cols); absent
-    masks are zero slices.
+    ``masks`` is the ascending tuple of blade masks with a nonzero slice and
+    ``stack`` the read-only complex array of shape (len(masks), rows, cols)
+    holding those slices; absent masks are zero slices.  Build one from a
+    ``{mask: slice}`` mapping (``blades``, copied) or directly from ``masks``
+    and ``stack``, whose complex array is adopted and made read-only.  Either way the
+    slices are shape-checked, must be finite (``AlgebraError`` otherwise),
+    and all-zero slices are dropped.
     """
 
-    __slots__ = ("rows", "cols", "order", "blades")
+    __slots__ = ("rows", "cols", "order", "masks", "stack")
 
     def __init__(self, rows: int, cols: int, order: int,
-                 blades: Mapping[int, np.ndarray] | None = None):
-        self.rows = rows
-        self.cols = cols
-        self.order = order
-        data: dict[int, np.ndarray] = {}
-        if blades:
-            for mask, slice_ in blades.items():
-                arr = np.asarray(slice_, dtype=complex)
+                 blades: Mapping[int, np.ndarray] | None = None, *,
+                 masks: Sequence[int] = (), stack: np.ndarray | None = None):
+        if stack is None:
+            masks = tuple(sorted(blades)) if blades else ()
+            slices = [np.asarray(blades[m], dtype=complex) for m in masks]
+            for arr in slices:
                 if arr.shape != (rows, cols):
                     raise ShapeMismatchError(
                         f"blade slice shape {arr.shape} != ({rows}, {cols})"
                     )
-                if not np.all(np.isfinite(arr)):
-                    raise AlgebraError("non-finite entry in blade slice")
-                if np.any(arr != 0):
-                    data[mask] = arr.copy()
-        self.blades = data
+            stack = (np.stack(slices) if slices
+                     else np.zeros((0, rows, cols), dtype=complex))
+        stack = np.asarray(stack, dtype=complex)
+        if stack.shape != (len(masks), rows, cols):
+            raise ShapeMismatchError(
+                f"blade stack shape {stack.shape} != ({len(masks)}, {rows}, {cols})"
+            )
+        if not np.isfinite(stack).all():
+            raise AlgebraError("non-finite entry in blade slice")
+        nonzero = stack.reshape(len(masks), rows * cols).any(axis=1)
+        if not nonzero.all():
+            masks = tuple(m for m, keep in zip(masks, nonzero.tolist()) if keep)
+            stack = stack[nonzero]
+        stack.flags.writeable = False
+        self.rows = rows
+        self.cols = cols
+        self.order = order
+        self.masks = tuple(masks)
+        self.stack = stack
+
+    def with_stack(self, masks: Sequence[int], stack: np.ndarray) -> "GrassmannMatrix":
+        """A matrix of this order holding ``stack`` (adopted) under ``masks``."""
+        return GrassmannMatrix(stack.shape[1], stack.shape[2], self.order,
+                               masks=masks, stack=stack)
+
+    @property
+    def blades(self) -> Mapping[int, np.ndarray]:
+        """Read-only {mask: slice} view of the stack."""
+        return MappingProxyType(dict(zip(self.masks, self.stack)))
 
     # -- constructors ------------------------------------------------------
 
@@ -69,12 +213,13 @@ class GrassmannMatrix:
 
     @classmethod
     def eye(cls, size: int, order: int) -> "GrassmannMatrix":
-        return cls(size, size, order, {0: np.eye(size, dtype=complex)})
+        return cls(size, size, order, masks=(0,),
+                   stack=np.eye(size, dtype=complex)[None])
 
     @classmethod
     def from_body(cls, body: np.ndarray, order: int) -> "GrassmannMatrix":
-        body = np.asarray(body, dtype=complex)
-        return cls(body.shape[0], body.shape[1], order, {0: body})
+        body = np.array(body, dtype=complex)
+        return cls(body.shape[0], body.shape[1], order, masks=(0,), stack=body[None])
 
     @classmethod
     def from_entries(cls, entries: Sequence[Sequence[GrassmannNumber]],
@@ -83,7 +228,7 @@ class GrassmannMatrix:
         cols = len(entries[0]) if rows else 0
         if order is None:
             order = entries[0][0].order
-        out = cls(rows, cols, order)
+        keys, ii, jj, values = [], [], [], []
         for i, row in enumerate(entries):
             if len(row) != cols:
                 raise ShapeMismatchError("ragged entry grid")
@@ -91,32 +236,36 @@ class GrassmannMatrix:
                 if g.order != order:
                     raise OrderMismatchError("mixed Grassmann orders in matrix")
                 for mask, c in g.terms.items():
-                    slice_ = out.blades.get(mask)
-                    if slice_ is None:
-                        slice_ = np.zeros((rows, cols), dtype=complex)
-                        out.blades[mask] = slice_
-                    slice_[i, j] = c
-        return out
+                    keys.append(mask)
+                    ii.append(i)
+                    jj.append(j)
+                    values.append(c)
+        masks = tuple(sorted(set(keys)))
+        position = {m: k for k, m in enumerate(masks)}
+        stack = np.zeros((len(masks), rows, cols), dtype=complex)
+        stack[[position[m] for m in keys], ii, jj] = values
+        return cls(rows, cols, order, masks=masks, stack=stack)
 
     # -- access ------------------------------------------------------------
 
+    def _number(self, cell: list[complex]) -> GrassmannNumber:
+        """The entry whose blade coefficients, in ``masks`` order, are ``cell``."""
+        return GrassmannNumber(self.order, {m: c for m, c in zip(self.masks, cell) if c})
+
     def entry(self, i: int, j: int) -> GrassmannNumber:
-        terms = {mask: s[i, j] for mask, s in self.blades.items() if s[i, j] != 0}
-        return GrassmannNumber(self.order, terms)
+        return self._number(self.stack[:, i, j].tolist())
 
     def entries(self) -> list[list[GrassmannNumber]]:
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
+        return [[self._number(cell) for cell in row]
+                for row in self.stack.transpose(1, 2, 0).tolist()]
 
     def body(self) -> np.ndarray:
-        slice_ = self.blades.get(0)
-        if slice_ is None:
-            return np.zeros((self.rows, self.cols), dtype=complex)
-        return slice_.copy()
+        if self.masks and self.masks[0] == 0:
+            return self.stack[0].copy()
+        return np.zeros((self.rows, self.cols), dtype=complex)
 
     def submatrix(self, rows: slice, cols: slice) -> "GrassmannMatrix":
-        blades = {m: s[rows, cols] for m, s in self.blades.items()}
-        probe = np.zeros((self.rows, self.cols))[rows, cols]
-        return GrassmannMatrix(probe.shape[0], probe.shape[1], self.order, blades)
+        return self.with_stack(self.masks, self.stack[:, rows, cols])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -128,15 +277,27 @@ class GrassmannMatrix:
         if self.order != other.order:
             raise OrderMismatchError(f"order mismatch: {self.order} vs {other.order}")
 
-    def __add__(self, other: "GrassmannMatrix") -> "GrassmannMatrix":
+    def _plus(self, other: "GrassmannMatrix", subtract: bool) -> "GrassmannMatrix":
         self._require_same_shape(other)
-        blades = dict(self.blades)
-        for mask, s in other.blades.items():
-            blades[mask] = blades[mask] + s if mask in blades else s
-        return GrassmannMatrix(self.rows, self.cols, self.order, blades)
+        if self.masks == other.masks:
+            stack = self.stack - other.stack if subtract else self.stack + other.stack
+            return self.with_stack(self.masks, stack)
+        masks = tuple(sorted(set(self.masks).union(other.masks)))
+        position = {m: k for k, m in enumerate(masks)}
+        stack = np.zeros((len(masks), self.rows, self.cols), dtype=complex)
+        stack[[position[m] for m in self.masks]] = self.stack
+        theirs = [position[m] for m in other.masks]
+        if subtract:
+            stack[theirs] -= other.stack
+        else:
+            stack[theirs] += other.stack
+        return self.with_stack(masks, stack)
+
+    def __add__(self, other: "GrassmannMatrix") -> "GrassmannMatrix":
+        return self._plus(other, subtract=False)
 
     def __sub__(self, other: "GrassmannMatrix") -> "GrassmannMatrix":
-        return self + (-other)
+        return self._plus(other, subtract=True)
 
     def __neg__(self) -> "GrassmannMatrix":
         return self.scale(-1.0)
@@ -146,21 +307,13 @@ class GrassmannMatrix:
         if isinstance(factor, GrassmannNumber):
             if factor.order != self.order:
                 raise OrderMismatchError("order mismatch in scale")
-            flip = flip_table(self.order)
-            out: dict[int, np.ndarray] = {}
-            for fm, fc in factor.terms.items():
-                ff = flip[fm]
-                for mask, s in self.blades.items():
-                    if fm & mask:
-                        continue
-                    key = fm | mask
-                    term = (-fc if (ff & mask).bit_count() & 1 else fc) * s
-                    out[key] = out[key] + term if key in out else term
-            return GrassmannMatrix(self.rows, self.cols, self.order, out)
-        return GrassmannMatrix(
-            self.rows, self.cols, self.order,
-            {m: factor * s for m, s in self.blades.items()},
-        )
+            f_masks = tuple(sorted(factor.terms))
+            coeffs = np.array([factor.terms[m] for m in f_masks],
+                              dtype=complex).reshape(-1, 1, 1)
+            return self.with_stack(*_blade_product(
+                np.multiply, f_masks, coeffs, self.masks, self.stack, self.order,
+                (self.rows, self.cols)))
+        return self.with_stack(self.masks, factor * self.stack)
 
     def __matmul__(self, other: "GrassmannMatrix") -> "GrassmannMatrix":
         if self.cols != other.rows:
@@ -169,45 +322,28 @@ class GrassmannMatrix:
             )
         if self.order != other.order:
             raise OrderMismatchError(f"order mismatch: {self.order} vs {other.order}")
-        flip = flip_table(self.order)
-        out: dict[int, np.ndarray] = {}
-        for ma, sa in self.blades.items():
-            fa = flip[ma]
-            for mb, sb in other.blades.items():
-                if ma & mb:
-                    continue
-                key = ma | mb
-                term = sa @ sb
-                if (fa & mb).bit_count() & 1:
-                    term = -term
-                out[key] = out[key] + term if key in out else term
-        return GrassmannMatrix(self.rows, other.cols, self.order, out)
+        return self.with_stack(*_blade_product(
+            np.matmul, self.masks, self.stack, other.masks, other.stack, self.order,
+            (self.rows, other.cols)))
 
     def transpose(self) -> "GrassmannMatrix":
         """Plain entrywise transpose (no parity signs)."""
-        return GrassmannMatrix(
-            self.cols, self.rows, self.order,
-            {m: s.T for m, s in self.blades.items()},
-        )
+        return self.with_stack(self.masks, self.stack.transpose(0, 2, 1))
 
     def grade(self, k: int) -> "GrassmannMatrix":
-        return GrassmannMatrix(
-            self.rows, self.cols, self.order,
-            {m: s for m, s in self.blades.items() if m.bit_count() == k},
-        )
+        picked = [i for i, m in enumerate(self.masks) if m.bit_count() == k]
+        return self.with_stack([self.masks[i] for i in picked], self.stack[picked])
 
     def body_part(self) -> "GrassmannMatrix":
         return self.grade(0)
 
     def nilpotent_part(self) -> "GrassmannMatrix":
-        return GrassmannMatrix(
-            self.rows, self.cols, self.order,
-            {m: s for m, s in self.blades.items() if m != 0},
-        )
+        start = 1 if self.masks and self.masks[0] == 0 else 0
+        return self.with_stack(self.masks[start:], self.stack[start:])
 
     def norm(self) -> float:
         """Entry-sum norm: sum over entries of Grassmann coefficient norms."""
-        return float(sum(np.abs(s).sum() for s in self.blades.values()))
+        return float(np.abs(self.stack).sum())
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return self.norm() <= tol
@@ -232,7 +368,7 @@ class GrassmannMatrix:
         power = GrassmannMatrix.eye(self.rows, self.order)
         for _ in range(self.order):
             power = power @ correction
-            if not power.blades:
+            if not power.masks:
                 break
             result = result + power
         return result @ inv0
@@ -293,7 +429,7 @@ class GrassmannMatrix:
     def __repr__(self):
         return (
             f"GrassmannMatrix({self.rows}x{self.cols}, N={self.order}, "
-            f"masks={sorted(self.blades)})"
+            f"masks={list(self.masks)})"
         )
 
 
@@ -377,37 +513,34 @@ class Supermatrix:
     def from_blocks(cls, a: GrassmannMatrix, b: GrassmannMatrix,
                     c: GrassmannMatrix, d: GrassmannMatrix) -> "Supermatrix":
         p, q = a.rows, d.rows
-        order = a.order
-        blades: dict[int, np.ndarray] = {}
+        masks = tuple(sorted(set(a.masks).union(b.masks, c.masks, d.masks)))
+        position = {m: k for k, m in enumerate(masks)}
+        stack = np.zeros((len(masks), p + q, p + q), dtype=complex)
         for src, (r0, c0) in ((a, (0, 0)), (b, (0, p)), (c, (p, 0)), (d, (p, p))):
-            for mask, s in src.blades.items():
-                if mask not in blades:
-                    blades[mask] = np.zeros((p + q, p + q), dtype=complex)
-                blades[mask][r0:r0 + src.rows, c0:c0 + src.cols] = s
-        return cls(p, q, GrassmannMatrix(p + q, p + q, order, blades))
+            stack[[position[m] for m in src.masks],
+                  r0:r0 + src.rows, c0:c0 + src.cols] = src.stack
+        return cls(p, q, GrassmannMatrix(p + q, p + q, a.order, masks=masks, stack=stack))
 
     # -- parity -------------------------------------------------------------
 
     def validate_parity(self, tol: float = CANON_EPS) -> None:
         """Check the (p|q) even/odd block pattern; raises ParityError."""
-        p = self.p
-        for mask, s in self.mat.blades.items():
-            even_mask = mask.bit_count() % 2 == 0
-            if even_mask:
-                bad = max(
-                    float(np.abs(s[:p, p:]).max()) if self.q and p else 0.0,
-                    float(np.abs(s[p:, :p]).max()) if self.q and p else 0.0,
-                )
-            else:
-                bad = max(
-                    float(np.abs(s[:p, :p]).max()) if p else 0.0,
-                    float(np.abs(s[p:, p:]).max()) if self.q else 0.0,
-                )
-            if bad > tol:
-                raise ParityError(
-                    f"entries of blade mask {mask} violate the parity pattern "
-                    f"(max offending modulus {bad:.3e})"
-                )
+        p, masks, s = self.p, self.mat.masks, self.mat.stack
+
+        def largest(x, y):
+            return np.maximum(np.abs(x).max(axis=(1, 2), initial=0.0),
+                              np.abs(y).max(axis=(1, 2), initial=0.0))
+
+        even = np.array([m.bit_count() % 2 == 0 for m in masks], dtype=bool)
+        bad = np.where(even, largest(s[:, :p, p:], s[:, p:, :p]),
+                       largest(s[:, :p, :p], s[:, p:, p:]))
+        offending = np.flatnonzero(bad > tol)
+        if offending.size:
+            k = offending[0]
+            raise ParityError(
+                f"entries of blade mask {masks[k]} violate the parity pattern "
+                f"(max offending modulus {bad[k]:.3e})"
+            )
 
     # -- block access --------------------------------------------------------
 
@@ -459,30 +592,20 @@ class Supermatrix:
 
     def supertranspose(self) -> "Supermatrix":
         """Blocks (A, B, C, D) -> (A^T, C^T, -B^T, D^T)."""
-        p, size = self.p, self.size
-        blades: dict[int, np.ndarray] = {}
-        for mask, s in self.mat.blades.items():
-            out = np.zeros((size, size), dtype=complex)
-            out[:p, :p] = s[:p, :p].T
-            out[:p, p:] = s[p:, :p].T
-            out[p:, :p] = -s[:p, p:].T
-            out[p:, p:] = s[p:, p:].T
-            blades[mask] = out
-        return Supermatrix(
-            self.p, self.q,
-            GrassmannMatrix(size, size, self.order, blades),
-            validate=False,
-        )
+        p = self.p
+        out = self.mat.stack.transpose(0, 2, 1).copy()
+        out[:, p:, :p] *= -1.0
+        return Supermatrix(self.p, self.q, self.mat.with_stack(self.mat.masks, out),
+                           validate=False)
 
     def supertrace(self) -> GrassmannNumber:
         """tr(A) - tr(D); an even Grassmann number."""
-        p = self.p
-        terms: dict[int, complex] = {}
-        for mask, s in self.mat.blades.items():
-            val = np.trace(s[:p, :p]) - np.trace(s[p:, p:])
-            if val != 0:
-                terms[mask] = val
-        return GrassmannNumber(self.order, terms)
+        p, s = self.p, self.mat.stack
+        values = (np.trace(s[:, :p, :p], axis1=1, axis2=2)
+                  - np.trace(s[:, p:, p:], axis1=1, axis2=2))
+        return GrassmannNumber(
+            self.order, {m: v for m, v in zip(self.mat.masks, values.tolist()) if v}
+        )
 
     def body(self) -> "Supermatrix":
         return Supermatrix(self.p, self.q, self.mat.body_part(), validate=False)
@@ -570,7 +693,7 @@ def expm(m: Supermatrix) -> Supermatrix:
     argument is scaled so its entry-sum norm is at most 1 before the series.
     """
     norm = m.norm()
-    nilpotent_only = 0 not in m.mat.blades
+    nilpotent_only = not m.mat.masks or m.mat.masks[0] != 0
     s = 0
     if not nilpotent_only and norm > 1.0:
         s = max(0, math.ceil(math.log2(norm)))
@@ -579,7 +702,7 @@ def expm(m: Supermatrix) -> Supermatrix:
     term = Supermatrix.eye(m.p, m.q, m.order)
     for k in range(1, 200):
         term = (term @ scaled).scale(1.0 / k)
-        if not term.mat.blades:
+        if not term.mat.masks:
             break
         result = result + term
         if term.norm() <= SERIES_EPS * result.norm():
@@ -613,7 +736,7 @@ def logm(m: Supermatrix) -> Supermatrix:
     power = Supermatrix.eye(m.p, m.q, m.order)
     for k in range(1, max_iter + 1):
         power = power @ delta
-        if not power.mat.blades:
+        if not power.mat.masks:
             break
         result = result + power.scale((-1.0) ** (k + 1) / k)
         if k > 4 and power.norm() / k <= SERIES_EPS * max(1.0, result.norm()):

@@ -1,0 +1,81 @@
+"""Write the golden CLI corpus: one payload and the expected stdout per subcommand.
+
+Run from the repository root as
+
+    PYTHONPATH=src python tests/golden/make_corpus.py
+
+Every payload comes from superspin's seeded generators at (m, n, N) =
+(3, 1, 4).  ``<command>.json`` holds the payload (compact JSON) and
+``<command>.out`` the exact stdout of ``superspin <command> --input
+<command>.json``.  The committed files were written by the code as it was
+before matrices moved to packed blade stacks; ``tests/test_golden.py``
+compares the current stdout with them within a stated tolerance.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+from superspin import (
+    expm,
+    matrix_to_bivector,
+    random_rotation,
+    random_so0,
+    random_sphere_vector,
+    random_supervector,
+)
+from superspin.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+M, N_PLANES, ORDER = 3, 1, 4
+
+
+def payloads() -> dict[str, object]:
+    rot = random_rotation(M, N_PLANES, ORDER, seed=11)
+    alg = random_so0(M, N_PLANES, ORDER, seed=12)
+    w = random_sphere_vector(M, N_PLANES, ORDER, seed=13)
+    x = random_supervector(M, N_PLANES, ORDER, seed=14)
+    y = random_supervector(M, N_PLANES, ORDER, seed=15)
+    near_identity = expm(random_so0(M, N_PLANES, ORDER, seed=16, scale=0.1))
+    return {
+        "check-so0": rot.to_dict(),
+        "sdet": rot.to_dict(),
+        "exp": alg.to_dict(),
+        "ln": near_identity.to_dict(),
+        "decompose": rot.to_dict(),
+        "lift": rot.to_dict(),
+        "reflect": {"w": w.to_dict(), "x": x.to_dict()},
+        "inner": {"x": x.to_dict(), "y": y.to_dict()},
+        "act": {"matrix": rot.to_dict(), "vector": x.to_dict()},
+        "phi": matrix_to_bivector(alg).to_dict(),
+        "phi-inv": alg.to_dict(),
+        "check-so0-algebra": alg.to_dict(),
+    }
+
+
+def run(command: str, path: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--input", path])
+    if code != 0:
+        raise SystemExit(f"{command} exited {code}")
+    return out.getvalue()
+
+
+def write_corpus(directory: str = HERE) -> None:
+    for command, payload in payloads().items():
+        path = os.path.join(directory, f"{command}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, separators=(",", ":"))
+        stdout = run(command, path)
+        with open(os.path.join(directory, f"{command}.out"), "w", encoding="utf-8") as handle:
+            handle.write(stdout)
+
+
+if __name__ == "__main__":
+    write_corpus(sys.argv[1] if len(sys.argv) > 1 else HERE)

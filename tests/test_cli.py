@@ -254,3 +254,32 @@ def test_emitted_json_reparses_to_equal_value(capsys, rotation):
     once = json.loads(out)
     again = Supermatrix.from_dict(once).to_dict()
     assert once == again
+
+
+@pytest.mark.parametrize("argv", [
+    ["osc-exp", "--theta", "1", "--cap", "-2"],
+    ["osc-exp", "--theta", "1", "--plane", "0"],
+    ["osc-exp", "--theta", "1", "--plane", "2", "--n", "1"],
+    ["osc-exp", "--theta", "1", "--N", "17"],
+    ["osc-exp", "--theta", "1", "--m", "-1"],
+    ["frft", "--thetas", "1", "--N", "17"],
+    ["frft", "--thetas", "1", "--N", "-1"],
+    ["sdet", "--n", "-1"],
+])
+def test_out_of_range_flags_are_malformed_input(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_flags_at_their_limits_are_accepted(capsys):
+    code, out, _ = run_cli(capsys, "osc-exp", "--theta", "1", "--cap", "2",
+                           "--plane", "2", "--n", "2", "--m", "0", "--N", "0")
+    assert code == 0
+    assert json.loads(out)["element"]["N"] == 0
+    code, _, _ = run_cli(capsys, "frft", "--thetas", "1", "--N", "16", "--m", "1")
+    assert code == 0
+    # --cap 0 parses; the ladder operators then exceed it, a domain violation.
+    code, _, err = run_cli(capsys, "osc-exp", "--theta", "1", "--cap", "0")
+    assert code == 1 and "domain violation" in err

@@ -1,9 +1,11 @@
-"""The flip-table Grassmann product kernel against pairwise reference products.
+"""The product kernels against reference implementations kept only here.
 
-The reference products below are the blade-pair loops the library used
-before the kernel: every sign comes from ``reorder_sign``, every coefficient
-product is a fresh GrassmannNumber, and the Clifford product adds whole
-GrassmannNumbers term by term.  They live here only, as oracles.
+The Grassmann references are the blade-pair loops the library used before
+the flip-table kernel: every sign comes from ``reorder_sign``, every
+coefficient product is a fresh GrassmannNumber, and the Clifford product adds
+whole GrassmannNumbers term by term.  The matrix references work on
+``{mask: slice}`` dicts, the storage GrassmannMatrix had before the packed
+blade stack: one Python loop per operation over blades or blade pairs.
 """
 
 import itertools
@@ -13,7 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superspin import CapExceededError, CliffordElement, GrassmannMatrix, GrassmannNumber
+from superspin import (
+    AlgebraError,
+    CapExceededError,
+    CliffordElement,
+    GrassmannMatrix,
+    GrassmannNumber,
+    ShapeMismatchError,
+    Supermatrix,
+)
+from superspin import supermatrix
 from superspin.clifford import _blade_mul, _plane_reorder
 from superspin.grassmann import MAX_ORDER, flip_table, reorder_sign
 
@@ -67,6 +78,81 @@ def reference_clifford_product(x, y):
                 term = coeff * weight
                 out[key] = out[key] + term if key in out else term
     return CliffordElement(x.m, x.n, x.order, cap, out), over_cap
+
+
+def _accumulate(out, key, term):
+    out[key] = out[key] + term if key in out else term
+
+
+def reference_matmul(a, b):
+    out = {}
+    for ma, sa in a.blades.items():
+        for mb, sb in b.blades.items():
+            if not ma & mb:
+                _accumulate(out, ma | mb, reorder_sign(ma, mb) * (sa @ sb))
+    return out
+
+
+def reference_scale(g, a):
+    out = {}
+    for fm, fc in g.terms.items():
+        for mask, s in a.blades.items():
+            if not fm & mask:
+                _accumulate(out, fm | mask, reorder_sign(fm, mask) * fc * s)
+    return out
+
+
+def reference_add(a, b, sign=1.0):
+    out = dict(a.blades)
+    for mask, s in b.blades.items():
+        _accumulate(out, mask, sign * s)
+    return out
+
+
+def reference_entries(a):
+    return [[GrassmannNumber(a.order, {m: s[i, j] for m, s in a.blades.items() if s[i, j] != 0})
+             for j in range(a.cols)] for i in range(a.rows)]
+
+
+def reference_from_entries(grid, rows, cols):
+    out = {}
+    for i, row in enumerate(grid):
+        for j, g in enumerate(row):
+            for mask, c in g.terms.items():
+                out.setdefault(mask, np.zeros((rows, cols), dtype=complex))[i, j] = c
+    return out
+
+
+def reference_from_blocks(a, b, c, d):
+    p, size = a.rows, a.rows + d.rows
+    out = {}
+    for src, (r0, c0) in ((a, (0, 0)), (b, (0, p)), (c, (p, 0)), (d, (p, p))):
+        for mask, s in src.blades.items():
+            if mask not in out:
+                out[mask] = np.zeros((size, size), dtype=complex)
+            out[mask][r0:r0 + src.rows, c0:c0 + src.cols] = s
+    return out
+
+
+def reference_supertranspose(x):
+    p, size = x.p, x.size
+    out = {}
+    for mask, s in x.mat.blades.items():
+        t = np.zeros((size, size), dtype=complex)
+        t[:p, :p] = s[:p, :p].T
+        t[:p, p:] = s[p:, :p].T
+        t[p:, :p] = -s[:p, p:].T
+        t[p:, p:] = s[p:, p:].T
+        out[mask] = t
+    return out
+
+
+def reference_supertrace(x):
+    p = x.p
+    return GrassmannNumber(x.order, {
+        mask: np.trace(s[:p, :p]) - np.trace(s[p:, p:])
+        for mask, s in x.mat.blades.items()
+    })
 
 
 # -- strategies ---------------------------------------------------------------------
@@ -133,6 +219,71 @@ def matrix_pairs(draw):
     a = GrassmannMatrix.from_entries(grid(rows, inner), order)
     b = GrassmannMatrix.from_entries(grid(inner, cols), order)
     return a, b, draw(grassmann_numbers(order))
+
+
+def blade_matrices(rows, cols, order, masks=None):
+    """Matrices built from {mask: slice} dicts; some slices are all zero."""
+    masks = st.integers(0, (1 << order) - 1) if masks is None else st.sampled_from(masks)
+    cells = st.lists(st.one_of(st.just(0j), coefficients),
+                     min_size=rows * cols, max_size=rows * cols)
+    slices = st.one_of(cells, st.just([0j] * (rows * cols))).map(
+        lambda v: np.array(v, dtype=complex).reshape(rows, cols))
+    return st.dictionaries(masks, slices, max_size=5).map(
+        lambda blades: GrassmannMatrix(rows, cols, order, blades))
+
+
+@st.composite
+def shaped_matrices(draw):
+    order = draw(st.sampled_from(ORDERS))
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return draw(blade_matrices(rows, cols, order)), draw(blade_matrices(rows, cols, order))
+
+
+@st.composite
+def blade_products(draw):
+    order = draw(st.sampled_from(ORDERS))
+    rows, inner, cols = (draw(st.integers(0, 3)) for _ in range(3))
+    return (draw(blade_matrices(rows, inner, order)),
+            draw(blade_matrices(inner, cols, order)),
+            draw(grassmann_numbers(order)))
+
+
+@st.composite
+def square_supermatrices(draw):
+    order = draw(st.sampled_from(ORDERS))
+    p, q = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    return Supermatrix(p, q, draw(blade_matrices(p + q, p + q, order)), validate=False)
+
+
+@st.composite
+def parity_blocks(draw):
+    order = draw(st.sampled_from(ORDERS))
+    p, q = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    even = [m for m in range(1 << order) if m.bit_count() % 2 == 0]
+    odd = [m for m in range(1 << order) if m.bit_count() % 2 == 1] or None
+
+    def block(rows, cols, masks):
+        if masks is None:
+            return GrassmannMatrix.zeros(rows, cols, order)
+        return draw(blade_matrices(rows, cols, order, masks))
+
+    return block(p, p, even), block(p, q, odd), block(q, p, odd), block(q, q, even)
+
+
+def assert_matches(got, want, exact=False):
+    """GrassmannMatrix ``got`` against a reference {mask: slice} dict."""
+    want = {m: np.asarray(s) for m, s in want.items()}
+    assert got.masks == tuple(sorted(got.masks))
+    assert got.stack.shape == (len(got.masks), got.rows, got.cols)
+    assert not got.stack.flags.writeable
+    assert (np.abs(got.stack).max(axis=(1, 2), initial=0.0) > 0).all()
+    if exact:
+        assert set(got.masks) == {m for m, s in want.items() if s.any()}
+    zero = np.zeros((got.rows, got.cols), dtype=complex)
+    scale = max([1.0] + [float(np.abs(s).sum()) for s in want.values()])
+    for mask in set(got.masks) | set(want):
+        diff = np.abs(got.blades.get(mask, zero) - want.get(mask, zero))
+        assert diff.max(initial=0.0) <= (0.0 if exact else TOL * scale), mask
 
 
 def close(got, want):
@@ -203,3 +354,152 @@ def test_matrix_products_match_entrywise_reference(triple):
             assert close(product.entry(i, j), want)
         for j in range(a.cols):
             assert close(scaled.entry(i, j), reference_grassmann_product(g, a.entry(i, j)))
+
+
+# -- the packed matrix storage against the dict references --------------------------
+
+
+def check_products(a, b, g):
+    assert_matches(a @ b, reference_matmul(a, b))
+    assert_matches(a.scale(g), reference_scale(g, a))
+    assert_matches(a.scale(-2.5), {m: -2.5 * s for m, s in a.blades.items()}, exact=True)
+
+
+def check_elementwise(a, b):
+    assert_matches(a + b, reference_add(a, b), exact=True)
+    assert_matches(a - b, reference_add(a, b, -1.0), exact=True)
+    assert_matches(a.transpose(), {m: s.T for m, s in a.blades.items()}, exact=True)
+    for k in range(a.order + 2):
+        want = {m: s for m, s in a.blades.items() if m.bit_count() == k}
+        assert_matches(a.grade(k), want, exact=True)
+    assert_matches(a.nilpotent_part(), {m: s for m, s in a.blades.items() if m}, exact=True)
+    assert a.norm() == pytest.approx(sum(np.abs(s).sum() for s in a.blades.values()))
+    for rows, cols in ((slice(0, 1), slice(1, None)), (slice(1, 3), slice(0, 2)),
+                       (slice(0, 0), slice(None))):
+        sub = a.submatrix(rows, cols)
+        want = {m: s[rows, cols] for m, s in a.blades.items()}
+        assert (sub.rows, sub.cols) == np.zeros((a.rows, a.cols))[rows, cols].shape
+        assert_matches(sub, want, exact=True)
+    assert a.entries() == reference_entries(a)
+    grid = reference_entries(a)
+    assert_matches(GrassmannMatrix.from_entries(grid, a.order),
+                   reference_from_entries(grid, a.rows, a.cols), exact=True)
+
+
+def check_super(x):
+    assert_matches(x.supertranspose().mat, reference_supertranspose(x), exact=True)
+    assert close(x.supertrace(), reference_supertrace(x))
+
+
+def check_blocks(blocks):
+    x = Supermatrix.from_blocks(*blocks)
+    assert_matches(x.mat, reference_from_blocks(*blocks), exact=True)
+    got = (x.block_a(), x.block_b(), x.block_c(), x.block_d())
+    for block, want in zip(got, blocks):
+        assert_matches(block, want.blades, exact=True)
+
+
+@SETTINGS
+@given(blade_products())
+def test_matrix_kernel_matches_blade_dict_reference(triple):
+    check_products(*triple)
+
+
+@SETTINGS
+@given(shaped_matrices())
+def test_elementwise_ops_match_blade_dict_reference(pair):
+    check_elementwise(*pair)
+
+
+@SETTINGS
+@given(square_supermatrices())
+def test_supertranspose_and_supertrace_match_blade_dict_reference(x):
+    check_super(x)
+
+
+@SETTINGS
+@given(parity_blocks())
+def test_from_blocks_matches_blade_dict_reference(blocks):
+    check_blocks(blocks)
+
+
+def _dense(rng, rows, cols, order, masks=None):
+    masks = range(1 << order) if masks is None else masks
+    return GrassmannMatrix(rows, cols, order, {
+        m: rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        for m in masks})
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("p, q", [(0, 2), (2, 0), (0, 0), (1, 1)])
+def test_edge_shapes_match_blade_dict_reference(order, p, q):
+    """0 x k and k x 0 matrices, p = 0, q = 0 and N in {0, 1}, every op."""
+    rng = np.random.default_rng(17 * order + 5 * p + q)
+    g = GrassmannNumber(order, {m: complex(rng.normal()) for m in range(1 << order)})
+    for rows, inner, cols in ((0, 2, 3), (2, 0, 3), (3, 2, 0), (p, q, p + q)):
+        a, b = _dense(rng, rows, inner, order), _dense(rng, inner, cols, order)
+        check_products(a, b, g)
+        check_elementwise(a, _dense(rng, rows, inner, order))
+    check_super(Supermatrix(p, q, _dense(rng, p + q, p + q, order), validate=False))
+    even = [m for m in range(1 << order) if m.bit_count() % 2 == 0]
+    odd = [m for m in range(1 << order) if m.bit_count() % 2 == 1]
+    check_blocks((_dense(rng, p, p, order, even), _dense(rng, p, q, order, odd),
+                  _dense(rng, q, p, order, odd), _dense(rng, q, q, order, even)))
+
+
+def test_construction_drops_zero_slices_and_rejects_bad_stacks():
+    slices = {3: np.zeros((2, 2)), 1: np.eye(2), 0: np.ones((2, 2))}
+    a = GrassmannMatrix(2, 2, 2, slices)
+    assert a.masks == (0, 1)
+    with pytest.raises(ValueError):
+        a.stack[0, 0, 0] = 5.0
+    with pytest.raises(TypeError):
+        a.blades[2] = np.eye(2)
+    with pytest.raises(ShapeMismatchError):
+        GrassmannMatrix(2, 2, 2, {0: np.eye(3)})
+    with pytest.raises(ShapeMismatchError):
+        GrassmannMatrix(2, 2, 2, masks=(0, 1), stack=np.ones((1, 2, 2)))
+    with pytest.raises(AlgebraError):
+        GrassmannMatrix(2, 2, 2, masks=(0,), stack=np.full((1, 2, 2), np.inf))
+    empty = GrassmannMatrix(0, 3, 1, {0: np.zeros((0, 3))})
+    assert empty.masks == () and empty.stack.shape == (0, 0, 3)
+
+
+# -- bounded memory at MAX_ORDER -------------------------------------------------------
+
+
+def _sparse_matrix(rng, rows, cols, count):
+    """An order-16 matrix on ``count`` blades of two to four generators."""
+    blades = {}
+    while len(blades) < count:
+        bits = rng.choice(MAX_ORDER, size=int(rng.integers(2, 5)), replace=False)
+        blades[int(sum(1 << int(b) for b in bits))] = (
+            rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))
+    return GrassmannMatrix(rows, cols, MAX_ORDER, blades)
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+def test_sparse_products_at_max_order_match_reference(monkeypatch, budget):
+    rng = np.random.default_rng(16)
+    a, b = _sparse_matrix(rng, 3, 2, 40), _sparse_matrix(rng, 2, 3, 36)
+    g = GrassmannNumber(MAX_ORDER, {m: complex(rng.normal()) for m in b.masks[:30]})
+    grids = []
+    build = supermatrix._build_plan
+
+    def recording_build(masks_a, masks_b, order):
+        grids.append(len(masks_a) * len(masks_b))
+        return build(masks_a, masks_b, order)
+
+    monkeypatch.setattr(supermatrix, "_build_plan", recording_build)
+    if budget is not None:
+        monkeypatch.setattr(supermatrix, "_TILE_ELEMENTS", budget)
+    # (result, reference, entries of the largest slice a pair touches)
+    cases = [(lambda: a @ b, reference_matmul(a, b), 9),
+             (lambda: a.scale(g), reference_scale(g, a), 6)]
+    for product, want, per_pair in cases:
+        grids.clear()
+        assert_matches(product(), want)
+        if budget is not None:
+            # Each tile's candidate pairs times the slice size fit the budget.
+            assert len(grids) > 10
+            assert max(grids) * per_pair <= budget
