@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "plane", 1) > args.n:
+    if args.command == "osc-exp" and args.plane > args.n:
         parser.error(f"argument --plane: {args.plane} exceeds --n {args.n}")
     try:
         return args.handler(args)

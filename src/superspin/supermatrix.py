@@ -43,10 +43,12 @@ COND_LIMIT = 1e12
 # are cut into tiles, so memory stays bounded up to MAX_ORDER.
 _TILE_ELEMENTS = 1 << 20
 
-# Pair plans with at most this many candidate pairs are memoised, at most
-# _PLAN_CACHE of them; the rest are built per tile and dropped.
-_CACHED_PAIRS = 1 << 12
-_PLAN_CACHE = 256
+# Pair plans with at most _CACHED_PAIRS candidate pairs (every pair of a
+# dense order-5 product) are memoised, at most _PLAN_CACHE of them; a full
+# cache holds about 5 MiB.  Each benchmark workload reuses at most 15
+# distinct plans.  Larger plans are built per product and dropped.
+_CACHED_PAIRS = 1 << 10
+_PLAN_CACHE = 64
 
 
 # -- the product kernel --------------------------------------------------------
@@ -126,7 +128,10 @@ def _blade_product(op: Callable, masks_a: tuple[int, ...], a_stack: np.ndarray,
         if not plan.keys:
             return (), np.zeros((0, *shape), dtype=complex)
         return plan.keys, _combine(plan, op, a_stack, b_stack)
-    # Tiled: fix the output masks first, then add each tile's groups in.
+    # Tiled: fix the output masks first (one bitwise test per pair, no
+    # gather), so that each tile's groups are added into place and dropped;
+    # collecting the tiles' results before their union is known would hold
+    # up to one slice per tile and output mask at once.
     tb = min(nb, tile)
     ta = max(1, tile // tb)
     tiles = [(slice(a0, a0 + ta), slice(b0, b0 + tb))
@@ -157,9 +162,10 @@ class GrassmannMatrix:
     ``stack`` the read-only complex array of shape (len(masks), rows, cols)
     holding those slices; absent masks are zero slices.  Build one from a
     ``{mask: slice}`` mapping (``blades``, copied) or directly from ``masks``
-    and ``stack``, whose complex array is adopted and made read-only.  Either way the
-    slices are shape-checked, must be finite (``AlgebraError`` otherwise),
-    and all-zero slices are dropped.
+    (strictly ascending, each below 2^order) and ``stack``, whose complex
+    array is adopted and made read-only.  Either way the masks and the slice
+    shapes are checked, the slices must be finite (``AlgebraError``
+    otherwise), and all-zero slices are dropped.
     """
 
     __slots__ = ("rows", "cols", "order", "masks", "stack")
@@ -177,6 +183,12 @@ class GrassmannMatrix:
                     )
             stack = (np.stack(slices) if slices
                      else np.zeros((0, rows, cols), dtype=complex))
+        masks = tuple(masks)
+        if masks and not (0 <= masks[0] and masks[-1] < 1 << order
+                          and all(a < b for a, b in zip(masks, masks[1:]))):
+            raise AlgebraError(
+                f"blade masks must be ascending, unique and below 2^{order}: {masks}"
+            )
         stack = np.asarray(stack, dtype=complex)
         if stack.shape != (len(masks), rows, cols):
             raise ShapeMismatchError(
@@ -192,7 +204,7 @@ class GrassmannMatrix:
         self.rows = rows
         self.cols = cols
         self.order = order
-        self.masks = tuple(masks)
+        self.masks = masks
         self.stack = stack
 
     def with_stack(self, masks: Sequence[int], stack: np.ndarray) -> "GrassmannMatrix":

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -283,3 +284,15 @@ def test_flags_at_their_limits_are_accepted(capsys):
     # --cap 0 parses; the ladder operators then exceed it, a domain violation.
     code, _, err = run_cli(capsys, "osc-exp", "--theta", "1", "--cap", "0")
     assert code == 1 and "domain violation" in err
+
+
+def test_plane_check_applies_to_osc_exp_only(capsys):
+    golden = Path(__file__).parent / "golden" / "sdet.json"
+    code, _, _ = run_cli(capsys, "sdet", "--n", "0", "-i", str(golden))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "frft", "--thetas", "1", "--n", "0")
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["osc-exp", "--theta", "1", "--n", "0"])
+    assert exc.value.code == 2
+    assert "exceeds --n 0" in capsys.readouterr().err

@@ -461,6 +461,12 @@ def test_construction_drops_zero_slices_and_rejects_bad_stacks():
         GrassmannMatrix(2, 2, 2, masks=(0, 1), stack=np.ones((1, 2, 2)))
     with pytest.raises(AlgebraError):
         GrassmannMatrix(2, 2, 2, masks=(0,), stack=np.full((1, 2, 2), np.inf))
+    # Masks given with a stack must be strictly ascending and below 2^order.
+    for masks in ((1, 0), (1, 1), (0, 4), (-1, 0)):
+        with pytest.raises(AlgebraError, match="ascending"):
+            GrassmannMatrix(2, 2, 2, masks=masks, stack=np.ones((2, 2, 2)))
+    with pytest.raises(AlgebraError, match="ascending"):
+        GrassmannMatrix(2, 2, 2, {4: np.eye(2)})
     empty = GrassmannMatrix(0, 3, 1, {0: np.zeros((0, 3))})
     assert empty.masks == () and empty.stack.shape == (0, 0, 3)
 
