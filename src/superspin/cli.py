@@ -251,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of fermionic planes (q = 2n)")
     common.add_argument("--N", dest="grassmann_order", type=_int_in(0, MAX_ORDER),
                         default=4, help="Grassmann algebra order")
-    common.add_argument("--strict", action="store_true",
-                        help="error out instead of truncating over-cap terms")
     parser = argparse.ArgumentParser(
         prog="superspin",
         description="Superspace rotations, spin lifts and Grassmann-valued "

@@ -6,6 +6,14 @@ relations e'_u e'_v - e'_v e'_u = g_{uv} with the symplectic pairing g; the
 two families anticommute with each other; Grassmann coefficients commute with
 all of them.  Elements are kept in normal order: ascending e-blade first,
 then e'_1^{a_1}...e'_{2n}^{a_{2n}}, with total fermionic degree capped.
+
+A product splits into a key plan and the coefficient products.  The key plan
+depends only on the two tuples of keys (e-blade mask, fermionic multi-index),
+n and the cap: it lists, for every key pair, the normal-ordered output keys
+with their weights, and the pairs that reach above the cap.  The Grassmann
+coefficient products all come from one product of the packed matrix kernel
+(left coefficients as a column times right coefficients as a row), and are
+combined into the output keys by one gather and ``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -13,10 +21,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import supermatrix
 from .exceptions import (
     AlgebraError,
     CapExceededError,
@@ -29,8 +38,6 @@ from .grassmann import (
     CANON_EPS,
     DEFAULT_TOL,
     GrassmannNumber,
-    flip_table,
-    mul_terms,
     random_grassmann,
     reorder_sign,
 )
@@ -40,6 +47,15 @@ DEFAULT_CAP = 8
 
 # Tolerance for discarding non-vector residue when extracting supervectors.
 EXTRACT_TOL = 1e-10
+
+# Key plans of products with at most _CACHED_KEY_PAIRS key pairs are
+# memoised, at most _KEY_PLAN_CACHE of them; larger plans are built per
+# product and dropped.  Each benchmark workload reuses at most 8 distinct
+# plans of at most 500 pairs.  A full cache of 1024-pair plans holds about
+# 1.5 MiB for random keys and 5 MiB for the densest case tried (every key of
+# degree 4 at cap 8, about 2000 entries per plan).
+_CACHED_KEY_PAIRS = 1 << 10
+_KEY_PLAN_CACHE = 16
 
 
 def symplectic_pairing(u: int, v: int) -> int:
@@ -71,6 +87,147 @@ def _plane_reorder(p1: int, q1: int, p2: int, q2: int) -> tuple[tuple[int, int, 
          ((-1.0) ** k) * math.factorial(k) * math.comb(p2, k) * math.comb(q1, k))
         for k in range(min(q1, p2) + 1)
     )
+
+
+_Key = tuple[int, tuple[int, ...]]
+
+
+class _KeyPlan(NamedTuple):
+    """Output terms of every key pair of two key tuples, grouped by output key.
+
+    Key pairs are numbered ``i * len(keys_b) + j``.  Entry k adds
+    ``weight[k]`` times the coefficient product of pair ``pair[k]`` to output
+    key ``keys[slot[k]]``; entries are sorted by slot and each slot's run
+    starts at ``starts[slot]``.  Pair ``over[k]`` has combinations above the
+    cap, the largest of degree ``over_degree[k]``.  ``width`` is the larger of
+    len(keys_b) and the most entries of any one left key.
+    """
+
+    pair: np.ndarray
+    weight: np.ndarray
+    slot: np.ndarray
+    starts: np.ndarray
+    keys: tuple[_Key, ...]
+    over: np.ndarray
+    over_degree: np.ndarray
+    width: int
+
+
+def _build_key_plan(keys_a: tuple[_Key, ...], keys_b: tuple[_Key, ...], n: int,
+                    cap: int) -> _KeyPlan:
+    index: dict[_Key, int] = {}
+    pair: list[int] = []
+    slot: list[int] = []
+    weight: list[float] = []
+    over: list[int] = []
+    over_degree: list[int] = []
+    nb = len(keys_b)
+    for i, (ea, aa) in enumerate(keys_a):
+        odd_a = sum(aa) & 1
+        for j, (eb, ab) in enumerate(keys_b):
+            sign, emask = _blade_mul(ea, eb)
+            # e-generators of the right factor step over the left
+            # fermionic monomial; both families anticommute.
+            if odd_a and eb.bit_count() & 1:
+                sign = -sign
+            # per-plane Weyl reordering, planes commute with each other
+            plane_options = [
+                _plane_reorder(aa[2 * t], aa[2 * t + 1], ab[2 * t], ab[2 * t + 1])
+                for t in range(n)
+            ]
+            top = 0
+            for combo in itertools.product(*plane_options):
+                alpha = tuple(e for px, qy, _ in combo for e in (px, qy))
+                w = float(sign)
+                for _, _, c in combo:
+                    w *= c
+                if w == 0.0:
+                    continue
+                degree = sum(alpha)
+                if degree > cap:
+                    top = max(top, degree)
+                    continue
+                pair.append(i * nb + j)
+                slot.append(index.setdefault((emask, alpha), len(index)))
+                weight.append(w)
+            if top:
+                over.append(i * nb + j)
+                over_degree.append(top)
+    by_slot = np.argsort(np.asarray(slot, dtype=np.int64), kind="stable")
+    pairs = np.asarray(pair, dtype=np.int64)[by_slot]
+    slots = np.asarray(slot, dtype=np.int64)[by_slot]
+    per_left = np.bincount(pairs // nb, minlength=len(keys_a))
+    return _KeyPlan(
+        pairs, np.asarray(weight)[by_slot], slots,
+        np.flatnonzero(np.diff(slots, prepend=-1)), tuple(index),
+        np.asarray(over, dtype=np.int64), np.asarray(over_degree, dtype=np.int64),
+        max(nb, int(per_left.max())))
+
+
+_cached_key_plan = functools.lru_cache(maxsize=_KEY_PLAN_CACHE)(_build_key_plan)
+
+
+def _drop_tiny(values: np.ndarray) -> np.ndarray:
+    """``values`` with the entries whose |re| and |im| are both below
+    CANON_EPS set to zero, as GrassmannNumber canonicalises."""
+    return np.where((np.abs(values.real) < CANON_EPS)
+                    & (np.abs(values.imag) < CANON_EPS), 0.0, values)
+
+
+def _product_terms(terms_a: Mapping[_Key, GrassmannNumber],
+                   terms_b: Mapping[_Key, GrassmannNumber], n: int, order: int,
+                   cap: int) -> tuple[dict[_Key, GrassmannNumber], int]:
+    """Capped normal-ordered product terms of two term maps, and the largest
+    degree above the cap among pairs with a nonzero coefficient product (0
+    when there is none)."""
+    if not (terms_a and terms_b):
+        return {}, 0
+    keys_a, keys_b = tuple(terms_a), tuple(terms_b)
+    na, nb = len(keys_a), len(keys_b)
+    plan = (_cached_key_plan if na * nb <= _CACHED_KEY_PAIRS else _build_key_plan)(
+        keys_a, keys_b, n, cap)
+    column = GrassmannMatrix.from_entries([[c] for c in terms_a.values()], order)
+    row = GrassmannMatrix.from_entries([list(terms_b.values())], order)
+    # Left keys go in blocks so that the product stack and the gathered
+    # entries, at most (output masks) x width per left key, stay within the
+    # matrix kernel's element budget, down to one left key per block.
+    out_masks = min(1 << order, len(column.masks) * len(row.masks))
+    step = max(1, supermatrix._TILE_ELEMENTS // (out_masks * plan.width))
+    live = np.zeros(na * nb, dtype=bool)
+    total = None
+    for a0 in range(0, na, step):
+        block = (column if step >= na
+                 else column.submatrix(slice(a0, a0 + step), slice(None))) @ row
+        if not block.masks:
+            continue
+        flat = _drop_tiny(block.stack.reshape(len(block.masks), -1))
+        lo, hi = a0 * nb, a0 * nb + flat.shape[1]
+        live[lo:hi] = flat.any(axis=0)
+        if not plan.keys:
+            continue
+        if step >= na:
+            sums = np.add.reduceat(flat[:, plan.pair] * plan.weight, plan.starts, axis=1)
+        else:
+            picked = np.flatnonzero((plan.pair >= lo) & (plan.pair < hi))
+            if not picked.size:
+                continue
+            slots = plan.slot[picked]
+            starts = np.flatnonzero(np.diff(slots, prepend=-1))
+            sums = np.zeros((len(block.masks), len(plan.keys)), dtype=complex)
+            sums[:, slots[starts]] = np.add.reduceat(
+                flat[:, plan.pair[picked] - lo] * plan.weight[picked], starts, axis=1)
+        part = GrassmannMatrix(1, len(plan.keys), order, masks=block.masks,
+                               stack=sums[:, None, :])
+        total = part if total is None else total + part
+    degree = int(plan.over_degree[live[plan.over]].max(initial=0))
+    if total is None:
+        return {}, degree
+    # Only output keys with a coefficient left after canonicalisation get a
+    # GrassmannNumber; in a reflection w x w most keys cancel.
+    sums = _drop_tiny(total.stack[:, 0, :])
+    keep = np.flatnonzero(sums.any(axis=0))
+    return {plan.keys[k]: GrassmannNumber(order, {m: c for m, c in zip(total.masks, cell) if c})
+            for k, cell in zip(keep.tolist(), sums[:, keep].T.tolist())}, degree
 
 
 class CliffordElement:
@@ -186,61 +343,23 @@ class CliffordElement:
     def multiply(self, other: "CliffordElement", strict: bool = False) -> "CliffordElement":
         """Normal-ordered product; over-cap terms raise in strict mode.
 
-        Coefficient products are accumulated as raw {mask: complex} maps per
-        output key, and each output coefficient is built once at the end.
+        The key plan, memoised per pair of key tuples, n and cap, holds the
+        output keys and weights of every key pair.  All coefficient products
+        come from one product of the packed matrix kernel: the left
+        coefficients as a column times the right coefficients as a row.
+        Entries with |re| and |im| below CANON_EPS are zeroed, and each
+        output coefficient is the weighted sum of its pairs' products, built
+        once.  A combination above the cap marks the result ``truncated``
+        (or raises ``CapExceededError`` in strict mode) only when its key
+        pair's coefficient product is nonzero.
         """
         self._require_compatible(other)
         cap = max(self.cap, other.cap)
-        flip = flip_table(self.order)
-        acc: dict[tuple[int, tuple[int, ...]], dict[int, complex]] = {}
-        truncated = False
-        for (ea, aa), ca in self.terms.items():
-            deg_a = sum(aa)
-            for (eb, ab), cb in other.terms.items():
-                coeff = [
-                    (mask, c) for mask, c in mul_terms(ca.terms, cb.terms, flip).items()
-                    if not (abs(c.real) < CANON_EPS and abs(c.imag) < CANON_EPS)
-                ]
-                if not coeff:
-                    continue
-                sign = 1
-                # e-generators of the right factor step over the left
-                # fermionic monomial; both families anticommute.
-                if (deg_a & 1) and (eb.bit_count() & 1):
-                    sign = -sign
-                bsign, emask = _blade_mul(ea, eb)
-                sign *= bsign
-                # per-plane Weyl reordering, planes commute with each other
-                plane_options = [
-                    _plane_reorder(aa[2 * t], aa[2 * t + 1], ab[2 * t], ab[2 * t + 1])
-                    for t in range(self.n)
-                ]
-                for combo in itertools.product(*plane_options):
-                    alpha = []
-                    weight = float(sign)
-                    for (px, qy, w) in combo:
-                        alpha.append(px)
-                        alpha.append(qy)
-                        weight *= w
-                    if weight == 0.0:
-                        continue
-                    if sum(alpha) > cap:
-                        if strict:
-                            raise CapExceededError(
-                                f"product degree {sum(alpha)} exceeds cap {cap}"
-                            )
-                        truncated = True
-                        continue
-                    key = (emask, tuple(alpha))
-                    raw = acc.get(key)
-                    if raw is None:
-                        acc[key] = {mask: c * weight for mask, c in coeff}
-                    else:
-                        for mask, c in coeff:
-                            raw[mask] = raw.get(mask, 0.0) + c * weight
-        out = {key: GrassmannNumber(self.order, raw) for key, raw in acc.items()}
+        out, degree = _product_terms(self.terms, other.terms, self.n, self.order, cap)
+        if degree and strict:
+            raise CapExceededError(f"product degree {degree} exceeds cap {cap}")
         result = CliffordElement(self.m, self.n, self.order, cap, out)
-        result.truncated = self.truncated or other.truncated or truncated
+        result.truncated = self.truncated or other.truncated or bool(degree)
         return result
 
     # -- structure ---------------------------------------------------------
@@ -705,16 +824,17 @@ def bivector_to_matrix(biv: ExtendedSuperbivector) -> Supermatrix:
     """Supermatrix of the commutator action x -> [B, x]; lands in so_0."""
     m, n, order = biv.m, biv.n, biv.order
     size = m + 2 * n
-    blades: dict[int, np.ndarray] = {}
-
-    def _add(mask, i, j, value):
-        if mask not in blades:
-            blades[mask] = np.zeros((size, size), dtype=complex)
-        blades[mask][i, j] += value
+    masks: list[int] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[complex] = []
 
     def _spread(g, i, j, factor):
         for mask, c in g.terms.items():
-            _add(mask, i, j, c * factor)
+            masks.append(mask)
+            rows.append(i)
+            cols.append(j)
+            values.append(c * factor)
 
     for (j, k), g in biv.b.items():
         # A block: 2 b (E_{k,j} - E_{j,k})
@@ -748,7 +868,11 @@ def bivector_to_matrix(biv: ExtendedSuperbivector) -> Supermatrix:
             # e'_{2j} (.) e'_{2k-1} with j < k: E_{2j,2k} - E_{2k-1,2j-1}
             _spread(g, m + u - 1, m + v, 1.0)
             _spread(g, m + v - 1, m + u - 2, -1.0)
-    mat = GrassmannMatrix(size, size, order, blades)
+    keys, slot = np.unique(np.asarray(masks, dtype=np.int64), return_inverse=True)
+    stack = np.zeros((len(keys), size, size), dtype=complex)
+    np.add.at(stack, (slot, np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)),
+              np.asarray(values, dtype=complex))
+    mat = GrassmannMatrix(size, size, order, masks=keys.tolist(), stack=stack)
     return Supermatrix(m, 2 * n, mat, validate=False)
 
 

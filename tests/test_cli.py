@@ -274,6 +274,14 @@ def test_out_of_range_flags_are_malformed_input(capsys, argv):
     assert "error: argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["osc-exp", "--theta", "1"], ["frft", "--thetas", "1"]])
+def test_strict_flag_is_rejected(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--strict"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
+
 def test_flags_at_their_limits_are_accepted(capsys):
     code, out, _ = run_cli(capsys, "osc-exp", "--theta", "1", "--cap", "2",
                            "--plane", "2", "--n", "2", "--m", "0", "--N", "0")

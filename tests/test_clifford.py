@@ -102,11 +102,28 @@ def test_associativity_on_low_degree_elements():
 def test_cap_strict_versus_truncating():
     high = elem_ep(1, cap=2) * elem_ep(1, cap=2)  # degree 2 still fits
     assert not high.truncated
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="product degree 3 exceeds cap 2"):
         high.multiply(elem_ep(1, cap=2), strict=True)
     dropped = high * elem_ep(1, cap=2)
     assert dropped.truncated
     assert dropped.fermionic_degree() <= 2
+    # An over-cap key pair whose coefficient product vanishes (f1 f1 = 0) or
+    # falls below CANON_EPS loses nothing: no truncation, and strict mode
+    # does not raise, also next to pairs with nonzero products.
+    f1_ep = elem_ep(1, cap=1) * GrassmannNumber.generator(ORDER, 1)
+    tiny = elem_ep(1, cap=1) * 1e-8
+    mixed = f1_ep + elem_e(1, cap=1)
+    for x, y in ((f1_ep, f1_ep), (tiny, tiny), (mixed, mixed)):
+        for product in (x * y, x.multiply(y, strict=True)):
+            assert not product.truncated
+    assert not (f1_ep * f1_ep).terms and not (tiny * tiny).terms
+    assert (mixed * mixed).isclose(elem_e(1, cap=1) * elem_e(1, cap=1))
+    # The error names the largest over-cap degree: (e'_2^2 e'_4)(e'_1^2 e'_3)
+    # normal-orders to degrees 6, 4, 4, 2, 2 and 0.
+    left = elem_ep(2, n=2, cap=3) * elem_ep(2, n=2, cap=3) * elem_ep(4, n=2, cap=3)
+    right = elem_ep(1, n=2, cap=3) * elem_ep(1, n=2, cap=3) * elem_ep(3, n=2, cap=3)
+    with pytest.raises(CapExceededError, match="product degree 6 exceeds cap 3"):
+        left.multiply(right, strict=True)
 
 
 def test_anticommutator_of_supervectors_is_central_even_scalar():

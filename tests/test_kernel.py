@@ -49,10 +49,11 @@ def reference_grassmann_product(a, b):
 
 
 def reference_clifford_product(x, y):
-    """(product with over-cap terms dropped, whether any term was over the cap)."""
+    """(product with over-cap terms dropped, the largest degree of a term
+    over the cap or 0)."""
     cap = max(x.cap, y.cap)
     out = {}
-    over_cap = False
+    over_cap = 0
     for (ea, aa), ca in x.terms.items():
         for (eb, ab), cb in y.terms.items():
             coeff = reference_grassmann_product(ca, cb)
@@ -72,7 +73,7 @@ def reference_clifford_product(x, y):
                 if weight == 0.0:
                     continue
                 if sum(alpha) > cap:
-                    over_cap = True
+                    over_cap = max(over_cap, sum(alpha))
                     continue
                 key = (emask, alpha)
                 term = coeff * weight
@@ -333,9 +334,10 @@ def test_clifford_product_matches_reference(pair):
     got = x.multiply(y)
     assert got.cap == want.cap
     assert close(got, want)
-    assert got.truncated == (x.truncated or y.truncated or over_cap)
+    assert got.truncated == (x.truncated or y.truncated or bool(over_cap))
     if over_cap:
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError,
+                           match=f"product degree {over_cap} exceeds cap {want.cap}"):
             x.multiply(y, strict=True)
     else:
         assert close(x.multiply(y, strict=True), want)
@@ -509,3 +511,44 @@ def test_sparse_products_at_max_order_match_reference(monkeypatch, budget):
             # Each tile's candidate pairs times the slice size fit the budget.
             assert len(grids) > 10
             assert max(grids) * per_pair <= budget
+
+
+def _sparse_number(rng, count):
+    """An order-16 number on ``count`` blades of one to three generators."""
+    terms = {}
+    while len(terms) < count:
+        bits = rng.choice(MAX_ORDER, size=int(rng.integers(1, 4)), replace=False)
+        terms[int(sum(1 << int(b) for b in bits))] = complex(rng.normal(), rng.normal())
+    return GrassmannNumber(MAX_ORDER, terms)
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+def test_sparse_clifford_product_at_max_order_matches_reference(monkeypatch, budget):
+    rng = np.random.default_rng(17)
+    keys = [(e, alpha) for e in range(4) for alpha in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0))]
+
+    def element(count):
+        picked = rng.choice(len(keys), size=count, replace=False)
+        return CliffordElement(2, 1, MAX_ORDER, 2,
+                               {keys[k]: _sparse_number(rng, 12) for k in picked})
+
+    x, y = element(8), element(6)
+    want, over_cap = reference_clifford_product(x, y)
+    assert over_cap
+    rows = []
+    matmul = GrassmannMatrix.__matmul__
+
+    def recording_matmul(a, b):
+        rows.append(a.rows)
+        return matmul(a, b)
+
+    monkeypatch.setattr(GrassmannMatrix, "__matmul__", recording_matmul)
+    if budget is not None:
+        monkeypatch.setattr(supermatrix, "_TILE_ELEMENTS", budget)
+    got = x.multiply(y)
+    assert close(got, want)
+    assert got.truncated
+    # One product of all left keys, or one per left key under a tiny budget.
+    assert rows == ([8] if budget is None else [1] * 8)
+    with pytest.raises(CapExceededError, match=f"product degree {over_cap} exceeds cap 2"):
+        x.multiply(y, strict=True)
