@@ -203,10 +203,7 @@ def _cmd_frft(args):
 
 
 def _cmd_selftest(args):
-    only = None
-    if args.only:
-        only = [int(t) for t in args.only.split(",") if t.strip()]
-    results = selftest.run_all(seed=args.seed, only=only)
+    results = selftest.run_all(seed=args.seed, only=args.only)
     print(selftest.format_table(results), file=sys.stderr)
     _emit({
         "seed": args.seed,
@@ -238,19 +235,35 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
+def _criteria(text: str) -> list[int]:
+    """argparse type: comma-separated acceptance criterion indices."""
+    count = len(selftest.CRITERIA)
+    try:
+        indices = [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        indices = []
+    if not indices or not all(1 <= i <= count for i in indices):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a list of criterion indices in [1, {count}]")
+    return indices
+
+
+# Each option exists only on the subcommands that read it.
+_OPTIONS = {
+    "--tol": dict(type=_finite_float, default=DEFAULT_TOL,
+                  help="comparison tolerance (default 1e-9)"),
+    "--seed": dict(type=int, default=selftest.DEFAULT_SEED,
+                   help="seed of the acceptance suite"),
+    "--cap": dict(type=_int_in(0), default=8, help="fermionic degree cap"),
+    "--m": dict(type=_int_in(0), default=3, help="bosonic dimension"),
+    "--n": dict(type=_int_in(0), default=1,
+                help="number of fermionic planes (q = 2n)"),
+    "--N": dict(dest="grassmann_order", type=_int_in(0, MAX_ORDER), default=4,
+                help="Grassmann algebra order"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL,
-                        help="comparison tolerance (default 1e-9)")
-    common.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED,
-                        help="seed for randomized commands")
-    common.add_argument("--cap", type=_int_in(0), default=8,
-                        help="fermionic degree cap")
-    common.add_argument("--m", type=_int_in(0), default=3, help="bosonic dimension")
-    common.add_argument("--n", type=_int_in(0), default=1,
-                        help="number of fermionic planes (q = 2n)")
-    common.add_argument("--N", dest="grassmann_order", type=_int_in(0, MAX_ORDER),
-                        default=4, help="Grassmann algebra order")
     parser = argparse.ArgumentParser(
         prog="superspin",
         description="Superspace rotations, spin lifts and Grassmann-valued "
@@ -258,41 +271,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, needs_input=True, **extra):
-        cmd = sub.add_parser(name, parents=[common], **extra)
+    def add(name, handler, *options, needs_input=True, **extra):
+        cmd = sub.add_parser(name, **extra)
         if needs_input:
             cmd.add_argument("--input", "-i", default=None,
                              help="input JSON path (default: stdin)")
+        for option in options:
+            cmd.add_argument(option, **_OPTIONS[option])
         cmd.set_defaults(handler=handler)
         return cmd
 
-    add("check-o0", _cmd_check_o0, help="inner-product-preservation test")
-    add("check-so0", _cmd_check_so0, help="superrotation membership test")
-    add("check-so0-algebra", _cmd_check_so0_algebra,
+    add("check-o0", _cmd_check_o0, "--tol", help="inner-product-preservation test")
+    add("check-so0", _cmd_check_so0, "--tol", help="superrotation membership test")
+    add("check-so0-algebra", _cmd_check_so0_algebra, "--tol",
         help="Lie algebra membership test")
     add("sdet", _cmd_sdet, help="Berezinian of a supermatrix")
     add("exp", _cmd_exp, help="supermatrix exponential")
     add("ln", _cmd_ln, help="supermatrix logarithm near the identity")
-    add("decompose", _cmd_decompose,
+    add("decompose", _cmd_decompose, "--tol",
         help="three-exponential decomposition of a superrotation")
-    add("lift", _cmd_lift, help="spin element covering a superrotation")
+    add("lift", _cmd_lift, "--tol", help="spin element covering a superrotation")
     add("act", _cmd_act, help="apply a supermatrix or spin element to a vector")
     add("reflect", _cmd_reflect, help="reflection along a supersphere vector")
     add("inner", _cmd_inner, help="generalized inner product of supervectors")
     add("phi", _cmd_phi, help="supermatrix of a superbivector's commutator action")
-    add("phi-inv", _cmd_phi_inv, help="superbivector of an algebra supermatrix")
-    osc = add("osc-exp", _cmd_osc_exp, needs_input=False,
-              help="normal-ordered oscillator exponential")
+    add("phi-inv", _cmd_phi_inv, "--tol",
+        help="superbivector of an algebra supermatrix")
+    osc = add("osc-exp", _cmd_osc_exp, "--cap", "--m", "--n", "--N",
+              needs_input=False, help="normal-ordered oscillator exponential")
     osc.add_argument("--theta", type=_finite_float, required=True)
     osc.add_argument("--plane", type=_int_in(1), default=1,
                      help="fermionic plane, 1..n")
-    frft = add("frft", _cmd_frft, needs_input=False,
+    frft = add("frft", _cmd_frft, "--m", "--N", needs_input=False,
                help="fractional Fourier spin element")
     frft.add_argument("--thetas", required=True,
                       help="comma-separated orders, one per plane")
-    st = add("selftest", _cmd_selftest, needs_input=False,
+    st = add("selftest", _cmd_selftest, "--seed", needs_input=False,
              help="run the acceptance suite")
-    st.add_argument("--only", default=None,
+    st.add_argument("--only", type=_criteria, default=None,
                     help="comma-separated criterion indices to run")
     return parser
 

@@ -991,17 +991,18 @@ def reflection_matrix(w: Supervector) -> Supermatrix:
     return Supermatrix.from_blocks(block_a, block_b, block_c, block_d)
 
 
-def reflect(w: Supervector, x: Supervector, tol: float = 1e-9) -> Supervector:
-    """w x w computed by Clifford multiplication, checked against the matrix."""
+def reflect(w: Supervector, x: Supervector) -> Supervector:
+    """The reflection w x w, computed by Clifford multiplication.
+
+    Raises MembershipError unless w is on the supersphere (w^2 = -1), the
+    same check as ``reflection_matrix``, whose action equals this map.
+    """
     w._require_compatible(x)
+    if not w.on_supersphere():
+        raise MembershipError("reflection axis must satisfy w^2 = -1")
     cap = 4
     wc = w.to_clifford(cap)
-    product = wc * x.to_clifford(cap) * wc
-    via_clifford = product.as_supervector()
-    via_matrix = apply_matrix(reflection_matrix(w), x)
-    if not via_clifford.isclose(via_matrix, tol):
-        raise AlgebraError("reflection routes disagree beyond tolerance")
-    return via_clifford
+    return (wc * x.to_clifford(cap) * wc).as_supervector()
 
 
 def random_supervector(m: int, n: int, order: int, seed: int,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import cmath
 import functools
-from typing import Mapping
+import math
+from typing import Callable, Mapping
 
 from .exceptions import AlgebraError, OrderMismatchError, SingularBodyError
 
@@ -78,6 +79,27 @@ def mul_terms(ta: Mapping[int, complex], tb: Mapping[int, complex],
             else:
                 out[m] = get(m, 0.0) + ca * cb
     return out
+
+
+def _nilpotent_series(u: "GrassmannNumber",
+                      coeff: Callable[[int], complex]) -> "GrassmannNumber":
+    """sum_k coeff(k) u^k for a nilpotent u (zero body).
+
+    Every factor of u raises the lowest grade of a power by one, so u^k
+    vanishes for some k <= order + 1; the sum stops there and is exact
+    beyond rounding.
+    """
+    flip = flip_table(u.order)
+    total: dict[int, complex] = {}
+    power: dict[int, complex] = {0: 1.0}
+    k = 0
+    while power:
+        c = coeff(k)
+        for mask, value in power.items():
+            total[mask] = total.get(mask, 0.0) + c * value
+        power = mul_terms(power, u.terms, flip)
+        k += 1
+    return GrassmannNumber(u.order, total)
 
 
 class GrassmannNumber:
@@ -259,16 +281,8 @@ class GrassmannNumber:
 
     def exp(self) -> "GrassmannNumber":
         """exp(body) times the finite nilpotent series (exact beyond rounding)."""
-        body_factor = cmath.exp(self.body)
-        nil = self.nilpotent()
-        result = GrassmannNumber.one(self.order)
-        term = GrassmannNumber.one(self.order)
-        for j in range(1, self.order + 1):
-            term = term * nil * (1.0 / j)
-            if not term.terms:
-                break
-            result = result + term
-        return result * body_factor
+        series = _nilpotent_series(self.nilpotent(), lambda k: 1.0 / math.factorial(k))
+        return series * cmath.exp(self.body)
 
     def log(self) -> "GrassmannNumber":
         """Principal logarithm; requires a nonzero body."""
@@ -276,14 +290,9 @@ class GrassmannNumber:
         if b == 0:
             raise SingularBodyError("log of a Grassmann number with zero body")
         u = self.nilpotent() * (1.0 / b)
-        result = GrassmannNumber.scalar(self.order, cmath.log(b))
-        power = GrassmannNumber.one(self.order)
-        for j in range(1, self.order + 1):
-            power = power * u
-            if not power.terms:
-                break
-            result = result + power * ((-1.0) ** (j + 1) / j)
-        return result
+        return _nilpotent_series(
+            u, lambda k: (-1.0) ** (k + 1) / k if k else cmath.log(b)
+        )
 
     def inv(self) -> "GrassmannNumber":
         """Multiplicative inverse; requires a nonzero body."""
@@ -291,14 +300,7 @@ class GrassmannNumber:
         if b == 0:
             raise SingularBodyError("inverse of a Grassmann number with zero body")
         u = self.nilpotent() * (-1.0 / b)
-        result = GrassmannNumber.one(self.order)
-        power = GrassmannNumber.one(self.order)
-        for _ in range(self.order):
-            power = power * u
-            if not power.terms:
-                break
-            result = result + power
-        return result * (1.0 / b)
+        return _nilpotent_series(u, lambda k: 1.0) * (1.0 / b)
 
     def fpow(self, alpha: float) -> "GrassmannNumber":
         """Principal fractional power body**alpha * (1 + nil/body)**alpha."""
@@ -306,16 +308,10 @@ class GrassmannNumber:
         if b == 0:
             raise SingularBodyError("fractional power of a zero-body element")
         u = self.nilpotent() * (1.0 / b)
-        result = GrassmannNumber.one(self.order)
-        power = GrassmannNumber.one(self.order)
-        coeff = 1.0
-        for k in range(1, self.order + 1):
-            power = power * u
-            coeff *= (alpha - k + 1) / k
-            if not power.terms:
-                break
-            result = result + power * coeff
-        return result * (b ** alpha)
+        series = _nilpotent_series(
+            u, lambda k: math.prod((alpha - j) / (j + 1) for j in range(k))
+        )
+        return series * (b ** alpha)
 
     # -- serialization -----------------------------------------------------
 

@@ -68,31 +68,23 @@ def _shape(mat: Supermatrix) -> tuple[int, int]:
     return mat.p, mat.q // 2
 
 
-def o0_block_residuals(mat: Supermatrix) -> tuple[float, float, float]:
-    """Residual norms of the three block equations characterizing the group."""
-    m, n = _shape(mat)
-    a, b = mat.block_a(), mat.block_b()
-    c, d = mat.block_c(), mat.block_d()
-    omega = GrassmannMatrix.from_body(symplectic_form(n), mat.order)
-    eye_m = GrassmannMatrix.eye(m, mat.order)
-    first = a.transpose() @ a - (c.transpose() @ omega @ c).scale(0.5) - eye_m
-    second = a.transpose() @ b - (c.transpose() @ omega @ d).scale(0.5)
-    third = b.transpose() @ b + (d.transpose() @ omega @ d).scale(0.5) \
-        - omega.scale(0.5)
-    return first.norm(), second.norm(), third.norm()
-
-
 def check_o0(mat: Supermatrix, tol: float = DEFAULT_TOL) -> GroupReport:
-    """Does mat preserve the super inner product?
+    """Does mat preserve the super inner product, M^{ST} Q M = Q?
 
-    A Berezinian that fails on a singular body is reported as sdet None with
-    ok False.  Raises MembershipError for odd q and AlgebraError when an
-    entry overflows.
+    The defining expression M^{ST} Q M - Q is built once.  Its A, B and D
+    blocks are the three block equations of the group (C is minus the
+    transpose of B), so ``defining_residual`` is its norm and
+    ``block_residual`` the largest of those three block norms.  A Berezinian
+    that fails on a singular body is reported as sdet None with ok False.
+    Raises MembershipError for odd q and AlgebraError when an entry
+    overflows.
     """
     m, n = _shape(mat)
     gram = q_gram_matrix(m, n, mat.order)
-    defining = (mat.supertranspose() @ gram @ mat - gram).norm()
-    blocks = max(o0_block_residuals(mat))
+    expr = mat.supertranspose() @ gram @ mat - gram
+    defining = expr.norm()
+    blocks = max(expr.block_a().norm(), expr.block_b().norm(),
+                 expr.block_d().norm())
     try:
         sdet = mat.sdet()
         deviation = min((sdet - 1.0).norm(), (sdet + 1.0).norm())
@@ -115,18 +107,20 @@ def check_so0(mat: Supermatrix, tol: float = DEFAULT_TOL) -> GroupReport:
 
 
 def check_so0_algebra(mat: Supermatrix, tol: float = DEFAULT_TOL) -> AlgebraReport:
-    """Membership in the Lie algebra: X^{ST} Q + Q X = 0 plus block equations."""
+    """Membership in the Lie algebra, X^{ST} Q + Q X = 0.
+
+    The defining expression is built once; ``defining_residual`` is its
+    norm.  In the blocks A, B, C, D of X, its A, B and D blocks are
+    A^T + A, B - C^T Omega / 2 and -(D^T Omega + Omega D) / 2, so
+    ``block_residual``, the largest norm of A^T + A, B - C^T Omega / 2 and
+    D^T Omega + Omega D, is max(|A block|, |B block|, 2 |D block|).
+    """
     m, n = _shape(mat)
     gram = q_gram_matrix(m, n, mat.order)
-    defining = (mat.supertranspose() @ gram + gram @ mat).norm()
-    a, b = mat.block_a(), mat.block_b()
-    c, d = mat.block_c(), mat.block_d()
-    omega = GrassmannMatrix.from_body(symplectic_form(n), mat.order)
-    blocks = max(
-        (a.transpose() + a).norm(),
-        (b - (c.transpose() @ omega).scale(0.5)).norm(),
-        (d.transpose() @ omega + omega @ d).norm(),
-    )
+    expr = mat.supertranspose() @ gram + gram @ mat
+    defining = expr.norm()
+    blocks = max(expr.block_a().norm(), expr.block_b().norm(),
+                 2.0 * expr.block_d().norm())
     scale = max(1.0, mat.norm())
     ok = defining <= tol * scale and blocks <= tol * scale
     return AlgebraReport(ok, defining, blocks)

@@ -302,13 +302,15 @@ def kernel_sign(biv: ExtendedSuperbivector, tol: float = 1e-8) -> int | None:
     """Sign of exp(B) for a compact generator whose rotation is the identity.
 
     Returns +1 or -1 for kernel members, None when the induced rotation is
-    not the identity; the bosonic factor is evaluated in the finite Clifford
-    algebra, the symplectic factor through the telescoping oscillator
-    exponentials at the angles of its block diagonalization.
+    not the identity.  The bosonic factor is evaluated in the finite Clifford
+    algebra.  The symplectic factor is read from the angles of its block
+    diagonalization: an angle 2 pi k contributes exp(k pi (e'^2 + e'^2)),
+    which the oscillator series telescopes to exactly (-1)^k.
     """
     _compact_membership(biv, tol)
     m, n, order = biv.m, biv.n, biv.order
-    rotation = expm(bivector_to_matrix(biv))
+    generator = bivector_to_matrix(biv)
+    rotation = expm(generator)
     eye = Supermatrix.eye(m, 2 * n, order)
     if (rotation - eye).norm() > tol * max(1.0, rotation.norm()):
         return None
@@ -322,7 +324,7 @@ def kernel_sign(biv: ExtendedSuperbivector, tol: float = 1e-8) -> int | None:
         if scalar.real < 0:
             sign = -sign
     if n and biv.bb:
-        d_block = bivector_to_matrix(biv).body_matrix()[m:, m:].real
+        d_block = generator.body_matrix()[m:, m:].real
         u = to_unitary(d_block)
         from scipy.linalg import schur
 
@@ -333,8 +335,8 @@ def kernel_sign(biv: ExtendedSuperbivector, tol: float = 1e-8) -> int | None:
             k = round(winding)
             if abs(winding - k) > tol:
                 raise MembershipError("symplectic angles are not 2 pi multiples")
-            factor = oscillator_exp(k * math.pi, 1, m, n, order)
-            sign *= int(factor.element.scalar_part().body.real)
+            if k % 2:
+                sign = -sign
     return sign
 
 

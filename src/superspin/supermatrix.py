@@ -14,7 +14,6 @@ Berezinian, inverse and the exp/ln pair.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -388,34 +387,14 @@ class GrassmannMatrix:
     def det(self) -> GrassmannNumber:
         """Determinant for matrices with commuting (even) entries.
 
-        Leibniz expansion for size <= 4, Gaussian elimination with
-        body-modulus pivoting beyond that.
+        Gaussian elimination with body-modulus pivoting at every size.  When
+        a column has no pivot with a nonzero body (the body matrix is
+        singular) it raises SingularBodyError, as ``inverse``, ``sdet`` and
+        ``GrassmannNumber.inv`` do.
         """
         size = self.rows
         if size != self.cols:
             raise ShapeMismatchError("determinant of a non-square matrix")
-        if size == 0:
-            return GrassmannNumber.one(self.order)
-        if size <= 4:
-            return self._det_leibniz()
-        return self._det_gauss()
-
-    def _det_leibniz(self) -> GrassmannNumber:
-        size = self.rows
-        grid = self.entries()
-        total = GrassmannNumber.zero(self.order)
-        for perm in itertools.permutations(range(size)):
-            sign = _permutation_sign(perm)
-            term = GrassmannNumber.scalar(self.order, float(sign))
-            for i in range(size):
-                term = term * grid[i][perm[i]]
-                if not term.terms:
-                    break
-            total = total + term
-        return total
-
-    def _det_gauss(self) -> GrassmannNumber:
-        size = self.rows
         grid = self.entries()
         det = GrassmannNumber.one(self.order)
         sign = 1
@@ -443,23 +422,6 @@ class GrassmannMatrix:
             f"GrassmannMatrix({self.rows}x{self.cols}, N={self.order}, "
             f"masks={list(self.masks)})"
         )
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def symplectic_form(n: int) -> np.ndarray:

@@ -265,7 +265,10 @@ def test_emitted_json_reparses_to_equal_value(capsys, rotation):
     ["osc-exp", "--theta", "1", "--m", "-1"],
     ["frft", "--thetas", "1", "--N", "17"],
     ["frft", "--thetas", "1", "--N", "-1"],
-    ["sdet", "--n", "-1"],
+    ["osc-exp", "--theta", "1", "--n", "-1"],
+    ["selftest", "--only", "11"],
+    ["selftest", "--only", "0"],
+    ["selftest", "--only", "1,x"],
 ])
 def test_out_of_range_flags_are_malformed_input(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -295,12 +298,42 @@ def test_flags_at_their_limits_are_accepted(capsys):
 
 
 def test_plane_check_applies_to_osc_exp_only(capsys):
+    # --n exists only on osc-exp; elsewhere it is an unrecognised argument
     golden = Path(__file__).parent / "golden" / "sdet.json"
-    code, _, _ = run_cli(capsys, "sdet", "--n", "0", "-i", str(golden))
-    assert code == 0
-    code, _, _ = run_cli(capsys, "frft", "--thetas", "1", "--n", "0")
-    assert code == 0
+    for argv in (["sdet", "--n", "0", "-i", str(golden)],
+                 ["frft", "--thetas", "1", "--n", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n 0" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["osc-exp", "--theta", "1", "--n", "0"])
     assert exc.value.code == 2
     assert "exceeds --n 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sdet", "--tol", "1e-3"],
+    ["check-so0", "--seed", "3"],
+    ["selftest", "--tol", "1e-3"],
+    ["lift", "--cap", "4"],
+    ["decompose", "--N", "2"],
+    ["frft", "--thetas", "1", "--cap", "4"],
+])
+def test_flags_exist_only_where_they_are_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sdet_of_singular_even_block_is_a_domain_violation(capsys, tmp_path):
+    # q = 0 and p <= 4 used to return a nilpotent determinant here
+    order = 2
+    f12 = GrassmannNumber.blade(order, 0b11)
+    grid = [[f12 if i == j == 0 else GrassmannNumber.scalar(order, float(i == j))
+             for j in range(3)] for i in range(3)]
+    mat = Supermatrix.from_entries(3, 0, grid, order)
+    path = write_json(tmp_path, "singular.json", mat.to_dict())
+    code, out, err = run_cli(capsys, "sdet", "-i", path)
+    assert code == 1 and out == "" and "domain violation" in err

@@ -3,6 +3,8 @@ the commutator-action isomorphism and supervector reflections."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superspin import (
     AlgebraError,
@@ -27,7 +29,6 @@ from superspin import (
     reflection_matrix,
     wedge,
 )
-from superspin.orthosymplectic import o0_block_residuals
 
 M_DIM, N_PLANES, ORDER = 2, 1, 2
 
@@ -347,6 +348,8 @@ def test_reflection_requires_supersphere():
     w = Supervector.unit(2, 1, ORDER, 1).scale(0.5)
     with pytest.raises(MembershipError):
         reflection_matrix(w)
+    with pytest.raises(MembershipError):
+        reflect(w, Supervector.unit(2, 1, ORDER, 2))
 
 
 def test_reflection_suite_small():
@@ -355,7 +358,7 @@ def test_reflection_suite_small():
         psi = reflection_matrix(w)
         assert check_o0(psi, 1e-9).ok
         assert (psi.sdet() + 1).norm() <= 1e-9
-        assert max(o0_block_residuals(psi)) <= 1e-12
+        assert check_o0(psi).block_residual <= 1e-12
 
 
 def test_reflection_determinant_identities():
@@ -388,6 +391,17 @@ def test_reflect_fixes_perpendicular_and_negates_axis():
     assert (reflect(w, x_perp) - x_perp).norm() == 0.0
     x_axis = Supervector.unit(2, 1, ORDER, 1)
     assert (reflect(w, x_axis) + x_axis).norm() == 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.integers(1, 3), n=st.integers(0, 2), order=st.sampled_from([0, 1, 4]),
+       seed=st.integers(0, 10_000))
+def test_reflect_matches_reflection_matrix(m, n, order, seed):
+    # the matrix route, once checked inside reflect on every call, as oracle
+    w = random_sphere_vector(m, n, order, seed=seed)
+    x = random_supervector(m, n, order, seed=seed + 1)
+    via_matrix = apply_matrix(reflection_matrix(w), x)
+    assert reflect(w, x).isclose(via_matrix, 1e-10)
 
 
 def test_reflect_is_an_involution():

@@ -174,6 +174,21 @@ def test_inverse_and_fractional_power():
         assert (half * half * x - 1).norm() < 1e-12
 
 
+def test_series_identities_at_order_six():
+    # even nilpotents at N = 6 have a nonzero cube, so every series term
+    # up to u^3 matters
+    order = 6
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        a = 0.7 + random_grassmann(rng, order, parity="even", scale=0.5)
+        b = random_grassmann(rng, order, parity="even", scale=0.5)
+        assert (a.nilpotent() ** 3).norm() > 0.0
+        assert ((a + b).exp() - a.exp() * b.exp()).norm() <= 1e-12 * (a + b).exp().norm()
+        assert (a.exp().log() - a).norm() <= 1e-12 * a.norm()
+        assert (a * a.inv() - 1).norm() <= 1e-12
+        assert (a.fpow(1 / 3) ** 3 - a).norm() <= 1e-12 * a.norm()
+
+
 def test_canonicalization_drops_tiny_terms():
     x = GrassmannNumber(N, {0: 1.0, 1: 1e-16})
     assert list(x.terms) == [0]

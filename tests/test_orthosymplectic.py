@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm as dense_expm
 
 from superspin import (
+    GrassmannMatrix,
     MembershipError,
     Supermatrix,
     check_o0,
@@ -105,6 +106,43 @@ def test_algebra_membership():
         assert check_so0_algebra(
             random_so0(M_DIM, N_PLANES, ORDER, seed=seed), 1e-12
         ).ok
+
+
+def _blocks(mat):
+    omega = GrassmannMatrix.from_body(symplectic_form(mat.q // 2), mat.order)
+    return mat.block_a(), mat.block_b(), mat.block_c(), mat.block_d(), omega
+
+
+def group_block_equations(mat):
+    """Norms of the three block equations of the group, solved independently."""
+    a, b, c, d, omega = _blocks(mat)
+    first = a.transpose() @ a - (c.transpose() @ omega @ c).scale(0.5) \
+        - GrassmannMatrix.eye(mat.p, mat.order)
+    second = a.transpose() @ b - (c.transpose() @ omega @ d).scale(0.5)
+    third = b.transpose() @ b + (d.transpose() @ omega @ d).scale(0.5) \
+        - omega.scale(0.5)
+    return first.norm(), second.norm(), third.norm()
+
+
+def algebra_block_equations(mat):
+    """Norms of the three block equations of the algebra."""
+    a, b, c, d, omega = _blocks(mat)
+    return ((a.transpose() + a).norm(),
+            (b - (c.transpose() @ omega).scale(0.5)).norm(),
+            (d.transpose() @ omega + omega @ d).norm())
+
+
+@pytest.mark.parametrize("m, n", [(3, 1), (2, 2), (1, 0), (0, 1)])
+def test_block_residuals_match_block_equations(m, n):
+    # non-members, so every residual compared here is far from zero
+    for seed in range(4):
+        mat = random_supermatrix(m, n, ORDER, seed=seed + 90, scale=0.4)
+        want = max(group_block_equations(mat))
+        got = check_o0(mat).block_residual
+        assert abs(got - want) <= 1e-12 * want and want > 0.1
+        want = max(algebra_block_equations(mat))
+        got = check_so0_algebra(mat).block_residual
+        assert abs(got - want) <= 1e-12 * want and want > 0.1
 
 
 def test_algebra_elements_are_supertraceless():

@@ -311,7 +311,7 @@ def test_kernel_sign_on_conjugated_winding_element():
     m, n, order = 3, 2, 2
     rng = np.random.default_rng(23)
     omega = symplectic_form(n)
-    for windings in ([1, 0], [1, 2], [2, 2]):
+    for windings in ([1, 0], [1, 2], [2, 2], [-1, 2]):
         angles = np.zeros((2 * n, 2 * n))
         for t, k in enumerate(windings):
             angles[2 * t, 2 * t + 1] = 2.0 * math.pi * k
@@ -324,6 +324,12 @@ def test_kernel_sign_on_conjugated_winding_element():
         body[m:, m:] = frame @ angles @ frame.T
         biv = matrix_to_bivector(Supermatrix.from_body(m, 2 * n, body, order))
         assert kernel_sign(biv) == (-1) ** sum(windings)
+        # oracle: the telescoped oscillator exponential at k pi per plane
+        sign = 1
+        for k in windings:
+            factor = oscillator_exp(k * math.pi, 1, m, n, order)
+            sign *= int(factor.element.scalar_part().body.real)
+        assert kernel_sign(biv) == sign
 
 
 def test_fractional_fourier_identity_and_quarter_turn():

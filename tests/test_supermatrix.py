@@ -1,6 +1,8 @@
 """Supermatrix algebra: parity pattern, supertranspose, supertrace,
 Berezinian, inverse, exponential and logarithm."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from superspin import (
     LogDomainError,
     NotInvertibleError,
     ParityError,
+    SingularBodyError,
     Supermatrix,
     expm,
     logm,
@@ -136,18 +139,59 @@ def test_sdet_alternative_form():
         assert (m.sdet() - alt).norm() <= 1e-9 * max(1.0, alt.norm())
 
 
+def _permutation_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def leibniz_det(mat):
+    """Reference determinant: the Leibniz sum over permutations."""
+    grid = mat.entries()
+    total = GrassmannNumber.zero(mat.order)
+    for perm in itertools.permutations(range(mat.rows)):
+        term = GrassmannNumber.scalar(mat.order, float(_permutation_sign(perm)))
+        for i in range(mat.rows):
+            term = term * grid[i][perm[i]]
+        total = total + term
+    return total
+
+
 def test_determinant_gauss_matches_leibniz():
     rng = np.random.default_rng(13)
-    size = 5
-    grid = [
-        [1.5 * (i == j) + random_grassmann(rng, ORDER, parity="even", scale=0.3)
-         for j in range(size)]
-        for i in range(size)
-    ]
+    for size in range(1, 6):
+        grid = [
+            [1.5 * (i == j) + random_grassmann(rng, ORDER, parity="even", scale=0.3)
+             for j in range(size)]
+            for i in range(size)
+        ]
+        mat = GrassmannMatrix.from_entries(grid, ORDER)
+        reference = leibniz_det(mat)
+        assert (mat.det() - reference).norm() <= 1e-10 * max(1.0, reference.norm())
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_determinant_singular_body_raises_at_every_size(size):
+    # body diag(0, 1, ..., 1) with f1 f2 in the corner: the Leibniz sum is
+    # f1 f2, but no pivot has a nonzero body, as for inverse and sdet
+    f12 = GrassmannNumber.blade(ORDER, 0b11)
+    grid = [[f12 if i == j == 0 else GrassmannNumber.scalar(ORDER, float(i == j))
+             for j in range(size)] for i in range(size)]
     mat = GrassmannMatrix.from_entries(grid, ORDER)
-    gauss = mat._det_gauss()
-    leibniz = mat._det_leibniz()
-    assert (gauss - leibniz).norm() <= 1e-10 * max(1.0, leibniz.norm())
+    assert leibniz_det(mat) == f12
+    with pytest.raises(SingularBodyError):
+        mat.det()
+    with pytest.raises(SingularBodyError):
+        Supermatrix(size, 0, mat).sdet()
 
 
 def test_exp_of_zero_and_nilpotent():
