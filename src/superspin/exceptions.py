@@ -18,7 +18,7 @@ class ParityError(AlgebraError):
 
 
 class SingularBodyError(AlgebraError):
-    """An inverse or logarithm was requested of an element with zero body."""
+    """Numerically singular body, from inverse, log, det and sdet."""
 
 
 class NotInvertibleError(AlgebraError):

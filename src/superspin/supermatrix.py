@@ -8,7 +8,11 @@ go through one kernel: a pair plan lists the disjoint blade pairs with their
 reordering signs (from ``flip_table``), grouped by product mask, and the
 product is one batched gather-and-combine followed by ``np.add.reduceat``.
 Supermatrix adds the (p|q) parity pattern, supertranspose, supertrace,
-Berezinian, inverse and the exp/ln pair.
+Berezinian, inverse and the exp/ln pair.  The Berezinian, and ``det`` as its
+q = 0 case, is det A0 / det D0 * exp(str log(I + X)) for M = M0 (I + X):
+numpy on the body M0 and a finite series in the nilpotent X.  A body with
+condition number above COND_LIMIT raises SingularBodyError (block A, ``det``)
+or NotInvertibleError (block D, ``inverse``).
 """
 
 from __future__ import annotations
@@ -369,59 +373,46 @@ class GrassmannMatrix:
         """Inverse via body inverse plus the finite nilpotent Neumann series."""
         if self.rows != self.cols:
             raise ShapeMismatchError("inverse of a non-square matrix")
-        body = self.body()
-        if body.shape[0] and np.linalg.cond(body) > COND_LIMIT:
-            raise NotInvertibleError("matrix body is numerically singular")
-        body_inv = np.linalg.inv(body) if body.shape[0] else body
-        inv0 = GrassmannMatrix.from_body(body_inv, self.order)
-        correction = (inv0 @ self.nilpotent_part()).scale(-1.0)
-        result = GrassmannMatrix.eye(self.rows, self.order)
-        power = GrassmannMatrix.eye(self.rows, self.order)
-        for _ in range(self.order):
-            power = power @ correction
-            if not power.masks:
-                break
-            result = result + power
-        return result @ inv0
+        inv0 = GrassmannMatrix.from_body(
+            _body_inverse(self.body(), NotInvertibleError, "matrix body"), self.order)
+        return _nilpotent_matrix_series(inv0 @ self.nilpotent_part(),
+                                        lambda k: (-1.0) ** k) @ inv0
 
     def det(self) -> GrassmannNumber:
-        """Determinant for matrices with commuting (even) entries.
-
-        Gaussian elimination with body-modulus pivoting at every size.  When
-        a column has no pivot with a nonzero body (the body matrix is
-        singular) it raises SingularBodyError, as ``inverse``, ``sdet`` and
-        ``GrassmannNumber.inv`` do.
-        """
-        size = self.rows
-        if size != self.cols:
+        """Determinant of a matrix with commuting (even) entries: the q = 0
+        case of ``Supermatrix.sdet``, det M0 * exp(tr log(I + X)).  A
+        numerically singular body raises SingularBodyError."""
+        if self.rows != self.cols:
             raise ShapeMismatchError("determinant of a non-square matrix")
-        grid = self.entries()
-        det = GrassmannNumber.one(self.order)
-        sign = 1
-        for col in range(size):
-            pivot_row = max(range(col, size), key=lambda r: abs(grid[r][col].body))
-            if abs(grid[pivot_row][col].body) == 0:
-                raise SingularBodyError("singular body during elimination")
-            if pivot_row != col:
-                grid[col], grid[pivot_row] = grid[pivot_row], grid[col]
-                sign = -sign
-            pivot = grid[col][col]
-            det = det * pivot
-            pivot_inv = pivot.inv()
-            for r in range(col + 1, size):
-                factor = grid[r][col] * pivot_inv
-                if not factor.terms:
-                    continue
-                grid[r] = [
-                    grid[r][c] - factor * grid[col][c] for c in range(size)
-                ]
-        return det * float(sign)
+        return Supermatrix(self.rows, 0, self, validate=False).sdet()
 
     def __repr__(self):
         return (
             f"GrassmannMatrix({self.rows}x{self.cols}, N={self.order}, "
             f"masks={list(self.masks)})"
         )
+
+
+def _body_inverse(body: np.ndarray, error: type[AlgebraError], what: str) -> np.ndarray:
+    """Inverse of a square body matrix; ``error`` when its condition number
+    exceeds COND_LIMIT."""
+    if body.size and np.linalg.cond(body) > COND_LIMIT:
+        raise error(f"{what} is numerically singular")
+    return np.linalg.inv(body)
+
+
+def _nilpotent_matrix_series(x: GrassmannMatrix,
+                             coeff: Callable[[int], complex]) -> GrassmannMatrix:
+    """sum_k coeff(k) x^k for a square x with zero body, the matrix
+    counterpart of ``grassmann._nilpotent_series``: x^k has no blades for
+    some k <= order + 1, and the sum stops there."""
+    total = GrassmannMatrix.eye(x.rows, x.order).scale(coeff(0))
+    power, k = x, 1
+    while power.masks:
+        total = total + power.scale(coeff(k))
+        power = power @ x
+        k += 1
+    return total
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -619,19 +610,23 @@ class Supermatrix:
         return Supermatrix.from_blocks(schur_a, top_right, bottom_left, schur_d)
 
     def sdet(self) -> GrassmannNumber:
-        """Berezinian det(A - B D^{-1} C) / det(D)."""
-        a, b = self.block_a(), self.block_b()
-        c, d = self.block_c(), self.block_d()
-        if self.q == 0:
-            return a.det()
-        body = d.body()
-        if np.linalg.cond(body) > COND_LIMIT:
-            raise NotInvertibleError("body of block D is singular")
-        det_d = d.det()
-        if self.p == 0:
-            return det_d.inv()
-        schur = a - b @ d.inverse() @ c
-        return schur.det() * det_d.inv()
+        """Berezinian sdet M = det A0 / det D0 * exp(str log(I + X)).
+
+        M = M0 (I + X) with M0 the body, block diagonal as B and C are odd,
+        and X = M0^{-1} (M - M0) nilpotent, so log(I + X) is a finite
+        series; one formula for every (p, q).  A numerically singular body
+        raises NotInvertibleError for D0 (checked first), SingularBodyError
+        for A0.
+        """
+        p, body = self.p, self.mat.body()
+        a0, d0 = body[:p, :p], body[p:, p:]
+        inv0 = np.zeros_like(body)
+        inv0[p:, p:] = _body_inverse(d0, NotInvertibleError, "body of block D")
+        inv0[:p, :p] = _body_inverse(a0, SingularBodyError, "body of block A")
+        x = GrassmannMatrix.from_body(inv0, self.order) @ self.mat.nilpotent_part()
+        log = _nilpotent_matrix_series(x, lambda k: (-1.0) ** (k + 1) / k if k else 0.0)
+        str_log = Supermatrix(p, self.q, log, validate=False).supertrace()
+        return str_log.exp() * complex(np.linalg.det(a0) / np.linalg.det(d0))
 
     # -- serialization ---------------------------------------------------------
 

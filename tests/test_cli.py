@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from superspin import (
@@ -337,3 +338,15 @@ def test_sdet_of_singular_even_block_is_a_domain_violation(capsys, tmp_path):
     path = write_json(tmp_path, "singular.json", mat.to_dict())
     code, out, err = run_cli(capsys, "sdet", "-i", path)
     assert code == 1 and out == "" and "domain violation" in err
+
+
+@pytest.mark.parametrize("p, q, block", [(2, 0, "A"), (0, 2, "D")])
+def test_sdet_of_numerically_singular_body_is_a_domain_violation(capsys, tmp_path,
+                                                                   p, q, block):
+    # body diag(1, 1e-13) has condition number 1e13 > COND_LIMIT:
+    # SingularBodyError at q = 0, NotInvertibleError at p = 0
+    mat = Supermatrix.from_body(p, q, np.diag([1.0, 1e-13]), 2)
+    path = write_json(tmp_path, "near_singular.json", mat.to_dict())
+    code, out, err = run_cli(capsys, "sdet", "-i", path)
+    assert code == 1 and out == ""
+    assert f"domain violation: body of block {block} is numerically singular" in err

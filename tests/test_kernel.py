@@ -257,9 +257,11 @@ def square_supermatrices(draw):
 
 
 @st.composite
-def parity_blocks(draw):
-    order = draw(st.sampled_from(ORDERS))
-    p, q = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+def parity_blocks(draw, shape=None):
+    """(A, B, C, D) blocks of a (p|q) supermatrix over Lambda_order;
+    ``shape`` fixes (order, p, q), which are drawn otherwise."""
+    order, p, q = shape or (draw(st.sampled_from(ORDERS)), draw(st.integers(0, 2)),
+                            draw(st.integers(0, 2)))
     even = [m for m in range(1 << order) if m.bit_count() % 2 == 0]
     odd = [m for m in range(1 << order) if m.bit_count() % 2 == 1] or None
 

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from superspin import (
     AlgebraError,
@@ -19,9 +21,12 @@ from superspin import (
     logm,
     q_gram_matrix,
     random_grassmann,
+    random_rotation,
     random_supermatrix,
     symplectic_form,
 )
+from superspin.supermatrix import COND_LIMIT
+from test_kernel import SETTINGS, parity_blocks
 
 M_DIM, N_PLANES, ORDER = 3, 2, 4
 Q_DIM = 2 * N_PLANES
@@ -130,13 +135,7 @@ def test_sdet_multiplicative_and_supertranspose_invariant():
         assert (a.supertranspose().sdet() - a.sdet()).norm() <= 1e-9
 
 
-def test_sdet_alternative_form():
-    for seed in range(5):
-        m = eye() + rand(seed, scale=0.2)
-        a, b = m.block_a(), m.block_b()
-        c, d = m.block_c(), m.block_d()
-        alt = (d - c @ a.inverse() @ b).det().inv() * a.det()
-        assert (m.sdet() - alt).norm() <= 1e-9 * max(1.0, alt.norm())
+# -- reference determinants ---------------------------------------------------------
 
 
 def _permutation_sign(perm):
@@ -166,6 +165,43 @@ def leibniz_det(mat):
     return total
 
 
+def gauss_det(mat):
+    """Reference determinant of an even matrix: Gaussian elimination over
+    GrassmannNumber entries with body-modulus pivoting."""
+    size = mat.rows
+    grid = mat.entries()
+    det = GrassmannNumber.one(mat.order)
+    for col in range(size):
+        pivot_row = max(range(col, size), key=lambda r: abs(grid[r][col].body))
+        if pivot_row != col:
+            grid[col], grid[pivot_row] = grid[pivot_row], grid[col]
+            det = -det
+        pivot = grid[col][col]
+        det = det * pivot
+        pivot_inv = pivot.inv()
+        for r in range(col + 1, size):
+            factor = grid[r][col] * pivot_inv
+            grid[r] = [grid[r][c] - factor * grid[col][c] for c in range(size)]
+    return det
+
+
+def schur_sdet(m, det):
+    """Reference Berezinian det(A - B D^{-1} C) / det(D) over the reference
+    determinant ``det``."""
+    a, b, c, d = m.block_a(), m.block_b(), m.block_c(), m.block_d()
+    return det(a - b @ d.inverse() @ c) * det(d).inv()
+
+
+def schur_sdet_of_a(m, det):
+    """The other Schur form, det(A) / det(D - C A^{-1} B)."""
+    a, b, c, d = m.block_a(), m.block_b(), m.block_c(), m.block_d()
+    return det(a) * det(d - c @ a.inverse() @ b).inv()
+
+
+def assert_relative(got, want, tol=1e-10):
+    assert (got - want).norm() <= tol * max(1.0, want.norm())
+
+
 def test_determinant_gauss_matches_leibniz():
     rng = np.random.default_rng(13)
     for size in range(1, 6):
@@ -176,13 +212,124 @@ def test_determinant_gauss_matches_leibniz():
         ]
         mat = GrassmannMatrix.from_entries(grid, ORDER)
         reference = leibniz_det(mat)
-        assert (mat.det() - reference).norm() <= 1e-10 * max(1.0, reference.norm())
+        assert_relative(gauss_det(mat), reference)
+        assert_relative(mat.det(), reference)
+
+
+def test_sdet_alternative_form():
+    """sdet and det against both Schur forms over the Gauss determinant."""
+    for m, n, order, seeds in ((3, 1, 4, 2), (6, 2, 4, 2), (10, 3, 6, 1)):
+        eye_mn = Supermatrix.eye(m, 2 * n, order)
+        for mat in [random_rotation(m, n, order, seed=seed) for seed in range(seeds)] + [
+                eye_mn + random_supermatrix(m, n, order, seed=seed, scale=0.2)
+                for seed in range(seeds)]:
+            got = mat.sdet()
+            assert_relative(got, schur_sdet(mat, gauss_det))
+            assert_relative(got, schur_sdet_of_a(mat, gauss_det))
+            assert_relative(mat.block_a().det(), gauss_det(mat.block_a()))
+
+
+def seeded_dense(p, q, order, seed):
+    """Parity-valid supermatrix with every blade present and body 2I + noise."""
+    rng = np.random.default_rng(seed)
+    size = p + q
+    diagonal = np.zeros((size, size), dtype=bool)
+    diagonal[:p, :p] = diagonal[p:, p:] = True
+    odd = np.array([k.bit_count() % 2 for k in range(1 << order)], dtype=bool)
+    stack = 0.5 * rng.normal(size=(1 << order, size, size))
+    stack *= diagonal != odd[:, None, None]
+    stack[0] += 2.0 * np.eye(size)
+    return Supermatrix(p, q, GrassmannMatrix(size, size, order, masks=range(1 << order),
+                                             stack=stack))
+
+
+def body_conditions(m):
+    """Condition numbers of the D and A body blocks, 1 for an empty block."""
+    body, p = m.body_matrix(), m.p
+    return [np.linalg.cond(x) if x.size else 1.0 for x in (body[p:, p:], body[:p, :p])]
+
+
+@SETTINGS
+@given(parity_blocks(), st.integers(0, 2 ** 16), st.booleans())
+def test_sdet_matches_oracles_on_parity_blocks(blocks, seed, dense):
+    """p, q in 0..2 and N in {0, 1, 4}.  The drawn blocks are sparse and
+    often have no body, so half the draws add a seeded dense matrix."""
+    m = Supermatrix.from_blocks(*blocks)
+    if dense:
+        m = m + seeded_dense(m.p, m.q, m.order, seed)
+    cond_d, cond_a = body_conditions(m)
+    if cond_d > COND_LIMIT:
+        with pytest.raises(NotInvertibleError, match="block D"):
+            m.sdet()
+    elif cond_a > COND_LIMIT:
+        with pytest.raises(SingularBodyError, match="block A"):
+            m.sdet()
+    else:
+        # The oracles work on GrassmannNumbers, which drop coefficients below
+        # CANON_EPS, and lose about log10(cond) digits.
+        stack = np.abs(m.mat.stack)
+        assume(max(cond_d, cond_a) <= 1e4 and not ((stack > 0) & (stack < 1e-12)).any())
+        got = m.sdet()
+        assert_relative(got, schur_sdet(m, gauss_det))
+        assert_relative(got, schur_sdet(m, leibniz_det))
+        if not m.q:
+            assert_relative(m.mat.det(), gauss_det(m.mat))
+
+
+@pytest.mark.parametrize("p, q, block", [(2, 0, "A"), (0, 2, "D"), (2, 2, "A"), (2, 2, "D")])
+def test_numerically_singular_body_block_raises_its_error_class(p, q, block):
+    # body diag(1, 1e-13) in one block: condition number 1e13 > COND_LIMIT.
+    # At q = 0 Gaussian elimination returns the determinant 1e-13 instead.
+    body = np.eye(p + q, dtype=complex)
+    k = 1 if block == "A" else p + 1
+    body[k, k] = 1e-13
+    nil = random_supermatrix(p, q // 2, ORDER, seed=53, scale=0.2).nilpotent_part()
+    mat = Supermatrix.from_body(p, q, body, ORDER) + nil
+    error = SingularBodyError if block == "A" else NotInvertibleError
+    with pytest.raises(error, match=f"body of block {block}"):
+        mat.sdet()
+    if q == 0:
+        assert abs(gauss_det(mat.mat).body - 1e-13) <= 1e-25
+        with pytest.raises(SingularBodyError):
+            mat.mat.det()
+
+
+# (order, p, q): p = 0, q = 0 and N in {0, 1} each appear
+PROPERTY_SHAPES = [(0, 2, 0), (0, 0, 2), (1, 2, 0), (1, 0, 2), (1, 2, 1), (4, 2, 2)]
+PROPERTY_IDS = [f"N{order}-p{p}-q{q}" for order, p, q in PROPERTY_SHAPES]
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def drawn_supermatrix(data, shape, seed):
+    """A seeded dense matrix plus a quarter of sparse drawn parity blocks."""
+    order, p, q = shape
+    blocks = data.draw(parity_blocks(shape))
+    return seeded_dense(p, q, order, seed) + Supermatrix.from_blocks(*blocks).scale(0.25)
+
+
+@pytest.mark.parametrize("shape", PROPERTY_SHAPES, ids=PROPERTY_IDS)
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_sdet_is_multiplicative(shape, data, seed):
+    a, b = drawn_supermatrix(data, shape, seed), drawn_supermatrix(data, shape, seed + 1)
+    assume(max(body_conditions(a) + body_conditions(b)) <= 1e3)
+    assert_relative((a @ b).sdet(), a.sdet() * b.sdet())
+
+
+@pytest.mark.parametrize("shape", PROPERTY_SHAPES, ids=PROPERTY_IDS)
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_sdet_of_exp_is_exp_of_supertrace(shape, data, seed):
+    order, p, q = shape
+    m = drawn_supermatrix(data, shape, seed) - Supermatrix.eye(p, q, order).scale(2.0)
+    m = m.scale(0.5)
+    assert_relative(expm(m).sdet(), m.supertrace().exp())
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
 def test_determinant_singular_body_raises_at_every_size(size):
     # body diag(0, 1, ..., 1) with f1 f2 in the corner: the Leibniz sum is
-    # f1 f2, but no pivot has a nonzero body, as for inverse and sdet
+    # f1 f2, but the body is singular, as for inverse and sdet
     f12 = GrassmannNumber.blade(ORDER, 0b11)
     grid = [[f12 if i == j == 0 else GrassmannNumber.scalar(ORDER, float(i == j))
              for j in range(size)] for i in range(size)]
