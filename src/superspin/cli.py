@@ -1,5 +1,11 @@
 """Command-line front end: JSON in, JSON out, deterministic under --seed.
 
+Output is 2-space-indented JSON, byte for byte what
+``json.dumps(payload, indent=2, allow_nan=False)`` writes, from a small
+writer of its own (with ``indent`` the stdlib falls back to its pure-Python
+encoder), and is written only once complete.  The argument parser is built
+once per process, so repeated ``main`` calls share it.
+
 Exit codes: 0 success, 1 domain violation (membership, singular body,
 convergence domain, ...), 2 malformed input.
 """
@@ -7,6 +13,7 @@ convergence domain, ...), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -49,8 +56,85 @@ def _load_json(path: str | None):
         raise InputError(f"cannot read input: {exc}") from exc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def _scalar_text(value) -> str | None:
+    """``json``'s text for a str, None, bool, int or float (subclasses
+    included, in the order ``json`` tests them); None for anything else."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` writes it: non-str keys become strings."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return f'"{text}"'
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte.
+
+    ``newline`` is the line break plus the indent of ``value``'s own line.
+    Exact types are tried first, with finite floats inlined in dicts (the
+    coefficient fields); subclasses fall back to ``isinstance`` in the
+    order ``json`` uses.  Non-finite floats raise ValueError and anything
+    else ``json`` cannot write raises TypeError, as in ``json``.
+    """
+    kind = type(value)
+    if kind is float:
+        return _float_text(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is dict or isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            (_encode_str(k) if type(k) is str else _key_text(k)) + ": "
+            + (float.__repr__(v) if type(v) is float and v - v == 0.0
+               else _json_text(v, inner))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    text = _scalar_text(value)
+    if text is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return text
+
+
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _parse(kind, data):
@@ -58,7 +142,8 @@ def _parse(kind, data):
     domain violation."""
     try:
         return kind.from_dict(data)
-    except (AlgebraError, KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (AlgebraError, KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         raise InputError(f"cannot decode {kind.__name__}: {exc}") from exc
 
 
@@ -263,7 +348,9 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="superspin",
         description="Superspace rotations, spin lifts and Grassmann-valued "

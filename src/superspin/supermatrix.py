@@ -33,7 +33,7 @@ from .exceptions import (
     ShapeMismatchError,
     SingularBodyError,
 )
-from .grassmann import CANON_EPS, DEFAULT_TOL, GrassmannNumber, flip_table
+from .grassmann import CANON_EPS, DEFAULT_TOL, MAX_ORDER, GrassmannNumber, flip_table
 
 # Relative truncation threshold for the exp/ln power series.
 SERIES_EPS = 1e-14
@@ -373,8 +373,12 @@ class GrassmannMatrix:
         """Inverse via body inverse plus the finite nilpotent Neumann series."""
         if self.rows != self.cols:
             raise ShapeMismatchError("inverse of a non-square matrix")
-        inv0 = GrassmannMatrix.from_body(
-            _body_inverse(self.body(), NotInvertibleError, "matrix body"), self.order)
+        return self._inverse_from_body(
+            _body_inverse(self.body(), NotInvertibleError, "matrix body"))
+
+    def _inverse_from_body(self, body_inverse: np.ndarray) -> "GrassmannMatrix":
+        """Inverse given the inverse of this matrix's body."""
+        inv0 = GrassmannMatrix.from_body(body_inverse, self.order)
         return _nilpotent_matrix_series(inv0 @ self.nilpotent_part(),
                                         lambda k: (-1.0) ** k) @ inv0
 
@@ -594,20 +598,26 @@ class Supermatrix:
     # -- inverse / Berezinian -------------------------------------------------
 
     def inverse(self) -> "Supermatrix":
-        """Four-block inverse; requires invertible A and D bodies."""
+        """Four-block inverse; requires invertible A and D bodies.
+
+        B and C are odd, so the Schur complements A - B D^-1 C and
+        D - C A^-1 B have the bodies A0 and D0: each body is inverted, and
+        its condition checked, once.  A numerically singular body raises
+        NotInvertibleError naming its block (A checked first).
+        """
+        p, body = self.p, self.mat.body()
         a, b = self.block_a(), self.block_b()
         c, d = self.block_c(), self.block_d()
-        for name, blk in (("A", a), ("D", d)):
-            body = blk.body()
-            if body.shape[0] and np.linalg.cond(body) > COND_LIMIT:
-                raise NotInvertibleError(f"body of block {name} is singular")
-        a_inv = a.inverse() if self.p else a
-        d_inv = d.inverse() if self.q else d
-        schur_a = (a - b @ d_inv @ c).inverse() if self.p else a
-        schur_d = (d - c @ a_inv @ b).inverse() if self.q else d
-        top_right = -(a_inv @ b @ schur_d) if self.p and self.q else b
-        bottom_left = -(d_inv @ c @ schur_a) if self.p and self.q else c
-        return Supermatrix.from_blocks(schur_a, top_right, bottom_left, schur_d)
+        a0_inv = _body_inverse(body[:p, :p], NotInvertibleError, "body of block A")
+        d0_inv = _body_inverse(body[p:, p:], NotInvertibleError, "body of block D")
+        a_inv = a._inverse_from_body(a0_inv)
+        d_inv = d._inverse_from_body(d0_inv)
+        if not (p and self.q):
+            return Supermatrix.from_blocks(a_inv, b, c, d_inv)
+        schur_a = (a - b @ d_inv @ c)._inverse_from_body(a0_inv)
+        schur_d = (d - c @ a_inv @ b)._inverse_from_body(d0_inv)
+        return Supermatrix.from_blocks(schur_a, -(a_inv @ b @ schur_d),
+                                       -(d_inv @ c @ schur_a), schur_d)
 
     def sdet(self) -> GrassmannNumber:
         """Berezinian sdet M = det A0 / det D0 * exp(str log(I + X)).
@@ -631,25 +641,64 @@ class Supermatrix:
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """JSON form: every entry as ``GrassmannNumber.to_dict`` writes it,
+        built straight from the stack (one canonical filter over all
+        coefficients, floats through ``tolist`` so they keep their repr)."""
+        mat, size = self.mat, self.size
+        stack = mat.stack.transpose(1, 2, 0)
+        re, im = stack.real, stack.imag
+        kept = (np.abs(re) >= CANON_EPS) | (np.abs(im) >= CANON_EPS)
+        ii, jj, kk = np.nonzero(kept)
+        terms = [{"mask": m, "re": r, "im": i} for m, r, i in zip(
+            np.asarray(mat.masks, dtype=np.int64)[kk].tolist(),
+            re[ii, jj, kk].tolist(), im[ii, jj, kk].tolist())]
+        ends = np.cumsum(kept.sum(axis=2).ravel()).tolist()
+        cells = [{"N": self.order, "terms": terms[start:end]}
+                 for start, end in zip([0] + ends, ends)]
         return {
             "p": self.p,
             "q": self.q,
             "N": self.order,
-            "rows": [[g.to_dict() for g in row] for row in self.entries()],
+            "rows": [cells[i * size:(i + 1) * size] for i in range(size)],
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Supermatrix":
+        """Inverse of ``to_dict``, read straight into the stack.  Entries are
+        read as ``GrassmannNumber.from_dict`` reads them (masks repeated
+        within an entry are summed, ``im`` is optional, coefficients must be
+        finite) and must have the matrix's order; the parity pattern is
+        checked."""
         p, q, order = int(data["p"]), int(data["q"]), int(data["N"])
         rows = data["rows"]
-        if len(rows) != p + q or any(len(r) != p + q for r in rows):
+        size = p + q
+        if len(rows) != size or any(len(r) != size for r in rows):
             raise ShapeMismatchError("rows grid does not match p + q")
-        entries = [[GrassmannNumber.from_dict(g) for g in row] for row in rows]
-        for row in entries:
-            for g in row:
-                if g.order != order:
+        if not 0 <= order <= MAX_ORDER:
+            raise OrderMismatchError(f"order must be in [0, {MAX_ORDER}], got {order}")
+        limit = 1 << order
+        masks, cells, re, im = [], [], [], []
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                if int(entry["N"]) != order:
                     raise OrderMismatchError("entry order differs from matrix order")
-        return cls.from_entries(p, q, entries, order)
+                for item in entry.get("terms", []):
+                    mask = int(item["mask"])
+                    if not 0 <= mask < limit:
+                        raise OrderMismatchError(
+                            f"mask {mask} out of range for order {order}")
+                    masks.append(mask)
+                    cells.append(i * size + j)
+                    re.append(float(item["re"]))
+                    im.append(float(item.get("im", 0.0)))
+        keys, slot = np.unique(np.asarray(masks, dtype=np.int64), return_inverse=True)
+        values = np.empty(len(masks), dtype=complex)
+        values.real, values.imag = re, im
+        stack = np.zeros((len(keys), size * size), dtype=complex)
+        np.add.at(stack, (slot, np.asarray(cells, dtype=np.int64)), values)
+        stack[(np.abs(stack.real) < CANON_EPS) & (np.abs(stack.imag) < CANON_EPS)] = 0.0
+        return cls(p, q, GrassmannMatrix(size, size, order, masks=keys.tolist(),
+                                         stack=stack.reshape(len(keys), size, size)))
 
     def __repr__(self):
         return f"Supermatrix(p={self.p}, q={self.q}, N={self.order})"

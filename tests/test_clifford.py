@@ -393,7 +393,7 @@ def test_reflect_fixes_perpendicular_and_negates_axis():
     assert (reflect(w, x_axis) + x_axis).norm() == 0.0
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(m=st.integers(1, 3), n=st.integers(0, 2), order=st.sampled_from([0, 1, 4]),
        seed=st.integers(0, 10_000))
 def test_reflect_matches_reflection_matrix(m, n, order, seed):

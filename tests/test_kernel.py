@@ -31,7 +31,7 @@ from superspin.grassmann import MAX_ORDER, flip_table, reorder_sign
 TOL = 1e-12
 ORDERS = (0, 1, 4)
 
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+SETTINGS = settings(max_examples=150)
 
 
 # -- reference products ----------------------------------------------------------

@@ -1,0 +1,383 @@
+"""CLI payloads: the JSON writer, the Supermatrix codecs and the shared parser.
+
+The writer is checked against ``json.dumps(indent=2, allow_nan=False)``, and
+the codecs against the per-entry route through ``GrassmannNumber`` kept
+below as an oracle.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superspin import (
+    GrassmannMatrix,
+    GrassmannNumber,
+    Supermatrix,
+    expm,
+    matrix_to_bivector,
+    random_rotation,
+    random_so0,
+    random_sphere_vector,
+    random_supervector,
+)
+from superspin import cli
+from superspin.cli import main
+from superspin.exceptions import (
+    AlgebraError,
+    OrderMismatchError,
+    ParityError,
+    ShapeMismatchError,
+)
+from superspin.grassmann import DEFAULT_TOL
+
+
+def oracle_text(value) -> str:
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+# -- the writer ---------------------------------------------------------------------
+
+FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([0.0, -0.0, 5e-324, -2.225e-308, 1e16, -1e16, 1e22,
+                             0.1, 1 / 3, 1e-7, 123456789.0, 1.7976931348623157e308]))
+INTS = st.integers() | st.sampled_from([2 ** 63, -2 ** 64, 10 ** 40, -(10 ** 300)])
+STRINGS = st.text() | st.text(alphabet=st.sampled_from(
+    ['"', "\\", "/", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f",
+     " ", "é", "€", "\U0001f600", "a"]))
+KEYS = STRINGS | INTS | FLOATS | st.booleans() | st.none()
+SCALARS = st.none() | st.booleans() | INTS | FLOATS | STRINGS
+TREES = st.recursive(
+    SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(KEYS, children, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=400)
+@given(TREES)
+def test_writer_matches_json_dumps(tree):
+    assert cli._json_text(tree) == oracle_text(tree)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, (), [[]], {"a": {}}, {"a": []}, [{}, ()], {1: 2, 1.5: True, None: None,
+                                                         False: "x", "k": -0.0},
+])
+def test_writer_matches_json_dumps_on_empty_and_mixed_containers(value):
+    assert cli._json_text(value) == oracle_text(value)
+
+
+class Count(int):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+class Name(str):
+    pass
+
+
+class Rows(list):
+    pass
+
+
+class Record(dict):
+    pass
+
+
+def test_writer_accepts_subclasses_as_json_does():
+    value = Record({Name("n"): Count(3), "r": Ratio(0.5), "l": Rows([Count(-1)]),
+                    Count(7): np.float64(0.1), Ratio(2.5): Name("s\n")})
+    assert cli._json_text(value) == oracle_text(value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, Ratio(math.inf)])
+@pytest.mark.parametrize("where", ["top", "list", "dict", "key"])
+def test_non_finite_floats_raise_value_error(bad, where):
+    value = {"top": bad, "list": [1.0, bad], "dict": {"a": {"b": bad}},
+             "key": {bad: 1}}[where]
+    with pytest.raises(ValueError):
+        oracle_text(value)
+    with pytest.raises(ValueError):
+        cli._json_text(value)
+
+
+@pytest.mark.parametrize("bad", [
+    1j, np.zeros(2), {1, 2}, object(), np.int64(3), {"a": [1, 2j]}, {(1, 2): 3},
+    {"a": {frozenset(): 1}}, [np.bool_(True)],
+])
+def test_unserialisable_values_raise_type_error(bad):
+    with pytest.raises(TypeError):
+        oracle_text(bad)
+    with pytest.raises(TypeError):
+        cli._json_text(bad)
+
+
+def test_failed_emit_writes_nothing(capsys, monkeypatch, tmp_path):
+    with pytest.raises(ValueError):
+        cli._emit({"a": [1.0, 2.0], "b": math.nan})
+    with pytest.raises(TypeError):
+        cli._emit({"a": [1.0, 2.0], "b": 1j})
+    assert capsys.readouterr().out == ""
+
+    class Unwritable:
+        def to_dict(self):
+            return {"p": 1, "rows": [[{"re": math.inf}]]}
+
+    monkeypatch.setattr(cli, "expm", lambda m: Unwritable())
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(Supermatrix.eye(1, 0, 0).to_dict()))
+    assert main(["exp", "--input", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _matrix_inputs(tmp_path, m, n, order):
+    rot = random_rotation(m, n, order, seed=21)
+    alg = random_so0(m, n, order, seed=22)
+    w = random_sphere_vector(m, n, order, seed=23)
+    x = random_supervector(m, n, order, seed=24)
+    y = random_supervector(m, n, order, seed=25)
+    payloads = {
+        "rotation": rot.to_dict(),
+        "near-identity": expm(random_so0(m, n, order, seed=26, scale=0.1)).to_dict(),
+        "algebra": alg.to_dict(),
+        "reflect": {"w": w.to_dict(), "x": x.to_dict()},
+        "pair": {"x": x.to_dict(), "y": y.to_dict()},
+        "action": {"matrix": rot.to_dict(), "vector": x.to_dict()},
+        "bivector": matrix_to_bivector(alg).to_dict(),
+    }
+    paths = {}
+    for key, payload in payloads.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(payload))
+    return paths
+
+
+MATRIX_COMMANDS = [
+    ("check-so0", "rotation"), ("sdet", "rotation"), ("exp", "algebra"),
+    ("ln", "near-identity"), ("decompose", "rotation"), ("lift", "rotation"),
+    ("reflect", "reflect"), ("inner", "pair"), ("act", "action"),
+    ("phi", "bivector"), ("phi-inv", "algebra"), ("check-so0-algebra", "algebra"),
+]
+
+
+def test_every_matrix_command_writes_json_dumps_bytes(capsys, monkeypatch, tmp_path):
+    """At (m, n, N) = (6, 2, 4), beyond the (3, 1, 4) golden corpus."""
+    paths = _matrix_inputs(tmp_path, 6, 2, 4)
+    emitted = []
+    write = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload: (emitted.append(payload),
+                                                       write(payload))[1])
+    for command, key in MATRIX_COMMANDS:
+        code = main([command, "--input", str(paths[key])])
+        out = capsys.readouterr().out
+        assert code == 0, command
+        assert out == oracle_text(emitted[-1]) + "\n", command
+    assert len(emitted) == len(MATRIX_COMMANDS)
+
+
+# -- the Supermatrix codecs ------------------------------------------------------
+
+
+def oracle_to_dict(m: Supermatrix) -> dict:
+    """The per-entry encoder: one GrassmannNumber per entry."""
+    return {"p": m.p, "q": m.q, "N": m.order,
+            "rows": [[g.to_dict() for g in row] for row in m.entries()]}
+
+
+def oracle_from_dict(data) -> Supermatrix:
+    """The per-entry decoder: one GrassmannNumber per entry."""
+    p, q, order = int(data["p"]), int(data["q"]), int(data["N"])
+    rows = data["rows"]
+    if len(rows) != p + q or any(len(r) != p + q for r in rows):
+        raise ShapeMismatchError("rows grid does not match p + q")
+    entries = [[GrassmannNumber.from_dict(g) for g in row] for row in rows]
+    for row in entries:
+        for g in row:
+            if g.order != order:
+                raise OrderMismatchError("entry order differs from matrix order")
+    return Supermatrix.from_entries(p, q, entries, order)
+
+
+def seeded_matrix(p, q, order, seed):
+    """Parity-valid complex supermatrix with exact zeros, signed zeros and
+    coefficients at and below the canonical threshold among its entries."""
+    rng = np.random.default_rng(seed)
+    size = p + q
+    odd = np.array([k.bit_count() % 2 for k in range(1 << order)], dtype=bool)
+    diagonal = np.zeros((size, size), dtype=bool)
+    diagonal[:p, :p] = diagonal[p:, p:] = True
+    shape = (1 << order, size, size)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    pick = rng.integers(0, 6, size=shape)
+    stack[pick == 0] = 0.0
+    stack[pick == 1] = complex(-0.0, 1.0)
+    stack[pick == 2] = complex(3e-15, -0.0)
+    stack[pick == 3] = complex(1e-14, 0.0)
+    stack *= diagonal != odd[:, None, None]
+    stack[0] += 2.0 * np.eye(size)
+    return Supermatrix(p, q, GrassmannMatrix(size, size, order,
+                                             masks=range(1 << order), stack=stack))
+
+
+CODEC_SHAPES = [(3, 1, 4), (6, 2, 4), (10, 3, 6), (0, 2, 3), (3, 0, 3), (2, 2, 0),
+                (0, 0, 2), (1, 1, 1)]
+
+
+def codec_matrices():
+    for p, q, order in CODEC_SHAPES:
+        for seed in range(2):
+            yield seeded_matrix(p, q, order, seed)
+    yield random_rotation(3, 1, 4, seed=3)
+    yield random_so0(6, 2, 4, seed=4)
+    yield Supermatrix.zeros(2, 2, 4)
+    yield Supermatrix.eye(0, 2, 0)
+
+
+def assert_same_matrix(got: Supermatrix, want: Supermatrix):
+    assert (got.p, got.q, got.order) == (want.p, want.q, want.order)
+    assert got.mat.masks == want.mat.masks
+    assert np.array_equal(got.mat.stack, want.mat.stack)
+    assert np.array_equal(np.signbit(got.mat.stack.real), np.signbit(want.mat.stack.real))
+
+
+@pytest.mark.parametrize("m", list(codec_matrices()), ids=repr)
+def test_codecs_match_the_per_entry_route(m):
+    encoded = m.to_dict()
+    assert json.dumps(encoded) == json.dumps(oracle_to_dict(m))
+    data = json.loads(json.dumps(encoded))
+    assert_same_matrix(Supermatrix.from_dict(data), oracle_from_dict(data))
+
+
+def test_decoder_sums_repeats_and_reads_loose_numbers_like_the_oracle():
+    loose = {"N": 2, "terms": [
+        {"mask": 0, "re": 1.5},                       # im optional
+        {"mask": 0, "re": "0.25", "im": 2},           # text and int coefficients
+        {"mask": 3.0, "re": True, "im": False},       # int() and float() coercion
+    ]}
+    tiny = {"N": 2, "terms": [
+        {"mask": 3, "re": 1e-15, "im": -1e-15},       # below CANON_EPS, alone
+        {"mask": 3, "re": 4e-15, "im": 0.0},          # and summed: dropped
+    ]}
+    cancelled = {"N": 2, "terms": [
+        {"mask": 3, "re": 1.0}, {"mask": 3, "re": -1.0}, {"mask": 3, "re": 3e-15},
+    ]}
+    crossing = {"N": 2, "terms": [
+        {"mask": 3, "re": 6e-15}, {"mask": 3, "re": 6e-15},  # kept once summed
+    ]}
+    data = {"p": 2, "q": 0, "N": 2, "rows": [[loose, tiny], [cancelled, {"N": 2}]]}
+    decoded = Supermatrix.from_dict(data)
+    assert_same_matrix(decoded, oracle_from_dict(data))
+    assert decoded.mat.masks == (0, 3) and decoded.entry(0, 1).terms == {}
+    data["rows"][1][1] = crossing
+    decoded = Supermatrix.from_dict(data)
+    assert_same_matrix(decoded, oracle_from_dict(data))
+    assert decoded.entry(1, 1).terms == {3: 1.2e-14}
+
+
+def _bad_payloads():
+    good = random_rotation(1, 1, 2, seed=8).to_dict()
+
+    def edit(change):
+        data = json.loads(json.dumps(good))
+        change(data)
+        return data
+
+    def term(data):
+        return data["rows"][0][0]["terms"][0]
+
+    def order_17(data):
+        data["N"] = 17
+        for row in data["rows"]:
+            for entry in row:
+                entry["N"] = 17
+
+    return [
+        ("mask above range", edit(lambda d: term(d).update(mask=4)), OrderMismatchError),
+        ("negative mask", edit(lambda d: term(d).update(mask=-1)), OrderMismatchError),
+        ("huge mask", edit(lambda d: term(d).update(mask=10 ** 30)), OrderMismatchError),
+        ("entry order", edit(lambda d: d["rows"][1][2].update(N=3)), OrderMismatchError),
+        ("order past MAX_ORDER", edit(order_17), OrderMismatchError),
+        ("non-finite re", edit(lambda d: term(d).update(re=1e999)), AlgebraError),
+        ("non-finite im", edit(lambda d: term(d).update(im=-1e999)), AlgebraError),
+        ("ragged rows", edit(lambda d: d["rows"][1].pop()), ShapeMismatchError),
+        ("row count", edit(lambda d: d["rows"].pop()), ShapeMismatchError),
+        ("parity", edit(lambda d: d["rows"][0][1].update(
+            terms=[{"mask": 0, "re": 1.0}])), ParityError),
+        ("missing re", edit(lambda d: term(d).pop("re")), KeyError),
+        ("missing entry N", edit(lambda d: d["rows"][0][0].pop("N")), KeyError),
+        ("missing p", edit(lambda d: d.pop("p")), KeyError),
+        ("term not an object", edit(lambda d: d["rows"][0][0].update(terms=[1])),
+         TypeError),
+        ("entry not an object", edit(lambda d: d["rows"][0].__setitem__(0, [])),
+         TypeError),
+        ("re not a number", edit(lambda d: term(d).update(re=[1.0])), TypeError),
+        ("re not numeric text", edit(lambda d: term(d).update(re="one")), ValueError),
+        ("re too large for a float", edit(lambda d: term(d).update(re=10 ** 400)),
+         OverflowError),
+    ]
+
+
+BAD_PAYLOADS = _bad_payloads()
+
+
+@pytest.mark.parametrize("data, error", [case[1:] for case in BAD_PAYLOADS],
+                         ids=[case[0] for case in BAD_PAYLOADS])
+def test_malformed_matrix_payloads_raise_the_oracle_class_and_exit_2(
+        capsys, tmp_path, data, error):
+    with pytest.raises(error) as want:
+        oracle_from_dict(data)
+    with pytest.raises(error) as got:
+        Supermatrix.from_dict(data)
+    assert type(got.value) is type(want.value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data).replace("Infinity", "1e999"))
+    assert main(["sdet", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed input" in captured.err
+
+
+def test_out_of_range_order_is_malformed_even_without_entries(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"p": 0, "q": 0, "N": 17, "rows": []}))
+    assert main(["sdet", "--input", str(path)]) == 2
+    assert "order must be in [0, 16]" in capsys.readouterr().err
+
+
+# -- the parser ------------------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_consecutive_calls_do_not_share_arguments(capsys, monkeypatch, tmp_path):
+    seen = []
+    check = cli.check_so0
+    monkeypatch.setattr(cli, "check_so0", lambda m, tol: (seen.append(tol),
+                                                          check(m, tol))[1])
+    path = tmp_path / "rotation.json"
+    path.write_text(json.dumps(random_rotation(2, 1, 2, seed=5).to_dict()))
+    assert main(["check-so0", "--tol", "1e-3", "--input", str(path)]) == 0
+    assert main(["check-so0", "--input", str(path)]) == 0
+    assert seen == [1e-3, DEFAULT_TOL]
+    capsys.readouterr()
+
+
+def test_a_parse_error_does_not_poison_the_next_call(capsys):
+    for argv in (["check-so0", "--tol", "nan"],
+                 ["osc-exp", "--theta", "1", "--plane", "2", "--n", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["osc-exp", "--theta", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["element"]["N"] == 4
