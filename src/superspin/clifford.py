@@ -14,6 +14,8 @@ with their weights, and the pairs that reach above the cap.  The Grassmann
 coefficient products all come from one product of the packed matrix kernel
 (left coefficients as a column times right coefficients as a row), and are
 combined into the output keys by one gather and ``np.add.reduceat``.
+Supervectors are packed (m + 2n) x 1 columns of the same kernel, so inner,
+wedge, reflections and the commutator action are whole-stack products.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .exceptions import (
 from .grassmann import (
     CANON_EPS,
     DEFAULT_TOL,
+    MAX_ORDER,
     GrassmannNumber,
     random_grassmann,
     reorder_sign,
@@ -474,58 +477,67 @@ class CliffordElement:
 
 
 class Supervector:
-    """Element of R^{m,2n}(Lambda_N): m even and 2n odd Grassmann coordinates."""
+    """Element of R^{m,2n}(Lambda_N): m even and 2n odd Grassmann coordinates,
+    stored as one packed (m + 2n) x 1 column ``col``, canonical as
+    GrassmannNumber is.  Results built from checked columns skip the shape,
+    order and parity checks (``_adopt``): the blade product fixes parity."""
 
-    __slots__ = ("m", "n", "order", "even", "odd")
+    __slots__ = ("m", "n", "order", "col")
 
     def __init__(self, m: int, n: int, order: int,
                  even: Sequence[GrassmannNumber], odd: Sequence[GrassmannNumber]):
         if len(even) != m or len(odd) != 2 * n:
             raise ShapeMismatchError("coordinate counts must be m and 2n")
-        for g in (*even, *odd):
-            if g.order != order:
-                raise OrderMismatchError("coordinate order mismatch")
-        for g in even:
-            if g.parity() not in ("even",):
-                raise ParityError("bosonic coordinates must be even")
-        for g in odd:
-            if g.terms and g.parity() != "odd":
-                raise ParityError("fermionic coordinates must be odd")
-        self.m = m
-        self.n = n
-        self.order = order
-        self.even = tuple(even)
-        self.odd = tuple(odd)
+        entries = [[g] for g in (*even, *odd)]
+        self.m, self.n, self.order = m, n, order
+        self.col = (GrassmannMatrix.from_entries(entries, order) if entries
+                    else GrassmannMatrix.zeros(0, 1, order))
+        self._check()
+
+    @classmethod
+    def _adopt(cls, m: int, n: int, col: GrassmannMatrix) -> "Supervector":
+        clean = _drop_tiny(col.stack)
+        vec = object.__new__(cls)
+        vec.m, vec.n, vec.order = m, n, col.order
+        vec.col = col if (clean == col.stack).all() else col.with_stack(col.masks, clean)
+        return vec
+
+    def _check(self) -> None:
+        """Order in range; no odd mask in an even row, no even mask in an odd row."""
+        if not 0 <= self.order <= MAX_ORDER:
+            raise OrderMismatchError(f"order must be in [0, {MAX_ORDER}], got {self.order}")
+        odd = supermatrix._parity_array(self.order)[list(self.col.masks)] == 1
+        entries = self.col.stack[:, :, 0]
+        if entries[odd, :self.m].any():
+            raise ParityError("bosonic coordinates must be even")
+        if entries[~odd, self.m:].any():
+            raise ParityError("fermionic coordinates must be odd")
+
+    @property
+    def even(self) -> tuple[GrassmannNumber, ...]:
+        return tuple(self.col.entry(i, 0) for i in range(self.m))
+
+    @property
+    def odd(self) -> tuple[GrassmannNumber, ...]:
+        return tuple(self.col.entry(i, 0) for i in range(self.m, self.col.rows))
 
     @classmethod
     def zero(cls, m, n, order):
-        z = GrassmannNumber.zero(order)
-        return cls(m, n, order, [z] * m, [z] * (2 * n))
+        return cls.from_column(m, n, GrassmannMatrix.zeros(max(m + 2 * n, 0), 1, order))
 
     @classmethod
     def unit(cls, m, n, order, index: int, fermionic: bool = False):
         """Unit vector along e_index or e'_index (1-based)."""
-        vec = cls.zero(m, n, order)
-        one = GrassmannNumber.one(order)
-        even = list(vec.even)
-        odd = list(vec.odd)
-        if fermionic:
-            odd[index - 1] = one
-        else:
-            even[index - 1] = one
+        even = [GrassmannNumber.zero(order)] * m
+        odd = [GrassmannNumber.zero(order)] * (2 * n)
+        (odd if fermionic else even)[index - 1] = GrassmannNumber.one(order)
         return cls(m, n, order, even, odd)
 
     @classmethod
     def from_coefficients(cls, m, n, order, even, odd):
-        conv = [
-            g if isinstance(g, GrassmannNumber) else GrassmannNumber.scalar(order, g)
-            for g in even
-        ]
-        conv_odd = [
-            g if isinstance(g, GrassmannNumber) else GrassmannNumber.scalar(order, g)
-            for g in odd
-        ]
-        return cls(m, n, order, conv, conv_odd)
+        def conv(g):
+            return g if isinstance(g, GrassmannNumber) else GrassmannNumber.scalar(order, g)
+        return cls(m, n, order, [conv(g) for g in even], [conv(g) for g in odd])
 
     def _require_compatible(self, other: "Supervector") -> None:
         if (self.m, self.n, self.order) != (other.m, other.n, other.order):
@@ -533,19 +545,11 @@ class Supervector:
 
     def __add__(self, other: "Supervector") -> "Supervector":
         self._require_compatible(other)
-        return Supervector(
-            self.m, self.n, self.order,
-            [a + b for a, b in zip(self.even, other.even)],
-            [a + b for a, b in zip(self.odd, other.odd)],
-        )
+        return Supervector._adopt(self.m, self.n, self.col + other.col)
 
     def __sub__(self, other: "Supervector") -> "Supervector":
         self._require_compatible(other)
-        return Supervector(
-            self.m, self.n, self.order,
-            [a - b for a, b in zip(self.even, other.even)],
-            [a - b for a, b in zip(self.odd, other.odd)],
-        )
+        return Supervector._adopt(self.m, self.n, self.col - other.col)
 
     def __neg__(self):
         return self.scale(-1.0)
@@ -554,14 +558,10 @@ class Supervector:
         """Scale by a complex number or an even Grassmann number."""
         if isinstance(factor, GrassmannNumber) and not factor.is_even():
             raise ParityError("supervector scaling factor must be even")
-        return Supervector(
-            self.m, self.n, self.order,
-            [g * factor for g in self.even],
-            [g * factor for g in self.odd],
-        )
+        return Supervector._adopt(self.m, self.n, self.col.scale(factor))
 
     def norm(self) -> float:
-        return sum(g.norm() for g in (*self.even, *self.odd))
+        return self.col.norm()
 
     def isclose(self, other: "Supervector", tol: float = DEFAULT_TOL) -> bool:
         self._require_compatible(other)
@@ -569,35 +569,29 @@ class Supervector:
         return (self - other).norm() <= tol * scale
 
     def to_clifford(self, cap: int = DEFAULT_CAP) -> CliffordElement:
-        terms: dict[tuple[int, tuple[int, ...]], GrassmannNumber] = {}
         zeros = (0,) * (2 * self.n)
-        for j, g in enumerate(self.even):
-            if g.terms:
-                terms[(1 << j, zeros)] = g
-        for u, g in enumerate(self.odd):
-            if g.terms:
-                alpha = list(zeros)
-                alpha[u] = 1
-                terms[(0, tuple(alpha))] = g
+        terms = {(1 << j, zeros): g for j, g in enumerate(self.even)}
+        terms.update({(0, zeros[:u] + (1,) + zeros[u + 1:]): g
+                      for u, g in enumerate(self.odd)})
         return CliffordElement(self.m, self.n, self.order, cap, terms)
 
     def to_column(self) -> GrassmannMatrix:
-        entries = [[g] for g in (*self.even, *self.odd)]
-        return GrassmannMatrix.from_entries(entries, self.order)
+        return self.col
 
     @classmethod
     def from_column(cls, m: int, n: int, col: GrassmannMatrix) -> "Supervector":
-        if col.cols != 1 or col.rows != m + 2 * n:
+        if min(m, n) < 0 or col.cols != 1 or col.rows != m + 2 * n:
             raise ShapeMismatchError("column shape does not match (m, n)")
-        entries = [col.entry(i, 0) for i in range(col.rows)]
-        return cls(m, n, col.order, entries[:m], entries[m:])
+        vec = cls._adopt(m, n, col)
+        vec._check()
+        return vec
 
     def square(self) -> GrassmannNumber:
         """w^2 = -<w, w> as a central even Grassmann number."""
         return -inner(self, self)
 
     def body_vector(self) -> np.ndarray:
-        return np.array([g.body for g in self.even])
+        return self.col.body()[:self.m, 0]
 
     def on_supersphere(self, tol: float = DEFAULT_TOL, nil_tol: float = 1e-12) -> bool:
         """w^2 = -1: exact nilpotent cancellation plus a unit-sphere body."""
@@ -787,34 +781,60 @@ def clifford_exp(x: CliffordElement, max_terms: int = 200) -> CliffordElement:
 # -- inner product and wedge --------------------------------------------------
 
 
+@functools.cache
+def _inner_gram(m: int, n: int) -> np.ndarray:
+    """Body Gram matrix of ``inner``: I_m, then -1/2 at (u, u + 1) and 1/2 at
+    (u + 1, u) for the two coordinates u, u + 1 of each symplectic plane."""
+    gram = np.eye(m + 2 * n)
+    gram[m:, m:] = 0.0
+    u = np.arange(m, m + 2 * n, 2)
+    gram[u, u + 1], gram[u + 1, u] = -0.5, 0.5
+    gram.flags.writeable = False
+    return gram
+
+
 def inner(x: Supervector, y: Supervector) -> GrassmannNumber:
-    """Generalized inner product, equal to -{x,y}/2 and to x^T Q y."""
+    """Generalized inner product, equal to -{x,y}/2 and to x^T G y with G
+    the body Gram matrix: one 1 x s by s x 1 blade product."""
     x._require_compatible(y)
-    total = GrassmannNumber.zero(x.order)
-    for a, b in zip(x.even, y.even):
-        total = total + a * b
-    for j in range(x.n):
-        total = total - (x.odd[2 * j] * y.odd[2 * j + 1]
-                         - x.odd[2 * j + 1] * y.odd[2 * j]) * 0.5
-    return total
+    masks, stack = supermatrix._blade_product(
+        np.matmul, x.col.masks, x.col.stack.transpose(0, 2, 1), y.col.masks,
+        _inner_gram(x.m, x.n) @ y.col.stack, x.order, (1, 1))
+    return GrassmannNumber(x.order, dict(zip(masks, stack[:, 0, 0].tolist())))
+
+
+def _family_keys(m: int, two_n: int) -> tuple[list[tuple[int, int]], ...]:
+    """Keys of the b (j < k), bq and bb (u <= v) superbivector families."""
+    return ([(j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1)],
+            [(j, u) for j in range(1, m + 1) for u in range(1, two_n + 1)],
+            [(u, v) for u in range(1, two_n + 1) for v in range(u, two_n + 1)])
+
+
+def _read_family(mat: GrassmannMatrix, keys, cell) -> dict[tuple[int, int], GrassmannNumber]:
+    """{key: factor * mat[row, col]} with (row, col, factor) = cell(*key),
+    read from the stack at once; all-zero entries are left out."""
+    rows, cols, factors = zip(*(cell(*key) for key in keys)) if keys else ((),) * 3
+    values = (mat.stack[:, list(rows), list(cols)] * np.asarray(factors)).T.tolist()
+    return {key: mat._number(v) for key, v in zip(keys, values) if any(v)}
 
 
 def wedge(x: Supervector, y: Supervector) -> ExtendedSuperbivector:
-    """Wedge product of supervectors; its symplectic part is nilpotent."""
+    """Wedge product of supervectors; its symplectic part is nilpotent.
+
+    One outer product P = x y^T: b_{jk} and bq_{ju} are entries of P - P^T,
+    bb_{uv} (u <= v) entries of P + P^T.
+    """
     x._require_compatible(y)
-    b = {}
-    for j in range(1, x.m + 1):
-        for k in range(j + 1, x.m + 1):
-            b[(j, k)] = x.even[j - 1] * y.even[k - 1] - x.even[k - 1] * y.even[j - 1]
-    bq = {}
-    for j in range(1, x.m + 1):
-        for u in range(1, 2 * x.n + 1):
-            bq[(j, u)] = x.even[j - 1] * y.odd[u - 1] - x.odd[u - 1] * y.even[j - 1]
-    bb = {}
-    for u in range(1, 2 * x.n + 1):
-        for v in range(u, 2 * x.n + 1):
-            bb[(u, v)] = x.odd[u - 1] * y.odd[v - 1] + x.odd[v - 1] * y.odd[u - 1]
-    return ExtendedSuperbivector(x.m, x.n, x.order, b, bq, bb)
+    m = x.m
+    b, bq, bb = _family_keys(m, 2 * x.n)
+    outer = x.col @ y.col.transpose()
+    flipped = outer.stack.transpose(0, 2, 1)
+    anti = outer.with_stack(outer.masks, outer.stack - flipped)
+    return ExtendedSuperbivector(
+        m, x.n, x.order, _read_family(anti, b, lambda j, k: (j - 1, k - 1, 1.0)),
+        _read_family(anti, bq, lambda j, u: (j - 1, m + u - 1, 1.0)),
+        _read_family(outer.with_stack(outer.masks, outer.stack + flipped), bb,
+                     lambda u, v: (m + u - 1, m + v - 1, 1.0)))
 
 
 # -- the linear action of a superbivector -------------------------------------
@@ -876,6 +896,12 @@ def bivector_to_matrix(biv: ExtendedSuperbivector) -> Supermatrix:
     return Supermatrix(m, 2 * n, mat, validate=False)
 
 
+def _partner(m: int, u: int) -> tuple[float, int]:
+    """Sign and packed-column row of the coordinate that e'_u pairs with in
+    the commutator action: +x'_{u+1} for odd u, -x'_{u-1} for even u."""
+    return (1.0, m + u) if u % 2 else (-1.0, m + u - 2)
+
+
 def matrix_to_bivector(x: Supermatrix, tol: float = DEFAULT_TOL) -> ExtendedSuperbivector:
     """Inverse of the commutator-action map on so_0 supermatrices."""
     from .orthosymplectic import check_so0_algebra
@@ -885,124 +911,94 @@ def matrix_to_bivector(x: Supermatrix, tol: float = DEFAULT_TOL) -> ExtendedSupe
         raise MembershipError(
             f"matrix is not in so_0 (residual {report.residual:.3e})"
         )
-    m = x.p
-    n = x.q // 2
-    a = x.block_a()
-    c = x.block_c()
-    d = x.block_d()
-    b: dict[tuple[int, int], GrassmannNumber] = {}
-    bq: dict[tuple[int, int], GrassmannNumber] = {}
-    bb: dict[tuple[int, int], GrassmannNumber] = {}
-    for j in range(1, m + 1):
-        for k in range(j + 1, m + 1):
-            g = a.entry(k - 1, j - 1) * 0.5
-            if g.terms:
-                b[(j, k)] = g
-    for j in range(1, m + 1):
-        for u in range(1, 2 * n + 1):
-            g = c.entry(u - 1, j - 1) * 0.5
-            if g.terms:
-                bq[(j, u)] = g
-    for u in range(1, 2 * n + 1):
-        for v in range(u, 2 * n + 1):
-            uo, vo = u % 2 == 1, v % 2 == 1
-            if uo and vo:
-                g = d.entry(u - 1, v) * (0.5 if u == v else 1.0)
-            elif not uo and not vo:
-                g = d.entry(u - 1, v - 2) * (-0.5 if u == v else -1.0)
-            elif uo and not vo:
-                # same plane (u = v - 1) reads the even-even diagonal entry
-                g = d.entry(v - 1, u)
-            else:
-                g = d.entry(u - 1, v)
-            if g.terms:
-                bb[(u, v)] = g
-    return ExtendedSuperbivector(m, n, x.order, b, bq, bb)
+    m, two_n = x.p, x.q
+
+    def bb_cell(u, v):
+        # [B, x] adds sign * bb_uv * x[source] to row m + u - 1, twice for u = v
+        sign, source = _partner(m, v)
+        return m + u - 1, source, sign * (0.5 if u == v else 1.0)
+
+    b, bq, bb = _family_keys(m, two_n)
+    return ExtendedSuperbivector(
+        m, two_n // 2, x.order, _read_family(x.mat, b, lambda j, k: (k - 1, j - 1, 0.5)),
+        _read_family(x.mat, bq, lambda j, u: (m + u - 1, j - 1, 0.5)),
+        _read_family(x.mat, bb, bb_cell))
 
 
 def commutator_action(biv: ExtendedSuperbivector, x: Supervector) -> Supervector:
-    """[B, x] evaluated coordinatewise; agrees with the matrix action."""
+    """[B, x] from its own (coefficient, factor, source, target) table;
+    agrees with the matrix action.
+
+    Each coefficient g of B adds factor * g * x[source] to coordinate
+    ``target``: one elementwise blade product of the scaled coefficients
+    with the gathered coordinates, summed into place by one ``np.add.at``.
+    """
     if (biv.m, biv.n, biv.order) != (x.m, x.n, x.order):
         raise ShapeMismatchError("bivector and supervector shapes differ")
-    even = [GrassmannNumber.zero(x.order) for _ in range(x.m)]
-    odd = [GrassmannNumber.zero(x.order) for _ in range(2 * x.n)]
+    m = x.m
+    table = []
     for (j, k), g in biv.b.items():
-        even[k - 1] = even[k - 1] + g * x.even[j - 1] * 2.0
-        even[j - 1] = even[j - 1] - g * x.even[k - 1] * 2.0
+        table += [(g, 2.0, j - 1, k - 1), (g, -2.0, k - 1, j - 1)]
     for (j, u), g in biv.bq.items():
-        odd[u - 1] = odd[u - 1] + g * x.even[j - 1] * 2.0
-        if u % 2 == 1:
-            even[j - 1] = even[j - 1] + g * x.odd[u]
-        else:
-            even[j - 1] = even[j - 1] - g * x.odd[u - 2]
+        table += [(g, 2.0, j - 1, m + u - 1), (g, *_partner(m, u), j - 1)]
     for (u, v), g in biv.bb.items():
-        uo, vo = u % 2 == 1, v % 2 == 1
-        if uo and vo:
-            odd[v - 1] = odd[v - 1] + g * x.odd[u]
-            odd[u - 1] = odd[u - 1] + g * x.odd[v]
-        elif not uo and not vo:
-            odd[v - 1] = odd[v - 1] - g * x.odd[u - 2]
-            odd[u - 1] = odd[u - 1] - g * x.odd[v - 2]
-        elif uo and not vo:
-            odd[v - 1] = odd[v - 1] + g * x.odd[u]
-            odd[u - 1] = odd[u - 1] - g * x.odd[v - 2]
-        else:
-            odd[v - 1] = odd[v - 1] - g * x.odd[u - 2]
-            odd[u - 1] = odd[u - 1] + g * x.odd[v]
-    return Supervector(x.m, x.n, x.order, even, odd)
+        table += [(g, *_partner(m, u), m + v - 1), (g, *_partner(m, v), m + u - 1)]
+    coeffs, factors, sources, targets = zip(*table) if table else ((),) * 4
+    row = GrassmannMatrix.from_entries([coeffs], x.order)
+    masks, products = supermatrix._blade_product(
+        np.multiply, row.masks, row.stack * np.asarray(factors), x.col.masks,
+        x.col.stack[:, list(sources), 0][:, None, :], x.order, (1, len(table)))
+    out = np.zeros((len(masks), x.col.rows), dtype=complex)
+    np.add.at(out, (slice(None), list(targets)), products[:, 0, :])
+    return Supervector._adopt(m, x.n, x.col.with_stack(masks, out[:, :, None]))
 
 
 def apply_matrix(mat: Supermatrix, x: Supervector) -> Supervector:
-    """Supermatrix action on a supervector via the column representation."""
+    """Supermatrix action on a supervector: one product with its column."""
     if mat.p != x.m or mat.q != 2 * x.n or mat.order != x.order:
         raise ShapeMismatchError("matrix and vector shapes differ")
-    col = mat.mat @ x.to_column()
-    return Supervector.from_column(x.m, x.n, col)
+    return Supervector._adopt(x.m, x.n, mat.mat @ x.col)
 
 
 # -- supervector reflections ---------------------------------------------------
 
 
-def _diag(values: Sequence[GrassmannNumber], order: int) -> GrassmannMatrix:
-    size = len(values)
-    zero = GrassmannNumber.zero(order)
-    grid = [[values[i] if i == j else zero for j in range(size)] for i in range(size)]
-    return GrassmannMatrix.from_entries(grid, order) if size else \
-        GrassmannMatrix.zeros(0, 0, order)
+@functools.cache
+def _reflection_form(m: int, n: int) -> np.ndarray:
+    """K = blockdiag(-2 I_m, Omega_{2n}), so that <w, x> = -(w^T K x) / 2."""
+    form = np.zeros((m + 2 * n, m + 2 * n))
+    form[:m, :m] = -2.0 * np.eye(m)
+    form[m:, m:] = symplectic_form(n)
+    form.flags.writeable = False
+    return form
 
 
 def reflection_matrix(w: Supervector) -> Supermatrix:
-    """Supermatrix of x -> w x w for w on the supersphere; sdet is -1."""
+    """Supermatrix of x -> w x w for w on the supersphere; sdet is -1.
+
+    It is I + (w w^T) K: one outer product and one multiply by the body K.
+    """
     if not w.on_supersphere():
         raise MembershipError("reflection axis must satisfy w^2 = -1")
-    m, n, order = w.m, w.n, w.order
-    two_n = 2 * n
-    dw = _diag(w.even, order)
-    dwp = _diag(w.odd, order)
-    ones_mm = GrassmannMatrix.from_body(np.ones((m, m)), order)
-    ones_m2n = GrassmannMatrix.from_body(np.ones((m, two_n)), order)
-    ones_2nm = GrassmannMatrix.from_body(np.ones((two_n, m)), order)
-    ones_2n2n = GrassmannMatrix.from_body(np.ones((two_n, two_n)), order)
-    omega = GrassmannMatrix.from_body(symplectic_form(n), order)
-    block_a = GrassmannMatrix.eye(m, order) - (dw @ ones_mm @ dw).scale(2.0)
-    block_b = dw @ ones_m2n @ dwp @ omega
-    block_c = -(dwp @ ones_2nm @ dw).scale(2.0)
-    block_d = GrassmannMatrix.eye(two_n, order) + dwp @ ones_2n2n @ dwp @ omega
-    return Supermatrix.from_blocks(block_a, block_b, block_c, block_d)
+    outer = w.col @ w.col.transpose()
+    kick = outer.with_stack(outer.masks, outer.stack @ _reflection_form(w.m, w.n))
+    return Supermatrix(w.m, 2 * w.n, GrassmannMatrix.eye(w.col.rows, w.order) + kick,
+                       validate=False)
 
 
 def reflect(w: Supervector, x: Supervector) -> Supervector:
-    """The reflection w x w, computed by Clifford multiplication.
+    """The reflection w x w, computed as x - 2<x,w> w.
 
-    Raises MembershipError unless w is on the supersphere (w^2 = -1), the
-    same check as ``reflection_matrix``, whose action equals this map.
+    {x, w} = -2<x,w> (see ``inner``) gives w x = -2<x,w> - x w, and w^2 = -1
+    gives w x w = -2<x,w> w - x w^2 = x - 2<x,w> w; <x,w> is even and
+    central, so it commutes past w.  Raises MembershipError unless w is on
+    the supersphere (w^2 = -1), the same check as ``reflection_matrix``,
+    whose action equals this map.
     """
     w._require_compatible(x)
     if not w.on_supersphere():
         raise MembershipError("reflection axis must satisfy w^2 = -1")
-    cap = 4
-    wc = w.to_clifford(cap)
-    return (wc * x.to_clifford(cap) * wc).as_supervector()
+    return x - w.scale(inner(x, w) * 2.0)
 
 
 def random_supervector(m: int, n: int, order: int, seed: int,

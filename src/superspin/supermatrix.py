@@ -442,8 +442,9 @@ class Supermatrix:
     __slots__ = ("p", "q", "mat")
 
     def __init__(self, p: int, q: int, mat: GrassmannMatrix, validate: bool = True):
-        if mat.rows != mat.cols or mat.rows != p + q:
-            raise ShapeMismatchError(f"expected square size {p + q}, got {mat.rows}")
+        if min(p, q) < 0 or mat.rows != mat.cols or mat.rows != p + q:
+            raise ShapeMismatchError(f"expected p, q >= 0 and square size {p + q}, "
+                                     f"got ({p}|{q}) and {mat.rows}x{mat.cols}")
         self.p = p
         self.q = q
         self.mat = mat

@@ -170,6 +170,35 @@ def test_inner_command(capsys, tmp_path):
     assert (got - inner(x, y)).norm() <= 1e-12
 
 
+def _bad_vectors():
+    good = random_supervector(2, 1, 2, seed=18).to_dict()
+
+    def edit(change):
+        data = json.loads(json.dumps(good))
+        change(data)
+        return data
+
+    return {
+        "parity": edit(lambda d: d["even"][0]["terms"].append({"mask": 1, "re": 1.0})),
+        "mixed-order": edit(lambda d: d["odd"][1].update(N=3)),
+        "counts": edit(lambda d: d["odd"].pop()),
+    }
+
+
+@pytest.mark.parametrize("case", ["parity", "mixed-order", "counts"])
+@pytest.mark.parametrize("command", ["reflect", "act", "inner"])
+def test_bad_supervector_payloads_are_malformed_input(capsys, tmp_path, command, case):
+    bad, good = _bad_vectors()[case], random_supervector(2, 1, 2, seed=19).to_dict()
+    payload = {
+        "reflect": {"w": random_sphere_vector(2, 1, 2, seed=20).to_dict(), "x": bad},
+        "act": {"matrix": random_rotation(2, 1, 2, seed=21).to_dict(), "vector": bad},
+        "inner": {"x": good, "y": bad},
+    }[command]
+    code, out, err = run_cli(capsys, command, "-i", write_json(tmp_path, "bad.json", payload))
+    assert code == 2 and out == ""
+    assert "malformed input" in err
+
+
 def test_phi_and_inverse_roundtrip(capsys, tmp_path):
     import numpy as np
 

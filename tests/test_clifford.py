@@ -1,6 +1,8 @@
 """Clifford-Weyl engine: normal ordering, supervectors, superbivectors,
 the commutator-action isomorphism and supervector reflections."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,9 @@ from superspin import (
     GrassmannMatrix,
     GrassmannNumber,
     MembershipError,
+    OrderMismatchError,
+    ParityError,
+    ShapeMismatchError,
     Supervector,
     apply_matrix,
     bivector_to_matrix,
@@ -29,6 +34,7 @@ from superspin import (
     reflection_matrix,
     wedge,
 )
+from superspin.grassmann import CANON_EPS
 
 M_DIM, N_PLANES, ORDER = 2, 1, 2
 
@@ -397,11 +403,16 @@ def test_reflect_fixes_perpendicular_and_negates_axis():
 @given(m=st.integers(1, 3), n=st.integers(0, 2), order=st.sampled_from([0, 1, 4]),
        seed=st.integers(0, 10_000))
 def test_reflect_matches_reflection_matrix(m, n, order, seed):
-    # the matrix route, once checked inside reflect on every call, as oracle
+    # the matrix route, once checked inside reflect on every call, and the
+    # Clifford product w x w, once reflect's own route, as oracles
     w = random_sphere_vector(m, n, order, seed=seed)
     x = random_supervector(m, n, order, seed=seed + 1)
-    via_matrix = apply_matrix(reflection_matrix(w), x)
-    assert reflect(w, x).isclose(via_matrix, 1e-10)
+    once = reflect(w, x)
+    assert_canonical(once)
+    assert_relative(once, apply_matrix(reflection_matrix(w), x))
+    assert_relative(once, oracle_reflect(w, x))
+    assert_relative(reflect(w, once), x)  # the reflection involution
+    assert_relative(inner(once, w), -inner(x, w))
 
 
 def test_reflect_is_an_involution():
@@ -460,3 +471,189 @@ def test_superbivector_json_roundtrip_and_strictness():
     )
     assert strict.is_strict(tol=0.0)
     assert not rand_bivector(4).is_strict(tol=1e-6)
+
+
+# -- the packed routes against the coordinatewise and Clifford oracles -------------
+#
+# The library computes inner, wedge, the commutator action and reflections on
+# the packed column; the routes below, one GrassmannNumber product per
+# coordinate pair and the Clifford product w x w, are kept as oracles.
+
+
+def oracle_inner(x, y):
+    xe, xo, ye, yo = x.even, x.odd, y.even, y.odd
+    total = GrassmannNumber.zero(x.order)
+    for a, b in zip(xe, ye):
+        total = total + a * b
+    for j in range(x.n):
+        total = total - (xo[2 * j] * yo[2 * j + 1] - xo[2 * j + 1] * yo[2 * j]) * 0.5
+    return total
+
+
+def oracle_wedge(x, y):
+    xe, xo, ye, yo = x.even, x.odd, y.even, y.odd
+    b = {(j, k): xe[j - 1] * ye[k - 1] - xe[k - 1] * ye[j - 1]
+         for j in range(1, x.m + 1) for k in range(j + 1, x.m + 1)}
+    bq = {(j, u): xe[j - 1] * yo[u - 1] - xo[u - 1] * ye[j - 1]
+          for j in range(1, x.m + 1) for u in range(1, 2 * x.n + 1)}
+    bb = {(u, v): xo[u - 1] * yo[v - 1] + xo[v - 1] * yo[u - 1]
+          for u in range(1, 2 * x.n + 1) for v in range(u, 2 * x.n + 1)}
+    return ExtendedSuperbivector(x.m, x.n, x.order, b, bq, bb)
+
+
+def oracle_commutator_action(biv, x):
+    xe, xo = x.even, x.odd
+    even = [GrassmannNumber.zero(x.order) for _ in range(x.m)]
+    odd = [GrassmannNumber.zero(x.order) for _ in range(2 * x.n)]
+    for (j, k), g in biv.b.items():
+        even[k - 1] = even[k - 1] + g * xe[j - 1] * 2.0
+        even[j - 1] = even[j - 1] - g * xe[k - 1] * 2.0
+    for (j, u), g in biv.bq.items():
+        odd[u - 1] = odd[u - 1] + g * xe[j - 1] * 2.0
+        if u % 2 == 1:
+            even[j - 1] = even[j - 1] + g * xo[u]
+        else:
+            even[j - 1] = even[j - 1] - g * xo[u - 2]
+    for (u, v), g in biv.bb.items():
+        uo, vo = u % 2 == 1, v % 2 == 1
+        if uo and vo:
+            odd[v - 1] = odd[v - 1] + g * xo[u]
+            odd[u - 1] = odd[u - 1] + g * xo[v]
+        elif not uo and not vo:
+            odd[v - 1] = odd[v - 1] - g * xo[u - 2]
+            odd[u - 1] = odd[u - 1] - g * xo[v - 2]
+        elif uo and not vo:
+            odd[v - 1] = odd[v - 1] + g * xo[u]
+            odd[u - 1] = odd[u - 1] - g * xo[v - 2]
+        else:
+            odd[v - 1] = odd[v - 1] - g * xo[u - 2]
+            odd[u - 1] = odd[u - 1] + g * xo[v]
+    return Supervector(x.m, x.n, x.order, even, odd)
+
+
+def oracle_reflect(w, x):
+    wc = w.to_clifford(4)
+    return (wc * x.to_clifford(4) * wc).as_supervector()
+
+
+def assert_relative(got, want, tol=1e-12):
+    assert (got - want).norm() <= tol * max(1.0, want.norm())
+
+
+def assert_canonical(vec):
+    stack = vec.to_column().stack
+    tiny = (np.abs(stack.real) < CANON_EPS) & (np.abs(stack.imag) < CANON_EPS)
+    assert not (tiny & (stack != 0)).any()
+
+
+@settings(max_examples=40)
+@given(m=st.integers(0, 3), n=st.integers(0, 2), order=st.sampled_from([0, 1, 4]),
+       seed=st.integers(0, 10_000))
+def test_inner_wedge_and_action_match_coordinatewise_oracles(m, n, order, seed):
+    x = random_supervector(m, n, order, seed=seed)
+    y = random_supervector(m, n, order, seed=seed + 1)
+    biv = rand_bivector(seed + 2, m, n, order)
+    assert_relative(inner(x, y), oracle_inner(x, y))
+    assert_relative(wedge(x, y), oracle_wedge(x, y))
+    acted = commutator_action(biv, x)
+    assert_relative(acted, oracle_commutator_action(biv, x))
+    assert_relative(acted, apply_matrix(bivector_to_matrix(biv), x))
+    for vec in (acted, x + y, x - y, x.scale(1e-15), x.scale(inner(x, y)), -x):
+        assert_canonical(vec)
+
+
+def test_packed_column_is_canonical_like_grassmann_numbers():
+    # masks 0 and 1 at order 2; row 0 is even, rows 1 and 2 odd
+    stack = np.zeros((2, 3, 1), dtype=complex)
+    stack[0, 0, 0] = 1e-15             # dropped
+    stack[1, 0, 0] = 2e-15             # wrong parity, but below CANON_EPS: dropped
+    stack[1, 1, 0] = 5e-15 + 2e-14j    # kept: |im| reaches CANON_EPS
+    stack[1, 2, 0] = 3e-15j            # dropped
+    x = Supervector.from_column(1, 1, GrassmannMatrix(3, 1, 2, masks=(0, 1), stack=stack))
+    assert x.to_column().masks == (1,)
+    assert x.even[0].terms == {} and x.odd[1].terms == {}
+    assert x.odd[0].terms == {1: 5e-15 + 2e-14j}
+    assert x.norm() == abs(5e-15 + 2e-14j)
+    assert (x - x).norm() == 0.0 and not (x - x).to_column().masks
+    assert not x.scale(0.1).to_column().masks
+    assert Supervector.from_dict(x.to_dict()).odd[0] == x.odd[0]
+
+
+def test_empty_supervectors_work():
+    x = Supervector.zero(0, 0, 4)
+    assert x.even == () and x.odd == () and x.norm() == 0.0
+    assert inner(x, x).terms == {} and wedge(x, x).norm() == 0.0
+    assert commutator_action(ExtendedSuperbivector.zero(0, 0, 4), x).norm() == 0.0
+    assert Supervector.from_dict(x.to_dict()).to_column().rows == 0
+    assert (x + x).norm() == x.scale(2.0).norm() == 0.0
+    with pytest.raises(MembershipError):
+        reflect(x, x)
+
+
+def _vector_dict_cases():
+    good = random_supervector(1, 1, 2, seed=3).to_dict()
+
+    def edit(change):
+        data = json.loads(json.dumps(good))
+        change(data)
+        return data
+
+    return [
+        ("odd blade in an even coordinate",
+         edit(lambda d: d["even"][0]["terms"].append({"mask": 1, "re": 1.0})), ParityError),
+        ("even blade in an odd coordinate",
+         edit(lambda d: d["odd"][1]["terms"].append({"mask": 3, "re": 1.0})), ParityError),
+        ("mixed order", edit(lambda d: d["odd"][0].update(N=3)), OrderMismatchError),
+        ("order past MAX_ORDER", {"m": 0, "n": 0, "N": 17, "even": [], "odd": []},
+         OrderMismatchError),
+        ("mask out of range",
+         edit(lambda d: d["odd"][0]["terms"].append({"mask": 4, "re": 1.0})), OrderMismatchError),
+        ("too few even coordinates", edit(lambda d: d["even"].pop()), ShapeMismatchError),
+        ("too many odd coordinates", edit(lambda d: d["odd"].append(d["odd"][0])),
+         ShapeMismatchError),
+        ("negative n", edit(lambda d: d.update(n=-1)), ShapeMismatchError),
+    ]
+
+
+VECTOR_DICT_CASES = _vector_dict_cases()
+
+
+@pytest.mark.parametrize("data, error", [case[1:] for case in VECTOR_DICT_CASES],
+                         ids=[case[0] for case in VECTOR_DICT_CASES])
+def test_supervector_decoding_and_construction_validate(data, error):
+    with pytest.raises(error):
+        Supervector.from_dict(data)
+    try:
+        coords = [[GrassmannNumber.from_dict(g) for g in data[k]] for k in ("even", "odd")]
+    except OrderMismatchError:
+        return  # a malformed coordinate, rejected before the constructor
+    with pytest.raises(error):
+        Supervector(data["m"], data["n"], data["N"], *coords)
+
+
+def _column(rows, cols, order, mask, row):
+    stack = np.zeros((1, rows, cols), dtype=complex)
+    stack[0, row, 0] = 1.0
+    return GrassmannMatrix(rows, cols, order, masks=(mask,), stack=stack)
+
+
+@pytest.mark.parametrize("m, n, col, error", [
+    (1, 1, _column(3, 1, 2, 1, 0), ParityError),    # odd blade, even row
+    (1, 1, _column(3, 1, 2, 3, 2), ParityError),    # even blade, odd row
+    (1, 1, _column(3, 1, 2, 0, 1), ParityError),    # body in an odd row
+    (1, 1, _column(4, 1, 2, 0, 0), ShapeMismatchError),
+    (1, 1, _column(3, 2, 2, 0, 0), ShapeMismatchError),
+    (-1, 1, _column(1, 1, 2, 1, 0), ShapeMismatchError),
+    (0, 0, GrassmannMatrix.zeros(0, 1, 17), OrderMismatchError),
+], ids=["odd-in-even", "even-in-odd", "body-in-odd", "rows", "cols", "negative-m",
+        "order"])
+def test_from_column_validates(m, n, col, error):
+    with pytest.raises(error):
+        Supervector.from_column(m, n, col)
+
+
+def test_from_column_adopts_a_checked_column():
+    x = random_supervector(3, 2, 4, seed=12)
+    again = Supervector.from_column(3, 2, x.to_column())
+    assert again.to_column() is x.to_column()
+    assert all(a == b for a, b in zip((*again.even, *again.odd), (*x.even, *x.odd)))

@@ -9,6 +9,8 @@ term mask must match; coefficients and other floats may differ by at most
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -80,6 +82,17 @@ def test_stdout_matches_golden(capsys, command):
     out = capsys.readouterr().out
     assert code == 0
     assert mismatches(json.loads(out), json.loads(_expected(command))) == []
+
+
+def test_python_dash_m_runs_the_cli_from_a_source_checkout():
+    src = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "superspin", "sdet", "--input", os.path.join(GOLDEN, "sdet.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert mismatches(json.loads(run.stdout), json.loads(_expected("sdet"))) == []
 
 
 @pytest.mark.parametrize("command", COMMANDS)

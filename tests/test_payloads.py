@@ -322,6 +322,9 @@ def _bad_payloads():
         ("re not numeric text", edit(lambda d: term(d).update(re="one")), ValueError),
         ("re too large for a float", edit(lambda d: term(d).update(re=10 ** 400)),
          OverflowError),
+        ("negative p", {"p": -1, "q": 2, "N": 1, "rows": [[{"N": 1, "terms": [
+            {"mask": 0, "re": 2.0}]}]]}, ShapeMismatchError),
+        ("negative q", edit(lambda d: d.update(p=3, q=-1)), ShapeMismatchError),
     ]
 
 
@@ -339,10 +342,11 @@ def test_malformed_matrix_payloads_raise_the_oracle_class_and_exit_2(
     assert type(got.value) is type(want.value)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data).replace("Infinity", "1e999"))
-    assert main(["sdet", "--input", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "malformed input" in captured.err
+    for command in ("sdet", "exp"):
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "malformed input" in captured.err
 
 
 def test_out_of_range_order_is_malformed_even_without_entries(capsys, tmp_path):
