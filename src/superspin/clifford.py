@@ -16,6 +16,11 @@ coefficient products all come from one product of the packed matrix kernel
 combined into the output keys by one gather and ``np.add.reduceat``.
 Supervectors are packed (m + 2n) x 1 columns of the same kernel, so inner,
 wedge, reflections and the commutator action are whole-stack products.
+An extended superbivector is one packed graded-antisymmetric
+(m + 2n) x (m + 2n) matrix S, chosen so that the isomorphism onto the Lie
+algebra so_0 is phi(B) = S K and its inverse S = X K^-1, with
+K = blockdiag(-2 I_m, Omega_2n) the form of ``inner``; its arithmetic is
+whole-stack, and the commutator action has a table of its own over S.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -170,11 +176,10 @@ def _build_key_plan(keys_a: tuple[_Key, ...], keys_b: tuple[_Key, ...], n: int,
 _cached_key_plan = functools.lru_cache(maxsize=_KEY_PLAN_CACHE)(_build_key_plan)
 
 
-def _drop_tiny(values: np.ndarray) -> np.ndarray:
+def _drop_tiny(values: np.ndarray, eps: float | np.ndarray = CANON_EPS) -> np.ndarray:
     """``values`` with the entries whose |re| and |im| are both below
-    CANON_EPS set to zero, as GrassmannNumber canonicalises."""
-    return np.where((np.abs(values.real) < CANON_EPS)
-                    & (np.abs(values.imag) < CANON_EPS), 0.0, values)
+    ``eps`` set to zero, as GrassmannNumber canonicalises."""
+    return np.where((np.abs(values.real) < eps) & (np.abs(values.imag) < eps), 0.0, values)
 
 
 def _product_terms(terms_a: Mapping[_Key, GrassmannNumber],
@@ -408,41 +413,29 @@ class CliffordElement:
         (e'_u (.) e'_v = e'_u e'_v - g_{uv}/2 for u < v); the actual scalar
         part must match the shift implied by the extracted coefficients.
         """
-        b: dict[tuple[int, int], GrassmannNumber] = {}
-        bq: dict[tuple[int, int], GrassmannNumber] = {}
-        bb: dict[tuple[int, int], GrassmannNumber] = {}
-        scalar = GrassmannNumber.zero(self.order)
+        b, bq, bb = {}, {}, {}
         residue = 0.0
         for (emask, alpha), coeff in self.terms.items():
             k = emask.bit_count()
             deg = sum(alpha)
             if k == 2 and deg == 0:
-                lo = (emask & -emask).bit_length()
-                hi = emask.bit_length()
-                b[(lo, hi)] = coeff
+                b[((emask & -emask).bit_length(), emask.bit_length())] = coeff
             elif k == 1 and deg == 1:
                 bq[(emask.bit_length(), alpha.index(1) + 1)] = coeff
             elif k == 0 and deg == 2:
                 support = [i + 1 for i, a in enumerate(alpha) if a]
-                if len(support) == 1:
-                    bb[(support[0], support[0])] = coeff
-                else:
-                    bb[(support[0], support[1])] = coeff
-            elif k == 0 and deg == 0:
-                scalar = coeff
-            else:
+                bb[(support[0], support[-1])] = coeff
+            elif k or deg:
                 residue += coeff.norm()
         if residue > tol * max(1.0, self.norm()):
             raise AlgebraError(
                 f"element is not an extended superbivector (residue {residue:.3e})"
             )
-        expected = GrassmannNumber.zero(self.order)
-        for (u, v), coeff in bb.items():
-            if u != v:
-                expected = expected - coeff * (0.5 * symplectic_pairing(u, v))
-        if (scalar - expected).norm() > tol * max(1.0, self.norm()):
+        biv = ExtendedSuperbivector(self.m, self.n, self.order, b, bq, bb)
+        expected = biv.to_clifford().scalar_part()
+        if (self.scalar_part() - expected).norm() > tol * max(1.0, self.norm()):
             raise AlgebraError("scalar part inconsistent with symmetrized products")
-        return ExtendedSuperbivector(self.m, self.n, self.order, b, bq, bb)
+        return biv
 
     # -- serialization -------------------------------------------------------
 
@@ -504,8 +497,7 @@ class Supervector:
 
     def _check(self) -> None:
         """Order in range; no odd mask in an even row, no even mask in an odd row."""
-        if not 0 <= self.order <= MAX_ORDER:
-            raise OrderMismatchError(f"order must be in [0, {MAX_ORDER}], got {self.order}")
+        check_signature(self.m, self.n, self.order)
         odd = supermatrix._parity_array(self.order)[list(self.col.masks)] == 1
         entries = self.col.stack[:, :, 0]
         if entries[odd, :self.m].any():
@@ -599,13 +591,11 @@ class Supervector:
         return dev.nilpotent().norm() <= nil_tol and abs(dev.body) <= tol
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "N": self.order,
-            "even": [g.to_dict() for g in self.even],
-            "odd": [g.to_dict() for g in self.odd],
-        }
+        """JSON form: every coordinate as ``GrassmannNumber.to_dict`` writes
+        it, read straight from the column."""
+        cells = supermatrix._json_cells(self.order, self.col.masks, self.col.stack[:, :, 0].T)
+        return {"m": self.m, "n": self.n, "N": self.order,
+                "even": cells[:self.m], "odd": cells[self.m:]}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Supervector":
@@ -618,49 +608,140 @@ class Supervector:
         return f"Supervector(m={self.m}, n={self.n}, N={self.order})"
 
 
-class ExtendedSuperbivector:
-    """Coefficients of a degree-2 element: orthogonal, mixed and symplectic
-    families, the last allowed a non-nilpotent (even) coefficient."""
+def check_signature(m: int, n: int, order: int) -> None:
+    """m, n >= 0 (ShapeMismatchError), order in [0, MAX_ORDER] (OrderMismatchError)."""
+    if min(m, n) < 0:
+        raise ShapeMismatchError(f"m and n must be non-negative, got m={m}, n={n}")
+    if not 0 <= order <= MAX_ORDER:
+        raise OrderMismatchError(f"order must be in [0, {MAX_ORDER}], got {order}")
 
-    __slots__ = ("m", "n", "order", "b", "bq", "bb")
+
+class _Layout(NamedTuple):
+    """Where an extended superbivector's coefficients sit in its matrix S.
+
+    ``index[f]`` maps the keys of family f (b, bq, bb), ascending, to
+    coefficient numbers i, and coefficient i is scale[i] * S[rows[i], cols[i]]
+    (keys 1-based, cells 0-based): b_jk = -S[k, j], bq_ju = -S[m + u, j],
+    bb_uv = S[m + u, m + v] and bb_uu = S[m + u, m + u] / 2.  The mirror cell
+    (cols[i], rows[i]) holds the same entry, negated where scale[i] < 0.
+    ``canon`` is CANON_EPS per entry of S, doubled on the D diagonal.
+    """
+
+    index: tuple[Mapping[tuple[int, int], int], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    scale: np.ndarray
+    canon: np.ndarray
+
+
+@functools.cache
+def _layout(m: int, n: int) -> _Layout:
+    (j, k), (u, v) = np.triu_indices(m, 1), np.triu_indices(2 * n)
+    mixed = np.repeat(np.arange(m), 2 * n), np.tile(np.arange(2 * n), m)
+    keys = [list(zip((a + 1).tolist(), (b + 1).tolist())) for a, b in ((j, k), mixed, (u, v))]
+    starts = np.cumsum([0] + [len(family) for family in keys]).tolist()
+    layout = _Layout(
+        tuple(MappingProxyType({key: start + i for i, key in enumerate(family)})
+              for family, start in zip(keys, starts)),
+        np.concatenate([k, m + mixed[1], m + u]), np.concatenate([j, mixed[0], m + v]),
+        np.concatenate([-np.ones(starts[2]), np.where(u == v, 0.5, 1.0)]),
+        CANON_EPS * (1.0 + np.diag(np.arange(m + 2 * n) >= m)))
+    for array in layout[1:]:
+        array.flags.writeable = False
+    return layout
+
+
+def _times(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """values * weights for real weights, the real and imaginary parts
+    scaled apart, so a signed zero part stays as GrassmannNumber keeps it."""
+    out = np.empty(np.broadcast_shapes(values.shape, weights.shape), dtype=complex)
+    out.real = values.real * weights
+    out.imag = values.imag * weights
+    return out
+
+
+def _mirrored(layout: _Layout, size: int, cells: np.ndarray) -> np.ndarray:
+    """The stack of S whose coefficient cells hold ``cells`` (one row per
+    blade), mirrored into the graded-antisymmetric rest of S."""
+    stack = np.zeros((len(cells), size, size), dtype=complex)
+    stack[:, layout.rows, layout.cols] = cells
+    stack[:, layout.cols, layout.rows] = np.where(layout.scale < 0, -cells, cells)
+    return stack
+
+
+class ExtendedSuperbivector:
+    """Degree-2 element: orthogonal (b, even), mixed (bq, odd) and symplectic
+    (bb, even, the body allowed) coefficient families.
+
+    Stored as one packed (m + 2n) x (m + 2n) graded-antisymmetric matrix
+    ``mat`` = S with the (m|2n) parity pattern: S_A antisymmetric with b_jk
+    at (j, k), bq_ju at (j, m + u) with S_C = -S_B^T, and S_D symmetric with
+    bb_uv at (u, v) and 2 bb_uu on the diagonal, so that phi(B) = S K (see
+    ``bivector_to_matrix``).  S is canonical as GrassmannNumber is; ``b``,
+    ``bq`` and ``bb`` list the nonzero coefficients.  Results built from
+    checked matrices skip the parity check (``_adopt``).
+    """
+
+    __slots__ = ("m", "n", "order", "mat")
+
+    _RULES = ("bosonic pair {} needs 1<=j<k<=m", "mixed pair {} out of range",
+              "symplectic pair {} needs 1<=u<=v<=2n")
 
     def __init__(self, m: int, n: int, order: int,
                  b: Mapping[tuple[int, int], GrassmannNumber] | None = None,
                  bq: Mapping[tuple[int, int], GrassmannNumber] | None = None,
                  bb: Mapping[tuple[int, int], GrassmannNumber] | None = None):
-        self.m = m
-        self.n = n
-        self.order = order
-        self.b = {}
-        self.bq = {}
-        self.bb = {}
-        for (j, k), g in (b or {}).items():
-            if not 1 <= j < k <= m:
-                raise ShapeMismatchError(f"bosonic pair ({j},{k}) needs 1<=j<k<=m")
-            self._store(self.b, (j, k), g, "even")
-        for (j, u), g in (bq or {}).items():
-            if not (1 <= j <= m and 1 <= u <= 2 * n):
-                raise ShapeMismatchError(f"mixed pair ({j},{u}) out of range")
-            self._store(self.bq, (j, u), g, "odd")
-        for (u, v), g in (bb or {}).items():
-            if not 1 <= u <= v <= 2 * n:
-                raise ShapeMismatchError(f"symplectic pair ({u},{v}) needs 1<=u<=v<=2n")
-            self._store(self.bb, (u, v), g, "even")
+        check_signature(m, n, order)
+        layout = _layout(m, n)
+        masks, cells, values = [], [], []
+        for index, family, rule in zip(layout.index, (b, bq, bb), self._RULES):
+            for key, g in (family or {}).items():
+                if key not in index:
+                    raise ShapeMismatchError(rule.format(key))
+                if g.order != order:
+                    raise OrderMismatchError("coefficient order mismatch")
+                masks += g.terms
+                cells += [index[key]] * len(g.terms)
+                values += g.terms.values()
+        keys, slot = np.unique(np.asarray(masks, dtype=np.int64), return_inverse=True)
+        coeffs = np.zeros((len(keys), len(layout.scale)), dtype=complex)
+        coeffs[slot, cells] = values
+        # S is canonical: its entries are canonical coefficients, negated or doubled
+        size = m + 2 * n
+        self.m, self.n, self.order = m, n, order
+        self.mat = GrassmannMatrix(size, size, order, masks=keys.tolist(), stack=_mirrored(
+            layout, size, _times(coeffs, 1.0 / layout.scale)))
+        self._check()
 
-    def _store(self, target, key, g, parity):
-        if g.order != self.order:
-            raise OrderMismatchError("coefficient order mismatch")
-        if g.terms and g.parity() != parity:
-            raise ParityError(f"coefficient at {key} must be {parity}")
-        if g.terms:
-            target[key] = g
+    @classmethod
+    def _adopt(cls, m: int, n: int, mat: GrassmannMatrix) -> "ExtendedSuperbivector":
+        clean = _drop_tiny(mat.stack, _layout(m, n).canon)
+        biv = object.__new__(cls)
+        biv.m, biv.n, biv.order = m, n, mat.order
+        biv.mat = mat if (clean == mat.stack).all() else mat.with_stack(mat.masks, clean)
+        return biv
+
+    def _check(self) -> None:
+        """Even b and bb, odd bq: the (m|2n) parity pattern of S."""
+        Supermatrix(self.m, 2 * self.n, self.mat, validate=False).validate_parity(0.0)
+
+    def _values(self) -> np.ndarray:
+        """Every coefficient, one row per blade of ``mat``."""
+        layout = _layout(self.m, self.n)
+        return _times(self.mat.stack[:, layout.rows, layout.cols], layout.scale)
+
+    def _family(self, f: int) -> dict[tuple[int, int], GrassmannNumber]:
+        index = _layout(self.m, self.n).index[f]
+        values = self._values()[:, list(index.values())].T.tolist()
+        return {key: self.mat._number(cell) for key, cell in zip(index, values) if any(cell)}
+
+    b = property(lambda self: self._family(0), doc="{(j, k): b_jk}, j < k")
+    bq = property(lambda self: self._family(1), doc="{(j, u): bq_ju}")
+    bb = property(lambda self: self._family(2), doc="{(u, v): bb_uv}, u <= v")
 
     @classmethod
     def zero(cls, m, n, order):
         return cls(m, n, order)
-
-    def _families(self):
-        return (("b", self.b), ("bq", self.bq), ("bb", self.bb))
 
     def _require_compatible(self, other: "ExtendedSuperbivector") -> None:
         if (self.m, self.n, self.order) != (other.m, other.n, other.order):
@@ -668,28 +749,24 @@ class ExtendedSuperbivector:
 
     def __add__(self, other: "ExtendedSuperbivector") -> "ExtendedSuperbivector":
         self._require_compatible(other)
-        fams = []
-        for (_, mine), (_, theirs) in zip(self._families(), other._families()):
-            out = dict(mine)
-            for key, g in theirs.items():
-                out[key] = out[key] + g if key in out else g
-            fams.append(out)
-        return ExtendedSuperbivector(self.m, self.n, self.order, *fams)
+        return ExtendedSuperbivector._adopt(self.m, self.n, self.mat + other.mat)
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "ExtendedSuperbivector") -> "ExtendedSuperbivector":
+        self._require_compatible(other)
+        return ExtendedSuperbivector._adopt(self.m, self.n, self.mat - other.mat)
 
     def __neg__(self):
         return self.scale(-1.0)
 
     def scale(self, factor) -> "ExtendedSuperbivector":
-        fams = []
-        for _, fam in self._families():
-            fams.append({key: g * factor for key, g in fam.items()})
-        return ExtendedSuperbivector(self.m, self.n, self.order, *fams)
+        """Scale by a complex number or an even Grassmann number."""
+        if isinstance(factor, GrassmannNumber) and not factor.is_even():
+            raise ParityError("superbivector scaling factor must be even")
+        return ExtendedSuperbivector._adopt(self.m, self.n, self.mat.scale(factor))
 
     def norm(self) -> float:
-        return sum(g.norm() for _, fam in self._families() for g in fam.values())
+        """Sum of the coefficients' norms."""
+        return float(np.abs(self._values()).sum())
 
     def isclose(self, other: "ExtendedSuperbivector", tol: float = DEFAULT_TOL) -> bool:
         self._require_compatible(other)
@@ -698,47 +775,31 @@ class ExtendedSuperbivector:
 
     def is_strict(self, tol: float = 0.0) -> bool:
         """True when every symplectic coefficient is nilpotent (zero body)."""
-        return all(abs(g.body) <= tol for g in self.bb.values())
+        d = self.mat.body()[self.m:, self.m:]
+        return bool((np.abs(d) * np.where(np.eye(len(d)), 0.5, 1.0) <= tol).all())
 
     def to_clifford(self, cap: int = DEFAULT_CAP) -> CliffordElement:
-        n2 = 2 * self.n
-        zeros = (0,) * n2
-        terms: dict[tuple[int, tuple[int, ...]], GrassmannNumber] = {}
+        """b_jk e_j e_k + bq_ju e_j e'_u + bb_uv e'_u (.) e'_v in normal order,
+        e'_u (.) e'_v = e'_u e'_v - g_uv / 2 for u < v."""
+        def key(emask, *us):
+            return emask, tuple(us.count(w) for w in range(1, 2 * self.n + 1))
 
-        def _add(key, g):
-            terms[key] = terms[key] + g if key in terms else g
-
-        for (j, k), g in self.b.items():
-            _add(((1 << (j - 1)) | (1 << (k - 1)), zeros), g)
-        for (j, u), g in self.bq.items():
-            alpha = [0] * n2
-            alpha[u - 1] = 1
-            _add(((1 << (j - 1)), tuple(alpha)), g)
-        for (u, v), g in self.bb.items():
-            alpha = [0] * n2
-            alpha[u - 1] += 1
-            alpha[v - 1] += 1
-            _add((0, tuple(alpha)), g)
-            if u != v:
-                pairing = symplectic_pairing(u, v)
-                if pairing:
-                    _add((0, zeros), g * (-0.5 * pairing))
+        terms = {key((1 << (j - 1)) | (1 << (k - 1))): g for (j, k), g in self.b.items()}
+        terms.update({key(1 << (j - 1), u): g for (j, u), g in self.bq.items()})
+        terms.update({key(0, u, v): g for (u, v), g in self.bb.items()})
+        terms[key(0)] = sum((g * (-0.5 * symplectic_pairing(u, v))
+                             for (u, v), g in self.bb.items()), GrassmannNumber.zero(self.order))
         return CliffordElement(self.m, self.n, self.order, cap, terms)
 
     def to_dict(self) -> dict:
-        def fam(d):
-            return [
-                {"j": j, "k": k, "coeff": d[(j, k)].to_dict()}
-                for (j, k) in sorted(d)
-            ]
-        return {
-            "m": self.m,
-            "n": self.n,
-            "N": self.order,
-            "b": fam(self.b),
-            "bq": fam(self.bq),
-            "B": fam(self.bb),
-        }
+        """JSON form: the nonzero coefficients of each family by ascending
+        key, each as ``GrassmannNumber.to_dict`` writes it, read straight
+        from the stack."""
+        cells = supermatrix._json_cells(self.order, self.mat.masks, self._values().T)
+        b, bq, bb = ([{"j": j, "k": k, "coeff": cells[i]}
+                      for (j, k), i in index.items() if cells[i]["terms"]]
+                     for index in _layout(self.m, self.n).index)
+        return {"m": self.m, "n": self.n, "N": self.order, "b": b, "bq": bq, "B": bb}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExtendedSuperbivector":
@@ -750,11 +811,10 @@ class ExtendedSuperbivector:
                 out[key] = out[key] + g if key in out else g
             return out
         return cls(int(data["m"]), int(data["n"]), int(data["N"]),
-                   fam(data.get("b", [])), fam(data.get("bq", [])),
-                   fam(data.get("B", [])))
+                   *(fam(data.get(name, [])) for name in ("b", "bq", "B")))
 
     def __repr__(self):
-        sizes = {name: len(fam) for name, fam in self._families()}
+        sizes = {"b": len(self.b), "bq": len(self.bq), "bb": len(self.bb)}
         return (f"ExtendedSuperbivector(m={self.m}, n={self.n}, N={self.order}, "
                 f"coeffs={sizes})")
 
@@ -803,107 +863,38 @@ def inner(x: Supervector, y: Supervector) -> GrassmannNumber:
     return GrassmannNumber(x.order, dict(zip(masks, stack[:, 0, 0].tolist())))
 
 
-def _family_keys(m: int, two_n: int) -> tuple[list[tuple[int, int]], ...]:
-    """Keys of the b (j < k), bq and bb (u <= v) superbivector families."""
-    return ([(j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1)],
-            [(j, u) for j in range(1, m + 1) for u in range(1, two_n + 1)],
-            [(u, v) for u in range(1, two_n + 1) for v in range(u, two_n + 1)])
-
-
-def _read_family(mat: GrassmannMatrix, keys, cell) -> dict[tuple[int, int], GrassmannNumber]:
-    """{key: factor * mat[row, col]} with (row, col, factor) = cell(*key),
-    read from the stack at once; all-zero entries are left out."""
-    rows, cols, factors = zip(*(cell(*key) for key in keys)) if keys else ((),) * 3
-    values = (mat.stack[:, list(rows), list(cols)] * np.asarray(factors)).T.tolist()
-    return {key: mat._number(v) for key, v in zip(keys, values) if any(v)}
-
-
 def wedge(x: Supervector, y: Supervector) -> ExtendedSuperbivector:
     """Wedge product of supervectors; its symplectic part is nilpotent.
 
-    One outer product P = x y^T: b_{jk} and bq_{ju} are entries of P - P^T,
-    bb_{uv} (u <= v) entries of P + P^T.
+    With P = x y^T, S = P - sigma(P^T), sigma flipping the sign of the D
+    block, and the D diagonal doubled: b_jk and bq_ju are entries of
+    P - P^T, bb_uv (u <= v) of P + P^T.
     """
     x._require_compatible(y)
-    m = x.m
-    b, bq, bb = _family_keys(m, 2 * x.n)
+    m, size = x.m, x.col.rows
     outer = x.col @ y.col.transpose()
     flipped = outer.stack.transpose(0, 2, 1)
-    anti = outer.with_stack(outer.masks, outer.stack - flipped)
-    return ExtendedSuperbivector(
-        m, x.n, x.order, _read_family(anti, b, lambda j, k: (j - 1, k - 1, 1.0)),
-        _read_family(anti, bq, lambda j, u: (j - 1, m + u - 1, 1.0)),
-        _read_family(outer.with_stack(outer.masks, outer.stack + flipped), bb,
-                     lambda u, v: (m + u - 1, m + v - 1, 1.0)))
+    stack = outer.stack - flipped
+    stack[:, m:, m:] = outer.stack[:, m:, m:] + flipped[:, m:, m:]
+    stack[:, range(m, size), range(m, size)] *= 2.0
+    return ExtendedSuperbivector._adopt(m, x.n, outer.with_stack(outer.masks, stack))
 
 
 # -- the linear action of a superbivector -------------------------------------
 
 
 def bivector_to_matrix(biv: ExtendedSuperbivector) -> Supermatrix:
-    """Supermatrix of the commutator action x -> [B, x]; lands in so_0."""
-    m, n, order = biv.m, biv.n, biv.order
-    size = m + 2 * n
-    masks: list[int] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    values: list[complex] = []
-
-    def _spread(g, i, j, factor):
-        for mask, c in g.terms.items():
-            masks.append(mask)
-            rows.append(i)
-            cols.append(j)
-            values.append(c * factor)
-
-    for (j, k), g in biv.b.items():
-        # A block: 2 b (E_{k,j} - E_{j,k})
-        _spread(g, k - 1, j - 1, 2.0)
-        _spread(g, j - 1, k - 1, -2.0)
-    for (j, u), g in biv.bq.items():
-        row = m + u - 1
-        if u % 2 == 1:
-            # e_j e'_{2k-1}: B gains E_{j,2k}, C gains 2 E_{2k-1,j}
-            _spread(g, j - 1, m + u, 1.0)
-            _spread(g, row, j - 1, 2.0)
-        else:
-            # e_j e'_{2k}: B gains -E_{j,2k-1}, C gains 2 E_{2k,j}
-            _spread(g, j - 1, m + u - 2, -1.0)
-            _spread(g, row, j - 1, 2.0)
-    for (u, v), g in biv.bb.items():
-        uo, vo = u % 2 == 1, v % 2 == 1
-        if uo and vo:
-            # e'_{2j-1} (.) e'_{2k-1} -> E_{2j-1,2k} + E_{2k-1,2j}
-            _spread(g, m + u - 1, m + v, 1.0)
-            _spread(g, m + v - 1, m + u, 1.0)
-        elif not uo and not vo:
-            # e'_{2j} (.) e'_{2k} -> -(E_{2j,2k-1} + E_{2k,2j-1})
-            _spread(g, m + u - 1, m + v - 2, -1.0)
-            _spread(g, m + v - 1, m + u - 2, -1.0)
-        elif uo and not vo:
-            # e'_{2j-1} (.) e'_{2k} -> E_{2k,2j} - E_{2j-1,2k-1}
-            _spread(g, m + v - 1, m + u, 1.0)
-            _spread(g, m + u - 1, m + v - 2, -1.0)
-        else:
-            # e'_{2j} (.) e'_{2k-1} with j < k: E_{2j,2k} - E_{2k-1,2j-1}
-            _spread(g, m + u - 1, m + v, 1.0)
-            _spread(g, m + v - 1, m + u - 2, -1.0)
-    keys, slot = np.unique(np.asarray(masks, dtype=np.int64), return_inverse=True)
-    stack = np.zeros((len(keys), size, size), dtype=complex)
-    np.add.at(stack, (slot, np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)),
-              np.asarray(values, dtype=complex))
-    mat = GrassmannMatrix(size, size, order, masks=keys.tolist(), stack=stack)
-    return Supermatrix(m, 2 * n, mat, validate=False)
-
-
-def _partner(m: int, u: int) -> tuple[float, int]:
-    """Sign and packed-column row of the coordinate that e'_u pairs with in
-    the commutator action: +x'_{u+1} for odd u, -x'_{u-1} for even u."""
-    return (1.0, m + u) if u % 2 else (-1.0, m + u - 2)
+    """Supermatrix phi(B) of the commutator action x -> [B, x], in so_0:
+    S K with K = ``_reflection_form``, one product with a body matrix."""
+    mat = biv.mat
+    return Supermatrix(biv.m, 2 * biv.n, mat.with_stack(
+        mat.masks, mat.stack @ _reflection_form(biv.m, biv.n)), validate=False)
 
 
 def matrix_to_bivector(x: Supermatrix, tol: float = DEFAULT_TOL) -> ExtendedSuperbivector:
-    """Inverse of the commutator-action map on so_0 supermatrices."""
+    """Inverse of ``bivector_to_matrix`` on so_0: S = X K^-1, its lower A, C
+    and upper D blocks mirrored into the rest.  X must pass
+    ``check_so0_algebra`` (MembershipError) and the parity pattern."""
     from .orthosymplectic import check_so0_algebra
 
     report = check_so0_algebra(x, tol)
@@ -911,46 +902,64 @@ def matrix_to_bivector(x: Supermatrix, tol: float = DEFAULT_TOL) -> ExtendedSupe
         raise MembershipError(
             f"matrix is not in so_0 (residual {report.residual:.3e})"
         )
-    m, two_n = x.p, x.q
+    m, n = x.p, x.q // 2
+    layout = _layout(m, n)
+    product = x.mat.stack @ _reflection_form_inverse(m, n)
+    biv = ExtendedSuperbivector._adopt(m, n, x.mat.with_stack(
+        x.mat.masks, _mirrored(layout, x.size, product[:, layout.rows, layout.cols])))
+    biv._check()
+    return biv
 
-    def bb_cell(u, v):
-        # [B, x] adds sign * bb_uv * x[source] to row m + u - 1, twice for u = v
-        sign, source = _partner(m, v)
-        return m + u - 1, source, sign * (0.5 if u == v else 1.0)
 
-    b, bq, bb = _family_keys(m, two_n)
-    return ExtendedSuperbivector(
-        m, two_n // 2, x.order, _read_family(x.mat, b, lambda j, k: (k - 1, j - 1, 0.5)),
-        _read_family(x.mat, bq, lambda j, u: (m + u - 1, j - 1, 0.5)),
-        _read_family(x.mat, bb, bb_cell))
+@functools.cache
+def _action_table(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """The terms of [B, x] as index arrays over S: term t adds
+    factor[t] * S[row[t], col[t]] * x[source[t]] to coordinate target[t].
+
+    From the commutators: b_jk sends x_j to 2 b_jk x_j in k and x_k to
+    -2 b_jk x_k in j; bq_ju sends x_j to 2 bq_ju x_j in u and the partner w
+    of u to +-bq_ju x'_w in j (+ for odd u); bb_uv sends the partner of u
+    into v and that of v into u (S holds 2 bb_uu on the diagonal).
+    """
+    def partner(u: int) -> tuple[float, int]:
+        # e'_u pairs with +x'_{u+1} for odd u, -x'_{u-1} for even u (1-based)
+        return (1.0, m + u + 1) if u % 2 == 0 else (-1.0, m + u - 1)
+
+    terms = []
+    for j in range(m):
+        for k in range(j + 1, m):
+            terms += [(j, k, 2.0, j, k), (j, k, -2.0, k, j)]
+        for u in range(2 * n):
+            terms += [(j, m + u, 2.0, j, m + u), (j, m + u, *partner(u), j)]
+    for u in range(2 * n):
+        for v in range(u, 2 * n):
+            half = 0.5 if u == v else 1.0
+            (su, pu), (sv, pv) = partner(u), partner(v)
+            terms += [(m + u, m + v, half * su, pu, m + v),
+                      (m + u, m + v, half * sv, pv, m + u)]
+    table = tuple(np.array(column) for column in zip(*terms)) if terms else (
+        np.zeros(0, dtype=np.int64),) * 5
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def commutator_action(biv: ExtendedSuperbivector, x: Supervector) -> Supervector:
-    """[B, x] from its own (coefficient, factor, source, target) table;
+    """[B, x] from its own table of terms over S (``_action_table``);
     agrees with the matrix action.
 
-    Each coefficient g of B adds factor * g * x[source] to coordinate
-    ``target``: one elementwise blade product of the scaled coefficients
-    with the gathered coordinates, summed into place by one ``np.add.at``.
+    One elementwise blade product of the scaled entries of S with the
+    gathered coordinates, summed into place by one ``np.add.at``.
     """
     if (biv.m, biv.n, biv.order) != (x.m, x.n, x.order):
         raise ShapeMismatchError("bivector and supervector shapes differ")
-    m = x.m
-    table = []
-    for (j, k), g in biv.b.items():
-        table += [(g, 2.0, j - 1, k - 1), (g, -2.0, k - 1, j - 1)]
-    for (j, u), g in biv.bq.items():
-        table += [(g, 2.0, j - 1, m + u - 1), (g, *_partner(m, u), j - 1)]
-    for (u, v), g in biv.bb.items():
-        table += [(g, *_partner(m, u), m + v - 1), (g, *_partner(m, v), m + u - 1)]
-    coeffs, factors, sources, targets = zip(*table) if table else ((),) * 4
-    row = GrassmannMatrix.from_entries([coeffs], x.order)
+    rows, cols, factors, sources, targets = _action_table(x.m, x.n)
     masks, products = supermatrix._blade_product(
-        np.multiply, row.masks, row.stack * np.asarray(factors), x.col.masks,
-        x.col.stack[:, list(sources), 0][:, None, :], x.order, (1, len(table)))
+        np.multiply, biv.mat.masks, (biv.mat.stack[:, rows, cols] * factors)[:, None, :],
+        x.col.masks, x.col.stack[:, sources, 0][:, None, :], x.order, (1, len(rows)))
     out = np.zeros((len(masks), x.col.rows), dtype=complex)
-    np.add.at(out, (slice(None), list(targets)), products[:, 0, :])
-    return Supervector._adopt(m, x.n, x.col.with_stack(masks, out[:, :, None]))
+    np.add.at(out, (slice(None), targets), products[:, 0, :])
+    return Supervector._adopt(x.m, x.n, x.col.with_stack(masks, out[:, :, None]))
 
 
 def apply_matrix(mat: Supermatrix, x: Supervector) -> Supervector:
@@ -969,6 +978,15 @@ def _reflection_form(m: int, n: int) -> np.ndarray:
     form = np.zeros((m + 2 * n, m + 2 * n))
     form[:m, :m] = -2.0 * np.eye(m)
     form[m:, m:] = symplectic_form(n)
+    form.flags.writeable = False
+    return form
+
+
+@functools.cache
+def _reflection_form_inverse(m: int, n: int) -> np.ndarray:
+    """K^-1 = blockdiag(-I_m / 2, Omega_{2n}^T)."""
+    form = _reflection_form(m, n).T.copy()
+    form[:m, :m] = -0.5 * np.eye(m)
     form.flags.writeable = False
     return form
 

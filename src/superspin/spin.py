@@ -5,6 +5,8 @@ the double cover, and the fractional Fourier correspondence.
 
 Spin elements stay formal (factor lists); everything quantitative routes
 through the matrix representation or through degree-capped Clifford series.
+The generator split works on a bivector's packed matrix S: its nilpotent
+part, and the Cartan split of its body's symplectic block by Omega.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .clifford import (
     CliffordElement,
     ExtendedSuperbivector,
     bivector_to_matrix,
+    check_signature,
     clifford_exp,
     matrix_to_bivector,
 )
@@ -31,7 +34,7 @@ from .orthosymplectic import (
     decompose_rotation,
     to_unitary,
 )
-from .supermatrix import Supermatrix, expm
+from .supermatrix import GrassmannMatrix, Supermatrix, expm, symplectic_form
 
 
 class SpinElement:
@@ -41,6 +44,7 @@ class SpinElement:
 
     def __init__(self, m: int, n: int, order: int,
                  factors: Sequence[ExtendedSuperbivector] = ()):
+        check_signature(m, n, order)
         for f in factors:
             if (f.m, f.n, f.order) != (m, n, order):
                 raise ShapeMismatchError("factor signature mismatch")
@@ -111,67 +115,23 @@ class BivectorSplit:
 
 
 def split_bivector(biv: ExtendedSuperbivector) -> BivectorSplit:
-    """Exact three-way split; the pieces sum back to the input."""
-    m, n, order = biv.m, biv.n, biv.order
+    """Exact three-way split of S; the pieces sum back to the input.
 
-    def scal(value: complex) -> GrassmannNumber:
-        return GrassmannNumber.scalar(order, value)
-
-    b1: dict[tuple[int, int], GrassmannNumber] = {}
-    b3: dict[tuple[int, int], GrassmannNumber] = {}
-    for key, g in biv.b.items():
-        if g.body != 0:
-            b1[key] = scal(g.body)
-        nil = g.nilpotent()
-        if nil.terms:
-            b3[key] = nil
-    bq3 = dict(biv.bq)
-    bb1: dict[tuple[int, int], GrassmannNumber] = {}
-    bb2: dict[tuple[int, int], GrassmannNumber] = {}
-    bb3: dict[tuple[int, int], GrassmannNumber] = {}
-    for key, g in biv.bb.items():
-        nil = g.nilpotent()
-        if nil.terms:
-            bb3[key] = nil
-
-    def body_of(u: int, v: int) -> complex:
-        g = biv.bb.get((u, v))
-        return g.body if g is not None else 0.0
-
-    def put(target, key, value):
-        if value != 0:
-            target[key] = target.get(key, scal(0.0)) + scal(value)
-
-    for plane_j in range(1, n + 1):
-        for plane_k in range(plane_j, n + 1):
-            uo, ue = 2 * plane_j - 1, 2 * plane_j
-            vo, ve = 2 * plane_k - 1, 2 * plane_k
-            beta_oo = body_of(uo, vo)
-            beta_ee = body_of(ue, ve)
-            half_sum = 0.5 * (beta_oo + beta_ee)
-            half_diff = 0.5 * (beta_oo - beta_ee)
-            put(bb1, (uo, vo), half_sum)
-            put(bb1, (ue, ve), half_sum)
-            put(bb2, (uo, vo), half_diff)
-            put(bb2, (ue, ve), -half_diff)
-            if plane_j == plane_k:
-                # the in-plane mixed term is itself a symmetric generator
-                put(bb2, (uo, ue), body_of(uo, ue))
-            else:
-                beta_oe = body_of(uo, ve)
-                beta_eo = body_of(ue, vo)
-                anti = 0.5 * (beta_oe - beta_eo)
-                sym = 0.5 * (beta_oe + beta_eo)
-                put(bb1, (uo, ve), anti)
-                put(bb1, (ue, vo), -anti)
-                put(bb2, (uo, ve), sym)
-                put(bb2, (ue, vo), sym)
-    empty: dict = {}
-    return BivectorSplit(
-        ExtendedSuperbivector(m, n, order, b1, empty, bb1),
-        ExtendedSuperbivector(m, n, order, empty, empty, bb2),
-        ExtendedSuperbivector(m, n, order, b3, bq3, bb3),
-    )
+    The nilpotent part of S is the nilpotent summand.  The body's A block
+    goes to the compact summand, and its D block splits by the Cartan split
+    of sp(2n): the half (S_D - Omega S_D Omega) / 2, whose generator commutes
+    with Omega, is compact and (S_D + Omega S_D Omega) / 2 symmetric.
+    """
+    m, omega, mat = biv.m, symplectic_form(biv.n), biv.mat
+    compact = mat.body()
+    d = compact[m:, m:].copy()
+    turned = omega @ d @ omega
+    compact[m:, m:] = (d - turned) / 2
+    symmetric = np.zeros_like(compact)
+    symmetric[m:, m:] = (d + turned) / 2
+    return BivectorSplit(*(ExtendedSuperbivector._adopt(m, biv.n, part) for part in (
+        GrassmannMatrix.from_body(compact, biv.order),
+        GrassmannMatrix.from_body(symmetric, biv.order), mat.nilpotent_part())))
 
 
 def lift_rotation(mat: Supermatrix, tol: float = DEFAULT_TOL) -> SpinElement:
@@ -289,13 +249,8 @@ def _compact_membership(biv: ExtendedSuperbivector, tol: float) -> None:
 
 def _bosonic_exponential(biv: ExtendedSuperbivector) -> CliffordElement:
     """exp of the bosonic bivector part inside the finite algebra on the e_j."""
-    m, order = biv.m, biv.order
-    element = CliffordElement.zero(m, 0, order, cap=0)
-    for (j, k), g in biv.b.items():
-        blade = CliffordElement(m, 0, order, 0,
-                                {((1 << (j - 1)) | (1 << (k - 1)), ()): g})
-        element = element + blade
-    return clifford_exp(element)
+    return clifford_exp(CliffordElement(biv.m, 0, biv.order, 0, {
+        ((1 << (j - 1)) | (1 << (k - 1)), ()): g for (j, k), g in biv.b.items()}))
 
 
 def kernel_sign(biv: ExtendedSuperbivector, tol: float = 1e-8) -> int | None:

@@ -643,19 +643,10 @@ class Supermatrix:
 
     def to_dict(self) -> dict:
         """JSON form: every entry as ``GrassmannNumber.to_dict`` writes it,
-        built straight from the stack (one canonical filter over all
-        coefficients, floats through ``tolist`` so they keep their repr)."""
-        mat, size = self.mat, self.size
-        stack = mat.stack.transpose(1, 2, 0)
-        re, im = stack.real, stack.imag
-        kept = (np.abs(re) >= CANON_EPS) | (np.abs(im) >= CANON_EPS)
-        ii, jj, kk = np.nonzero(kept)
-        terms = [{"mask": m, "re": r, "im": i} for m, r, i in zip(
-            np.asarray(mat.masks, dtype=np.int64)[kk].tolist(),
-            re[ii, jj, kk].tolist(), im[ii, jj, kk].tolist())]
-        ends = np.cumsum(kept.sum(axis=2).ravel()).tolist()
-        cells = [{"N": self.order, "terms": terms[start:end]}
-                 for start, end in zip([0] + ends, ends)]
+        built straight from the stack by ``_json_cells``."""
+        size = self.size
+        cells = _json_cells(self.order, self.mat.masks,
+                            self.mat.stack.reshape(len(self.mat.masks), size * size).T)
         return {
             "p": self.p,
             "q": self.q,
@@ -705,6 +696,21 @@ class Supermatrix:
         return f"Supermatrix(p={self.p}, q={self.q}, N={self.order})"
 
 
+def _json_cells(order: int, masks: Sequence[int], values: np.ndarray) -> list[dict]:
+    """``GrassmannNumber.to_dict`` of each row of ``values`` (cells x blades,
+    the blades being ``masks``), built straight from the array: one
+    canonical CANON_EPS filter over all coefficients, floats through
+    ``tolist`` so they keep their repr."""
+    re, im = values.real, values.imag
+    kept = (np.abs(re) >= CANON_EPS) | (np.abs(im) >= CANON_EPS)
+    ii, kk = np.nonzero(kept)
+    terms = [{"mask": m, "re": r, "im": i} for m, r, i in zip(
+        np.asarray(masks, dtype=np.int64)[kk].tolist(), re[ii, kk].tolist(),
+        im[ii, kk].tolist())]
+    ends = np.cumsum(kept.sum(axis=1)).tolist()
+    return [{"N": order, "terms": terms[start:end]} for start, end in zip([0] + ends, ends)]
+
+
 def expm(m: Supermatrix) -> Supermatrix:
     """Matrix exponential by scaling and squaring over Lambda_N.
 
@@ -735,13 +741,14 @@ def logm(m: Supermatrix) -> Supermatrix:
     """Series logarithm around the identity.
 
     Exact finite series when m - I is nilpotent; otherwise requires either
-    ||m - I|| < 1 or the body of m - I to have spectral radius below 1.
+    ||m - I|| < 1 or the body of m - I to have spectral radius below 1, and
+    raises LogDomainError when 5000 terms do not meet the stopping test.
     """
     delta = m - Supermatrix.eye(m.p, m.q, m.order)
     body = delta.body_matrix()
     body_norm = float(np.abs(body).max()) if body.size else 0.0
     if body_norm == 0.0:
-        max_iter = m.order
+        max_iter = m.order + 1  # (m - I)^(N + 1) = 0 ends the sum
     elif delta.norm() < 1.0:
         max_iter = 5000
     else:
@@ -760,6 +767,10 @@ def logm(m: Supermatrix) -> Supermatrix:
         result = result + power.scale((-1.0) ** (k + 1) / k)
         if k > 4 and power.norm() / k <= SERIES_EPS * max(1.0, result.norm()):
             break
+    else:
+        raise LogDomainError(
+            f"logarithm series did not converge in {max_iter} terms "
+            f"(last term norm {power.norm() / max_iter:.3e})")
     return result
 
 

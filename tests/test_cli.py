@@ -88,6 +88,16 @@ def test_ln_domain_violation_exit_code(capsys, tmp_path):
     assert "domain violation" in err
 
 
+def test_ln_that_does_not_converge_is_a_domain_violation(capsys, tmp_path):
+    body = np.eye(3, dtype=complex)
+    body[:2, :2] = [[np.cos(1.045), -np.sin(1.045)], [np.sin(1.045), np.cos(1.045)]]
+    path = write_json(tmp_path, "rotation.json",
+                      Supermatrix.from_body(3, 0, body, 2).to_dict())
+    code, out, err = run_cli(capsys, "ln", "-i", path)
+    assert code == 1 and out == ""
+    assert "did not converge" in err
+
+
 def test_decompose_emits_spec_keys(capsys, rotation):
     mat, path = rotation
     code, out, _ = run_cli(capsys, "decompose", "-i", path)
@@ -195,6 +205,68 @@ def test_bad_supervector_payloads_are_malformed_input(capsys, tmp_path, command,
         "inner": {"x": good, "y": bad},
     }[command]
     code, out, err = run_cli(capsys, command, "-i", write_json(tmp_path, "bad.json", payload))
+    assert code == 2 and out == ""
+    assert "malformed input" in err
+
+
+def _bad_bivectors():
+    rng = np.random.default_rng(22)
+    from superspin import random_grassmann
+
+    good = ExtendedSuperbivector(
+        2, 1, 2, b={(1, 2): random_grassmann(rng, 2, parity="even")},
+        bq={(1, 1): random_grassmann(rng, 2, parity="odd")},
+        bb={(1, 2): random_grassmann(rng, 2, parity="even")}).to_dict()
+
+    def edit(change):
+        data = json.loads(json.dumps(good))
+        change(data)
+        return data
+
+    def term(family, mask):
+        return lambda d: d[family][0]["coeff"]["terms"].append({"mask": mask, "re": 1.0})
+
+    return {
+        "b-parity": edit(term("b", 1)),
+        "bq-parity": edit(term("bq", 3)),
+        "B-parity": edit(term("B", 2)),
+        "swapped-key": edit(lambda d: d["b"][0].update(j=2, k=1)),
+        "diagonal-b-key": edit(lambda d: d["b"][0].update(k=1)),
+        "bq-key-range": edit(lambda d: d["bq"][0].update(k=3)),
+        "B-key-range": edit(lambda d: d["B"][0].update(j=0)),
+        "swapped-B-key": edit(lambda d: d["B"][0].update(j=2, k=1)),
+        "mixed-order": edit(lambda d: d["bq"][0]["coeff"].update(N=3)),
+        "mask-range": edit(lambda d: d["b"][0]["coeff"]["terms"].append(
+            {"mask": 4, "re": 1.0})),
+        "order-17": {"m": 1, "n": 0, "N": 17},
+        "order-negative": {"m": 1, "n": 0, "N": -1},
+        "negative-m": {"m": -1, "n": 1, "N": 2},
+        "negative-n": {"m": 2, "n": -1, "N": 2},
+    }
+
+
+BAD_BIVECTORS = sorted(_bad_bivectors())
+
+
+@pytest.mark.parametrize("case", BAD_BIVECTORS)
+def test_bad_bivector_payloads_are_malformed_input(capsys, tmp_path, case):
+    path = write_json(tmp_path, "bad.json", _bad_bivectors()[case])
+    code, out, err = run_cli(capsys, "phi", "-i", path)
+    assert code == 2 and out == ""
+    assert "malformed input" in err
+
+
+@pytest.mark.parametrize("signature", [(1, 0, 17), (1, 0, -1), (-1, 1, 2), (1, -1, 2)],
+                         ids=["order-17", "order-negative", "negative-m", "negative-n"])
+@pytest.mark.parametrize("with_factor", [False, True], ids=["empty", "one-factor"])
+def test_act_with_a_bad_spin_signature_is_malformed_input(capsys, tmp_path, signature,
+                                                          with_factor):
+    m, n, order = signature
+    spin = {"m": m, "n": n, "N": order, "factors": []}
+    if with_factor:
+        spin["factors"].append({"m": m, "n": n, "N": order})
+    payload = {"spin": spin, "vector": random_supervector(1, 0, 2, seed=23).to_dict()}
+    code, out, err = run_cli(capsys, "act", "-i", write_json(tmp_path, "bad.json", payload))
     assert code == 2 and out == ""
     assert "malformed input" in err
 

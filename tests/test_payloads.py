@@ -1,8 +1,8 @@
 """CLI payloads: the JSON writer, the Supermatrix codecs and the shared parser.
 
 The writer is checked against ``json.dumps(indent=2, allow_nan=False)``, and
-the codecs against the per-entry route through ``GrassmannNumber`` kept
-below as an oracle.
+the Supermatrix, Supervector, bivector and spin element codecs against the
+per-entry route through ``GrassmannNumber`` kept below as an oracle.
 """
 
 import json
@@ -14,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superspin import (
+    ExtendedSuperbivector,
     GrassmannMatrix,
     GrassmannNumber,
+    SpinElement,
     Supermatrix,
+    Supervector,
     expm,
     matrix_to_bivector,
     random_rotation,
@@ -280,6 +283,89 @@ def test_decoder_sums_repeats_and_reads_loose_numbers_like_the_oracle():
     decoded = Supermatrix.from_dict(data)
     assert_same_matrix(decoded, oracle_from_dict(data))
     assert decoded.entry(1, 1).terms == {3: 1.2e-14}
+
+
+# -- the Supervector, bivector and spin element codecs -------------------------------
+
+
+SPECIAL = [0.0, complex(-0.0, 1.0), complex(1.0, -0.0), complex(3e-15, -0.0),
+           complex(1e-14, 0.0), complex(-0.0, -1e-14), complex(0.0, -0.0)]
+
+
+def seeded_number(rng, order, parity):
+    """A GrassmannNumber of one parity whose coefficients include signed
+    zero parts and values at and below the canonical threshold."""
+    masks = [k for k in range(1 << order) if k.bit_count() % 2 == (parity == "odd")]
+    terms = {}
+    for mask in masks:
+        pick = rng.integers(0, len(SPECIAL) + 2)
+        terms[mask] = (SPECIAL[pick] if pick < len(SPECIAL)
+                       else complex(rng.normal(), rng.normal() * (pick % 2)))
+    return GrassmannNumber(order, terms)
+
+
+def oracle_number_lists(numbers):
+    return [g.to_dict() for g in numbers]
+
+
+def oracle_bivector_dict(m, n, order, families):
+    def fam(d):
+        return [{"j": j, "k": k, "coeff": d[key].to_dict()}
+                for key in sorted(d) for j, k in [key] if d[key].terms]
+    return {"m": m, "n": n, "N": order, "b": fam(families[0]), "bq": fam(families[1]),
+            "B": fam(families[2])}
+
+
+def seeded_families(rng, m, n, order):
+    keys = ([(j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1)],
+            [(j, u) for j in range(1, m + 1) for u in range(1, 2 * n + 1)],
+            [(u, v) for u in range(1, 2 * n + 1) for v in range(u, 2 * n + 1)])
+    return tuple({key: seeded_number(rng, order, parity) for key in family
+                  if rng.random() < 0.8}
+                 for family, parity in zip(keys, ("even", "odd", "even")))
+
+
+VECTOR_SHAPES = [(3, 1, 4), (2, 2, 4), (0, 2, 3), (3, 0, 3), (1, 1, 1), (2, 1, 0),
+                 (0, 0, 2)]
+
+
+def decoded(data):
+    """JSON text after a per-entry decode and re-encode: every number goes
+    through ``GrassmannNumber.from_dict`` (which sums into 0.0, so a -0.0
+    part reads back as 0.0) and ``GrassmannNumber.to_dict``."""
+    def walk(value):
+        if isinstance(value, dict) and "terms" in value:
+            return GrassmannNumber.from_dict(value).to_dict()
+        if isinstance(value, dict):
+            return {key: walk(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [walk(item) for item in value]
+        return value
+    return json.dumps(walk(json.loads(json.dumps(data))))
+
+
+@pytest.mark.parametrize("m, n, order", VECTOR_SHAPES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_vector_bivector_and_spin_codecs_match_the_per_entry_route(m, n, order, seed):
+    rng = np.random.default_rng(seed)
+    even = [seeded_number(rng, order, "even") for _ in range(m)]
+    odd = [seeded_number(rng, order, "odd") for _ in range(2 * n)]
+    families = [seeded_families(rng, m, n, order) for _ in range(2)]
+    factors = [ExtendedSuperbivector(m, n, order, *f) for f in families]
+    cases = [
+        (Supervector, Supervector(m, n, order, even, odd),
+         {"m": m, "n": n, "N": order, "even": oracle_number_lists(even),
+          "odd": oracle_number_lists(odd)}),
+        *((ExtendedSuperbivector, biv, oracle_bivector_dict(m, n, order, f))
+          for biv, f in zip(factors, families)),
+        (SpinElement, SpinElement(m, n, order, factors),
+         {"m": m, "n": n, "N": order,
+          "factors": [oracle_bivector_dict(m, n, order, f) for f in families]}),
+    ]
+    for cls, value, want in cases:
+        assert json.dumps(value.to_dict()) == json.dumps(want)
+        again = cls.from_dict(json.loads(json.dumps(want)))
+        assert json.dumps(again.to_dict()) == decoded(want)
 
 
 def _bad_payloads():

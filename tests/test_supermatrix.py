@@ -364,6 +364,23 @@ def test_sdet_of_exp_is_exp_of_supertrace(shape, data, seed):
     assert_relative(expm(m).sdet(), m.supertrace().exp())
 
 
+@pytest.mark.parametrize("shape", PROPERTY_SHAPES, ids=PROPERTY_IDS)
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_inverse_round_trips(shape, data, seed):
+    """Supermatrix.inverse, and GrassmannMatrix.inverse on each diagonal
+    block, give the identity on both sides."""
+    order, p, q = shape
+    m = drawn_supermatrix(data, shape, seed)
+    assume(max(body_conditions(m)) <= 1e3)
+    for mat, eye_mat in ((m, Supermatrix.eye(p, q, order)),
+                         *((block, GrassmannMatrix.eye(block.rows, order))
+                           for block in (m.block_a(), m.block_d()))):
+        inverse = mat.inverse()
+        for product in (mat @ inverse, inverse @ mat):
+            assert (product - eye_mat).norm() <= 1e-10 * max(1.0, mat.norm() * inverse.norm())
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
 def test_determinant_singular_body_raises_at_every_size(size):
     # body diag(0, 1, ..., 1) with f1 f2 in the corner: the Leibniz sum is
@@ -434,6 +451,22 @@ def test_log_domain_error():
     body = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]).astype(complex)
     with pytest.raises(LogDomainError):
         logm(Supermatrix.from_body(M_DIM, Q_DIM, body, ORDER))
+
+
+def bosonic_rotation(theta):
+    """The rotation by theta in the first plane of (3|0), over Lambda_2."""
+    body = np.eye(3, dtype=complex)
+    body[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    return Supermatrix.from_body(3, 0, body, 2)
+
+
+def test_log_series_that_does_not_converge_raises():
+    # ||m - I|| < 1 at both angles; at 1.045 the 5000-term series stops
+    # short of its stopping test, its partial sum 4e-8 from the logarithm
+    m = bosonic_rotation(1.03)
+    assert (expm(logm(m)) - m).norm() <= 1e-12
+    with pytest.raises(LogDomainError, match="did not converge in 5000 terms"):
+        logm(bosonic_rotation(1.045))
 
 
 def test_body_projection_homomorphism():
