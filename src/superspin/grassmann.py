@@ -330,9 +330,9 @@ class GrassmannNumber:
         terms: dict[int, complex] = {}
         for item in data.get("terms", []):
             mask = int(item["mask"])
-            terms[mask] = terms.get(mask, 0.0) + complex(
-                float(item["re"]), float(item.get("im", 0.0))
-            )
+            value = complex(float(item["re"]), float(item.get("im", 0.0)))
+            # a repeat adds to the first term, not to 0.0: -0.0 keeps its sign
+            terms[mask] = terms[mask] + value if mask in terms else value
         return cls(order, terms)
 
     # -- misc ----------------------------------------------------------------

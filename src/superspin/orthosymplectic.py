@@ -300,7 +300,10 @@ def decompose_rotation(mat: Supermatrix, tol: float = DEFAULT_TOL
     compact = Supermatrix.from_body(m, 2 * n, compact_body, mat.order)
     symmetric = Supermatrix.from_body(m, 2 * n, symmetric_body, mat.order)
     group_body = expm(compact) @ expm(symmetric)
-    nilpotent = logm(group_body.inverse() @ mat)
+    # B^-1 M has body I in exact arithmetic; the log of I + nil(B^-1 M) keeps
+    # Z free of body rounding, and the residual reports that rounding
+    nilpotent = logm(Supermatrix.eye(m, 2 * n, mat.order)
+                     + (group_body.inverse() @ mat).nilpotent_part())
     recon = group_body @ expm(nilpotent)
     residual = (recon - mat).norm() / max(1.0, mat.norm())
     return RotationDecomposition(compact, symmetric, nilpotent, residual)

@@ -12,7 +12,9 @@ Berezinian, inverse and the exp/ln pair.  The Berezinian, and ``det`` as its
 q = 0 case, is det A0 / det D0 * exp(str log(I + X)) for M = M0 (I + X):
 numpy on the body M0 and a finite series in the nilpotent X.  A body with
 condition number above COND_LIMIT raises SingularBodyError (block A, ``det``)
-or NotInvertibleError (block D, ``inverse``).
+or NotInvertibleError (block D, ``inverse``).  The exp/ln and nilpotent series
+iterate on raw (masks, stack) pairs and build one matrix at the end; exp with
+no body blade and ln with body exactly I are finite nilpotent series.
 """
 
 from __future__ import annotations
@@ -155,6 +157,28 @@ def _blade_product(op: Callable, masks_a: tuple[int, ...], a_stack: np.ndarray,
     return tuple(keys.tolist()), out
 
 
+def _union_add(masks_a: tuple[int, ...], a_stack: np.ndarray, masks_b: tuple[int, ...],
+               b_stack: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Blade-wise sum of two stacks: (masks, stack) over the union of masks."""
+    if masks_a == masks_b:
+        return masks_a, a_stack + b_stack
+    masks = tuple(sorted(set(masks_a).union(masks_b)))
+    position = {m: k for k, m in enumerate(masks)}
+    stack = np.zeros((len(masks), *a_stack.shape[1:]), dtype=complex)
+    stack[[position[m] for m in masks_a]] = a_stack
+    stack[[position[m] for m in masks_b]] += b_stack
+    return masks, stack
+
+
+def _drop_zero_slices(masks: tuple[int, ...], stack: np.ndarray
+                      ) -> tuple[tuple[int, ...], np.ndarray]:
+    """(masks, stack) without the all-zero slices."""
+    nonzero = stack.reshape(len(masks), stack.shape[1] * stack.shape[2]).any(axis=1)
+    if nonzero.all():
+        return masks, stack
+    return tuple(m for m, keep in zip(masks, nonzero.tolist()) if keep), stack[nonzero]
+
+
 # -- matrices ---------------------------------------------------------------------
 
 
@@ -199,10 +223,7 @@ class GrassmannMatrix:
             )
         if not np.isfinite(stack).all():
             raise AlgebraError("non-finite entry in blade slice")
-        nonzero = stack.reshape(len(masks), rows * cols).any(axis=1)
-        if not nonzero.all():
-            masks = tuple(m for m, keep in zip(masks, nonzero.tolist()) if keep)
-            stack = stack[nonzero]
+        masks, stack = _drop_zero_slices(masks, stack)
         stack.flags.writeable = False
         self.rows = rows
         self.cols = cols
@@ -292,27 +313,13 @@ class GrassmannMatrix:
         if self.order != other.order:
             raise OrderMismatchError(f"order mismatch: {self.order} vs {other.order}")
 
-    def _plus(self, other: "GrassmannMatrix", subtract: bool) -> "GrassmannMatrix":
-        self._require_same_shape(other)
-        if self.masks == other.masks:
-            stack = self.stack - other.stack if subtract else self.stack + other.stack
-            return self.with_stack(self.masks, stack)
-        masks = tuple(sorted(set(self.masks).union(other.masks)))
-        position = {m: k for k, m in enumerate(masks)}
-        stack = np.zeros((len(masks), self.rows, self.cols), dtype=complex)
-        stack[[position[m] for m in self.masks]] = self.stack
-        theirs = [position[m] for m in other.masks]
-        if subtract:
-            stack[theirs] -= other.stack
-        else:
-            stack[theirs] += other.stack
-        return self.with_stack(masks, stack)
-
     def __add__(self, other: "GrassmannMatrix") -> "GrassmannMatrix":
-        return self._plus(other, subtract=False)
+        self._require_same_shape(other)
+        return self.with_stack(*_union_add(self.masks, self.stack, other.masks, other.stack))
 
     def __sub__(self, other: "GrassmannMatrix") -> "GrassmannMatrix":
-        return self._plus(other, subtract=True)
+        self._require_same_shape(other)
+        return self.with_stack(*_union_add(self.masks, self.stack, other.masks, -other.stack))
 
     def __neg__(self) -> "GrassmannMatrix":
         return self.scale(-1.0)
@@ -377,10 +384,12 @@ class GrassmannMatrix:
             _body_inverse(self.body(), NotInvertibleError, "matrix body"))
 
     def _inverse_from_body(self, body_inverse: np.ndarray) -> "GrassmannMatrix":
-        """Inverse given the inverse of this matrix's body."""
-        inv0 = GrassmannMatrix.from_body(body_inverse, self.order)
-        return _nilpotent_matrix_series(inv0 @ self.nilpotent_part(),
-                                        lambda k: (-1.0) ** k) @ inv0
+        """Inverse given the inverse of this matrix's body: the Neumann series
+        of X = M0^-1 (M - M0), times M0^-1 (body products are plain matmuls)."""
+        x = self.nilpotent_part()
+        masks, stack = _nilpotent_matrix_series(x.masks, body_inverse @ x.stack, self.order,
+                                                lambda k: (-1.0) ** k)
+        return self.with_stack(masks, stack @ body_inverse)
 
     def det(self) -> GrassmannNumber:
         """Determinant of a matrix with commuting (even) entries: the q = 0
@@ -405,18 +414,26 @@ def _body_inverse(body: np.ndarray, error: type[AlgebraError], what: str) -> np.
     return np.linalg.inv(body)
 
 
-def _nilpotent_matrix_series(x: GrassmannMatrix,
-                             coeff: Callable[[int], complex]) -> GrassmannMatrix:
-    """sum_k coeff(k) x^k for a square x with zero body, the matrix
-    counterpart of ``grassmann._nilpotent_series``: x^k has no blades for
-    some k <= order + 1, and the sum stops there."""
-    total = GrassmannMatrix.eye(x.rows, x.order).scale(coeff(0))
-    power, k = x, 1
-    while power.masks:
-        total = total + power.scale(coeff(k))
-        power = power @ x
+def _log_coeff(k: int) -> float:
+    """Taylor coefficient of log(1 + x)."""
+    return (-1.0) ** (k + 1) / k if k else 0.0
+
+
+def _nilpotent_matrix_series(masks: tuple[int, ...], stack: np.ndarray, order: int,
+                             coeff: Callable[[int], complex]
+                             ) -> tuple[tuple[int, ...], np.ndarray]:
+    """(masks, stack) of sum_k coeff(k) x^k for x = (masks, stack) square with
+    zero body, the matrix counterpart of ``grassmann._nilpotent_series``: x^k
+    has no blades for some k <= order + 1, and the sum stops there."""
+    size = stack.shape[1]
+    total_masks, total = (0,), coeff(0) * np.eye(size, dtype=complex)[None]
+    power_masks, power, k = masks, stack, 1
+    while power_masks:
+        total_masks, total = _union_add(total_masks, total, power_masks, coeff(k) * power)
+        power_masks, power = _drop_zero_slices(*_blade_product(
+            np.matmul, power_masks, power, masks, stack, order, (size, size)))
         k += 1
-    return total
+    return total_masks, total
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -634,8 +651,9 @@ class Supermatrix:
         inv0 = np.zeros_like(body)
         inv0[p:, p:] = _body_inverse(d0, NotInvertibleError, "body of block D")
         inv0[:p, :p] = _body_inverse(a0, SingularBodyError, "body of block A")
-        x = GrassmannMatrix.from_body(inv0, self.order) @ self.mat.nilpotent_part()
-        log = _nilpotent_matrix_series(x, lambda k: (-1.0) ** (k + 1) / k if k else 0.0)
+        x = self.mat.nilpotent_part()
+        log = x.with_stack(*_nilpotent_matrix_series(x.masks, inv0 @ x.stack,
+                                                     self.order, _log_coeff))
         str_log = Supermatrix(p, self.q, log, validate=False).supertrace()
         return str_log.exp() * complex(np.linalg.det(a0) / np.linalg.det(d0))
 
@@ -686,7 +704,9 @@ class Supermatrix:
         keys, slot = np.unique(np.asarray(masks, dtype=np.int64), return_inverse=True)
         values = np.empty(len(masks), dtype=complex)
         values.real, values.imag = re, im
-        stack = np.zeros((len(keys), size * size), dtype=complex)
+        # summed from -0.0 so a -0.0 part keeps its sign (x + -0.0 is x);
+        # the filter below turns cells that received nothing into 0.0
+        stack = np.full((len(keys), size * size), complex(-0.0, -0.0))
         np.add.at(stack, (slot, np.asarray(cells, dtype=np.int64)), values)
         stack[(np.abs(stack.real) < CANON_EPS) & (np.abs(stack.imag) < CANON_EPS)] = 0.0
         return cls(p, q, GrassmannMatrix(size, size, order, masks=keys.tolist(),
@@ -712,66 +732,69 @@ def _json_cells(order: int, masks: Sequence[int], values: np.ndarray) -> list[di
 
 
 def expm(m: Supermatrix) -> Supermatrix:
-    """Matrix exponential by scaling and squaring over Lambda_N.
-
-    Nilpotent input reduces to the finite sum directly; otherwise the
-    argument is scaled so its entry-sum norm is at most 1 before the series.
-    """
-    norm = m.norm()
-    nilpotent_only = not m.mat.masks or m.mat.masks[0] != 0
-    s = 0
-    if not nilpotent_only and norm > 1.0:
-        s = max(0, math.ceil(math.log2(norm)))
-    scaled = m.scale(0.5 ** s) if s else m
-    result = Supermatrix.eye(m.p, m.q, m.order)
-    term = Supermatrix.eye(m.p, m.q, m.order)
+    """Matrix exponential over Lambda_N: the finite sum of x^k / k! for input
+    with no body blade, else scaling and squaring, with the argument scaled
+    to entry-sum norm at most 1 and a Taylor series to SERIES_EPS.  Terms
+    stay raw blade stacks; the one matrix built at the end raises
+    AlgebraError on a non-finite entry."""
+    mat, size = m.mat, m.size
+    if not mat.masks or mat.masks[0] != 0:
+        return Supermatrix(m.p, m.q, mat.with_stack(*_nilpotent_matrix_series(
+            mat.masks, mat.stack, m.order, lambda k: 1.0 / math.factorial(k))),
+            validate=False)
+    s = math.ceil(math.log2(max(mat.norm(), 1.0)))
+    masks, stack = mat.masks, 0.5 ** s * mat.stack
+    product = functools.partial(_blade_product, np.matmul, order=m.order, shape=(size, size))
+    total_masks, total = term_masks, term = (0,), np.eye(size, dtype=complex)[None]
     for k in range(1, 200):
-        term = (term @ scaled).scale(1.0 / k)
-        if not term.mat.masks:
+        term_masks, term = _drop_zero_slices(*product(term_masks, term, masks, stack))
+        if not term_masks:
             break
-        result = result + term
-        if term.norm() <= SERIES_EPS * result.norm():
+        term = term * (1.0 / k)
+        total_masks, total = _union_add(total_masks, total, term_masks, term)
+        # "not >" also stops on a NaN term; the final build reports it
+        if not np.abs(term).sum() > SERIES_EPS * np.abs(total).sum():
             break
     for _ in range(s):
-        result = result @ result
-    return result
+        total_masks, total = _drop_zero_slices(*product(total_masks, total, total_masks, total))
+    return Supermatrix(m.p, m.q, mat.with_stack(total_masks, total), validate=False)
 
 
 def logm(m: Supermatrix) -> Supermatrix:
-    """Series logarithm around the identity.
+    """Series logarithm around the identity, on raw blade stacks as ``expm``.
 
-    Exact finite series when m - I is nilpotent; otherwise requires either
+    Finite when m - I has no body blade; otherwise requires either
     ||m - I|| < 1 or the body of m - I to have spectral radius below 1, and
     raises LogDomainError when 5000 terms do not meet the stopping test.
     """
-    delta = m - Supermatrix.eye(m.p, m.q, m.order)
-    body = delta.body_matrix()
-    body_norm = float(np.abs(body).max()) if body.size else 0.0
-    if body_norm == 0.0:
-        max_iter = m.order + 1  # (m - I)^(N + 1) = 0 ends the sum
-    elif delta.norm() < 1.0:
-        max_iter = 5000
-    else:
-        rho = float(np.max(np.abs(np.linalg.eigvals(body)))) if body.size else 0.0
+    mat, size, max_iter = m.mat, m.size, 5000
+    eye = np.eye(size, dtype=complex)[None]
+    masks, stack = _drop_zero_slices(*_union_add(mat.masks, mat.stack, (0,), -eye))
+    if not masks or masks[0] != 0:
+        return Supermatrix(m.p, m.q, mat.with_stack(*_nilpotent_matrix_series(
+            masks, stack, m.order, _log_coeff)), validate=False)
+    if np.abs(stack).sum() >= 1.0:
+        rho = float(np.max(np.abs(np.linalg.eigvals(stack[0]))))
         if rho >= 1.0 - 1e-12:
             raise LogDomainError(
                 f"matrix is outside the logarithm domain (spectral radius {rho:.6f})"
             )
-        max_iter = 5000
-    result = Supermatrix.zeros(m.p, m.q, m.order)
-    power = Supermatrix.eye(m.p, m.q, m.order)
+    product = functools.partial(_blade_product, np.matmul, order=m.order, shape=(size, size))
+    total_masks, total = (), np.zeros((0, size, size), dtype=complex)
+    power_masks, power = (0,), eye
     for k in range(1, max_iter + 1):
-        power = power @ delta
-        if not power.mat.masks:
+        power_masks, power = _drop_zero_slices(*product(power_masks, power, masks, stack))
+        if not power_masks:
             break
-        result = result + power.scale((-1.0) ** (k + 1) / k)
-        if k > 4 and power.norm() / k <= SERIES_EPS * max(1.0, result.norm()):
+        total_masks, total = _union_add(total_masks, total, power_masks, _log_coeff(k) * power)
+        power_norm = np.abs(power).sum()
+        if k > 4 and power_norm / k <= SERIES_EPS * max(1.0, np.abs(total).sum()):
             break
     else:
         raise LogDomainError(
             f"logarithm series did not converge in {max_iter} terms "
-            f"(last term norm {power.norm() / max_iter:.3e})")
-    return result
+            f"(last term norm {power_norm / max_iter:.3e})")
+    return Supermatrix(m.p, m.q, mat.with_stack(total_masks, total), validate=False)
 
 
 def q_gram_matrix(m: int, n: int, order: int) -> Supermatrix:

@@ -19,6 +19,7 @@ from superspin import (
     expm,
     from_unitary,
     grade_path,
+    lift_rotation,
     logm,
     osp_defect,
     osp_standard_form,
@@ -307,6 +308,18 @@ def test_decompose_roundtrip_small():
         again = decompose_rotation(dec.reconstruct())
         assert (again.symmetric - dec.symmetric).norm() <= 1e-8
         assert (again.nilpotent - dec.nilpotent).norm() <= 1e-8
+
+
+@pytest.mark.parametrize("m, n, order", [(6, 2, 4), (4, 2, 6)])
+def test_nilpotent_exponent_has_no_body_blade(m, n, order):
+    """Z is the log of the unipotent I + nil(B^-1 M), so neither Z nor the
+    third factor of the lift carries body rounding; the residual reports it."""
+    rot = random_rotation(m, n, order, seed=1)
+    dec = decompose_rotation(rot)
+    assert dec.nilpotent.mat.masks and 0 not in dec.nilpotent.mat.masks
+    assert dec.residual <= 1e-13
+    third = lift_rotation(rot).factors[2]
+    assert third.mat.masks and 0 not in third.mat.masks
 
 
 def test_decompose_rejects_non_members():

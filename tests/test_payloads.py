@@ -285,6 +285,19 @@ def test_decoder_sums_repeats_and_reads_loose_numbers_like_the_oracle():
     assert decoded.entry(1, 1).terms == {3: 1.2e-14}
 
 
+def test_signed_zero_part_survives_decode_and_encode():
+    """A -0.0 part next to a nonzero other part reads back with its sign, in
+    a number, a vector and a matrix payload."""
+    number = {"N": 2, "terms": [{"mask": 0, "re": -0.0, "im": 1.5}]}
+    payloads = [
+        (GrassmannNumber, number),
+        (Supervector, {"m": 1, "n": 0, "N": 2, "even": [number], "odd": []}),
+        (Supermatrix, {"p": 1, "q": 0, "N": 2, "rows": [[number]]}),
+    ]
+    for cls, data in payloads:
+        assert json.dumps(cls.from_dict(data).to_dict()) == json.dumps(data)
+
+
 # -- the Supervector, bivector and spin element codecs -------------------------------
 
 
@@ -331,8 +344,8 @@ VECTOR_SHAPES = [(3, 1, 4), (2, 2, 4), (0, 2, 3), (3, 0, 3), (1, 1, 1), (2, 1, 0
 
 def decoded(data):
     """JSON text after a per-entry decode and re-encode: every number goes
-    through ``GrassmannNumber.from_dict`` (which sums into 0.0, so a -0.0
-    part reads back as 0.0) and ``GrassmannNumber.to_dict``."""
+    through ``GrassmannNumber.from_dict`` (which adds a repeated mask to its
+    first term, so a -0.0 part keeps its sign) and ``GrassmannNumber.to_dict``."""
     def walk(value):
         if isinstance(value, dict) and "terms" in value:
             return GrassmannNumber.from_dict(value).to_dict()

@@ -2,11 +2,13 @@
 Berezinian, inverse, exponential and logarithm."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm as dense_expm
 
 from superspin import (
     AlgebraError,
@@ -25,7 +27,8 @@ from superspin import (
     random_supermatrix,
     symplectic_form,
 )
-from superspin.supermatrix import COND_LIMIT
+from superspin import supermatrix
+from superspin.supermatrix import COND_LIMIT, SERIES_EPS
 from test_kernel import SETTINGS, parity_blocks
 
 M_DIM, N_PLANES, ORDER = 3, 2, 4
@@ -379,6 +382,149 @@ def test_inverse_round_trips(shape, data, seed):
         inverse = mat.inverse()
         for product in (mat @ inverse, inverse @ mat):
             assert (product - eye_mat).norm() <= 1e-10 * max(1.0, mat.norm() * inverse.norm())
+
+
+# -- exp and log against oracles -------------------------------------------------
+
+
+def object_expm(m):
+    """Scaling and squaring with every term a Supermatrix: the loop ``expm``
+    ran before it moved onto raw blade stacks."""
+    norm = m.norm()
+    nilpotent_only = not m.mat.masks or m.mat.masks[0] != 0
+    s = 0
+    if not nilpotent_only and norm > 1.0:
+        s = max(0, math.ceil(math.log2(norm)))
+    scaled = m.scale(0.5 ** s) if s else m
+    result = Supermatrix.eye(m.p, m.q, m.order)
+    term = Supermatrix.eye(m.p, m.q, m.order)
+    for k in range(1, 200):
+        term = (term @ scaled).scale(1.0 / k)
+        if not term.mat.masks:
+            break
+        result = result + term
+        if term.norm() <= SERIES_EPS * result.norm():
+            break
+    for _ in range(s):
+        result = result @ result
+    return result
+
+
+def object_logm(m):
+    """The series logarithm with every power a Supermatrix, for m - I
+    nilpotent (the finite branch)."""
+    delta = m - Supermatrix.eye(m.p, m.q, m.order)
+    assert not delta.mat.masks or delta.mat.masks[0] != 0
+    result = Supermatrix.zeros(m.p, m.q, m.order)
+    power = Supermatrix.eye(m.p, m.q, m.order)
+    for k in range(1, m.order + 2):
+        power = power @ delta
+        if not power.mat.masks:
+            break
+        result = result + power.scale((-1.0) ** (k + 1) / k)
+        if k > 4 and power.norm() / k <= SERIES_EPS * max(1.0, result.norm()):
+            break
+    return result
+
+
+def left_regular(m):
+    """The (size 2^N) x (size 2^N) complex matrix of v -> M v on Lambda_N^size:
+    block (c, b) is the mask-c slice of M @ e_b."""
+    size, order = m.size, m.order
+    out = np.zeros((size << order, size << order), dtype=complex)
+    for b in range(1 << order):
+        e_b = GrassmannMatrix(size, size, order, masks=(b,), stack=np.eye(size)[None])
+        column = m.mat @ e_b
+        for c, block in zip(column.masks, column.stack):
+            out[c * size:(c + 1) * size, b * size:(b + 1) * size] = block
+    return out
+
+
+def dense_stack(m):
+    """The matrix as a (2^N, size, size) array, one slice per mask."""
+    out = np.zeros((1 << m.order, m.size, m.size), dtype=complex)
+    out[list(m.mat.masks)] = m.mat.stack
+    return out
+
+
+# PROPERTY_SHAPES and the benchmark's (m, n, N) = (6, 2, 4)
+EXP_SHAPES = PROPERTY_SHAPES + [(4, 6, 4)]
+
+
+@pytest.mark.parametrize("shape", EXP_SHAPES, ids=PROPERTY_IDS + ["N4-p6-q4"])
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_exp_and_log_match_their_oracles(shape, data, seed):
+    """expm against scipy's expm of the left-regular representation, whose
+    first block column is exp(M), on body-only, nilpotent-only and mixed
+    input.  The Taylor branch is bit-identical to the object loop; the
+    finite branches of expm and logm agree with it to rounding."""
+    order, p, q = shape
+    size = p + q
+    m = (drawn_supermatrix(data, shape, seed) - Supermatrix.eye(p, q, order).scale(2.0)
+         ).scale(0.5)
+    for x in (m.body(), m.nilpotent_part(), m):
+        got = expm(x)
+        want = dense_expm(left_regular(x))[:, :size].reshape(1 << order, size, size)
+        assert np.abs(dense_stack(got) - want).sum() <= 1e-12 * max(1.0, np.abs(want).sum())
+        oracle = object_expm(x)
+        if x.mat.masks and x.mat.masks[0] == 0:
+            assert got.mat.masks == oracle.mat.masks
+            assert np.array_equal(got.mat.stack, oracle.mat.stack)
+        else:
+            assert_relative(got, oracle, 1e-14)
+    unipotent = Supermatrix.eye(p, q, order) + m.nilpotent_part()
+    assert_relative(logm(unipotent), object_logm(unipotent), 1e-14)
+    assert_relative(expm(logm(unipotent)), unipotent, 1e-13)
+
+
+def count_builds(monkeypatch, call, *args):
+    """How many GrassmannMatrix objects ``call(*args)`` constructs."""
+    builds = []
+    init = GrassmannMatrix.__init__
+    monkeypatch.setattr(GrassmannMatrix, "__init__",
+                        lambda self, *a, **k: (builds.append(1), init(self, *a, **k))[1])
+    try:
+        call(*args)
+    finally:
+        monkeypatch.undo()
+    return len(builds)
+
+
+def test_series_build_a_fixed_number_of_matrices(monkeypatch):
+    """The series iterate on raw blade stacks: inputs whose series take
+    different numbers of terms build the same number of matrices."""
+    m = random_supermatrix(M_DIM, N_PLANES, ORDER, seed=5, scale=0.3)
+    nil, top = m.nilpotent_part(), m.grade(ORDER)   # N terms and 1 term
+    cases = {
+        "expm Taylor": (expm, [m.body().scale(0.01), m.scale(8.0)]),
+        "expm finite": (expm, [top, nil]),
+        "logm finite": (logm, [eye() + top, eye() + nil]),
+        "logm series": (logm, [eye() + m.scale(0.01), eye() + m.scale(0.3)]),
+        "sdet": (Supermatrix.sdet, [eye() + top, eye() + nil]),
+        "inverse": (Supermatrix.inverse, [eye() + top, eye() + nil]),
+    }
+    for name, (call, inputs) in cases.items():
+        counts = [count_builds(monkeypatch, call, x) for x in inputs]
+        assert counts[0] == counts[1], (name, counts)
+
+
+def test_exp_stops_at_a_nan_term(monkeypatch):
+    """A non-finite term ends the series at once and the result build
+    reports it; the loop does not run on to its term cap."""
+    products = []
+    product = supermatrix._blade_product
+
+    def poisoned(*args, **kwargs):
+        products.append(1)
+        masks, stack = product(*args, **kwargs)
+        return masks, stack * np.nan
+
+    m = rand(3).scale(0.5 / rand(3).norm())   # no squarings
+    monkeypatch.setattr(supermatrix, "_blade_product", poisoned)
+    with np.errstate(invalid="ignore"), pytest.raises(AlgebraError, match="non-finite"):
+        expm(m)
+    assert len(products) == 1
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
