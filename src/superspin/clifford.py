@@ -11,7 +11,7 @@ A product splits into a key plan and the coefficient products.  The key plan
 depends only on the two tuples of keys (e-blade mask, fermionic multi-index),
 n and the cap: it lists, for every key pair, the normal-ordered output keys
 with their weights, and the pairs that reach above the cap.  The Grassmann
-coefficient products all come from one product of the packed matrix kernel
+coefficient products all come from one matrix product on the blade-stack kernel
 (left coefficients as a column times right coefficients as a row), and are
 combined into the output keys by one gather and ``np.add.reduceat``.
 Supervectors are packed (m + 2n) x 1 columns of the same kernel, so inner,
@@ -33,7 +33,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import supermatrix
+from . import grassmann, supermatrix
 from .exceptions import (
     AlgebraError,
     CapExceededError,
@@ -47,6 +47,8 @@ from .grassmann import (
     DEFAULT_TOL,
     MAX_ORDER,
     GrassmannNumber,
+    _blade_product,
+    _parity_array,
     random_grassmann,
     reorder_sign,
 )
@@ -198,9 +200,9 @@ def _product_terms(terms_a: Mapping[_Key, GrassmannNumber],
     row = GrassmannMatrix.from_entries([list(terms_b.values())], order)
     # Left keys go in blocks so that the product stack and the gathered
     # entries, at most (output masks) x width per left key, stay within the
-    # matrix kernel's element budget, down to one left key per block.
+    # blade-stack kernel's element budget, down to one left key per block.
     out_masks = min(1 << order, len(column.masks) * len(row.masks))
-    step = max(1, supermatrix._TILE_ELEMENTS // (out_masks * plan.width))
+    step = max(1, grassmann._TILE_ELEMENTS // (out_masks * plan.width))
     live = np.zeros(na * nb, dtype=bool)
     total = None
     for a0 in range(0, na, step):
@@ -353,7 +355,7 @@ class CliffordElement:
 
         The key plan, memoised per pair of key tuples, n and cap, holds the
         output keys and weights of every key pair.  All coefficient products
-        come from one product of the packed matrix kernel: the left
+        come from one matrix product on the blade-stack kernel: the left
         coefficients as a column times the right coefficients as a row.
         Entries with |re| and |im| below CANON_EPS are zeroed, and each
         output coefficient is the weighted sum of its pairs' products, built
@@ -498,7 +500,7 @@ class Supervector:
     def _check(self) -> None:
         """Order in range; no odd mask in an even row, no even mask in an odd row."""
         check_signature(self.m, self.n, self.order)
-        odd = supermatrix._parity_array(self.order)[list(self.col.masks)] == 1
+        odd = _parity_array(self.order)[list(self.col.masks)] == 1
         entries = self.col.stack[:, :, 0]
         if entries[odd, :self.m].any():
             raise ParityError("bosonic coordinates must be even")
@@ -857,7 +859,7 @@ def inner(x: Supervector, y: Supervector) -> GrassmannNumber:
     """Generalized inner product, equal to -{x,y}/2 and to x^T G y with G
     the body Gram matrix: one 1 x s by s x 1 blade product."""
     x._require_compatible(y)
-    masks, stack = supermatrix._blade_product(
+    masks, stack = _blade_product(
         np.matmul, x.col.masks, x.col.stack.transpose(0, 2, 1), y.col.masks,
         _inner_gram(x.m, x.n) @ y.col.stack, x.order, (1, 1))
     return GrassmannNumber(x.order, dict(zip(masks, stack[:, 0, 0].tolist())))
@@ -954,7 +956,7 @@ def commutator_action(biv: ExtendedSuperbivector, x: Supervector) -> Supervector
     if (biv.m, biv.n, biv.order) != (x.m, x.n, x.order):
         raise ShapeMismatchError("bivector and supervector shapes differ")
     rows, cols, factors, sources, targets = _action_table(x.m, x.n)
-    masks, products = supermatrix._blade_product(
+    masks, products = _blade_product(
         np.multiply, biv.mat.masks, (biv.mat.stack[:, rows, cols] * factors)[:, None, :],
         x.col.masks, x.col.stack[:, sources, 0][:, None, :], x.order, (1, len(rows)))
     out = np.zeros((len(masks), x.col.rows), dtype=complex)

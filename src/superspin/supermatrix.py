@@ -3,10 +3,8 @@
 A matrix over Lambda_N is stored packed: an ascending tuple of the blade
 masks that carry a nonzero slice, and one read-only complex array stacking
 those slices, so that every entrywise operation is a whole-stack numpy op.
-All Grassmann products of matrices (``@`` and scaling by a GrassmannNumber)
-go through one kernel: a pair plan lists the disjoint blade pairs with their
-reordering signs (from ``flip_table``), grouped by product mask, and the
-product is one batched gather-and-combine followed by ``np.add.reduceat``.
+Products of matrices (``@`` and scaling by a GrassmannNumber) go through
+``grassmann``'s blade-stack kernel, the one that multiplies Grassmann numbers.
 Supermatrix adds the (p|q) parity pattern, supertranspose, supertrace,
 Berezinian, inverse and the exp/ln pair.  The Berezinian, and ``det`` as its
 q = 0 case, is det A0 / det D0 * exp(str log(I + X)) for M = M0 (I + X):
@@ -14,7 +12,8 @@ numpy on the body M0 and a finite series in the nilpotent X.  A body with
 condition number above COND_LIMIT raises SingularBodyError (block A, ``det``)
 or NotInvertibleError (block D, ``inverse``).  The exp/ln and nilpotent series
 iterate on raw (masks, stack) pairs and build one matrix at the end; exp with
-no body blade and ln with body exactly I are finite nilpotent series.
+no body blade and ln with body exactly I are finite nilpotent series, summed
+by the kernel's ``_nilpotent_matrix_series`` as the number series are.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,148 +34,14 @@ from .exceptions import (
     ShapeMismatchError,
     SingularBodyError,
 )
-from .grassmann import CANON_EPS, DEFAULT_TOL, MAX_ORDER, GrassmannNumber, flip_table
+from .grassmann import (CANON_EPS, DEFAULT_TOL, MAX_ORDER, GrassmannNumber, _blade_product,
+                        _drop_zero_slices, _nilpotent_matrix_series, _union_add)
 
 # Relative truncation threshold for the exp/ln power series.
 SERIES_EPS = 1e-14
 
 # Bodies with condition number beyond this are treated as singular.
 COND_LIMIT = 1e12
-
-# Bound, in array elements, on each intermediate of one product tile: the
-# candidate pair grid and the gathered and combined slices.  Larger products
-# are cut into tiles, so memory stays bounded up to MAX_ORDER.
-_TILE_ELEMENTS = 1 << 20
-
-# Pair plans with at most _CACHED_PAIRS candidate pairs (every pair of a
-# dense order-5 product) are memoised, at most _PLAN_CACHE of them; a full
-# cache holds about 5 MiB.  Each benchmark workload reuses at most 15
-# distinct plans.  Larger plans are built per product and dropped.
-_CACHED_PAIRS = 1 << 10
-_PLAN_CACHE = 64
-
-
-# -- the product kernel --------------------------------------------------------
-
-
-class _PairPlan(NamedTuple):
-    """Disjoint blade pairs of two mask tuples, grouped by product mask.
-
-    Pair k combines left slice ``ia[k]`` with right slice ``ib[k]`` under
-    ``sign[k]``; the groups start at ``starts`` and have product masks
-    ``keys`` (ascending).
-    """
-
-    ia: np.ndarray
-    ib: np.ndarray
-    sign: np.ndarray
-    starts: np.ndarray
-    keys: tuple[int, ...]
-
-
-@functools.cache
-def _flip_array(order: int) -> np.ndarray:
-    return np.asarray(flip_table(order), dtype=np.int64)
-
-
-@functools.cache
-def _parity_array(order: int) -> np.ndarray:
-    """Bit-count parity of every mask below 2^order."""
-    parity = np.zeros(1 << order, dtype=np.int8)
-    for bit in range(order):
-        parity[1 << bit:2 << bit] = parity[:1 << bit] ^ 1
-    return parity
-
-
-def _build_plan(masks_a: Sequence[int], masks_b: Sequence[int], order: int) -> _PairPlan:
-    ma = np.asarray(masks_a, dtype=np.int64)
-    mb = np.asarray(masks_b, dtype=np.int64)
-    ia, ib = np.nonzero((ma[:, None] & mb[None, :]) == 0)
-    left, right = ma[ia], mb[ib]
-    keys = left | right
-    by_key = np.argsort(keys, kind="stable")
-    ia, ib, keys = ia[by_key], ib[by_key], keys[by_key]
-    odd = _parity_array(order)[_flip_array(order)[left[by_key]] & right[by_key]]
-    sign = 1.0 - 2.0 * odd
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return _PairPlan(ia, ib, sign, starts, tuple(keys[starts].tolist()))
-
-
-_cached_plan = functools.lru_cache(maxsize=_PLAN_CACHE)(_build_plan)
-
-
-def _combine(plan: _PairPlan, op: Callable, a_stack: np.ndarray,
-             b_stack: np.ndarray) -> np.ndarray:
-    """Per product mask, the signed sum of op(left slice, right slice)."""
-    terms = op(a_stack[plan.ia], b_stack[plan.ib])
-    terms *= plan.sign[:, None, None]
-    return np.add.reduceat(terms, plan.starts, axis=0)
-
-
-def _blade_product(op: Callable, masks_a: tuple[int, ...], a_stack: np.ndarray,
-                   masks_b: tuple[int, ...], b_stack: np.ndarray, order: int,
-                   shape: tuple[int, int]) -> tuple[tuple[int, ...], np.ndarray]:
-    """Grassmann product of two blade stacks: (masks, stack) of the result.
-
-    ``op`` combines gathered slices pairwise (``np.matmul`` for matrix
-    products, ``np.multiply`` for scaling by coefficients of shape
-    (k, 1, 1)).
-    """
-    na, nb = len(masks_a), len(masks_b)
-    if not na or not nb:
-        return (), np.zeros((0, *shape), dtype=complex)
-    per_pair = max(a_stack[0].size, b_stack[0].size, shape[0] * shape[1], 1)
-    tile = max(1, _TILE_ELEMENTS // per_pair)
-    if na * nb <= tile:
-        plan = (_cached_plan if na * nb <= _CACHED_PAIRS else _build_plan)(
-            masks_a, masks_b, order)
-        if not plan.keys:
-            return (), np.zeros((0, *shape), dtype=complex)
-        return plan.keys, _combine(plan, op, a_stack, b_stack)
-    # Tiled: fix the output masks first (one bitwise test per pair, no
-    # gather), so that each tile's groups are added into place and dropped;
-    # collecting the tiles' results before their union is known would hold
-    # up to one slice per tile and output mask at once.
-    tb = min(nb, tile)
-    ta = max(1, tile // tb)
-    tiles = [(slice(a0, a0 + ta), slice(b0, b0 + tb))
-             for a0 in range(0, na, ta) for b0 in range(0, nb, tb)]
-    ma = np.asarray(masks_a, dtype=np.int64)
-    mb = np.asarray(masks_b, dtype=np.int64)
-    present = np.zeros(1 << order, dtype=bool)
-    for sa, sb in tiles:
-        left, right = ma[sa, None], mb[None, sb]
-        present[(left | right)[(left & right) == 0]] = True
-    keys = np.flatnonzero(present)
-    out = np.zeros((len(keys), *shape), dtype=complex)
-    for sa, sb in tiles:
-        plan = _build_plan(masks_a[sa], masks_b[sb], order)
-        if plan.keys:
-            rows = np.searchsorted(keys, plan.keys)
-            out[rows] += _combine(plan, op, a_stack[sa], b_stack[sb])
-    return tuple(keys.tolist()), out
-
-
-def _union_add(masks_a: tuple[int, ...], a_stack: np.ndarray, masks_b: tuple[int, ...],
-               b_stack: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Blade-wise sum of two stacks: (masks, stack) over the union of masks."""
-    if masks_a == masks_b:
-        return masks_a, a_stack + b_stack
-    masks = tuple(sorted(set(masks_a).union(masks_b)))
-    position = {m: k for k, m in enumerate(masks)}
-    stack = np.zeros((len(masks), *a_stack.shape[1:]), dtype=complex)
-    stack[[position[m] for m in masks_a]] = a_stack
-    stack[[position[m] for m in masks_b]] += b_stack
-    return masks, stack
-
-
-def _drop_zero_slices(masks: tuple[int, ...], stack: np.ndarray
-                      ) -> tuple[tuple[int, ...], np.ndarray]:
-    """(masks, stack) without the all-zero slices."""
-    nonzero = stack.reshape(len(masks), stack.shape[1] * stack.shape[2]).any(axis=1)
-    if nonzero.all():
-        return masks, stack
-    return tuple(m for m, keep in zip(masks, nonzero.tolist()) if keep), stack[nonzero]
 
 
 # -- matrices ---------------------------------------------------------------------
@@ -329,11 +194,8 @@ class GrassmannMatrix:
         if isinstance(factor, GrassmannNumber):
             if factor.order != self.order:
                 raise OrderMismatchError("order mismatch in scale")
-            f_masks = tuple(sorted(factor.terms))
-            coeffs = np.array([factor.terms[m] for m in f_masks],
-                              dtype=complex).reshape(-1, 1, 1)
             return self.with_stack(*_blade_product(
-                np.multiply, f_masks, coeffs, self.masks, self.stack, self.order,
+                np.multiply, *factor._packed(), self.masks, self.stack, self.order,
                 (self.rows, self.cols)))
         return self.with_stack(self.masks, factor * self.stack)
 
@@ -417,23 +279,6 @@ def _body_inverse(body: np.ndarray, error: type[AlgebraError], what: str) -> np.
 def _log_coeff(k: int) -> float:
     """Taylor coefficient of log(1 + x)."""
     return (-1.0) ** (k + 1) / k if k else 0.0
-
-
-def _nilpotent_matrix_series(masks: tuple[int, ...], stack: np.ndarray, order: int,
-                             coeff: Callable[[int], complex]
-                             ) -> tuple[tuple[int, ...], np.ndarray]:
-    """(masks, stack) of sum_k coeff(k) x^k for x = (masks, stack) square with
-    zero body, the matrix counterpart of ``grassmann._nilpotent_series``: x^k
-    has no blades for some k <= order + 1, and the sum stops there."""
-    size = stack.shape[1]
-    total_masks, total = (0,), coeff(0) * np.eye(size, dtype=complex)[None]
-    power_masks, power, k = masks, stack, 1
-    while power_masks:
-        total_masks, total = _union_add(total_masks, total, power_masks, coeff(k) * power)
-        power_masks, power = _drop_zero_slices(*_blade_product(
-            np.matmul, power_masks, power, masks, stack, order, (size, size)))
-        k += 1
-    return total_masks, total
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -735,14 +580,18 @@ def expm(m: Supermatrix) -> Supermatrix:
     """Matrix exponential over Lambda_N: the finite sum of x^k / k! for input
     with no body blade, else scaling and squaring, with the argument scaled
     to entry-sum norm at most 1 and a Taylor series to SERIES_EPS.  Terms
-    stay raw blade stacks; the one matrix built at the end raises
-    AlgebraError on a non-finite entry."""
+    stay raw blade stacks; an argument whose norm overflows, or the one
+    matrix built at the end with a non-finite entry, raises AlgebraError."""
     mat, size = m.mat, m.size
     if not mat.masks or mat.masks[0] != 0:
         return Supermatrix(m.p, m.q, mat.with_stack(*_nilpotent_matrix_series(
             mat.masks, mat.stack, m.order, lambda k: 1.0 / math.factorial(k))),
             validate=False)
-    s = math.ceil(math.log2(max(mat.norm(), 1.0)))
+    with np.errstate(over="ignore"):
+        norm = mat.norm()
+    if not math.isfinite(norm):
+        raise AlgebraError("entry-sum norm overflows, so exp cannot scale its argument")
+    s = math.ceil(math.log2(max(norm, 1.0)))
     masks, stack = mat.masks, 0.5 ** s * mat.stack
     product = functools.partial(_blade_product, np.matmul, order=m.order, shape=(size, size))
     total_masks, total = term_masks, term = (0,), np.eye(size, dtype=complex)[None]

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +89,20 @@ def test_ln_domain_violation_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "ln", "-i", path)
     assert code == 1
     assert "domain violation" in err
+
+
+def test_exp_with_overflowing_norm_is_a_domain_violation(tmp_path):
+    body = np.eye(3, dtype=complex)
+    body[0, 1] = body[1, 0] = 1e308
+    path = write_json(tmp_path, "huge.json", Supermatrix.from_body(3, 0, body, 2).to_dict())
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "superspin", "exp", "-i", path],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr.startswith("domain violation:")
+    assert "Traceback" not in run.stderr
 
 
 def test_ln_that_does_not_converge_is_a_domain_violation(capsys, tmp_path):

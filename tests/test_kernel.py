@@ -1,18 +1,21 @@
-"""The product kernels against reference implementations kept only here.
+"""The blade-stack kernel against reference implementations kept only here.
 
-The Grassmann references are the blade-pair loops the library used before
-the flip-table kernel: every sign comes from ``reorder_sign``, every
-coefficient product is a fresh GrassmannNumber, and the Clifford product adds
-whole GrassmannNumbers term by term.  The matrix references work on
-``{mask: slice}`` dicts, the storage GrassmannMatrix had before the packed
-blade stack: one Python loop per operation over blades or blade pairs.
+The Grassmann references are the dict loops the library used before numbers
+moved onto the kernel: every sign comes from ``reorder_sign``, every
+coefficient product is a fresh GrassmannNumber, the finite nilpotent series
+sums dict powers, and the Clifford product adds whole GrassmannNumbers term
+by term.  The matrix references work on ``{mask: slice}`` dicts, the storage
+GrassmannMatrix had before the packed blade stack: one Python loop per
+operation over blades or blade pairs.
 """
 
+import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superspin import (
@@ -24,12 +27,13 @@ from superspin import (
     ShapeMismatchError,
     Supermatrix,
 )
-from superspin import supermatrix
+from superspin import grassmann
 from superspin.clifford import _blade_mul, _plane_reorder
 from superspin.grassmann import MAX_ORDER, flip_table, reorder_sign
 
 TOL = 1e-12
 ORDERS = (0, 1, 4)
+NUMBER_ORDERS = (0, 1, 4, 8)
 
 SETTINGS = settings(max_examples=150)
 
@@ -46,6 +50,21 @@ def reference_grassmann_product(a, b):
             m = ma | mb
             out[m] = out.get(m, 0.0) + ca * cb * reorder_sign(ma, mb)
     return GrassmannNumber(a.order, out)
+
+
+def reference_nilpotent_series(u, coeff):
+    """sum_k coeff(k) u^k for a nilpotent u (zero body): every factor of u
+    raises the lowest grade of a power by one, so u^k vanishes for some
+    k <= order + 1 and the sum stops there."""
+    total = {}
+    power, k = GrassmannNumber.one(u.order), 0
+    while power.terms:
+        c = coeff(k)
+        for mask, value in power.terms.items():
+            total[mask] = total.get(mask, 0.0) + c * value
+        power = reference_grassmann_product(power, u)
+        k += 1
+    return GrassmannNumber(u.order, total)
 
 
 def reference_clifford_product(x, y):
@@ -175,8 +194,21 @@ def grassmann_numbers(order, min_size=0):
 
 @st.composite
 def grassmann_pairs(draw):
-    order = draw(st.sampled_from(ORDERS))
+    order = draw(st.sampled_from(NUMBER_ORDERS))
     return draw(grassmann_numbers(order)), draw(grassmann_numbers(order))
+
+
+@st.composite
+def series_inputs(draw):
+    """(order, body, nilpotent terms, alpha): a body of modulus at least
+    1/2 and a nilpotent part, possibly empty, with small coefficients."""
+    order = draw(st.sampled_from(NUMBER_ORDERS))
+    body = complex(draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 2.0)),
+                   draw(st.floats(-2.0, 2.0)))
+    small = st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+    nilpotent = (draw(st.dictionaries(st.integers(1, (1 << order) - 1), small))
+                 if order else {})
+    return order, body, nilpotent, draw(st.floats(-2.0, 2.0))
 
 
 def _fit(alpha, cap):
@@ -326,6 +358,29 @@ def test_flip_table_at_max_order():
 def test_grassmann_product_matches_reference(pair):
     a, b = pair
     assert close(a * b, reference_grassmann_product(a, b))
+
+
+@SETTINGS
+@given(series_inputs())
+@example((0, 1.5 + 0j, {}, 0.5))
+@example((4, -0.75 + 0.25j, {}, -1.5))
+def test_number_series_match_reference(case):
+    order, body, nilpotent, alpha = case
+    x = GrassmannNumber(order, {0: body, **nilpotent})
+    u = x.nilpotent()
+    cases = [
+        (x.exp(), reference_nilpotent_series(u, lambda k: 1.0 / math.factorial(k))
+         * cmath.exp(body)),
+        (x.log(), reference_nilpotent_series(
+            u * (1.0 / body), lambda k: (-1.0) ** (k + 1) / k if k else cmath.log(body))),
+        (x.inv(), reference_nilpotent_series(u * (-1.0 / body), lambda k: 1.0)
+         * (1.0 / body)),
+        (x.fpow(alpha), reference_nilpotent_series(
+            u * (1.0 / body), lambda k: math.prod((alpha - j) / (j + 1) for j in range(k)))
+         * body ** alpha),
+    ]
+    for got, want in cases:
+        assert close(got, want)
 
 
 @SETTINGS
@@ -493,19 +548,22 @@ def test_sparse_products_at_max_order_match_reference(monkeypatch, budget):
     rng = np.random.default_rng(16)
     a, b = _sparse_matrix(rng, 3, 2, 40), _sparse_matrix(rng, 2, 3, 36)
     g = GrassmannNumber(MAX_ORDER, {m: complex(rng.normal()) for m in b.masks[:30]})
+    h = _sparse_number(rng, 40)
     grids = []
-    build = supermatrix._build_plan
+    build = grassmann._build_plan
 
     def recording_build(masks_a, masks_b, order):
         grids.append(len(masks_a) * len(masks_b))
         return build(masks_a, masks_b, order)
 
-    monkeypatch.setattr(supermatrix, "_build_plan", recording_build)
+    monkeypatch.setattr(grassmann, "_build_plan", recording_build)
     if budget is not None:
-        monkeypatch.setattr(supermatrix, "_TILE_ELEMENTS", budget)
+        monkeypatch.setattr(grassmann, "_TILE_ELEMENTS", budget)
     # (result, reference, entries of the largest slice a pair touches)
     cases = [(lambda: a @ b, reference_matmul(a, b), 9),
-             (lambda: a.scale(g), reference_scale(g, a), 6)]
+             (lambda: a.scale(g), reference_scale(g, a), 6),
+             (lambda: GrassmannMatrix.from_entries([[g * h]]),
+              {m: [[c]] for m, c in reference_grassmann_product(g, h).terms.items()}, 1)]
     for product, want, per_pair in cases:
         grids.clear()
         assert_matches(product(), want)
@@ -546,7 +604,7 @@ def test_sparse_clifford_product_at_max_order_matches_reference(monkeypatch, bud
 
     monkeypatch.setattr(GrassmannMatrix, "__matmul__", recording_matmul)
     if budget is not None:
-        monkeypatch.setattr(supermatrix, "_TILE_ELEMENTS", budget)
+        monkeypatch.setattr(grassmann, "_TILE_ELEMENTS", budget)
     got = x.multiply(y)
     assert close(got, want)
     assert got.truncated

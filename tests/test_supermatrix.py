@@ -593,6 +593,15 @@ def test_exp_overflow_raises_plain_algebra_error():
     assert type(info.value) is AlgebraError  # not SingularBodyError
 
 
+def test_exp_of_argument_with_overflowing_norm_raises_algebra_error():
+    # each entry is finite, but their sum is not: the scaling step has no s
+    body = np.eye(M_DIM, dtype=complex)
+    body[0, 1] = body[1, 0] = 1e308
+    with pytest.raises(AlgebraError, match="norm overflows") as info:
+        expm(Supermatrix.from_body(M_DIM, 0, body, ORDER))
+    assert type(info.value) is AlgebraError
+
+
 def test_log_domain_error():
     body = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]).astype(complex)
     with pytest.raises(LogDomainError):
