@@ -61,10 +61,12 @@ EXTRACT_TOL = 1e-10
 
 # Key plans of products with at most _CACHED_KEY_PAIRS key pairs are
 # memoised, at most _KEY_PLAN_CACHE of them; larger plans are built per
-# product and dropped.  Each benchmark workload reuses at most 8 distinct
-# plans of at most 500 pairs.  A full cache of 1024-pair plans holds about
-# 1.5 MiB for random keys and 5 MiB for the densest case tried (every key of
-# degree 4 at cap 8, about 2000 entries per plan).
+# product and dropped.  Neither benchmark workload makes a Clifford product
+# per request: clifford-reflect builds its one oscillator ladder table (10
+# products, 6 distinct plans of at most 81 pairs) once.  A full cache of
+# 1024-pair plans holds about 1.5 MiB for random keys and 5 MiB for the
+# densest case tried (every key of degree 4 at cap 8, about 2000 entries per
+# plan).
 _CACHED_KEY_PAIRS = 1 << 10
 _KEY_PLAN_CACHE = 16
 

@@ -5,6 +5,8 @@ the double cover, and the fractional Fourier correspondence.
 
 Spin elements stay formal (factor lists); everything quantitative routes
 through the matrix representation or through degree-capped Clifford series.
+The oscillator exponentials and powers are weighted sums of one memoised
+table of ladder products a^j b^j per (n, plane, cap), so they make no product.
 The generator split works on a bivector's packed matrix S: its nilpotent
 part, and the Cartan split of its body's symplectic block by Omega.
 """
@@ -12,6 +14,8 @@ part, and the Cartan split of its body's symplectic block by Omega.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -27,7 +31,7 @@ from .clifford import (
     clifford_exp,
     matrix_to_bivector,
 )
-from .exceptions import CapExceededError, MembershipError, ShapeMismatchError
+from .exceptions import AlgebraError, CapExceededError, MembershipError, ShapeMismatchError
 from .grassmann import DEFAULT_TOL, GrassmannNumber
 from .orthosymplectic import (
     check_so0,
@@ -173,26 +177,39 @@ def ladder_pair(m: int, n: int, order: int, plane: int,
     return odd1 - odd2 * 1j, odd1 + odd2 * 1j
 
 
+@functools.lru_cache(maxsize=32)
+def _ladder_table(n: int, plane: int, cap: int) -> tuple[tuple[tuple, ...], ...]:
+    """a^j b^j in normal order, j = 1..cap//2, as immutable (key, complex) pairs:
+    a and b have scalar coefficients, so every coefficient is a body value and
+    the table does not depend on m or N.  At cap 8 it holds 3/7/13/21 pairs."""
+    mul = functools.partial(CliffordElement.multiply, strict=True)
+    powers = (itertools.accumulate([x] * (cap // 2), mul)
+              for x in ladder_pair(0, n, 0, plane, cap))
+    return tuple(tuple((key, c.body) for key, c in mul(a_j, b_j).terms.items())
+                 for a_j, b_j in zip(*powers))
+
+
+def _ladder_sum(weights: Sequence[complex], factor: complex, plane: int, m: int, n: int,
+                order: int, cap: int, one: complex = 0.0) -> CliffordElement:
+    """factor (one + sum_j weights[j-1] a^j b^j), summed over the ladder table."""
+    sums = {(0, (0,) * (2 * n)): one}
+    for weight, terms in zip(weights, _ladder_table(n, plane, cap)):
+        for key, value in terms:
+            sums[key] = sums.get(key, 0.0) + value * weight
+    return CliffordElement(m, n, order, cap, {
+        key: GrassmannNumber.scalar(order, value * factor) for key, value in sums.items()})
+
+
 def oscillator_power(k: int, plane: int, m: int, n: int, order: int,
                      cap: int = DEFAULT_CAP) -> CliffordElement:
     """(ab)^k in normal order via Stirling numbers of the second kind:
-    (ab)^k = sum_j (-2i)^{k-j} S(k,j) a^j b^j."""
+    (ab)^k = sum_j (-2i)^{k-j} S(k,j) a^j b^j over the cached ladder table."""
     if k < 1:
         raise ShapeMismatchError("power must be at least 1")
     if 2 * k > cap:
         raise CapExceededError(f"(ab)^{k} has degree {2 * k} > cap {cap}")
-    a, b = ladder_pair(m, n, order, plane, cap)
-    a_pow = {1: a}
-    b_pow = {1: b}
-    for j in range(2, k + 1):
-        a_pow[j] = a_pow[j - 1].multiply(a, strict=True)
-        b_pow[j] = b_pow[j - 1].multiply(b, strict=True)
-    total = CliffordElement.zero(m, n, order, cap)
-    minus_two_i = complex(0.0, -2.0)
-    for j in range(1, k + 1):
-        coeff = (minus_two_i ** (k - j)) * stirling2(k, j)
-        total = total + a_pow[j].multiply(b_pow[j], strict=True) * coeff
-    return total
+    return _ladder_sum([complex(0.0, -2.0) ** (k - j) * stirling2(k, j) for j in range(1, k + 1)],
+                       1.0, plane, m, n, order, cap)
 
 
 @dataclass(frozen=True)
@@ -210,8 +227,14 @@ def oscillator_exp(theta: float, plane: int, m: int, n: int, order: int,
     Equal to e^{-i theta} (1 + sum_{j>=1} (-2i)^{-j} (e^{-2i theta}-1)^j / j!
     a^j b^j).  At integer multiples of pi the series telescopes to (+-1)
     exactly with zero truncation error; otherwise it is truncated at the cap
-    with a reported coefficient-tail bound.
+    with a reported coefficient-tail bound.  Only the weights depend on theta;
+    the a^j b^j come from the cached ladder table, so no Clifford product is made.
     """
+    check_signature(m, n, order)
+    if not 1 <= plane <= n:
+        raise ShapeMismatchError(f"plane {plane} out of range 1..{n}")
+    if not math.isfinite(theta):
+        raise AlgebraError(f"theta must be finite, got {theta!r}")
     ratio = theta / math.pi
     nearest = round(ratio)
     if abs(ratio - nearest) <= 1e-12:
@@ -220,21 +243,13 @@ def oscillator_exp(theta: float, plane: int, m: int, n: int, order: int,
             CliffordElement.scalar(m, n, order, value, cap), 0.0
         )
     phase = cmath.exp(-2j * theta) - 1.0
-    prefactor = cmath.exp(-1j * theta)
     jmax = cap // 2
-    total = CliffordElement.scalar(m, n, order, 1.0, cap)
-    a, b = ladder_pair(m, n, order, plane, cap)
-    a_j, b_j = a, b
-    minus_two_i = complex(0.0, -2.0)
-    for j in range(1, jmax + 1):
-        if j > 1:
-            a_j = a_j.multiply(a, strict=True)
-            b_j = b_j.multiply(b, strict=True)
-        coeff = (minus_two_i ** (-j)) * (phase ** j) / math.factorial(j)
-        total = total + a_j.multiply(b_j, strict=True) * coeff
+    weights = [complex(0.0, -2.0) ** (-j) * phase ** j / math.factorial(j)
+               for j in range(1, jmax + 1)]
     bound = (abs(phase) ** (jmax + 1)
              / math.factorial(jmax + 1) / 2.0 ** (jmax + 1))
-    return OscillatorExpansion(total * prefactor, bound)
+    return OscillatorExpansion(_ladder_sum(weights, cmath.exp(-1j * theta), plane,
+                                           m, n, order, cap, one=1.0), bound)
 
 
 # -- double cover ------------------------------------------------------------------

@@ -7,9 +7,14 @@ Run from the repository root as
 Every payload comes from superspin's seeded generators at (m, n, N) =
 (3, 1, 4).  ``<command>.json`` holds the payload (compact JSON) and
 ``<command>.out`` the exact stdout of ``superspin <command> --input
-<command>.json``.  The committed files were written by the code as it was
-before matrices moved to packed blade stacks; ``tests/test_golden.py``
-compares the current stdout with them within a stated tolerance.
+<command>.json``.  The commands in ``FLAG_COMMANDS`` read no payload: each
+``<name>.out`` is the stdout of ``superspin`` run with its argument list.
+The payload-driven files were written by the code as it was before matrices
+moved to packed blade stacks, and the flag-only files by the code as it was
+before oscillator exponentials summed a cached table of ladder products;
+``tests/test_golden.py`` compares the current stdout with them within a
+stated tolerance.  Pass command names after the directory to rewrite only
+those files, e.g. ``make_corpus.py tests/golden osc-exp frft``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,14 @@ from superspin.cli import main
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 M, N_PLANES, ORDER = 3, 1, 4
+
+FLAG_COMMANDS = {
+    "osc-exp": ["osc-exp", "--theta", "1.3", "--m", "4", "--n", "2", "--N", "4",
+                "--plane", "2"],
+    "osc-exp-cap10": ["osc-exp", "--theta", "-2.2", "--m", "3", "--n", "1", "--N", "2",
+                      "--cap", "10"],
+    "frft": ["frft", "--thetas", "0.5,1.5", "--m", "3", "--N", "2"],
+}
 
 
 def payloads() -> dict[str, object]:
@@ -58,24 +71,31 @@ def payloads() -> dict[str, object]:
     }
 
 
-def run(command: str, path: str) -> str:
+def run(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([command, "--input", path])
+        code = main(argv)
     if code != 0:
-        raise SystemExit(f"{command} exited {code}")
+        raise SystemExit(f"{argv[0]} exited {code}")
     return out.getvalue()
 
 
-def write_corpus(directory: str = HERE) -> None:
+def write_corpus(directory: str = HERE, only: list[str] | None = None) -> None:
+    argvs = {}
     for command, payload in payloads().items():
+        if only and command not in only:
+            continue
         path = os.path.join(directory, f"{command}.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, separators=(",", ":"))
-        stdout = run(command, path)
-        with open(os.path.join(directory, f"{command}.out"), "w", encoding="utf-8") as handle:
+        argvs[command] = [command, "--input", path]
+    argvs.update((name, argv) for name, argv in FLAG_COMMANDS.items()
+                 if not only or name in only)
+    for name, argv in argvs.items():
+        stdout = run(argv)
+        with open(os.path.join(directory, f"{name}.out"), "w", encoding="utf-8") as handle:
             handle.write(stdout)
 
 
 if __name__ == "__main__":
-    write_corpus(sys.argv[1] if len(sys.argv) > 1 else HERE)
+    write_corpus(sys.argv[1] if len(sys.argv) > 1 else HERE, sys.argv[2:] or None)

@@ -388,6 +388,11 @@ def test_emitted_json_reparses_to_equal_value(capsys, rotation):
     ["selftest", "--only", "11"],
     ["selftest", "--only", "0"],
     ["selftest", "--only", "1,x"],
+    ["osc-exp", "--theta", "nan"],
+    ["osc-exp", "--theta", "-inf"],
+    ["osc-exp", "--theta", "3.141592653589793", "--plane", "5", "--n", "2"],
+    ["osc-exp", "--theta", "3.141592653589793", "--plane", "0"],
+    ["osc-exp", "--theta", "3.141592653589793", "--m", "-1"],
 ])
 def test_out_of_range_flags_are_malformed_input(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,8 @@
 """CLI stdout against the golden corpus in tests/golden/.
 
+A case reads its payload from ``<command>.json``, or, for the flag-only
+commands listed in ``make_corpus.FLAG_COMMANDS``, runs its argument list.
+
 Tolerance: every JSON key, every bool, int and string, and every Grassmann
 term mask must match; coefficients and other floats may differ by at most
 1e-12 absolute; a term may appear or vanish only when its modulus is below
@@ -7,6 +10,7 @@ term mask must match; coefficients and other floats may differ by at most
 (a 1e-14 coefficient, say) can flip in and out of the canonical form.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,6 +23,12 @@ from superspin.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 COMMANDS = sorted(f[:-4] for f in os.listdir(GOLDEN) if f.endswith(".out"))
+
+_spec = importlib.util.spec_from_file_location(
+    "make_corpus", os.path.join(GOLDEN, "make_corpus.py"))
+_make_corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_make_corpus)
+FLAG_COMMANDS = _make_corpus.FLAG_COMMANDS
 
 ABS_TOL = 1e-12
 NOISE = 1e-13
@@ -69,16 +79,24 @@ def _expected(command: str) -> str:
         return handle.read()
 
 
+def _argv(command: str) -> list[str]:
+    if command in FLAG_COMMANDS:
+        return FLAG_COMMANDS[command]
+    return [command, "--input", os.path.join(GOLDEN, f"{command}.json")]
+
+
 def test_corpus_covers_the_matrix_commands():
     assert set(COMMANDS) == {
         "check-so0", "sdet", "exp", "ln", "decompose", "lift", "reflect",
         "inner", "act", "phi", "phi-inv", "check-so0-algebra",
+        "osc-exp", "osc-exp-cap10", "frft",
     }
+    assert set(FLAG_COMMANDS) <= set(COMMANDS)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_stdout_matches_golden(capsys, command):
-    code = main([command, "--input", os.path.join(GOLDEN, f"{command}.json")])
+    code = main(_argv(command))
     out = capsys.readouterr().out
     assert code == 0
     assert mismatches(json.loads(out), json.loads(_expected(command))) == []

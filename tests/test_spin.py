@@ -6,12 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from superspin import (
+    AlgebraError,
+    CapExceededError,
     CliffordElement,
     ExtendedSuperbivector,
     GrassmannNumber,
     MembershipError,
+    OrderMismatchError,
+    ShapeMismatchError,
     SpinElement,
     Supermatrix,
     action_matrix,
@@ -277,6 +283,127 @@ def test_oscillator_exp_generic_angle_against_ladder_series():
     # the ladder-basis constant component is the pure phase e^{-i theta}
     assert abs(prefactor * coeffs[0] - -1j) < 1e-12
     assert expansion.truncation_bound <= abs(cmath.exp(-2j * theta) - 1) ** (jmax + 1)
+
+
+def reference_oscillator_exp(theta, plane, m, n, order, cap=8):
+    """The oscillator exponential with its a^j b^j built by strict Clifford
+    products on every call, as the library did before the ladder table."""
+    ratio = theta / math.pi
+    nearest = round(ratio)
+    if abs(ratio - nearest) <= 1e-12:
+        value = -1.0 if nearest % 2 else 1.0
+        return CliffordElement.scalar(m, n, order, value, cap), 0.0
+    phase = cmath.exp(-2j * theta) - 1.0
+    prefactor = cmath.exp(-1j * theta)
+    jmax = cap // 2
+    total = CliffordElement.scalar(m, n, order, 1.0, cap)
+    a, b = ladder_pair(m, n, order, plane, cap)
+    a_j, b_j = a, b
+    minus_two_i = complex(0.0, -2.0)
+    for j in range(1, jmax + 1):
+        if j > 1:
+            a_j = a_j.multiply(a, strict=True)
+            b_j = b_j.multiply(b, strict=True)
+        coeff = (minus_two_i ** (-j)) * (phase ** j) / math.factorial(j)
+        total = total + a_j.multiply(b_j, strict=True) * coeff
+    bound = (abs(phase) ** (jmax + 1)
+             / math.factorial(jmax + 1) / 2.0 ** (jmax + 1))
+    return total * prefactor, bound
+
+
+def reference_oscillator_power(k, plane, m, n, order, cap=8):
+    """(ab)^k by the Stirling sum over per-call products a^j and b^j."""
+    a, b = ladder_pair(m, n, order, plane, cap)
+    a_pow = {1: a}
+    b_pow = {1: b}
+    for j in range(2, k + 1):
+        a_pow[j] = a_pow[j - 1].multiply(a, strict=True)
+        b_pow[j] = b_pow[j - 1].multiply(b, strict=True)
+    total = CliffordElement.zero(m, n, order, cap)
+    minus_two_i = complex(0.0, -2.0)
+    for j in range(1, k + 1):
+        coeff = (minus_two_i ** (k - j)) * stirling2(k, j)
+        total = total + a_pow[j].multiply(b_pow[j], strict=True) * coeff
+    return total
+
+
+def assert_same_element(got, want):
+    assert (got.m, got.n, got.order, got.cap) == (want.m, want.n, want.order, want.cap)
+    assert got.truncated == want.truncated
+    assert set(got.terms) == set(want.terms)
+    for key, coeff in want.terms.items():
+        assert set(got.terms[key].terms) == set(coeff.terms)
+        for mask, value in coeff.terms.items():
+            assert abs(got.terms[key].terms[mask] - value) <= 1e-15
+
+
+@settings(max_examples=150)
+@given(m=st.sampled_from([0, 4]), n=st.integers(1, 3), plane=st.integers(1, 3),
+       order=st.sampled_from([0, 1, 4]), cap=st.integers(0, 10),
+       theta=st.floats(-10.0, 10.0))
+@example(m=4, n=2, plane=2, order=4, cap=8, theta=math.pi)
+@example(m=0, n=1, plane=1, order=0, cap=0, theta=-3 * math.pi)
+@example(m=4, n=3, plane=3, order=1, cap=10, theta=2 * math.pi)
+@example(m=4, n=2, plane=1, order=4, cap=0, theta=1.3)
+def test_oscillator_exp_and_power_match_the_product_oracles(m, n, plane, order, cap, theta):
+    assume(plane <= n)
+    try:
+        want, want_bound = reference_oscillator_exp(theta, plane, m, n, order, cap)
+    except CapExceededError:
+        with pytest.raises(CapExceededError):
+            oscillator_exp(theta, plane, m, n, order, cap)
+    else:
+        got = oscillator_exp(theta, plane, m, n, order, cap)
+        assert got.truncation_bound == want_bound
+        assert_same_element(got.element, want)
+    for k in range(1, cap // 2 + 1):
+        assert_same_element(oscillator_power(k, plane, m, n, order, cap),
+                            reference_oscillator_power(k, plane, m, n, order, cap))
+
+
+def test_oscillator_results_do_not_alias_the_table():
+    first = oscillator_exp(1.3, 2, 4, 2, 4).element
+    power = oscillator_power(2, 2, 4, 2, 4)
+    want_exp, want_power = first.to_dict(), power.to_dict()
+    for element in (first, power):
+        key = next(iter(element.terms))
+        element.terms[key].terms[0] = 99.0
+        element.terms.clear()
+        element.truncated = True
+    assert oscillator_exp(1.3, 2, 4, 2, 4).element.to_dict() == want_exp
+    assert oscillator_power(2, 2, 4, 2, 4).to_dict() == want_power
+
+
+def test_warm_oscillator_calls_make_no_clifford_product(monkeypatch):
+    calls = []
+    multiply = CliffordElement.multiply
+
+    def counting(self, other, strict=False):
+        calls.append(strict)
+        return multiply(self, other, strict)
+
+    monkeypatch.setattr(CliffordElement, "multiply", counting)
+    oscillator_exp(0.7, 1, 3, 2, 2, cap=6)
+    warm = len(calls)
+    oscillator_exp(-2.1, 1, 3, 2, 2, cap=6)
+    oscillator_exp(0.4, 1, 1, 2, 4, cap=6)
+    oscillator_power(3, 1, 2, 2, 0, cap=6)
+    assert len(calls) == warm
+
+
+@pytest.mark.parametrize("args, error", [
+    ((math.pi, 5, 4, 2, 4), ShapeMismatchError),
+    ((math.pi, 0, 4, 2, 4), ShapeMismatchError),
+    ((math.pi, 1, -1, 2, 4), ShapeMismatchError),
+    ((1.3, 1, 4, -2, 4), ShapeMismatchError),
+    ((math.pi, 1, 4, 2, 17), OrderMismatchError),
+    ((math.nan, 1, 4, 2, 4), AlgebraError),
+    ((math.inf, 1, 4, 2, 4), AlgebraError),
+    ((-math.inf, 1, 4, 2, 4), AlgebraError),
+])
+def test_oscillator_exp_validates_before_the_telescoping_shortcut(args, error):
+    with pytest.raises(error):
+        oscillator_exp(*args)
 
 
 def test_kernel_sign_fixed_cases():
