@@ -308,6 +308,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance {value} is negative")
+    return value
+
+
 def _int_in(low: int, high: int | None = None):
     """argparse type: an integer in [low, high] (no upper bound if high is None)."""
     def parse(text: str) -> int:
@@ -335,8 +342,8 @@ def _criteria(text: str) -> list[int]:
 
 # Each option exists only on the subcommands that read it.
 _OPTIONS = {
-    "--tol": dict(type=_finite_float, default=DEFAULT_TOL,
-                  help="comparison tolerance (default 1e-9)"),
+    "--tol": dict(type=_tolerance, default=DEFAULT_TOL,
+                  help="comparison tolerance, finite and >= 0 (default 1e-9)"),
     "--seed": dict(type=int, default=selftest.DEFAULT_SEED,
                    help="seed of the acceptance suite"),
     "--cap": dict(type=_int_in(0), default=8, help="fermionic degree cap"),

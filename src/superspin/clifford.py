@@ -49,10 +49,11 @@ from .grassmann import (
     GrassmannNumber,
     _blade_product,
     _parity_array,
+    json_int,
     random_grassmann,
     reorder_sign,
 )
-from .supermatrix import GrassmannMatrix, Supermatrix, symplectic_form
+from .supermatrix import GrassmannMatrix, Supermatrix, _q_gram_body
 
 DEFAULT_CAP = 8
 
@@ -460,12 +461,12 @@ class CliffordElement:
     @classmethod
     def from_dict(cls, data: Mapping) -> "CliffordElement":
         terms = {
-            (int(t["emask"]), tuple(int(a) for a in t["alpha"])):
+            (json_int(t["emask"], "emask"), tuple(json_int(a, "alpha") for a in t["alpha"])):
                 GrassmannNumber.from_dict(t["coeff"])
             for t in data.get("terms", [])
         }
-        return cls(int(data["m"]), int(data["n"]), int(data["N"]),
-                   int(data.get("cap", DEFAULT_CAP)), terms,
+        return cls(*(json_int(data[key], key) for key in ("m", "n", "N")),
+                   json_int(data.get("cap", DEFAULT_CAP), "cap"), terms,
                    truncated=bool(data.get("truncated", False)))
 
     def __repr__(self):
@@ -603,7 +604,7 @@ class Supervector:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Supervector":
-        m, n, order = int(data["m"]), int(data["n"]), int(data["N"])
+        m, n, order = (json_int(data[key], key) for key in ("m", "n", "N"))
         even = [GrassmannNumber.from_dict(g) for g in data.get("even", [])]
         odd = [GrassmannNumber.from_dict(g) for g in data.get("odd", [])]
         return cls(m, n, order, even, odd)
@@ -810,11 +811,11 @@ class ExtendedSuperbivector:
         def fam(items):
             out = {}
             for it in items:
-                key = (int(it["j"]), int(it["k"]))
+                key = (json_int(it["j"], "j"), json_int(it["k"], "k"))
                 g = GrassmannNumber.from_dict(it["coeff"])
                 out[key] = out[key] + g if key in out else g
             return out
-        return cls(int(data["m"]), int(data["n"]), int(data["N"]),
+        return cls(*(json_int(data[key], key) for key in ("m", "n", "N")),
                    *(fam(data.get(name, [])) for name in ("b", "bq", "B")))
 
     def __repr__(self):
@@ -845,25 +846,13 @@ def clifford_exp(x: CliffordElement, max_terms: int = 200) -> CliffordElement:
 # -- inner product and wedge --------------------------------------------------
 
 
-@functools.cache
-def _inner_gram(m: int, n: int) -> np.ndarray:
-    """Body Gram matrix of ``inner``: I_m, then -1/2 at (u, u + 1) and 1/2 at
-    (u + 1, u) for the two coordinates u, u + 1 of each symplectic plane."""
-    gram = np.eye(m + 2 * n)
-    gram[m:, m:] = 0.0
-    u = np.arange(m, m + 2 * n, 2)
-    gram[u, u + 1], gram[u + 1, u] = -0.5, 0.5
-    gram.flags.writeable = False
-    return gram
-
-
 def inner(x: Supervector, y: Supervector) -> GrassmannNumber:
     """Generalized inner product, equal to -{x,y}/2 and to x^T G y with G
     the body Gram matrix: one 1 x s by s x 1 blade product."""
     x._require_compatible(y)
     masks, stack = _blade_product(
         np.matmul, x.col.masks, x.col.stack.transpose(0, 2, 1), y.col.masks,
-        _inner_gram(x.m, x.n) @ y.col.stack, x.order, (1, 1))
+        _q_gram_body(x.m, x.n) @ y.col.stack, x.order, (1, 1))
     return GrassmannNumber(x.order, dict(zip(masks, stack[:, 0, 0].tolist())))
 
 
@@ -978,10 +967,9 @@ def apply_matrix(mat: Supermatrix, x: Supervector) -> Supervector:
 
 @functools.cache
 def _reflection_form(m: int, n: int) -> np.ndarray:
-    """K = blockdiag(-2 I_m, Omega_{2n}), so that <w, x> = -(w^T K x) / 2."""
-    form = np.zeros((m + 2 * n, m + 2 * n))
-    form[:m, :m] = -2.0 * np.eye(m)
-    form[m:, m:] = symplectic_form(n)
+    """K = -2 Q = blockdiag(-2 I_m, Omega_{2n}) for Q the Gram body, so that
+    <w, x> = -(w^T K x) / 2."""
+    form = -2.0 * _q_gram_body(m, n)
     form.flags.writeable = False
     return form
 

@@ -70,6 +70,15 @@ def flip_table(order: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer (an int, not a bool), else
+    TypeError: the decoders read every integer field through it, so a float
+    or a string is refused, never truncated or parsed."""
+    if type(value) is int:
+        return value
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 # -- the product kernel --------------------------------------------------------
 
 
@@ -81,9 +90,9 @@ _TILE_ELEMENTS = 1 << 20
 # Pair plans with at most _CACHED_PAIRS candidate pairs (every pair of a
 # dense order-5 product) are memoised, at most _PLAN_CACHE of them; a full
 # cache holds about 5 MiB.  Number, matrix and series products share the
-# cache: over three passes, the clifford-reflect benchmark workload reuses 5
-# distinct plans and cli-mixed 11 to 12 (seeds 1, 7, 301, 4242), each with a
-# hit rate above 99%.  Larger plans are built per product and dropped.
+# cache (a body-only operand needs no plan): over three passes, benchmark
+# clifford-reflect reuses 2 distinct plans and cli-mixed 6 to 7 (seeds 1, 7,
+# 301, 4242), each hit above 98%.  Larger plans are built per product.
 _CACHED_PAIRS = 1 << 10
 _PLAN_CACHE = 64
 
@@ -149,11 +158,16 @@ def _blade_product(op: Callable, masks_a: tuple[int, ...], a_stack: np.ndarray,
 
     ``op`` combines gathered slices pairwise (``np.matmul`` for matrix
     products, ``np.multiply`` for products with the (k, 1, 1) coefficient
-    stack of a GrassmannNumber).
+    stack of a GrassmannNumber).  A body-only operand (masks (0,)) needs no
+    plan: its pairs all have sign +1 and distinct product masks.
     """
     na, nb = len(masks_a), len(masks_b)
     if not na or not nb:
         return (), np.zeros((0, *shape), dtype=complex)
+    if masks_a == (0,) or masks_b == (0,):
+        out = op(a_stack[0], b_stack) if masks_a == (0,) else op(a_stack, b_stack[0])
+        out *= 1.0  # the +1 sign: a complex product by 1 + 0j can flip a zero's sign
+        return (masks_b if masks_a == (0,) else masks_a), out
     per_pair = max(a_stack[0].size, b_stack[0].size, shape[0] * shape[1], 1)
     tile = max(1, _TILE_ELEMENTS // per_pair)
     if na * nb <= tile:
@@ -466,10 +480,10 @@ class GrassmannNumber:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GrassmannNumber":
-        order = int(data["N"])
+        order = json_int(data["N"], "N")
         terms: dict[int, complex] = {}
         for item in data.get("terms", []):
-            mask = int(item["mask"])
+            mask = json_int(item["mask"], "mask")
             value = complex(float(item["re"]), float(item.get("im", 0.0)))
             # a repeat adds to the first term, not to 0.0: -0.0 keeps its sign
             terms[mask] = terms[mask] + value if mask in terms else value

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import MembershipError, NotInvertibleError, SingularBodyError
-from .grassmann import DEFAULT_TOL, GrassmannNumber, random_grassmann
+from .exceptions import AlgebraError, MembershipError, NotInvertibleError, SingularBodyError
+from .grassmann import (DEFAULT_TOL, GrassmannNumber, _blade_product, _drop_zero_slices,
+                        _union_add, random_grassmann)
 from .supermatrix import (
     GrassmannMatrix,
     Supermatrix,
+    _q_gram_body,
     expm,
     logm,
-    q_gram_matrix,
     split_symplectic_form,
     symplectic_form,
 )
@@ -68,23 +69,38 @@ def _shape(mat: Supermatrix) -> tuple[int, int]:
     return mat.p, mat.q // 2
 
 
+def _residuals(mat: Supermatrix, gram: np.ndarray, group: bool) -> tuple[float, float]:
+    """(norm, block residual) of M^{ST} G M - G (group) or X^{ST} G + G X,
+    one blade stack for a real block-diagonal body G (so M^{ST} G is M^T G
+    with its C block negated).  Norms skip all-zero slices, as a matrix
+    stores none; a non-finite entry raises AlgebraError."""
+    p, x = mat.p, mat.mat
+    left = x.stack.transpose(0, 2, 1) @ gram
+    left[:, p:, :p] *= -1.0
+    if group:
+        masks, stack = _union_add(*_blade_product(np.matmul, x.masks, left, x.masks, x.stack,
+                                                  mat.order, gram.shape), (0,), -gram[None])
+    else:
+        masks, stack = x.masks, left + gram @ x.stack
+    if not np.isfinite(stack).all():
+        raise AlgebraError("non-finite entry in the defining expression")
+    total, a, b, d = (float(np.abs(_drop_zero_slices(masks, part)[1]).sum()) for part in (
+        stack, stack[:, :p, :p], stack[:, :p, p:], stack[:, p:, p:]))
+    return total, max(a, b, d if group else 2.0 * d)
+
+
 def check_o0(mat: Supermatrix, tol: float = DEFAULT_TOL) -> GroupReport:
     """Does mat preserve the super inner product, M^{ST} Q M = Q?
 
-    The defining expression M^{ST} Q M - Q is built once.  Its A, B and D
-    blocks are the three block equations of the group (C is minus the
-    transpose of B), so ``defining_residual`` is its norm and
-    ``block_residual`` the largest of those three block norms.  A Berezinian
-    that fails on a singular body is reported as sdet None with ok False.
-    Raises MembershipError for odd q and AlgebraError when an entry
-    overflows.
+    The defining expression M^{ST} Q M - Q is built once, as one blade
+    stack (``_residuals``).  Its A, B and D blocks are the three block
+    equations of the group (C is minus the transpose of B), so
+    ``defining_residual`` is its norm and ``block_residual`` the largest of
+    those three block norms.  A Berezinian that fails on a singular body is
+    reported as sdet None with ok False.  Raises MembershipError for odd q
+    and AlgebraError when an entry of the expression is not finite.
     """
-    m, n = _shape(mat)
-    gram = q_gram_matrix(m, n, mat.order)
-    expr = mat.supertranspose() @ gram @ mat - gram
-    defining = expr.norm()
-    blocks = max(expr.block_a().norm(), expr.block_b().norm(),
-                 expr.block_d().norm())
+    defining, blocks = _residuals(mat, _q_gram_body(*_shape(mat)), group=True)
     try:
         sdet = mat.sdet()
         deviation = min((sdet - 1.0).norm(), (sdet + 1.0).norm())
@@ -109,18 +125,13 @@ def check_so0(mat: Supermatrix, tol: float = DEFAULT_TOL) -> GroupReport:
 def check_so0_algebra(mat: Supermatrix, tol: float = DEFAULT_TOL) -> AlgebraReport:
     """Membership in the Lie algebra, X^{ST} Q + Q X = 0.
 
-    The defining expression is built once; ``defining_residual`` is its
-    norm.  In the blocks A, B, C, D of X, its A, B and D blocks are
+    The expression is built once (``_residuals``); ``defining_residual``
+    is its norm.  In the blocks A, B, C, D of X, its A, B and D blocks are
     A^T + A, B - C^T Omega / 2 and -(D^T Omega + Omega D) / 2, so
     ``block_residual``, the largest norm of A^T + A, B - C^T Omega / 2 and
     D^T Omega + Omega D, is max(|A block|, |B block|, 2 |D block|).
     """
-    m, n = _shape(mat)
-    gram = q_gram_matrix(m, n, mat.order)
-    expr = mat.supertranspose() @ gram + gram @ mat
-    defining = expr.norm()
-    blocks = max(expr.block_a().norm(), expr.block_b().norm(),
-                 2.0 * expr.block_d().norm())
+    defining, blocks = _residuals(mat, _q_gram_body(*_shape(mat)), group=False)
     scale = max(1.0, mat.norm())
     ok = defining <= tol * scale and blocks <= tol * scale
     return AlgebraReport(ok, defining, blocks)
@@ -321,15 +332,6 @@ def _interleave_permutation(n: int) -> np.ndarray:
     return p
 
 
-def standard_osp_gram(m: int, n: int, order: int) -> Supermatrix:
-    """diag(I_m, J_{2n}): the Gram matrix of the standard orthosymplectic form."""
-    size = m + 2 * n
-    body = np.zeros((size, size), dtype=complex)
-    body[:m, :m] = np.eye(m)
-    body[m:, m:] = split_symplectic_form(n)
-    return Supermatrix.from_body(m, 2 * n, body, order)
-
-
 def osp_standard_form(mat: Supermatrix, tol: float = DEFAULT_TOL) -> Supermatrix:
     """Conjugate an algebra element onto the standard orthosymplectic shape.
 
@@ -350,10 +352,11 @@ def osp_standard_form(mat: Supermatrix, tol: float = DEFAULT_TOL) -> Supermatrix
 
 
 def osp_defect(mat: Supermatrix) -> float:
-    """Residual of Y^{ST} G + G Y against the standard orthosymplectic form."""
+    """Residual of Y^{ST} G + G Y against the standard form G = diag(I_m, J_{2n})."""
     m, n = _shape(mat)
-    gram = standard_osp_gram(m, n, mat.order)
-    return (mat.supertranspose() @ gram + gram @ mat).norm()
+    gram = np.eye(m + 2 * n)
+    gram[m:, m:] = split_symplectic_form(n)
+    return _residuals(mat, gram, group=False)[0]
 
 
 # -- seeded random generators ------------------------------------------------------

@@ -26,7 +26,6 @@ from .grassmann import GrassmannNumber
 from .orthosymplectic import (
     check_o0,
     decompose_rotation,
-    q_gram_matrix,
     random_rotation,
     random_supermatrix,
 )
@@ -41,7 +40,7 @@ from .spin import (
     oscillator_power,
     split_bivector,
 )
-from .supermatrix import GrassmannMatrix, Supermatrix, expm, symplectic_form
+from .supermatrix import GrassmannMatrix, Supermatrix, expm, q_gram_matrix, symplectic_form
 
 DEFAULT_SEED = 20240901
 

@@ -32,7 +32,7 @@ from .clifford import (
     matrix_to_bivector,
 )
 from .exceptions import AlgebraError, CapExceededError, MembershipError, ShapeMismatchError
-from .grassmann import DEFAULT_TOL, GrassmannNumber
+from .grassmann import DEFAULT_TOL, GrassmannNumber, json_int
 from .orthosymplectic import (
     check_so0,
     decompose_rotation,
@@ -79,7 +79,7 @@ class SpinElement:
     def from_dict(cls, data: Mapping) -> "SpinElement":
         factors = [ExtendedSuperbivector.from_dict(f)
                    for f in data.get("factors", [])]
-        return cls(int(data["m"]), int(data["n"]), int(data["N"]), factors)
+        return cls(*(json_int(data[key], key) for key in ("m", "n", "N")), factors)
 
     def __repr__(self):
         return (f"SpinElement(m={self.m}, n={self.n}, N={self.order}, "

@@ -35,7 +35,7 @@ from .exceptions import (
     SingularBodyError,
 )
 from .grassmann import (CANON_EPS, DEFAULT_TOL, MAX_ORDER, GrassmannNumber, _blade_product,
-                        _drop_zero_slices, _nilpotent_matrix_series, _union_add)
+                        _drop_zero_slices, _nilpotent_matrix_series, _union_add, json_int)
 
 # Relative truncation threshold for the exp/ln power series.
 SERIES_EPS = 1e-14
@@ -524,7 +524,7 @@ class Supermatrix:
         within an entry are summed, ``im`` is optional, coefficients must be
         finite) and must have the matrix's order; the parity pattern is
         checked."""
-        p, q, order = int(data["p"]), int(data["q"]), int(data["N"])
+        p, q, order = (json_int(data[key], key) for key in ("p", "q", "N"))
         rows = data["rows"]
         size = p + q
         if len(rows) != size or any(len(r) != size for r in rows):
@@ -535,10 +535,10 @@ class Supermatrix:
         masks, cells, re, im = [], [], [], []
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
-                if int(entry["N"]) != order:
+                if json_int(entry["N"], "N") != order:
                     raise OrderMismatchError("entry order differs from matrix order")
                 for item in entry.get("terms", []):
-                    mask = int(item["mask"])
+                    mask = json_int(item["mask"], "mask")
                     if not 0 <= mask < limit:
                         raise OrderMismatchError(
                             f"mask {mask} out of range for order {order}")
@@ -646,9 +646,15 @@ def logm(m: Supermatrix) -> Supermatrix:
     return Supermatrix(m.p, m.q, mat.with_stack(total_masks, total), validate=False)
 
 
+@functools.cache
+def _q_gram_body(m: int, n: int) -> np.ndarray:
+    """diag(I_m, -Omega_{2n} / 2) = diag(I_m, Omega_{2n}^T / 2), one read-only array."""
+    gram = np.eye(m + 2 * n)
+    gram[m:, m:] = 0.5 * symplectic_form(n).T
+    gram.flags.writeable = False
+    return gram
+
+
 def q_gram_matrix(m: int, n: int, order: int) -> Supermatrix:
     """Gram matrix of the super inner product: diag(I_m, -Omega_{2n}/2)."""
-    body = np.zeros((m + 2 * n, m + 2 * n), dtype=complex)
-    body[:m, :m] = np.eye(m)
-    body[m:, m:] = -0.5 * symplectic_form(n)
-    return Supermatrix.from_body(m, 2 * n, body, order)
+    return Supermatrix.from_body(m, 2 * n, _q_gram_body(m, n), order)

@@ -15,6 +15,7 @@ from superspin import (
     GrassmannNumber,
     Supermatrix,
     Supervector,
+    matrix_to_bivector,
     random_rotation,
     random_so0,
     random_sphere_vector,
@@ -393,6 +394,13 @@ def test_emitted_json_reparses_to_equal_value(capsys, rotation):
     ["osc-exp", "--theta", "3.141592653589793", "--plane", "5", "--n", "2"],
     ["osc-exp", "--theta", "3.141592653589793", "--plane", "0"],
     ["osc-exp", "--theta", "3.141592653589793", "--m", "-1"],
+    ["check-so0", "--tol=-1e-9"],
+    ["check-so0", "--tol", "-0.5"],
+    ["check-so0", "--tol", "-1e-9"],
+    ["lift", "--tol", "-1"],
+    ["phi-inv", "--tol=-1e-300"],
+    ["check-so0-algebra", "--tol", "nan"],
+    ["decompose", "--tol", "inf"],
 ])
 def test_out_of_range_flags_are_malformed_input(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -419,6 +427,65 @@ def test_flags_at_their_limits_are_accepted(capsys):
     # --cap 0 parses; the ladder operators then exceed it, a domain violation.
     code, _, err = run_cli(capsys, "osc-exp", "--theta", "1", "--cap", "0")
     assert code == 1 and "domain violation" in err
+
+
+def _first_term(data):
+    return next(t for row in data["rows"] for entry in row for t in entry["terms"])
+
+
+NON_INTEGER_MATRIX_FIELDS = {
+    "mask-fraction": ("sdet", lambda d: _first_term(d).update(
+        mask=_first_term(d)["mask"] + 0.4)),
+    "N-fraction": ("sdet", lambda d: d.update(N=2.9)),
+    "p-text": ("sdet", lambda d: d.update(p="2")),
+    "q-bool": ("check-so0", lambda d: d.update(q=True)),
+    "entry-N-float": ("check-so0", lambda d: d["rows"][0][0].update(N=2.0)),
+    "mask-text": ("exp", lambda d: _first_term(d).update(mask=str(_first_term(d)["mask"]))),
+}
+
+
+@pytest.mark.parametrize("command, edit", NON_INTEGER_MATRIX_FIELDS.values(),
+                         ids=NON_INTEGER_MATRIX_FIELDS.keys())
+def test_non_integer_matrix_fields_are_malformed_input(capsys, tmp_path, rotation,
+                                                       command, edit):
+    data = rotation[0].to_dict()
+    edit(data)
+    code, out, err = run_cli(capsys, command, "-i", write_json(tmp_path, "bad.json", data))
+    assert code == 2 and out == ""
+    assert "malformed input" in err and "must be an integer" in err
+
+
+@pytest.mark.parametrize("command, key, field, value", [
+    ("inner", "x", "n", "1"),
+    ("act", "vector", "N", 2.0),
+    ("phi", None, "j", 1.5),
+    ("act", "spin", "m", 2.0),
+])
+def test_non_integer_vector_and_bivector_fields_are_malformed_input(
+        capsys, tmp_path, command, key, field, value):
+    x = random_supervector(2, 1, 2, seed=3)
+    biv = matrix_to_bivector(random_so0(2, 1, 2, seed=4))
+    payloads = {
+        "inner": {"x": x.to_dict(), "y": x.to_dict()},
+        "act": {"vector": x.to_dict(),
+                "spin": {"m": 2, "n": 1, "N": 2, "factors": [biv.to_dict()]}},
+        "phi": biv.to_dict(),
+    }
+    data = payloads[command]
+    target = data if key is None else data[key]
+    if field == "j":
+        target = target["b"][0]
+    target[field] = value
+    code, out, err = run_cli(capsys, command, "-i", write_json(tmp_path, "bad.json", data))
+    assert code == 2 and out == ""
+    assert f"{field} must be an integer" in err
+
+
+def test_zero_tolerance_is_accepted(capsys, rotation):
+    _, path = rotation
+    code, out, _ = run_cli(capsys, "check-so0", "--tol", "0", "-i", path)
+    assert code == 0
+    assert json.loads(out)["sdet_deviation"] <= 1e-9
 
 
 def test_plane_check_applies_to_osc_exp_only(capsys):

@@ -34,7 +34,7 @@ from superspin import (
     reflection_matrix,
     wedge,
 )
-from superspin.grassmann import CANON_EPS
+from superspin.grassmann import CANON_EPS, _blade_product
 
 M_DIM, N_PLANES, ORDER = 2, 1, 2
 
@@ -179,6 +179,32 @@ def test_inner_product_three_routes():
             via_gram = via_gram + g * column.entry(i, 0)
         assert (direct - via_clifford).norm() <= 1e-12
         assert (direct - via_gram).norm() <= 1e-12
+
+
+def reference_inner(x, y):
+    """``inner`` with the Gram body it built for itself before the Gram body
+    was shared with the membership checks."""
+    gram = np.eye(x.m + 2 * x.n)
+    gram[x.m:, x.m:] = 0.0
+    u = np.arange(x.m, x.m + 2 * x.n, 2)
+    gram[u, u + 1], gram[u + 1, u] = -0.5, 0.5
+    masks, stack = _blade_product(
+        np.matmul, x.col.masks, x.col.stack.transpose(0, 2, 1), y.col.masks,
+        gram @ y.col.stack, x.order, (1, 1))
+    return GrassmannNumber(x.order, dict(zip(masks, stack[:, 0, 0].tolist())))
+
+
+@pytest.mark.parametrize("m, n, order", [(3, 1, 4), (2, 2, 4), (0, 2, 3), (3, 0, 3),
+                                         (2, 1, 0), (1, 1, 1)])
+def test_inner_product_is_bitwise_unchanged_with_the_shared_gram_body(m, n, order):
+    def bits(g):
+        return [(mask, c.real.hex(), c.imag.hex()) for mask, c in sorted(g.terms.items())]
+
+    for seed in range(3):
+        x = random_supervector(m, n, order, seed=seed)
+        y = random_supervector(m, n, order, seed=seed + 40)
+        assert bits(inner(x, y)) == bits(reference_inner(x, y))
+        assert bits(inner(x, x)) == bits(reference_inner(x, x))
 
 
 def test_inner_product_invariant_under_group_action():

@@ -530,6 +530,105 @@ def test_construction_drops_zero_slices_and_rejects_bad_stacks():
     assert empty.masks == () and empty.stack.shape == (0, 0, 3)
 
 
+# -- body-only operands against the plan route -----------------------------------------
+
+
+def plan_route_product(op, masks_a, a_stack, masks_b, b_stack):
+    """The kernel's plan route, which every product took before body-only
+    operands skipped it: gather every disjoint pair, multiply by its reorder
+    sign and sum each product mask's group with reduceat."""
+    ma, mb = np.asarray(masks_a, dtype=np.int64), np.asarray(masks_b, dtype=np.int64)
+    ia, ib = np.nonzero((ma[:, None] & mb[None, :]) == 0)
+    keys = ma[ia] | mb[ib]
+    by_key = np.argsort(keys, kind="stable")
+    ia, ib, keys = ia[by_key], ib[by_key], keys[by_key]
+    sign = np.array([reorder_sign(int(a), int(b)) for a, b in zip(ma[ia], mb[ib])],
+                    dtype=float)
+    terms = op(a_stack[ia], b_stack[ib])
+    terms *= sign[:, None, None]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return tuple(keys[starts].tolist()), np.add.reduceat(terms, starts, axis=0)
+
+
+def assert_bitwise(got, want):
+    (got_masks, got_stack), (want_masks, want_stack) = got, want
+    assert got_masks == want_masks
+    assert got_stack.shape == want_stack.shape and got_stack.dtype == want_stack.dtype
+    assert np.array_equal(got_stack, want_stack)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got_stack, part)),
+                              np.signbit(getattr(want_stack, part)))
+
+
+ENTRIES = st.one_of(coefficients, st.sampled_from(
+    [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(-1.5, -0.0)]))
+
+
+@st.composite
+def body_operand_products(draw):
+    """(op, masks_a, a_stack, masks_b, b_stack, order, shape) with a body-only
+    operand on the left, the right or both sides; slices may have a zero
+    dimension (p = 0 or q = 0) and the body carries a -0.0 entry when it has
+    any entries."""
+    op = draw(st.sampled_from([np.matmul, np.multiply]))
+    order = draw(st.sampled_from(ORDERS))
+    side = draw(st.sampled_from(["left", "right", "both"]))
+    rows, inner, cols = (draw(st.integers(0, 3)) for _ in range(3))
+    if op is np.matmul:
+        a_shape, b_shape = (rows, inner), (inner, cols)
+    else:
+        a_shape, b_shape = draw(st.sampled_from([((1, 1), (rows, cols)),
+                                                 ((rows, cols), (1, 1))]))
+
+    def operand(body_only, slice_shape):
+        masks = (0,) if body_only else tuple(sorted(draw(st.sets(
+            st.integers(0, (1 << order) - 1), min_size=1, max_size=6))))
+        size = len(masks) * slice_shape[0] * slice_shape[1]
+        values = draw(st.lists(ENTRIES, min_size=size, max_size=size))
+        stack = np.array(values, dtype=complex).reshape(len(masks), *slice_shape)
+        if body_only and stack.size:
+            stack[0].flat[draw(st.integers(0, stack[0].size - 1))] = complex(-0.0, 0.0)
+        if draw(st.booleans()):
+            # the same values through a non-contiguous view, as ``inner`` passes
+            stack = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
+        return masks, stack
+
+    a = operand(side != "right", a_shape)
+    b = operand(side != "left", b_shape)
+    shape = (a_shape[0], b_shape[1]) if op is np.matmul else (rows, cols)
+    return op, *a, *b, order, shape
+
+
+@settings(max_examples=300)
+@given(body_operand_products())
+@example((np.multiply, (0,), np.array([[[complex(-0.0, 0.0)]]]), (0, 3),
+          np.array([[[2.0 + 1j]], [[-0.0 - 0.0j]]]), 2, (1, 1)))
+def test_body_only_operands_match_the_plan_route_bit_for_bit(case):
+    op, masks_a, a_stack, masks_b, b_stack, order, shape = case
+    assert_bitwise(grassmann._blade_product(op, masks_a, a_stack, masks_b, b_stack, order,
+                                            shape),
+                   plan_route_product(op, masks_a, a_stack, masks_b, b_stack))
+
+
+def test_body_only_operand_skips_plans_and_tiles(monkeypatch):
+    """Under a budget where the plan route cuts a dense order-4 product into
+    tiles of one pair, a body-only operand builds no plan and still matches
+    the untiled plan route bit for bit."""
+    rng = np.random.default_rng(41)
+    body = rng.normal(size=(1, 3, 3)) + 1j * rng.normal(size=(1, 3, 3))
+    body[0, 1, 2] = complex(-0.0, 0.0)
+    dense = rng.normal(size=(16, 3, 3)) + 1j * rng.normal(size=(16, 3, 3))
+    masks = tuple(range(16))
+    plans = []
+    monkeypatch.setattr(grassmann, "_TILE_ELEMENTS", 4)
+    for name in ("_build_plan", "_cached_plan"):
+        monkeypatch.setattr(grassmann, name, lambda *args: plans.append(args))
+    for args in (((0,), body, masks, dense), (masks, dense, (0,), body)):
+        assert_bitwise(grassmann._blade_product(np.matmul, *args, 4, (3, 3)),
+                       plan_route_product(np.matmul, *args))
+    assert plans == []
+
+
 # -- bounded memory at MAX_ORDER -------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm as dense_expm
 
 from superspin import (
+    AlgebraError,
     GrassmannMatrix,
     MembershipError,
     Supermatrix,
@@ -23,6 +24,7 @@ from superspin import (
     logm,
     osp_defect,
     osp_standard_form,
+    q_gram_matrix,
     random_rotation,
     random_so0,
     random_sphere_vector,
@@ -33,6 +35,8 @@ from superspin import (
     symplectic_polar,
     to_unitary,
 )
+from superspin.grassmann import DEFAULT_TOL
+from superspin.orthosymplectic import AlgebraReport, GroupReport
 
 M_DIM, N_PLANES, ORDER = 3, 1, 4
 Q_DIM = 2 * N_PLANES
@@ -144,6 +148,112 @@ def test_block_residuals_match_block_equations(m, n):
         want = max(algebra_block_equations(mat))
         got = check_so0_algebra(mat).block_residual
         assert abs(got - want) <= 1e-12 * want and want > 0.1
+
+
+# -- membership checks against the block-matrix route ------------------------------
+
+
+def reference_check_o0(mat, tol=DEFAULT_TOL):
+    """check_o0 as it was before it worked on the blade stack: the
+    expression through a q_gram_matrix Supermatrix, the block residual
+    through three block matrices."""
+    if mat.q % 2:
+        raise MembershipError("odd q")
+    gram = q_gram_matrix(mat.p, mat.q // 2, mat.order)
+    expr = mat.supertranspose() @ gram @ mat - gram
+    defining = expr.norm()
+    blocks = max(expr.block_a().norm(), expr.block_b().norm(), expr.block_d().norm())
+    try:
+        sdet = mat.sdet()
+        deviation = min((sdet - 1.0).norm(), (sdet + 1.0).norm())
+    except AlgebraError:
+        sdet, deviation = None, math.inf
+    scale = max(1.0, mat.norm())
+    ok = defining <= tol * scale and blocks <= tol * scale and deviation <= tol
+    return GroupReport(ok, defining, blocks, sdet, deviation)
+
+
+def reference_check_so0_algebra(mat, tol=DEFAULT_TOL):
+    """check_so0_algebra as it was before it worked on the blade stack."""
+    if mat.q % 2:
+        raise MembershipError("odd q")
+    gram = q_gram_matrix(mat.p, mat.q // 2, mat.order)
+    expr = mat.supertranspose() @ gram + gram @ mat
+    defining = expr.norm()
+    blocks = max(expr.block_a().norm(), expr.block_b().norm(),
+                 2.0 * expr.block_d().norm())
+    scale = max(1.0, mat.norm())
+    ok = defining <= tol * scale and blocks <= tol * scale
+    return AlgebraReport(ok, defining, blocks)
+
+
+def assert_same_report(got, want):
+    assert got.ok == want.ok
+    for name in ("defining_residual", "block_residual"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-15, abs=0.0)
+    if isinstance(want, GroupReport):
+        assert got.sdet_deviation == want.sdet_deviation
+        assert (got.sdet is None) == (want.sdet is None)
+
+
+def membership_cases(m, n, order):
+    """Members and non-members of the group and the algebra at (m, n, N)."""
+    size = m + 2 * n
+    singular = np.eye(size, dtype=complex)
+    singular[-1, -1] = 0.0
+    cases = [Supermatrix.eye(m, 2 * n, order), Supermatrix.zeros(m, 2 * n, order),
+             Supermatrix.from_body(m, 2 * n, singular, order)]
+    for seed in range(2):
+        rotation = random_rotation(m, n, order, seed=seed)
+        algebra = random_so0(m, n, order, seed=seed)
+        cases += [rotation, rotation.scale(1.0 + 1e-7), algebra, algebra.scale(1e3),
+                  random_supermatrix(m, n, order, seed=seed),
+                  rotation @ expm(algebra.scale(1e-11))]
+    if m:
+        cases.append(reflection_matrix(random_sphere_vector(m, n, order, seed=5)))
+    return cases
+
+
+@pytest.mark.parametrize("order", [0, 1, 4])
+@pytest.mark.parametrize("m, n", [(0, 1), (0, 2), (3, 0), (2, 1), (4, 2)])
+def test_membership_checks_match_the_block_matrix_route(m, n, order):
+    for mat in membership_cases(m, n, order):
+        for tol in (DEFAULT_TOL, 1e-12):
+            want = reference_check_o0(mat, tol)
+            assert_same_report(check_o0(mat, tol), want)
+            so0 = check_so0(mat, tol)
+            if want.sdet is not None:
+                deviation = (want.sdet - 1.0).norm()
+                want = GroupReport(want.ok and deviation <= tol, want.defining_residual,
+                                   want.block_residual, want.sdet, deviation)
+            assert_same_report(so0, want)
+            assert_same_report(check_so0_algebra(mat, tol),
+                               reference_check_so0_algebra(mat, tol))
+
+
+def test_membership_check_outcomes_at_degenerate_shapes():
+    # both routes agree above; these pin that the cases cover both outcomes
+    for m, n, order in ((0, 1, 0), (3, 0, 1), (2, 1, 4)):
+        rotation = random_rotation(m, n, order, seed=3)
+        assert check_so0(rotation).ok and not check_so0(rotation.scale(1.0 + 1e-7)).ok
+        algebra = random_so0(m, n, order, seed=3)
+        assert check_so0_algebra(algebra).ok
+        assert not check_so0_algebra(random_supermatrix(m, n, order, seed=3)).ok
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_membership_checks_raise_on_overflow_and_odd_q():
+    rotation = random_rotation(3, 1, 4, seed=7).scale(1e200)
+    for check in (check_o0, check_so0):
+        with pytest.raises(AlgebraError):
+            check(rotation)
+    # A^T + A overflows although every entry is finite
+    body = np.array([[0.0, 1.5e308], [1.5e308, 0.0]])
+    with pytest.raises(AlgebraError):
+        check_so0_algebra(Supermatrix.from_body(2, 0, body, 1))
+    for check in (check_o0, check_so0, check_so0_algebra):
+        with pytest.raises(MembershipError):
+            check(Supermatrix.eye(M_DIM, 3, ORDER))
 
 
 def test_algebra_elements_are_supertraceless():

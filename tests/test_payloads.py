@@ -5,6 +5,7 @@ the Supermatrix, Supervector, bivector and spin element codecs against the
 per-entry route through ``GrassmannNumber`` kept below as an oracle.
 """
 
+import functools
 import json
 import math
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superspin import (
+    CliffordElement,
     ExtendedSuperbivector,
     GrassmannMatrix,
     GrassmannNumber,
@@ -263,7 +265,7 @@ def test_decoder_sums_repeats_and_reads_loose_numbers_like_the_oracle():
     loose = {"N": 2, "terms": [
         {"mask": 0, "re": 1.5},                       # im optional
         {"mask": 0, "re": "0.25", "im": 2},           # text and int coefficients
-        {"mask": 3.0, "re": True, "im": False},       # int() and float() coercion
+        {"mask": 3, "re": True, "im": False},         # float() coercion
     ]}
     tiny = {"N": 2, "terms": [
         {"mask": 3, "re": 1e-15, "im": -1e-15},       # below CANON_EPS, alone
@@ -453,6 +455,72 @@ def test_out_of_range_order_is_malformed_even_without_entries(capsys, tmp_path):
     path.write_text(json.dumps({"p": 0, "q": 0, "N": 17, "rows": []}))
     assert main(["sdet", "--input", str(path)]) == 2
     assert "order must be in [0, 16]" in capsys.readouterr().err
+
+
+# -- integer fields ---------------------------------------------------------------
+
+
+def int_field_payloads():
+    """(decoder, payload) for every decoder, each payload holding every
+    integer field the decoder reads."""
+    biv = matrix_to_bivector(random_so0(2, 1, 2, seed=21))
+    spin = SpinElement(2, 1, 2, [biv])
+    clifford = CliffordElement(2, 1, 2, 4, {(0b11, (1, 2)): GrassmannNumber.blade(2, 3, 1.5)})
+    return [(type(value), json.loads(json.dumps(value.to_dict()))) for value in (
+        GrassmannNumber(2, {3: 1.5}), random_rotation(2, 1, 2, seed=5, factors=2),
+        random_supervector(2, 1, 2, seed=22), biv, spin, clifford)]
+
+
+INT_FIELD_PAYLOADS = int_field_payloads()
+INT_FIELDS = {"N", "mask", "p", "q", "m", "n", "j", "k", "emask", "alpha", "cap"}
+
+
+def int_field_paths(tree, path=()):
+    """Path of the first occurrence of each integer field, keyed by name."""
+    found = {}
+    items = (tree.items() if isinstance(tree, dict)
+             else enumerate(tree) if isinstance(tree, list) else ())
+    for key, value in items:
+        name = path[-1] if isinstance(key, int) else key
+        if name in INT_FIELDS and type(value) is int:
+            found.setdefault(name, (*path, key))
+        for field, where in int_field_paths(value, (*path, key)).items():
+            found.setdefault(field, where)
+    return found
+
+
+def replaced(tree, path, value):
+    tree = json.loads(json.dumps(tree))
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return tree
+
+
+def test_int_field_payloads_hold_every_field():
+    seen = set()
+    for cls, data in INT_FIELD_PAYLOADS:
+        assert cls.from_dict(data).to_dict() == data
+        seen.update(int_field_paths(data))
+    assert seen == INT_FIELDS
+
+
+@pytest.mark.parametrize("cls, data", INT_FIELD_PAYLOADS,
+                         ids=[cls.__name__ for cls, _ in INT_FIELD_PAYLOADS])
+def test_integer_fields_accept_only_json_integers(cls, data):
+    """A float, a numeric string or a bool in an integer field is refused;
+    int() used to truncate 3.4 to 3 and parse "2"."""
+    for field, path in int_field_paths(data).items():
+        value = functools.reduce(lambda tree, key: tree[key], path, data)
+        for bad in (value + 0.4, float(value), str(value), True, None, [value]):
+            with pytest.raises(TypeError, match=f"{field} must be an integer"):
+                cls.from_dict(replaced(data, path, bad))
+
+
+def test_fractional_order_is_refused_not_truncated():
+    with pytest.raises(TypeError, match="N must be an integer"):
+        GrassmannNumber.from_dict({"N": 2.5, "terms": [{"mask": 1, "re": 1.0}]})
 
 
 # -- the parser ------------------------------------------------------------------
