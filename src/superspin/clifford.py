@@ -7,13 +7,12 @@ two families anticommute with each other; Grassmann coefficients commute with
 all of them.  Elements are kept in normal order: ascending e-blade first,
 then e'_1^{a_1}...e'_{2n}^{a_{2n}}, with total fermionic degree capped.
 
-A product splits into a key plan and the coefficient products.  The key plan
-depends only on the two tuples of keys (e-blade mask, fermionic multi-index),
-n and the cap: it lists, for every key pair, the normal-ordered output keys
-with their weights, and the pairs that reach above the cap.  The Grassmann
-coefficient products all come from one matrix product on the blade-stack kernel
-(left coefficients as a column times right coefficients as a row), and are
-combined into the output keys by one gather and ``np.add.reduceat``.
+A product is one loop over key pairs (e-blade mask, fermionic multi-index):
+each pair's Grassmann coefficient product runs on the blade-stack kernel, and
+``_key_product`` normal-orders the two basis monomials into weighted output
+keys.  Clifford products are few and small (the bracket of superbivectors,
+the bosonic factor of the double-cover sign, the ladder products behind the
+oscillator elements), so the loop holds no cache.
 Supervectors are packed (m + 2n) x 1 columns of the same kernel, so inner,
 wedge, reflections and the commutator action are whole-stack products.
 An extended superbivector is one packed graded-antisymmetric
@@ -33,7 +32,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import grassmann, supermatrix
+from . import supermatrix
 from .exceptions import (
     AlgebraError,
     CapExceededError,
@@ -59,18 +58,6 @@ DEFAULT_CAP = 8
 
 # Tolerance for discarding non-vector residue when extracting supervectors.
 EXTRACT_TOL = 1e-10
-
-# Key plans of products with at most _CACHED_KEY_PAIRS key pairs are
-# memoised, at most _KEY_PLAN_CACHE of them; larger plans are built per
-# product and dropped.  Neither benchmark workload makes a Clifford product
-# per request: clifford-reflect builds its one oscillator ladder table (10
-# products, 6 distinct plans of at most 81 pairs) once.  A full cache of
-# 1024-pair plans holds about 1.5 MiB for random keys and 5 MiB for the
-# densest case tried (every key of degree 4 at cap 8, about 2000 entries per
-# plan).
-_CACHED_KEY_PAIRS = 1 << 10
-_KEY_PLAN_CACHE = 16
-
 
 def symplectic_pairing(u: int, v: int) -> int:
     """g_{uv} for 1-based fermionic indices: +1 on (2j-1, 2j), -1 swapped."""
@@ -106,141 +93,37 @@ def _plane_reorder(p1: int, q1: int, p2: int, q2: int) -> tuple[tuple[int, int, 
 _Key = tuple[int, tuple[int, ...]]
 
 
-class _KeyPlan(NamedTuple):
-    """Output terms of every key pair of two key tuples, grouped by output key.
-
-    Key pairs are numbered ``i * len(keys_b) + j``.  Entry k adds
-    ``weight[k]`` times the coefficient product of pair ``pair[k]`` to output
-    key ``keys[slot[k]]``; entries are sorted by slot and each slot's run
-    starts at ``starts[slot]``.  Pair ``over[k]`` has combinations above the
-    cap, the largest of degree ``over_degree[k]``.  ``width`` is the larger of
-    len(keys_b) and the most entries of any one left key.
-    """
-
-    pair: np.ndarray
-    weight: np.ndarray
-    slot: np.ndarray
-    starts: np.ndarray
-    keys: tuple[_Key, ...]
-    over: np.ndarray
-    over_degree: np.ndarray
-    width: int
-
-
-def _build_key_plan(keys_a: tuple[_Key, ...], keys_b: tuple[_Key, ...], n: int,
-                    cap: int) -> _KeyPlan:
-    index: dict[_Key, int] = {}
-    pair: list[int] = []
-    slot: list[int] = []
-    weight: list[float] = []
-    over: list[int] = []
-    over_degree: list[int] = []
-    nb = len(keys_b)
-    for i, (ea, aa) in enumerate(keys_a):
-        odd_a = sum(aa) & 1
-        for j, (eb, ab) in enumerate(keys_b):
-            sign, emask = _blade_mul(ea, eb)
-            # e-generators of the right factor step over the left
-            # fermionic monomial; both families anticommute.
-            if odd_a and eb.bit_count() & 1:
-                sign = -sign
-            # per-plane Weyl reordering, planes commute with each other
-            plane_options = [
-                _plane_reorder(aa[2 * t], aa[2 * t + 1], ab[2 * t], ab[2 * t + 1])
-                for t in range(n)
-            ]
-            top = 0
-            for combo in itertools.product(*plane_options):
-                alpha = tuple(e for px, qy, _ in combo for e in (px, qy))
-                w = float(sign)
-                for _, _, c in combo:
-                    w *= c
-                if w == 0.0:
-                    continue
-                degree = sum(alpha)
-                if degree > cap:
-                    top = max(top, degree)
-                    continue
-                pair.append(i * nb + j)
-                slot.append(index.setdefault((emask, alpha), len(index)))
-                weight.append(w)
-            if top:
-                over.append(i * nb + j)
-                over_degree.append(top)
-    by_slot = np.argsort(np.asarray(slot, dtype=np.int64), kind="stable")
-    pairs = np.asarray(pair, dtype=np.int64)[by_slot]
-    slots = np.asarray(slot, dtype=np.int64)[by_slot]
-    per_left = np.bincount(pairs // nb, minlength=len(keys_a))
-    return _KeyPlan(
-        pairs, np.asarray(weight)[by_slot], slots,
-        np.flatnonzero(np.diff(slots, prepend=-1)), tuple(index),
-        np.asarray(over, dtype=np.int64), np.asarray(over_degree, dtype=np.int64),
-        max(nb, int(per_left.max())))
-
-
-_cached_key_plan = functools.lru_cache(maxsize=_KEY_PLAN_CACHE)(_build_key_plan)
+def _key_product(key_a: _Key, key_b: _Key, n: int,
+                 cap: int) -> tuple[list[tuple[_Key, float]], int]:
+    """Normal-ordered product of two basis monomials: its (key, weight)
+    terms within the cap, and the largest degree above the cap (0 when
+    there is none)."""
+    (ea, aa), (eb, ab) = key_a, key_b
+    sign, emask = _blade_mul(ea, eb)
+    # e-generators of the right factor step over the left fermionic
+    # monomial; both families anticommute.
+    if sum(aa) & 1 and eb.bit_count() & 1:
+        sign = -sign
+    # per-plane Weyl reordering, planes commute with each other
+    planes = [_plane_reorder(aa[2 * t], aa[2 * t + 1], ab[2 * t], ab[2 * t + 1])
+              for t in range(n)]
+    terms, top = [], 0
+    for combo in itertools.product(*planes):
+        weight = math.prod((c for _, _, c in combo), start=float(sign))
+        if weight == 0.0:
+            continue
+        alpha = tuple(e for px, qy, _ in combo for e in (px, qy))
+        if sum(alpha) > cap:
+            top = max(top, sum(alpha))
+        else:
+            terms.append(((emask, alpha), weight))
+    return terms, top
 
 
 def _drop_tiny(values: np.ndarray, eps: float | np.ndarray = CANON_EPS) -> np.ndarray:
     """``values`` with the entries whose |re| and |im| are both below
     ``eps`` set to zero, as GrassmannNumber canonicalises."""
     return np.where((np.abs(values.real) < eps) & (np.abs(values.imag) < eps), 0.0, values)
-
-
-def _product_terms(terms_a: Mapping[_Key, GrassmannNumber],
-                   terms_b: Mapping[_Key, GrassmannNumber], n: int, order: int,
-                   cap: int) -> tuple[dict[_Key, GrassmannNumber], int]:
-    """Capped normal-ordered product terms of two term maps, and the largest
-    degree above the cap among pairs with a nonzero coefficient product (0
-    when there is none)."""
-    if not (terms_a and terms_b):
-        return {}, 0
-    keys_a, keys_b = tuple(terms_a), tuple(terms_b)
-    na, nb = len(keys_a), len(keys_b)
-    plan = (_cached_key_plan if na * nb <= _CACHED_KEY_PAIRS else _build_key_plan)(
-        keys_a, keys_b, n, cap)
-    column = GrassmannMatrix.from_entries([[c] for c in terms_a.values()], order)
-    row = GrassmannMatrix.from_entries([list(terms_b.values())], order)
-    # Left keys go in blocks so that the product stack and the gathered
-    # entries, at most (output masks) x width per left key, stay within the
-    # blade-stack kernel's element budget, down to one left key per block.
-    out_masks = min(1 << order, len(column.masks) * len(row.masks))
-    step = max(1, grassmann._TILE_ELEMENTS // (out_masks * plan.width))
-    live = np.zeros(na * nb, dtype=bool)
-    total = None
-    for a0 in range(0, na, step):
-        block = (column if step >= na
-                 else column.submatrix(slice(a0, a0 + step), slice(None))) @ row
-        if not block.masks:
-            continue
-        flat = _drop_tiny(block.stack.reshape(len(block.masks), -1))
-        lo, hi = a0 * nb, a0 * nb + flat.shape[1]
-        live[lo:hi] = flat.any(axis=0)
-        if not plan.keys:
-            continue
-        if step >= na:
-            sums = np.add.reduceat(flat[:, plan.pair] * plan.weight, plan.starts, axis=1)
-        else:
-            picked = np.flatnonzero((plan.pair >= lo) & (plan.pair < hi))
-            if not picked.size:
-                continue
-            slots = plan.slot[picked]
-            starts = np.flatnonzero(np.diff(slots, prepend=-1))
-            sums = np.zeros((len(block.masks), len(plan.keys)), dtype=complex)
-            sums[:, slots[starts]] = np.add.reduceat(
-                flat[:, plan.pair[picked] - lo] * plan.weight[picked], starts, axis=1)
-        part = GrassmannMatrix(1, len(plan.keys), order, masks=block.masks,
-                               stack=sums[:, None, :])
-        total = part if total is None else total + part
-    degree = int(plan.over_degree[live[plan.over]].max(initial=0))
-    if total is None:
-        return {}, degree
-    # Only output keys with a coefficient left after canonicalisation get a
-    # GrassmannNumber; in a reflection w x w most keys cancel.
-    sums = _drop_tiny(total.stack[:, 0, :])
-    keep = np.flatnonzero(sums.any(axis=0))
-    return {plan.keys[k]: GrassmannNumber(order, {m: c for m, c in zip(total.masks, cell) if c})
-            for k, cell in zip(keep.tolist(), sums[:, keep].T.tolist())}, degree
 
 
 class CliffordElement:
@@ -320,10 +203,8 @@ class CliffordElement:
             out = dict(self.terms)
             for key, coeff in other.terms.items():
                 out[key] = out[key] + coeff if key in out else coeff
-            result = CliffordElement(self.m, self.n, self.order,
-                                     max(self.cap, other.cap), out)
-            result.truncated = self.truncated or other.truncated
-            return result
+            return CliffordElement(self.m, self.n, self.order, max(self.cap, other.cap),
+                                   out, truncated=self.truncated or other.truncated)
         if isinstance(other, (int, float, complex, GrassmannNumber)):
             return self + CliffordElement.scalar(self.m, self.n, self.order,
                                                  other, self.cap)
@@ -356,24 +237,30 @@ class CliffordElement:
     def multiply(self, other: "CliffordElement", strict: bool = False) -> "CliffordElement":
         """Normal-ordered product; over-cap terms raise in strict mode.
 
-        The key plan, memoised per pair of key tuples, n and cap, holds the
-        output keys and weights of every key pair.  All coefficient products
-        come from one matrix product on the blade-stack kernel: the left
-        coefficients as a column times the right coefficients as a row.
-        Entries with |re| and |im| below CANON_EPS are zeroed, and each
-        output coefficient is the weighted sum of its pairs' products, built
-        once.  A combination above the cap marks the result ``truncated``
-        (or raises ``CapExceededError`` in strict mode) only when its key
-        pair's coefficient product is nonzero.
+        One loop over key pairs: each pair's coefficient product, when it
+        is nonzero, adds its weighted multiples to the output keys of
+        ``_key_product``.  A combination above the cap marks the result
+        ``truncated`` (or raises ``CapExceededError`` in strict mode) only
+        when its key pair's coefficient product is nonzero.
         """
         self._require_compatible(other)
         cap = max(self.cap, other.cap)
-        out, degree = _product_terms(self.terms, other.terms, self.n, self.order, cap)
+        out: dict[_Key, GrassmannNumber] = {}
+        degree = 0
+        for key_a, coeff_a in self.terms.items():
+            for key_b, coeff_b in other.terms.items():
+                coeff = coeff_a * coeff_b
+                if not coeff.terms:
+                    continue
+                terms, top = _key_product(key_a, key_b, self.n, cap)
+                degree = max(degree, top)
+                for key, weight in terms:
+                    term = coeff * weight
+                    out[key] = out[key] + term if key in out else term
         if degree and strict:
             raise CapExceededError(f"product degree {degree} exceeds cap {cap}")
-        result = CliffordElement(self.m, self.n, self.order, cap, out)
-        result.truncated = self.truncated or other.truncated or bool(degree)
-        return result
+        return CliffordElement(self.m, self.n, self.order, cap, out,
+                               truncated=self.truncated or other.truncated or bool(degree))
 
     # -- structure ---------------------------------------------------------
 
@@ -465,9 +352,11 @@ class CliffordElement:
                 GrassmannNumber.from_dict(t["coeff"])
             for t in data.get("terms", [])
         }
+        truncated = data.get("truncated", False)
+        if type(truncated) is not bool:
+            raise TypeError(f"truncated must be a boolean, got {truncated!r}")
         return cls(*(json_int(data[key], key) for key in ("m", "n", "N")),
-                   json_int(data.get("cap", DEFAULT_CAP), "cap"), terms,
-                   truncated=bool(data.get("truncated", False)))
+                   json_int(data.get("cap", DEFAULT_CAP), "cap"), terms, truncated=truncated)
 
     def __repr__(self):
         return (f"CliffordElement(m={self.m}, n={self.n}, N={self.order}, "

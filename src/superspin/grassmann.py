@@ -79,6 +79,15 @@ def json_int(value, name: str) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def json_float(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number (an int or a float, not
+    a bool), else TypeError: a string, null or a list is refused, never
+    parsed.  An int too large for a float raises OverflowError."""
+    if type(value) in (int, float):
+        return float(value)
+    raise TypeError(f"{name} must be a number, got {value!r}")
+
+
 # -- the product kernel --------------------------------------------------------
 
 
@@ -484,7 +493,10 @@ class GrassmannNumber:
         terms: dict[int, complex] = {}
         for item in data.get("terms", []):
             mask = json_int(item["mask"], "mask")
-            value = complex(float(item["re"]), float(item.get("im", 0.0)))
+            # JSON numbers only; a float skips the call
+            real, imag = item["re"], item.get("im", 0.0)
+            value = complex(real if type(real) is float else json_float(real, "re"),
+                            imag if type(imag) is float else json_float(imag, "im"))
             # a repeat adds to the first term, not to 0.0: -0.0 keeps its sign
             terms[mask] = terms[mask] + value if mask in terms else value
         return cls(order, terms)

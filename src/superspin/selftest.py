@@ -8,7 +8,8 @@ pytest acceptance module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -51,6 +52,7 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = field(default=0.0, compare=False)  # wall time, set by run_all
 
 
 def _result(index: int, name: str, passed: bool, detail: str) -> CriterionResult:
@@ -389,7 +391,9 @@ def run_all(seed: int = DEFAULT_SEED,
     for index, criterion in enumerate(CRITERIA, start=1):
         if wanted is not None and index not in wanted:
             continue
-        results.append(criterion(seed))
+        start = time.perf_counter()
+        result = criterion(seed)
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results
 
 
@@ -397,7 +401,8 @@ def format_table(results: Sequence[CriterionResult]) -> str:
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        lines.append(f"[{status}] criterion {r.index}: {r.name} -- {r.detail}")
+        lines.append(f"[{status}] criterion {r.index}: {r.name} -- {r.detail}"
+                     f" ({r.seconds:.2f} s)")
     total = sum(r.passed for r in results)
     lines.append(f"{total}/{len(results)} criteria passed")
     return "\n".join(lines)

@@ -35,7 +35,8 @@ from .exceptions import (
     SingularBodyError,
 )
 from .grassmann import (CANON_EPS, DEFAULT_TOL, MAX_ORDER, GrassmannNumber, _blade_product,
-                        _drop_zero_slices, _nilpotent_matrix_series, _union_add, json_int)
+                        _drop_zero_slices, _nilpotent_matrix_series, _union_add, json_float,
+                        json_int)
 
 # Relative truncation threshold for the exp/ln power series.
 SERIES_EPS = 1e-14
@@ -521,9 +522,9 @@ class Supermatrix:
     def from_dict(cls, data: Mapping) -> "Supermatrix":
         """Inverse of ``to_dict``, read straight into the stack.  Entries are
         read as ``GrassmannNumber.from_dict`` reads them (masks repeated
-        within an entry are summed, ``im`` is optional, coefficients must be
-        finite) and must have the matrix's order; the parity pattern is
-        checked."""
+        within an entry are summed, ``re`` and ``im`` must be JSON numbers,
+        ``im`` is optional, coefficients must be finite) and must have the
+        matrix's order; the parity pattern is checked."""
         p, q, order = (json_int(data[key], key) for key in ("p", "q", "N"))
         rows = data["rows"]
         size = p + q
@@ -544,8 +545,10 @@ class Supermatrix:
                             f"mask {mask} out of range for order {order}")
                     masks.append(mask)
                     cells.append(i * size + j)
-                    re.append(float(item["re"]))
-                    im.append(float(item.get("im", 0.0)))
+                    # JSON numbers only; a float skips the call
+                    real, imag = item["re"], item.get("im", 0.0)
+                    re.append(real if type(real) is float else json_float(real, "re"))
+                    im.append(imag if type(imag) is float else json_float(imag, "im"))
         keys, slot = np.unique(np.asarray(masks, dtype=np.int64), return_inverse=True)
         values = np.empty(len(masks), dtype=complex)
         values.real, values.imag = re, im

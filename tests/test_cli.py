@@ -481,6 +481,19 @@ def test_non_integer_vector_and_bivector_fields_are_malformed_input(
     assert f"{field} must be an integer" in err
 
 
+@pytest.mark.parametrize("value", [True, "0.25", None, [1.0]],
+                         ids=["bool", "text", "null", "list"])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_non_number_vector_coefficients_are_malformed_input(capsys, tmp_path, part, value):
+    """Matrix payloads are covered by ``BAD_PAYLOADS`` in test_payloads.py."""
+    x = random_supervector(2, 1, 2, seed=3).to_dict()
+    x["odd"][0]["terms"][0][part] = value
+    data = {"x": x, "y": random_supervector(2, 1, 2, seed=4).to_dict()}
+    code, out, err = run_cli(capsys, "inner", "-i", write_json(tmp_path, "bad.json", data))
+    assert code == 2 and out == ""
+    assert "malformed input" in err and f"{part} must be a number" in err
+
+
 def test_zero_tolerance_is_accepted(capsys, rotation):
     _, path = rotation
     code, out, _ = run_cli(capsys, "check-so0", "--tol", "0", "-i", path)

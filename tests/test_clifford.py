@@ -133,6 +133,16 @@ def test_cap_strict_versus_truncating():
         left.multiply(right, strict=True)
 
 
+def test_sums_and_products_carry_the_truncated_flag():
+    dropped = elem_ep(1, cap=1) * elem_ep(1, cap=1)
+    assert dropped.truncated
+    clean = elem_e(1, cap=1)
+    for value in (dropped + clean, clean + dropped, clean * dropped, dropped * clean,
+                  -dropped, dropped * 2.0):
+        assert value.truncated
+    assert not (clean + clean).truncated
+
+
 def test_anticommutator_of_supervectors_is_central_even_scalar():
     for seed in range(5):
         v = random_supervector(M_DIM, N_PLANES, ORDER, seed=seed)

@@ -694,20 +694,11 @@ def test_sparse_clifford_product_at_max_order_matches_reference(monkeypatch, bud
     x, y = element(8), element(6)
     want, over_cap = reference_clifford_product(x, y)
     assert over_cap
-    rows = []
-    matmul = GrassmannMatrix.__matmul__
-
-    def recording_matmul(a, b):
-        rows.append(a.rows)
-        return matmul(a, b)
-
-    monkeypatch.setattr(GrassmannMatrix, "__matmul__", recording_matmul)
     if budget is not None:
+        # tiles the number products inside the blade-stack kernel
         monkeypatch.setattr(grassmann, "_TILE_ELEMENTS", budget)
     got = x.multiply(y)
     assert close(got, want)
     assert got.truncated
-    # One product of all left keys, or one per left key under a tiny budget.
-    assert rows == ([8] if budget is None else [1] * 8)
     with pytest.raises(CapExceededError, match=f"product degree {over_cap} exceeds cap 2"):
         x.multiply(y, strict=True)

@@ -264,8 +264,8 @@ def test_codecs_match_the_per_entry_route(m):
 def test_decoder_sums_repeats_and_reads_loose_numbers_like_the_oracle():
     loose = {"N": 2, "terms": [
         {"mask": 0, "re": 1.5},                       # im optional
-        {"mask": 0, "re": "0.25", "im": 2},           # text and int coefficients
-        {"mask": 3, "re": True, "im": False},         # float() coercion
+        {"mask": 0, "re": 0.25, "im": 2},             # float and int coefficients
+        {"mask": 3, "re": 1, "im": 0},                # int parts read as floats
     ]}
     tiny = {"N": 2, "terms": [
         {"mask": 3, "re": 1e-15, "im": -1e-15},       # below CANON_EPS, alone
@@ -420,7 +420,10 @@ def _bad_payloads():
         ("entry not an object", edit(lambda d: d["rows"][0].__setitem__(0, [])),
          TypeError),
         ("re not a number", edit(lambda d: term(d).update(re=[1.0])), TypeError),
-        ("re not numeric text", edit(lambda d: term(d).update(re="one")), ValueError),
+        ("re not numeric text", edit(lambda d: term(d).update(re="one")), TypeError),
+        ("re numeric text", edit(lambda d: term(d).update(re="0.25")), TypeError),
+        ("re a bool", edit(lambda d: term(d).update(re=True)), TypeError),
+        ("im null", edit(lambda d: term(d).update(im=None)), TypeError),
         ("re too large for a float", edit(lambda d: term(d).update(re=10 ** 400)),
          OverflowError),
         ("negative p", {"p": -1, "q": 2, "N": 1, "rows": [[{"N": 1, "terms": [
@@ -516,6 +519,15 @@ def test_integer_fields_accept_only_json_integers(cls, data):
         for bad in (value + 0.4, float(value), str(value), True, None, [value]):
             with pytest.raises(TypeError, match=f"{field} must be an integer"):
                 cls.from_dict(replaced(data, path, bad))
+
+
+def test_clifford_truncated_accepts_only_a_json_bool():
+    data = CliffordElement(1, 1, 2, 4, {(1, (1, 0)): GrassmannNumber.one(2)},
+                           truncated=True).to_dict()
+    assert CliffordElement.from_dict(data).truncated is True
+    for bad in (1, 0, "true", None, [True]):
+        with pytest.raises(TypeError, match="truncated must be a boolean"):
+            CliffordElement.from_dict({**data, "truncated": bad})
 
 
 def test_fractional_order_is_refused_not_truncated():
