@@ -1,10 +1,14 @@
 """Command-line front end: JSON in, JSON out, deterministic under --seed.
 
 Output is 2-space-indented JSON, byte for byte what
-``json.dumps(payload, indent=2, allow_nan=False)`` writes, from a small
-writer of its own (with ``indent`` the stdlib falls back to its pure-Python
-encoder), and is written only once complete.  The argument parser is built
-once per process, so repeated ``main`` calls share it.
+``json.dumps(payload, indent=2, allow_nan=False)`` writes of the payload's
+``to_dict`` form, and is written only once complete.  Handlers hand the
+library objects themselves to ``_emit``; the writer, ``grassmann._json_text``
+(with ``indent`` the stdlib falls back to its pure-Python encoder), inlines
+each object's ``to_json`` text, whose Grassmann cells are rendered straight
+from the blade stack, and the objects' ``to_dict`` is the parse of that
+text.  The argument parser is built once per process, so repeated ``main``
+calls share it.
 
 Exit codes: 0 success, 1 domain violation (membership, singular body,
 convergence domain, ...), 2 malformed input.
@@ -30,7 +34,7 @@ from .clifford import (
     reflection_matrix,
 )
 from .exceptions import AlgebraError
-from .grassmann import DEFAULT_TOL, MAX_ORDER
+from .grassmann import DEFAULT_TOL, MAX_ORDER, _json_text
 from .orthosymplectic import check_o0, check_so0, check_so0_algebra, decompose_rotation
 from .spin import SpinElement, action_matrix, fractional_fourier, lift_rotation, oscillator_exp
 from .supermatrix import Supermatrix, expm, logm
@@ -56,83 +60,6 @@ def _load_json(path: str | None):
         raise InputError(f"cannot read input: {exc}") from exc
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _float_text(value: float) -> str:
-    if math.isfinite(value):
-        return float.__repr__(value)
-    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-
-
-def _scalar_text(value) -> str | None:
-    """``json``'s text for a str, None, bool, int or float (subclasses
-    included, in the order ``json`` tests them); None for anything else."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    return None
-
-
-def _key_text(key) -> str:
-    """A dict key as ``json`` writes it: non-str keys become strings."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    text = _scalar_text(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return f'"{text}"'
-
-
-def _json_text(value, newline: str = "\n") -> str:
-    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte.
-
-    ``newline`` is the line break plus the indent of ``value``'s own line.
-    Exact types are tried first, with finite floats inlined in dicts (the
-    coefficient fields); subclasses fall back to ``isinstance`` in the
-    order ``json`` uses.  Non-finite floats raise ValueError and anything
-    else ``json`` cannot write raises TypeError, as in ``json``.
-    """
-    kind = type(value)
-    if kind is float:
-        return _float_text(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return _encode_str(value)
-    if kind is dict or isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [
-            (_encode_str(k) if type(k) is str else _key_text(k)) + ": "
-            + (float.__repr__(v) if type(v) is float and v - v == 0.0
-               else _json_text(v, inner))
-            for k, v in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list or isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        items = [_json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    text = _scalar_text(value)
-    if text is None:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    return text
-
-
 def _emit(payload) -> None:
     sys.stdout.write(_json_text(payload) + "\n")
 
@@ -147,39 +74,31 @@ def _parse(kind, data):
         raise InputError(f"cannot decode {kind.__name__}: {exc}") from exc
 
 
-def _parse_supermatrix(data) -> Supermatrix:
-    return _parse(Supermatrix, data)
-
-
-def _parse_supervector(data) -> Supervector:
-    return _parse(Supervector, data)
-
-
 def _group_payload(report, key: str) -> dict:
     return {
         key: report.ok,
         "defining_residual": report.defining_residual,
         "block_residual": report.block_residual,
-        "sdet": report.sdet.to_dict() if report.sdet is not None else None,
+        "sdet": report.sdet,
         "sdet_deviation": (report.sdet_deviation
                            if math.isfinite(report.sdet_deviation) else None),
     }
 
 
 def _cmd_check_o0(args):
-    report = check_o0(_parse_supermatrix(_load_json(args.input)), args.tol)
+    report = check_o0(_parse(Supermatrix, _load_json(args.input)), args.tol)
     _emit(_group_payload(report, "is_o0"))
     return 0
 
 
 def _cmd_check_so0(args):
-    report = check_so0(_parse_supermatrix(_load_json(args.input)), args.tol)
+    report = check_so0(_parse(Supermatrix, _load_json(args.input)), args.tol)
     _emit(_group_payload(report, "is_so0"))
     return 0
 
 
 def _cmd_check_so0_algebra(args):
-    report = check_so0_algebra(_parse_supermatrix(_load_json(args.input)), args.tol)
+    report = check_so0_algebra(_parse(Supermatrix, _load_json(args.input)), args.tol)
     _emit({
         "is_so0_algebra": report.ok,
         "defining_residual": report.defining_residual,
@@ -189,79 +108,79 @@ def _cmd_check_so0_algebra(args):
 
 
 def _cmd_sdet(args):
-    _emit(_parse_supermatrix(_load_json(args.input)).sdet().to_dict())
+    _emit(_parse(Supermatrix, _load_json(args.input)).sdet())
     return 0
 
 
 def _cmd_exp(args):
-    _emit(expm(_parse_supermatrix(_load_json(args.input))).to_dict())
+    _emit(expm(_parse(Supermatrix, _load_json(args.input))))
     return 0
 
 
 def _cmd_ln(args):
-    _emit(logm(_parse_supermatrix(_load_json(args.input))).to_dict())
+    _emit(logm(_parse(Supermatrix, _load_json(args.input))))
     return 0
 
 
 def _cmd_decompose(args):
-    dec = decompose_rotation(_parse_supermatrix(_load_json(args.input)), args.tol)
+    dec = decompose_rotation(_parse(Supermatrix, _load_json(args.input)), args.tol)
     _emit({
-        "X": dec.compact.to_dict(),
-        "Y": dec.symmetric.to_dict(),
-        "Z": dec.nilpotent.to_dict(),
+        "X": dec.compact,
+        "Y": dec.symmetric,
+        "Z": dec.nilpotent,
         "residual": dec.residual,
     })
     return 0
 
 
 def _cmd_lift(args):
-    mat = _parse_supermatrix(_load_json(args.input))
+    mat = _parse(Supermatrix, _load_json(args.input))
     element = lift_rotation(mat, args.tol)
     residual = (action_matrix(element) - mat).norm() / max(1.0, mat.norm())
     print(f"covering residual: {residual:.3e}", file=sys.stderr)
-    _emit(element.to_dict())
+    _emit(element)
     return 0
 
 
 def _cmd_act(args):
     data = _load_json(args.input)
-    vector = _parse_supervector(data["vector"])
+    vector = _parse(Supervector, data["vector"])
     if "matrix" in data:
-        mat = _parse_supermatrix(data["matrix"])
+        mat = _parse(Supermatrix, data["matrix"])
     elif "spin" in data:
         mat = action_matrix(_parse(SpinElement, data["spin"]))
     else:
         raise InputError("act expects a 'matrix' or 'spin' key")
-    _emit(apply_matrix(mat, vector).to_dict())
+    _emit(apply_matrix(mat, vector))
     return 0
 
 
 def _cmd_reflect(args):
     data = _load_json(args.input)
-    axis = _parse_supervector(data["w"])
+    axis = _parse(Supervector, data["w"])
     mirror = reflection_matrix(axis)
-    payload = {"matrix": mirror.to_dict(), "sdet": mirror.sdet().to_dict()}
+    payload = {"matrix": mirror, "sdet": mirror.sdet()}
     if "x" in data:
-        payload["reflected"] = reflect(axis, _parse_supervector(data["x"])).to_dict()
+        payload["reflected"] = reflect(axis, _parse(Supervector, data["x"]))
     _emit(payload)
     return 0
 
 
 def _cmd_inner(args):
     data = _load_json(args.input)
-    _emit(inner(_parse_supervector(data["x"]), _parse_supervector(data["y"])).to_dict())
+    _emit(inner(_parse(Supervector, data["x"]), _parse(Supervector, data["y"])))
     return 0
 
 
 def _cmd_phi(args):
     biv = _parse(ExtendedSuperbivector, _load_json(args.input))
-    _emit(bivector_to_matrix(biv).to_dict())
+    _emit(bivector_to_matrix(biv))
     return 0
 
 
 def _cmd_phi_inv(args):
-    mat = _parse_supermatrix(_load_json(args.input))
-    _emit(matrix_to_bivector(mat, args.tol).to_dict())
+    mat = _parse(Supermatrix, _load_json(args.input))
+    _emit(matrix_to_bivector(mat, args.tol))
     return 0
 
 
@@ -269,7 +188,7 @@ def _cmd_osc_exp(args):
     expansion = oscillator_exp(args.theta, args.plane, args.m, args.n,
                                args.grassmann_order, cap=args.cap)
     _emit({
-        "element": expansion.element.to_dict(),
+        "element": expansion.element,
         "truncation_bound": expansion.truncation_bound,
     })
     return 0
@@ -281,8 +200,8 @@ def _cmd_frft(args):
         raise InputError("thetas must be finite")
     element = fractional_fourier(thetas, args.m, args.grassmann_order)
     _emit({
-        "element": element.to_dict(),
-        "matrix": action_matrix(element).to_dict(),
+        "element": element,
+        "matrix": action_matrix(element),
     })
     return 0
 

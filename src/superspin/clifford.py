@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import supermatrix
 from .exceptions import (
     AlgebraError,
     CapExceededError,
@@ -47,7 +47,10 @@ from .grassmann import (
     MAX_ORDER,
     GrassmannNumber,
     _blade_product,
+    _json_cells,
+    _json_text,
     _parity_array,
+    _read_cells,
     json_int,
     random_grassmann,
     reorder_sign,
@@ -331,19 +334,23 @@ class CliffordElement:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        items = sorted(self.terms.items())
-        return {
+    def to_json(self, newline: str = "\n") -> str:
+        """``to_dict``'s JSON text (``newline`` as in ``_json_text``), the
+        terms by ascending key."""
+        return _json_text({
             "m": self.m,
             "n": self.n,
             "N": self.order,
             "cap": self.cap,
             "truncated": self.truncated,
             "terms": [
-                {"emask": emask, "alpha": list(alpha), "coeff": coeff.to_dict()}
-                for (emask, alpha), coeff in items
+                {"emask": emask, "alpha": list(alpha), "coeff": coeff}
+                for (emask, alpha), coeff in sorted(self.terms.items())
             ],
-        }
+        }, newline)
+
+    def to_dict(self) -> dict:
+        return json.loads(self.to_json())
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CliffordElement":
@@ -484,19 +491,27 @@ class Supervector:
         dev = self.square() + 1.0
         return dev.nilpotent().norm() <= nil_tol and abs(dev.body) <= tol
 
+    def to_json(self, newline: str = "\n") -> str:
+        """``to_dict``'s JSON text (``newline`` as in ``_json_text``), every
+        coordinate rendered straight from the column."""
+        cells, _ = _json_cells(self.order, self.col.masks, self.col.stack[:, :, 0].T)
+        return _json_text({"m": self.m, "n": self.n, "N": self.order,
+                           "even": cells[:self.m], "odd": cells[self.m:]}, newline)
+
     def to_dict(self) -> dict:
-        """JSON form: every coordinate as ``GrassmannNumber.to_dict`` writes
-        it, read straight from the column."""
-        cells = supermatrix._json_cells(self.order, self.col.masks, self.col.stack[:, :, 0].T)
-        return {"m": self.m, "n": self.n, "N": self.order,
-                "even": cells[:self.m], "odd": cells[self.m:]}
+        return json.loads(self.to_json())
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Supervector":
+        """Inverse of ``to_dict``, read straight into the column; parity is checked."""
         m, n, order = (json_int(data[key], key) for key in ("m", "n", "N"))
-        even = [GrassmannNumber.from_dict(g) for g in data.get("even", [])]
-        odd = [GrassmannNumber.from_dict(g) for g in data.get("odd", [])]
-        return cls(m, n, order, even, odd)
+        even, odd = data.get("even", []), data.get("odd", [])
+        if len(even) != m or len(odd) != 2 * n:
+            raise ShapeMismatchError("coordinate counts must be m and 2n")
+        size = m + 2 * n
+        masks, values = _read_cells([*even, *odd], order, range(size), size)
+        return cls.from_column(m, n, GrassmannMatrix(
+            size, 1, order, masks=masks, stack=values.reshape(len(masks), size, 1)))
 
     def __repr__(self):
         return f"Supervector(m={self.m}, n={self.n}, N={self.order})"
@@ -600,10 +615,15 @@ class ExtendedSuperbivector:
         keys, slot = np.unique(np.asarray(masks, dtype=np.int64), return_inverse=True)
         coeffs = np.zeros((len(keys), len(layout.scale)), dtype=complex)
         coeffs[slot, cells] = values
+        self._fill(m, n, order, keys.tolist(), coeffs)
+
+    def _fill(self, m: int, n: int, order: int, masks: list[int], coeffs: np.ndarray) -> None:
+        """Hold the canonical coefficients ``coeffs`` (one row per blade of
+        ``masks``, one column per coefficient number) as S; check parity."""
         # S is canonical: its entries are canonical coefficients, negated or doubled
-        size = m + 2 * n
+        layout, size = _layout(m, n), m + 2 * n
         self.m, self.n, self.order = m, n, order
-        self.mat = GrassmannMatrix(size, size, order, masks=keys.tolist(), stack=_mirrored(
+        self.mat = GrassmannMatrix(size, size, order, masks=masks, stack=_mirrored(
             layout, size, _times(coeffs, 1.0 / layout.scale)))
         self._check()
 
@@ -685,27 +705,38 @@ class ExtendedSuperbivector:
                              for (u, v), g in self.bb.items()), GrassmannNumber.zero(self.order))
         return CliffordElement(self.m, self.n, self.order, cap, terms)
 
-    def to_dict(self) -> dict:
-        """JSON form: the nonzero coefficients of each family by ascending
-        key, each as ``GrassmannNumber.to_dict`` writes it, read straight
-        from the stack."""
-        cells = supermatrix._json_cells(self.order, self.mat.masks, self._values().T)
+    def to_json(self, newline: str = "\n") -> str:
+        """``to_dict``'s JSON text (``newline`` as in ``_json_text``): the
+        nonzero coefficients of each family by ascending key, rendered
+        straight from the stack."""
+        cells, sizes = _json_cells(self.order, self.mat.masks, self._values().T)
         b, bq, bb = ([{"j": j, "k": k, "coeff": cells[i]}
-                      for (j, k), i in index.items() if cells[i]["terms"]]
+                      for (j, k), i in index.items() if sizes[i]]
                      for index in _layout(self.m, self.n).index)
-        return {"m": self.m, "n": self.n, "N": self.order, "b": b, "bq": bq, "B": bb}
+        return _json_text(
+            {"m": self.m, "n": self.n, "N": self.order, "b": b, "bq": bq, "B": bb}, newline)
+
+    def to_dict(self) -> dict:
+        return json.loads(self.to_json())
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExtendedSuperbivector":
-        def fam(items):
-            out = {}
-            for it in items:
-                key = (json_int(it["j"], "j"), json_int(it["k"], "k"))
-                g = GrassmannNumber.from_dict(it["coeff"])
-                out[key] = out[key] + g if key in out else g
-            return out
-        return cls(*(json_int(data[key], key) for key in ("m", "n", "N")),
-                   *(fam(data.get(name, [])) for name in ("b", "bq", "B")))
+        """Inverse of ``to_dict``, read straight into the coefficient cells (a
+        repeated key is summed); parity is checked."""
+        m, n, order = (json_int(data[key], key) for key in ("m", "n", "N"))
+        check_signature(m, n, order)
+        layout = _layout(m, n)
+        entries, cells = [], []
+        for index, name, rule in zip(layout.index, ("b", "bq", "B"), cls._RULES):
+            for item in data.get(name, []):
+                key = (json_int(item["j"], "j"), json_int(item["k"], "k"))
+                if key not in index:
+                    raise ShapeMismatchError(rule.format(key))
+                entries.append(item["coeff"])
+                cells.append(index[key])
+        biv = object.__new__(cls)
+        biv._fill(m, n, order, *_read_cells(entries, order, cells, len(layout.scale)))
+        return biv
 
     def __repr__(self):
         sizes = {"b": len(self.b), "bq": len(self.bq), "bb": len(self.bb)}

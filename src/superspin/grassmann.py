@@ -9,13 +9,17 @@ The package's one product kernel lives here too.  It works on blade stacks
 (ascending masks and one complex array of a slice per mask): ``_blade_product``
 multiplies numbers (as (k, 1, 1) stacks), matrices, supervectors, bivectors
 and Clifford coefficients, and ``_nilpotent_matrix_series`` sums every finite
-nilpotent series, of numbers and of matrices alike.
+nilpotent series, of numbers and of matrices alike.  The package's JSON
+codec lives here as well: ``_json_cells`` renders Grassmann cells as text straight from a
+blade stack, ``_json_text`` is the one writer (``json.dumps(indent=2)``
+byte for byte), and ``_read_cells`` reads cells back into a stack.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import json
 import math
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -86,6 +90,171 @@ def json_float(value, name: str) -> float:
     if type(value) in (int, float):
         return float(value)
     raise TypeError(f"{name} must be a number, got {value!r}")
+
+
+# -- JSON text -----------------------------------------------------------------
+
+
+class JSONText(str):
+    """Finished JSON text, written at indent 0.  ``_json_text`` inlines it
+    at any depth by indenting its lines, which is safe because JSON text
+    holds no raw newline inside a string literal."""
+
+    __slots__ = ()
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def _scalar_text(value) -> str | None:
+    """``json``'s text for a str, None, bool, int or float (subclasses
+    included, in the order ``json`` tests them); None for anything else."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` writes it: non-str keys become strings."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return f'"{text}"'
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte, where
+    a ``JSONText`` fragment stands for the value it encodes and an object
+    with a ``to_json`` method (the package's payload classes) for its
+    ``to_dict`` form, written by ``to_json(newline)``.
+
+    ``newline`` is the line break plus the indent of ``value``'s own line.
+    Exact types are tried first, with finite floats inlined in dicts (the
+    coefficient fields); subclasses fall back to ``isinstance`` in the
+    order ``json`` uses.  Non-finite floats raise ValueError and anything
+    else ``json`` cannot write raises TypeError, as in ``json``.
+    """
+    kind = type(value)
+    if kind is float:
+        return _float_text(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is JSONText:
+        return value.replace("\n", newline)
+    if kind is dict or isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            (_encode_str(k) if type(k) is str else _key_text(k)) + ": "
+            + (float.__repr__(v) if type(v) is float and v - v == 0.0
+               else _json_text(v, inner))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    text = _scalar_text(value)
+    if text is not None:
+        return text
+    to_json = getattr(kind, "to_json", None)
+    if to_json is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return to_json(value, newline)
+
+
+# One Grassmann number, as GrassmannNumber.to_json writes it at indent 0.
+_TERM = '{\n      "mask": %d,\n      "re": %r,\n      "im": %r\n    }'
+_CELL = '{\n  "N": %d,\n  "terms": [\n    %s\n  ]\n}'
+_EMPTY_CELL = '{\n  "N": %d,\n  "terms": []\n}'
+
+
+def _json_cells(order: int, masks: Sequence[int],
+                values: np.ndarray) -> tuple[list[JSONText], list[int]]:
+    """``GrassmannNumber.to_json`` of each row of ``values`` (cells x blades,
+    the blades being ``masks``), rendered straight from the array, and each
+    cell's number of terms: one canonical CANON_EPS filter over all
+    coefficients, one template per term, floats through ``tolist`` so they
+    keep their repr.  A kept non-finite coefficient raises ValueError, as
+    ``json`` does."""
+    re, im = values.real, values.imag
+    kept = (np.abs(re) >= CANON_EPS) | (np.abs(im) >= CANON_EPS)
+    ii, kk = np.nonzero(kept)
+    if not np.isfinite(values[ii, kk]).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    terms = [_TERM % term for term in zip(
+        np.asarray(masks, dtype=np.int64)[kk].tolist(), re[ii, kk].tolist(),
+        im[ii, kk].tolist())]
+    sizes = kept.sum(axis=1).tolist()
+    ends = np.cumsum(sizes, dtype=np.int64).tolist()
+    return [_cell(order, terms[start:end]) for start, end in zip([0] + ends, ends)], sizes
+
+
+def _cell(order: int, terms: list[str]) -> JSONText:
+    """One number's text from its rendered terms."""
+    return JSONText(_CELL % (order, ",\n    ".join(terms)) if terms else _EMPTY_CELL % order)
+
+
+def _read_cells(entries: Sequence[Mapping], order: int, cells: Sequence[int],
+                count: int) -> tuple[list[int], np.ndarray]:
+    """(masks, values) of JSON Grassmann numbers read as ``from_dict`` reads
+    one: ascending masks, one row each, and ``count`` columns, entry e adding
+    into column ``cells[e]``.  Sums
+    (a repeated mask or column) start from -0.0, so a -0.0 part keeps its
+    sign; one that overflows raises AlgebraError, not a warning.  Parts
+    below CANON_EPS in both re and im become 0.0."""
+    if not 0 <= order <= MAX_ORDER:
+        raise OrderMismatchError(f"order must be in [0, {MAX_ORDER}], got {order}")
+    limit = 1 << order
+    masks, where, re, im = [], [], [], []
+    for cell, entry in zip(cells, entries):
+        if json_int(entry["N"], "N") != order:
+            raise OrderMismatchError("entry order differs from matrix order")
+        for item in entry.get("terms", []):
+            mask = json_int(item["mask"], "mask")
+            if not 0 <= mask < limit:
+                raise OrderMismatchError(f"mask {mask} out of range for order {order}")
+            masks.append(mask)
+            where.append(cell)
+            # JSON numbers only; a float skips the call
+            real, imag = item["re"], item.get("im", 0.0)
+            re.append(real if type(real) is float else json_float(real, "re"))
+            im.append(imag if type(imag) is float else json_float(imag, "im"))
+    keys, slot = np.unique(np.asarray(masks, dtype=np.int64), return_inverse=True)
+    values = np.empty(len(masks), dtype=complex)
+    values.real, values.imag = re, im
+    stack = np.full((len(keys), count), complex(-0.0, -0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(stack, (slot, np.asarray(where, dtype=np.int64)), values)
+    if not np.isfinite(stack).all():
+        raise AlgebraError("non-finite entry in blade slice")
+    stack[(np.abs(stack.real) < CANON_EPS) & (np.abs(stack.imag) < CANON_EPS)] = 0.0
+    return keys.tolist(), stack
 
 
 # -- the product kernel --------------------------------------------------------
@@ -478,14 +647,15 @@ class GrassmannNumber:
 
     # -- serialization -----------------------------------------------------
 
+    def to_json(self, newline: str = "\n") -> str:
+        """``to_dict``'s JSON text (``newline`` as in ``_json_text``), the
+        terms by ascending mask."""
+        # canonical and finite already: the terms need no filter
+        return _json_text(_cell(self.order, [_TERM % (m, c.real, c.imag)
+                                             for m, c in sorted(self.terms.items())]), newline)
+
     def to_dict(self) -> dict:
-        return {
-            "N": self.order,
-            "terms": [
-                {"mask": m, "re": self.terms[m].real, "im": self.terms[m].imag}
-                for m in sorted(self.terms)
-            ],
-        }
+        return json.loads(self.to_json())
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GrassmannNumber":

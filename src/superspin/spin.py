@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -32,7 +33,7 @@ from .clifford import (
     matrix_to_bivector,
 )
 from .exceptions import AlgebraError, CapExceededError, MembershipError, ShapeMismatchError
-from .grassmann import DEFAULT_TOL, GrassmannNumber, json_int
+from .grassmann import DEFAULT_TOL, GrassmannNumber, _json_text, json_int
 from .orthosymplectic import (
     check_so0,
     decompose_rotation,
@@ -67,13 +68,13 @@ class SpinElement:
         return SpinElement(self.m, self.n, self.order,
                            self.factors + other.factors)
 
+    def to_json(self, newline: str = "\n") -> str:
+        """``to_dict``'s JSON text (``newline`` as in ``_json_text``)."""
+        return _json_text({"m": self.m, "n": self.n, "N": self.order,
+                                    "factors": list(self.factors)}, newline)
+
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "N": self.order,
-            "factors": [f.to_dict() for f in self.factors],
-        }
+        return json.loads(self.to_json())
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SpinElement":

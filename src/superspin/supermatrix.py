@@ -19,6 +19,7 @@ by the kernel's ``_nilpotent_matrix_series`` as the number series are.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -34,9 +35,9 @@ from .exceptions import (
     ShapeMismatchError,
     SingularBodyError,
 )
-from .grassmann import (CANON_EPS, DEFAULT_TOL, MAX_ORDER, GrassmannNumber, _blade_product,
-                        _drop_zero_slices, _nilpotent_matrix_series, _union_add, json_float,
-                        json_int)
+from .grassmann import (CANON_EPS, DEFAULT_TOL, GrassmannNumber, _blade_product,
+                        _drop_zero_slices, _json_cells, _json_text, _nilpotent_matrix_series,
+                        _read_cells, _union_add, json_int)
 
 # Relative truncation threshold for the exp/ln power series.
 SERIES_EPS = 1e-14
@@ -505,78 +506,39 @@ class Supermatrix:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """JSON form: every entry as ``GrassmannNumber.to_dict`` writes it,
-        built straight from the stack by ``_json_cells``."""
+    def to_json(self, newline: str = "\n") -> str:
+        """``to_dict``'s JSON text (``newline`` as in ``_json_text``), every
+        entry rendered straight from the stack by ``_json_cells``."""
         size = self.size
-        cells = _json_cells(self.order, self.mat.masks,
+        cells, _ = _json_cells(self.order, self.mat.masks,
                             self.mat.stack.reshape(len(self.mat.masks), size * size).T)
-        return {
+        return _json_text({
             "p": self.p,
             "q": self.q,
             "N": self.order,
             "rows": [cells[i * size:(i + 1) * size] for i in range(size)],
-        }
+        }, newline)
+
+    def to_dict(self) -> dict:
+        return json.loads(self.to_json())
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Supermatrix":
-        """Inverse of ``to_dict``, read straight into the stack.  Entries are
-        read as ``GrassmannNumber.from_dict`` reads them (masks repeated
-        within an entry are summed, ``re`` and ``im`` must be JSON numbers,
-        ``im`` is optional, coefficients must be finite) and must have the
-        matrix's order; the parity pattern is checked."""
+        """Inverse of ``to_dict``, read straight into the stack by
+        ``_read_cells``: entries must have the matrix's order, and the
+        parity pattern is checked."""
         p, q, order = (json_int(data[key], key) for key in ("p", "q", "N"))
         rows = data["rows"]
         size = p + q
         if len(rows) != size or any(len(r) != size for r in rows):
             raise ShapeMismatchError("rows grid does not match p + q")
-        if not 0 <= order <= MAX_ORDER:
-            raise OrderMismatchError(f"order must be in [0, {MAX_ORDER}], got {order}")
-        limit = 1 << order
-        masks, cells, re, im = [], [], [], []
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                if json_int(entry["N"], "N") != order:
-                    raise OrderMismatchError("entry order differs from matrix order")
-                for item in entry.get("terms", []):
-                    mask = json_int(item["mask"], "mask")
-                    if not 0 <= mask < limit:
-                        raise OrderMismatchError(
-                            f"mask {mask} out of range for order {order}")
-                    masks.append(mask)
-                    cells.append(i * size + j)
-                    # JSON numbers only; a float skips the call
-                    real, imag = item["re"], item.get("im", 0.0)
-                    re.append(real if type(real) is float else json_float(real, "re"))
-                    im.append(imag if type(imag) is float else json_float(imag, "im"))
-        keys, slot = np.unique(np.asarray(masks, dtype=np.int64), return_inverse=True)
-        values = np.empty(len(masks), dtype=complex)
-        values.real, values.imag = re, im
-        # summed from -0.0 so a -0.0 part keeps its sign (x + -0.0 is x);
-        # the filter below turns cells that received nothing into 0.0
-        stack = np.full((len(keys), size * size), complex(-0.0, -0.0))
-        np.add.at(stack, (slot, np.asarray(cells, dtype=np.int64)), values)
-        stack[(np.abs(stack.real) < CANON_EPS) & (np.abs(stack.imag) < CANON_EPS)] = 0.0
-        return cls(p, q, GrassmannMatrix(size, size, order, masks=keys.tolist(),
-                                         stack=stack.reshape(len(keys), size, size)))
+        masks, values = _read_cells([entry for row in rows for entry in row], order,
+                                    range(size * size), size * size)
+        return cls(p, q, GrassmannMatrix(size, size, order, masks=masks,
+                                         stack=values.reshape(len(masks), size, size)))
 
     def __repr__(self):
         return f"Supermatrix(p={self.p}, q={self.q}, N={self.order})"
-
-
-def _json_cells(order: int, masks: Sequence[int], values: np.ndarray) -> list[dict]:
-    """``GrassmannNumber.to_dict`` of each row of ``values`` (cells x blades,
-    the blades being ``masks``), built straight from the array: one
-    canonical CANON_EPS filter over all coefficients, floats through
-    ``tolist`` so they keep their repr."""
-    re, im = values.real, values.imag
-    kept = (np.abs(re) >= CANON_EPS) | (np.abs(im) >= CANON_EPS)
-    ii, kk = np.nonzero(kept)
-    terms = [{"mask": m, "re": r, "im": i} for m, r, i in zip(
-        np.asarray(masks, dtype=np.int64)[kk].tolist(), re[ii, kk].tolist(),
-        im[ii, kk].tolist())]
-    ends = np.cumsum(kept.sum(axis=1)).tolist()
-    return [{"N": order, "terms": terms[start:end]} for start, end in zip([0] + ends, ends)]
 
 
 def expm(m: Supermatrix) -> Supermatrix:

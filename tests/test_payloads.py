@@ -1,13 +1,16 @@
-"""CLI payloads: the JSON writer, the Supermatrix codecs and the shared parser.
+"""CLI payloads: the JSON writer, the payload codecs and the shared parser.
 
-The writer is checked against ``json.dumps(indent=2, allow_nan=False)``, and
-the Supermatrix, Supervector, bivector and spin element codecs against the
-per-entry route through ``GrassmannNumber`` kept below as an oracle.
+The writer is checked against ``json.dumps(indent=2, allow_nan=False)``;
+every payload class's ``to_json`` against ``json.dumps`` of the dict the
+previous encoders built (``oracle_dict``); and the Supermatrix, Supervector,
+bivector and spin element decoders against the per-entry route through
+``GrassmannNumber`` kept below as an oracle.
 """
 
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +40,7 @@ from superspin.exceptions import (
     ParityError,
     ShapeMismatchError,
 )
-from superspin.grassmann import DEFAULT_TOL
+from superspin.grassmann import CANON_EPS, DEFAULT_TOL, MAX_ORDER, JSONText, _json_text
 
 
 def oracle_text(value) -> str:
@@ -66,7 +69,7 @@ TREES = st.recursive(
 @settings(max_examples=400)
 @given(TREES)
 def test_writer_matches_json_dumps(tree):
-    assert cli._json_text(tree) == oracle_text(tree)
+    assert _json_text(tree) == oracle_text(tree)
 
 
 @pytest.mark.parametrize("value", [
@@ -74,7 +77,7 @@ def test_writer_matches_json_dumps(tree):
                                                          False: "x", "k": -0.0},
 ])
 def test_writer_matches_json_dumps_on_empty_and_mixed_containers(value):
-    assert cli._json_text(value) == oracle_text(value)
+    assert _json_text(value) == oracle_text(value)
 
 
 class Count(int):
@@ -100,7 +103,7 @@ class Record(dict):
 def test_writer_accepts_subclasses_as_json_does():
     value = Record({Name("n"): Count(3), "r": Ratio(0.5), "l": Rows([Count(-1)]),
                     Count(7): np.float64(0.1), Ratio(2.5): Name("s\n")})
-    assert cli._json_text(value) == oracle_text(value)
+    assert _json_text(value) == oracle_text(value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, Ratio(math.inf)])
@@ -111,7 +114,7 @@ def test_non_finite_floats_raise_value_error(bad, where):
     with pytest.raises(ValueError):
         oracle_text(value)
     with pytest.raises(ValueError):
-        cli._json_text(value)
+        _json_text(value)
 
 
 @pytest.mark.parametrize("bad", [
@@ -122,7 +125,7 @@ def test_unserialisable_values_raise_type_error(bad):
     with pytest.raises(TypeError):
         oracle_text(bad)
     with pytest.raises(TypeError):
-        cli._json_text(bad)
+        _json_text(bad)
 
 
 def test_failed_emit_writes_nothing(capsys, monkeypatch, tmp_path):
@@ -133,14 +136,230 @@ def test_failed_emit_writes_nothing(capsys, monkeypatch, tmp_path):
     assert capsys.readouterr().out == ""
 
     class Unwritable:
-        def to_dict(self):
-            return {"p": 1, "rows": [[{"re": math.inf}]]}
+        def to_json(self, newline="\n"):
+            return _json_text({"p": 1, "rows": [[{"re": math.inf}]]}, newline)
 
+    with pytest.raises(ValueError, match="Out of range float"):
+        cli._emit({"r": Unwritable()})
+    assert capsys.readouterr().out == ""
     monkeypatch.setattr(cli, "expm", lambda m: Unwritable())
     path = tmp_path / "m.json"
     path.write_text(json.dumps(Supermatrix.eye(1, 0, 0).to_dict()))
     assert main(["exp", "--input", str(path)]) == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Out of range float" in err
+
+
+# -- to_json and to_dict ------------------------------------------------------------
+
+
+def oracle_number(g: GrassmannNumber) -> dict:
+    """The dict ``GrassmannNumber.to_dict`` built before it parsed ``to_json``."""
+    return {"N": g.order, "terms": [
+        {"mask": m, "re": g.terms[m].real, "im": g.terms[m].imag} for m in sorted(g.terms)]}
+
+
+def oracle_cells(order: int, masks, values: np.ndarray) -> list[dict]:
+    """The dict builder the stack classes encoded their cells with: each row
+    of ``values`` (cells x blades) as a number dict, one CANON_EPS filter."""
+    re, im = values.real, values.imag
+    kept = (np.abs(re) >= CANON_EPS) | (np.abs(im) >= CANON_EPS)
+    ii, kk = np.nonzero(kept)
+    terms = [{"mask": m, "re": r, "im": i} for m, r, i in zip(
+        np.asarray(masks, dtype=np.int64)[kk].tolist(), re[ii, kk].tolist(),
+        im[ii, kk].tolist())]
+    ends = np.cumsum(kept.sum(axis=1)).tolist()
+    return [{"N": order, "terms": terms[start:end]} for start, end in zip([0] + ends, ends)]
+
+
+def oracle_dict(x) -> dict:
+    """The ``to_dict`` form of every payload class, built as dicts."""
+    if isinstance(x, GrassmannNumber):
+        return oracle_number(x)
+    if isinstance(x, Supermatrix):
+        size = x.size
+        cells = oracle_cells(x.order, x.mat.masks,
+                             x.mat.stack.reshape(len(x.mat.masks), size * size).T)
+        return {"p": x.p, "q": x.q, "N": x.order,
+                "rows": [cells[i * size:(i + 1) * size] for i in range(size)]}
+    if isinstance(x, Supervector):
+        cells = oracle_cells(x.order, x.col.masks, x.col.stack[:, :, 0].T)
+        return {"m": x.m, "n": x.n, "N": x.order, "even": cells[:x.m], "odd": cells[x.m:]}
+    if isinstance(x, ExtendedSuperbivector):
+        return oracle_bivector_dict(x.m, x.n, x.order, (x.b, x.bq, x.bb))
+    if isinstance(x, SpinElement):
+        return {"m": x.m, "n": x.n, "N": x.order,
+                "factors": [oracle_dict(f) for f in x.factors]}
+    if isinstance(x, CliffordElement):
+        return {"m": x.m, "n": x.n, "N": x.order, "cap": x.cap, "truncated": x.truncated,
+                "terms": [{"emask": emask, "alpha": list(alpha), "coeff": oracle_number(c)}
+                          for (emask, alpha), c in sorted(x.terms.items())]}
+    raise TypeError(type(x).__name__)
+
+
+def oracle_tree(value):
+    """``value`` with every payload object replaced by its oracle dict."""
+    if hasattr(value, "to_json"):
+        return oracle_dict(value)
+    if isinstance(value, dict):
+        return {key: oracle_tree(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [oracle_tree(item) for item in value]
+    return value
+
+
+# Coefficient parts: signed zeros, the CANON_EPS edge from both sides, and the
+# repr forms json writes (exponent switch at 1e16 and 1e-5, subnormals).
+PARTS = (st.sampled_from([
+    0.0, -0.0, 1.0, -2.5, CANON_EPS, -CANON_EPS, math.nextafter(CANON_EPS, 0.0),
+    math.nextafter(CANON_EPS, 1.0), 3e-15, 1e16, -1e16, 9999999999999998.0, 1e-5,
+    9.999999999999999e-06, 5e-324, -5e-324, 1 / 3, 1e22, 123456789.0])
+    | st.floats(min_value=-1e6, max_value=1e6))
+SIGNATURES = st.sampled_from([(0, 0), (0, 1), (2, 0), (1, 1), (3, 1), (2, 2)])
+ORDERS = st.sampled_from([0, 1, 4, MAX_ORDER])
+
+
+def complexes(size):
+    return st.lists(st.tuples(PARTS, PARTS), min_size=size, max_size=size).map(
+        lambda parts: np.array([complex(re, im) for re, im in parts], dtype=complex))
+
+
+@st.composite
+def blade_stacks(draw, order, rows, cols, parity=None):
+    """(masks, stack) of at most 4 blades; ``parity(odd, rows, cols)`` says
+    which cells each blade may fill (the rest are 0.0)."""
+    masks = sorted(draw(st.sets(st.integers(0, (1 << order) - 1), max_size=4)))
+    stack = draw(complexes(len(masks) * rows * cols)).reshape(len(masks), rows, cols)
+    if parity is not None:
+        odd = np.array([m.bit_count() % 2 == 1 for m in masks], dtype=bool)
+        stack = np.where(parity(odd[:, None, None], rows, cols), stack, 0.0)
+    return masks, stack
+
+
+@st.composite
+def numbers(draw, order=None, parity=None):
+    order = draw(ORDERS) if order is None else order
+    masks, stack = draw(blade_stacks(order, 1, 1))
+    terms = draw(st.permutations(list(zip(masks, stack.ravel()))))  # any insertion order
+    return GrassmannNumber(order, {m: c for m, c in terms
+                                   if parity is None or m.bit_count() % 2 == (parity == "odd")})
+
+
+def _supermatrix_parity(p):
+    def allowed(odd, rows, cols):
+        diagonal = (np.arange(rows)[:, None] < p) == (np.arange(cols)[None, :] < p)
+        return diagonal != odd
+    return allowed
+
+
+@st.composite
+def supermatrices(draw):
+    (p, q), order = draw(SIGNATURES), draw(ORDERS)
+    masks, stack = draw(blade_stacks(order, p + q, p + q, _supermatrix_parity(p)))
+    return Supermatrix(p, q, GrassmannMatrix(p + q, p + q, order, masks=masks, stack=stack))
+
+
+@st.composite
+def supervectors(draw):
+    (m, n), order = draw(SIGNATURES), draw(ORDERS)
+    masks, stack = draw(blade_stacks(order, m + 2 * n, 1, lambda odd, rows, cols: (
+        (np.arange(rows) >= m)[:, None] == odd)))
+    return Supervector.from_column(m, n, GrassmannMatrix(m + 2 * n, 1, order, masks=masks,
+                                                         stack=stack))
+
+
+@st.composite
+def bivectors(draw, signature=None):
+    m, n, order = signature or (*draw(SIGNATURES), draw(ORDERS))
+    keys = ([(j, k) for j in range(1, m + 1) for k in range(j + 1, m + 1)],
+            [(j, u) for j in range(1, m + 1) for u in range(1, 2 * n + 1)],
+            [(u, v) for u in range(1, 2 * n + 1) for v in range(u, 2 * n + 1)])
+    families = [{key: draw(numbers(order, parity))
+                 for key in draw(st.lists(st.sampled_from(family), max_size=3))}
+                if family else {} for family, parity in zip(keys, ("even", "odd", "even"))]
+    return ExtendedSuperbivector(m, n, order, *families)
+
+
+@st.composite
+def spin_elements(draw):
+    m, n, order = *draw(SIGNATURES), draw(ORDERS)
+    factors = draw(st.lists(bivectors((m, n, order)), max_size=2))
+    return SpinElement(m, n, order, factors)
+
+
+@st.composite
+def clifford_elements(draw):
+    m, n, order, cap = *draw(SIGNATURES), draw(ORDERS), draw(st.integers(0, 3))
+    keys = st.tuples(st.integers(0, (1 << m) - 1),
+                     st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n).map(tuple))
+    terms = {key: draw(numbers(order)) for key in draw(st.lists(keys, max_size=3))
+             if sum(key[1]) <= cap}
+    return CliffordElement(m, n, order, cap, terms, truncated=draw(st.booleans()))
+
+
+PAYLOADS = (numbers() | supermatrices() | supervectors() | bivectors() | spin_elements()
+            | clifford_elements())
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+def test_to_json_is_json_dumps_of_the_oracle_dict(x):
+    want = oracle_dict(x)
+    assert x.to_json() == oracle_text(want)
+    assert x.to_json("\n    ") == oracle_text(want).replace("\n", "\n    ")
+    got = x.to_dict()
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)  # the signs of zeros too
+
+
+def test_to_json_covers_the_edge_shapes():
+    """Empty cells, p = 0, q = 0, N = 0 and MAX_ORDER, written exactly."""
+    edge = [Supermatrix.zeros(2, 0, 0), Supermatrix.eye(0, 2, MAX_ORDER),
+            Supermatrix.zeros(0, 0, 1), Supervector.zero(0, 1, 4),
+            ExtendedSuperbivector.zero(2, 1, MAX_ORDER), SpinElement(1, 0, 0),
+            GrassmannNumber(MAX_ORDER, {(1 << MAX_ORDER) - 1: complex(-0.0, 1e16)}),
+            CliffordElement(0, 0, 0, 0)]
+    for x in edge:
+        assert x.to_json() == oracle_text(oracle_dict(x))
+        assert x.to_dict() == oracle_dict(x)
+
+
+def test_a_non_finite_cell_raises_value_error_as_json_does():
+    matrix = Supermatrix(1, 0, GrassmannMatrix(1, 1, 0, masks=(0,), stack=np.ones((1, 1, 1))))
+    # a finite stack is checked on construction; swap in a non-finite one
+    object.__setattr__(matrix.mat, "stack", np.full((1, 1, 1), complex(math.inf, 0.0)))
+    with pytest.raises(ValueError):
+        oracle_text(oracle_dict(matrix))
+    with pytest.raises(ValueError):
+        matrix.to_json()
+
+
+SAMPLE_OBJECTS = [GrassmannNumber(2, {0: 1.5, 3: complex(-0.0, 2e-14)}),
+                  random_rotation(1, 1, 2, seed=4), random_supervector(1, 1, 2, seed=5),
+                  matrix_to_bivector(random_so0(2, 1, 2, seed=6)),
+                  CliffordElement(1, 1, 2, 4, {(1, (1, 0)): GrassmannNumber.one(2)})]
+SAMPLE_OBJECTS.append(SpinElement(2, 1, 2, [SAMPLE_OBJECTS[3]]))
+
+# (tree holding fragments and payload objects, the same tree with dicts in their place)
+LEAF_PAIRS = (SCALARS.map(lambda v: (v, v))
+              | TREES.map(lambda tree: (JSONText(oracle_text(tree)), tree))
+              | st.sampled_from(SAMPLE_OBJECTS).map(lambda x: (x, oracle_dict(x))))
+PAIR_TREES = st.recursive(
+    LEAF_PAIRS,
+    lambda children: (
+        st.lists(children, max_size=4).map(
+            lambda items: ([a for a, _ in items], [b for _, b in items]))
+        | st.dictionaries(KEYS, children, max_size=4).map(
+            lambda d: ({k: a for k, (a, _) in d.items()}, {k: b for k, (_, b) in d.items()}))),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIR_TREES)
+def test_fragments_and_objects_nest_at_any_depth(pair):
+    written, plain = pair
+    assert _json_text(written) == oracle_text(plain)
 
 
 def _matrix_inputs(tmp_path, m, n, order):
@@ -184,7 +403,7 @@ def test_every_matrix_command_writes_json_dumps_bytes(capsys, monkeypatch, tmp_p
         code = main([command, "--input", str(paths[key])])
         out = capsys.readouterr().out
         assert code == 0, command
-        assert out == oracle_text(emitted[-1]) + "\n", command
+        assert out == oracle_text(oracle_tree(emitted[-1])) + "\n", command
     assert len(emitted) == len(MATRIX_COMMANDS)
 
 
@@ -194,7 +413,7 @@ def test_every_matrix_command_writes_json_dumps_bytes(capsys, monkeypatch, tmp_p
 def oracle_to_dict(m: Supermatrix) -> dict:
     """The per-entry encoder: one GrassmannNumber per entry."""
     return {"p": m.p, "q": m.q, "N": m.order,
-            "rows": [[g.to_dict() for g in row] for row in m.entries()]}
+            "rows": [[oracle_number(g) for g in row] for row in m.entries()]}
 
 
 def oracle_from_dict(data) -> Supermatrix:
@@ -320,12 +539,12 @@ def seeded_number(rng, order, parity):
 
 
 def oracle_number_lists(numbers):
-    return [g.to_dict() for g in numbers]
+    return [oracle_number(g) for g in numbers]
 
 
 def oracle_bivector_dict(m, n, order, families):
     def fam(d):
-        return [{"j": j, "k": k, "coeff": d[key].to_dict()}
+        return [{"j": j, "k": k, "coeff": oracle_number(d[key])}
                 for key in sorted(d) for j, k in [key] if d[key].terms]
     return {"m": m, "n": n, "N": order, "b": fam(families[0]), "bq": fam(families[1]),
             "B": fam(families[2])}
@@ -347,10 +566,10 @@ VECTOR_SHAPES = [(3, 1, 4), (2, 2, 4), (0, 2, 3), (3, 0, 3), (1, 1, 1), (2, 1, 0
 def decoded(data):
     """JSON text after a per-entry decode and re-encode: every number goes
     through ``GrassmannNumber.from_dict`` (which adds a repeated mask to its
-    first term, so a -0.0 part keeps its sign) and ``GrassmannNumber.to_dict``."""
+    first term, so a -0.0 part keeps its sign) and ``oracle_number``."""
     def walk(value):
         if isinstance(value, dict) and "terms" in value:
-            return GrassmannNumber.from_dict(value).to_dict()
+            return oracle_number(GrassmannNumber.from_dict(value))
         if isinstance(value, dict):
             return {key: walk(item) for key, item in value.items()}
         if isinstance(value, list):
@@ -458,6 +677,43 @@ def test_out_of_range_order_is_malformed_even_without_entries(capsys, tmp_path):
     path.write_text(json.dumps({"p": 0, "q": 0, "N": 17, "rows": []}))
     assert main(["sdet", "--input", str(path)]) == 2
     assert "order must be in [0, 16]" in capsys.readouterr().err
+
+
+def test_an_overflowing_sum_is_malformed_input_without_a_warning(capsys, tmp_path):
+    """Repeated masks, or a repeated bivector key, whose sum passes the float
+    range: exit 2 with one stderr line and no numpy warning, for the matrix,
+    vector and bivector decoders."""
+    def number(mask, *parts):
+        return {"N": 2, "terms": [{"mask": mask, "re": re} for re in parts]}
+
+    vector = {"m": 1, "n": 0, "N": 2, "even": [number(0, 1e308, 1e308)], "odd": []}
+    cases = [
+        ("sdet", {"p": 1, "q": 0, "N": 2, "rows": [[number(0, 1e308, 1e308)]]}),
+        ("inner", {"x": vector, "y": vector}),
+        ("phi", {"m": 2, "n": 0, "N": 2, "b": [
+            {"j": 1, "k": 2, "coeff": number(3, 1e308, 1e308)}]}),
+        ("phi", {"m": 2, "n": 0, "N": 2, "b": [
+            {"j": 1, "k": 2, "coeff": number(3, 1e308)},
+            {"j": 1, "k": 2, "coeff": number(3, 1e308)}]}),
+    ]
+    for command, payload in cases:
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, caught) == (2, "", []), command
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith("malformed input") and "non-finite" in captured.err
+
+
+def test_bivector_decoder_sums_repeated_keys():
+    half = {"N": 2, "terms": [{"mask": 0, "re": 0.25, "im": -0.0}, {"mask": 3, "re": 1.0}]}
+    data = {"m": 1, "n": 1, "N": 2, "B": [{"j": 1, "k": 2, "coeff": half},
+                                          {"j": 1, "k": 2, "coeff": half}]}
+    whole = GrassmannNumber.from_dict(half) + GrassmannNumber.from_dict(half)
+    assert ExtendedSuperbivector.from_dict(data).bb == {(1, 2): whole}
 
 
 # -- integer fields ---------------------------------------------------------------
