@@ -16,13 +16,14 @@ import numpy as np
 
 from .exceptions import AlgebraError, MembershipError, NotInvertibleError, SingularBodyError
 from .grassmann import (DEFAULT_TOL, GrassmannNumber, _blade_product, _drop_zero_slices,
-                        _union_add, random_grassmann)
+                        _nilpotent_matrix_series, _union_add, random_grassmann)
 from .supermatrix import (
     GrassmannMatrix,
     Supermatrix,
+    _body_inverse,
+    _log_coeff,
     _q_gram_body,
     expm,
-    logm,
     split_symplectic_form,
     symplectic_form,
 )
@@ -274,7 +275,12 @@ def compact_symplectic_log(r: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarra
 
 @dataclass(frozen=True)
 class RotationDecomposition:
-    """M = exp(compact) exp(symmetric) exp(nilpotent); the last two unique."""
+    """M = exp(compact) exp(symmetric) exp(nilpotent); the last two unique.
+
+    ``residual`` is |exp(compact) exp(symmetric) exp(nilpotent) - M| / max(1, |M|),
+    computed by ``decompose_rotation`` from the body-only factor its split
+    already formed; ``lift_rotation`` shares the split but not this check.
+    """
 
     compact: Supermatrix
     symmetric: Supermatrix
@@ -288,14 +294,21 @@ class RotationDecomposition:
         return expm(self.compact) @ expm(self.symmetric) @ expm(self.nilpotent)
 
 
-def decompose_rotation(mat: Supermatrix, tol: float = DEFAULT_TOL
-                       ) -> RotationDecomposition:
-    """Split a superrotation into compact, symmetric and nilpotent exponents."""
+def _split_rotation(mat: Supermatrix, tol: float
+                    ) -> tuple[Supermatrix, Supermatrix, Supermatrix, Supermatrix]:
+    """(X, Y, Z, B) with mat = B exp(Z) and B = exp(X) exp(Y) body-only.
+
+    X and Y come from real logs of the body blocks, so B is block diagonal
+    and is inverted from its A and D bodies, each condition-checked as in
+    ``Supermatrix.inverse`` (A first, NotInvertibleError).  B^-1 M has body
+    I in exact arithmetic; Z is the log of I + nil(B^-1 M), which keeps Z
+    free of body rounding.
+    """
     if not check_so0(mat, tol).ok:
         raise MembershipError("decomposition requires a special superrotation")
     m, n = _shape(mat)
     body = mat.body_matrix()
-    if np.abs(body.imag).max(initial=0.0) > tol * max(1.0, np.abs(body).max()):
+    if np.abs(body.imag).max(initial=0.0) > tol * max(1.0, np.abs(body).max(initial=0.0)):
         raise MembershipError("body must be real for the real-log decomposition")
     a0 = body[:m, :m].real
     d0 = body[m:, m:].real
@@ -311,10 +324,21 @@ def decompose_rotation(mat: Supermatrix, tol: float = DEFAULT_TOL
     compact = Supermatrix.from_body(m, 2 * n, compact_body, mat.order)
     symmetric = Supermatrix.from_body(m, 2 * n, symmetric_body, mat.order)
     group_body = expm(compact) @ expm(symmetric)
-    # B^-1 M has body I in exact arithmetic; the log of I + nil(B^-1 M) keeps
-    # Z free of body rounding, and the residual reports that rounding
-    nilpotent = logm(Supermatrix.eye(m, 2 * n, mat.order)
-                     + (group_body.inverse() @ mat).nilpotent_part())
+    b0 = group_body.body_matrix()
+    b0_inv = np.zeros_like(b0)
+    b0_inv[:m, :m] = _body_inverse(b0[:m, :m], NotInvertibleError, "body of block A")
+    b0_inv[m:, m:] = _body_inverse(b0[m:, m:], NotInvertibleError, "body of block D")
+    x = mat.mat.nilpotent_part()
+    nilpotent = Supermatrix(m, 2 * n, x.with_stack(*_nilpotent_matrix_series(
+        x.masks, b0_inv @ x.stack, mat.order, _log_coeff)), validate=False)
+    return compact, symmetric, nilpotent, group_body
+
+
+def decompose_rotation(mat: Supermatrix, tol: float = DEFAULT_TOL
+                       ) -> RotationDecomposition:
+    """Split a superrotation into compact, symmetric and nilpotent exponents,
+    with the reconstruction residual of ``RotationDecomposition``."""
+    compact, symmetric, nilpotent, group_body = _split_rotation(mat, tol)
     recon = group_body @ expm(nilpotent)
     residual = (recon - mat).norm() / max(1.0, mat.norm())
     return RotationDecomposition(compact, symmetric, nilpotent, residual)

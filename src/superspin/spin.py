@@ -35,8 +35,8 @@ from .clifford import (
 from .exceptions import AlgebraError, CapExceededError, MembershipError, ShapeMismatchError
 from .grassmann import DEFAULT_TOL, GrassmannNumber, _json_text, json_int
 from .orthosymplectic import (
+    _split_rotation,
     check_so0,
-    decompose_rotation,
     to_unitary,
 )
 from .supermatrix import GrassmannMatrix, Supermatrix, expm, symplectic_form
@@ -90,9 +90,9 @@ class SpinElement:
 def action_matrix(s: SpinElement, tol: float = 1e-8) -> Supermatrix:
     """Superrotation induced by a spin element: the product of the factor
     exponentials in the matrix representation (checked to land in the group)."""
-    result = Supermatrix.eye(s.m, 2 * s.n, s.order)
-    for factor in s.factors:
-        result = result @ expm(bivector_to_matrix(factor))
+    result = functools.reduce(Supermatrix.__matmul__, [
+        expm(bivector_to_matrix(factor)) for factor in s.factors
+    ] or [Supermatrix.eye(s.m, 2 * s.n, s.order)])
     if not check_so0(result, tol).ok:
         raise MembershipError("spin action left the superrotation group")
     return result
@@ -140,13 +140,9 @@ def split_bivector(biv: ExtendedSuperbivector) -> BivectorSplit:
 
 
 def lift_rotation(mat: Supermatrix, tol: float = DEFAULT_TOL) -> SpinElement:
-    """Three-factor spin element covering the given superrotation."""
-    dec = decompose_rotation(mat, tol)
-    factors = [
-        matrix_to_bivector(dec.compact, tol),
-        matrix_to_bivector(dec.symmetric, tol),
-        matrix_to_bivector(dec.nilpotent, tol),
-    ]
+    """Three-factor spin element covering the given superrotation: the
+    exponents of ``decompose_rotation``, without its reconstruction residual."""
+    factors = [matrix_to_bivector(x, tol) for x in _split_rotation(mat, tol)[:3]]
     return SpinElement(mat.p, mat.q // 2, mat.order, factors)
 
 

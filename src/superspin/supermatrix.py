@@ -8,7 +8,8 @@ Products of matrices (``@`` and scaling by a GrassmannNumber) go through
 Supermatrix adds the (p|q) parity pattern, supertranspose, supertrace,
 Berezinian, inverse and the exp/ln pair.  The Berezinian, and ``det`` as its
 q = 0 case, is det A0 / det D0 * exp(str log(I + X)) for M = M0 (I + X):
-numpy on the body M0 and a finite series in the nilpotent X.  A body with
+numpy on the body M0 and a finite sum of supertraces of powers of the
+nilpotent X, half of them formed as matrices.  A body with
 condition number above COND_LIMIT raises SingularBodyError (block A, ``det``)
 or NotInvertibleError (block D, ``inverse``).  The exp/ln and nilpotent series
 iterate on raw (masks, stack) pairs and build one matrix at the end; exp with
@@ -278,6 +279,13 @@ def _body_inverse(body: np.ndarray, error: type[AlgebraError], what: str) -> np.
     return np.linalg.inv(body)
 
 
+def _trace_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(a b) over the last two axes, shaped (..., 1, 1): a pairwise
+    ``_blade_product`` op, as ``np.multiply`` is for numbers.  With the
+    supertrace signs on the rows of a, it is str(a b)."""
+    return np.einsum("...ij,...ji->...", a, b)[..., None, None]
+
+
 def _log_coeff(k: int) -> float:
     """Taylor coefficient of log(1 + x)."""
     return (-1.0) ** (k + 1) / k if k else 0.0
@@ -488,20 +496,41 @@ class Supermatrix:
         """Berezinian sdet M = det A0 / det D0 * exp(str log(I + X)).
 
         M = M0 (I + X) with M0 the body, block diagonal as B and C are odd,
-        and X = M0^{-1} (M - M0) nilpotent, so log(I + X) is a finite
-        series; one formula for every (p, q).  A numerically singular body
-        raises NotInvertibleError for D0 (checked first), SingularBodyError
-        for A0.
+        and X = M0^{-1} (M - M0) nilpotent, so str log(I + X) is the finite
+        sum of (-1)^{k+1} / k * str(X^k) over k <= N; one formula for every
+        (p, q).  Only the powers X^k with k <= h = ceil(N / 2) are formed as
+        matrices; for h < k <= N, str(X^k) is the supertrace of the product
+        X^h X^{k-h}, one kernel product under ``_trace_of_product`` that
+        forms no matrix.  A numerically singular body raises
+        NotInvertibleError for D0 (checked first), SingularBodyError for A0.
         """
-        p, body = self.p, self.mat.body()
+        p, mat, order, size = self.p, self.mat, self.order, self.size
+        body = mat.body()
         a0, d0 = body[:p, :p], body[p:, p:]
         inv0 = np.zeros_like(body)
         inv0[p:, p:] = _body_inverse(d0, NotInvertibleError, "body of block D")
         inv0[:p, :p] = _body_inverse(a0, SingularBodyError, "body of block A")
-        x = self.mat.nilpotent_part()
-        log = x.with_stack(*_nilpotent_matrix_series(x.masks, inv0 @ x.stack,
-                                                     self.order, _log_coeff))
-        str_log = Supermatrix(p, self.q, log, validate=False).supertrace()
+        start = 1 if mat.masks and mat.masks[0] == 0 else 0
+        masks, x = mat.masks[start:], inv0 @ mat.stack[start:]
+        sign = np.where(np.arange(size) < p, 1.0, -1.0)
+        product = functools.partial(_blade_product, order=order)
+        half = (order + 1) // 2
+        powers = [(masks, x)]  # X^1 .. X^h, or up to the first X^k = 0
+        while powers[-1][0] and len(powers) < half:
+            powers.append(_drop_zero_slices(*product(np.matmul, *powers[-1], masks, x,
+                                                     shape=(size, size))))
+        str_log = np.zeros(1 << order, dtype=complex)
+        for k, (pm, pw) in enumerate(powers, start=1):
+            str_log[list(pm)] += _log_coeff(k) * np.einsum("kii,i->k", pw, sign)
+        if powers[-1][0]:  # X^h != 0: the supertraces of X^h X^{k-h}
+            top_masks, signed_top = powers[-1][0], sign[:, None] * powers[-1][1]
+            for k in range(half + 1, order + 1):
+                tm, tv = product(_trace_of_product, top_masks, signed_top,
+                                 *powers[k - half - 1], shape=(1, 1))
+                str_log[list(tm)] += _log_coeff(k) * tv[:, 0, 0]
+        nonzero = np.flatnonzero(str_log)
+        str_log = GrassmannNumber(order, dict(zip(nonzero.tolist(),
+                                                  str_log[nonzero].tolist())))
         return str_log.exp() * complex(np.linalg.det(a0) / np.linalg.det(d0))
 
     # -- serialization ---------------------------------------------------------

@@ -1,18 +1,25 @@
 """Command-line interface: schemas, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superspin import (
     ExtendedSuperbivector,
     GrassmannNumber,
+    SpinElement,
     Supermatrix,
     Supervector,
     matrix_to_bivector,
@@ -144,6 +151,22 @@ def test_decompose_rejects_non_rotation(capsys, tmp_path):
                       random_supermatrix(2, 1, 2, seed=11).to_dict())
     code, _, err = run_cli(capsys, "decompose", "-i", path)
     assert code == 1
+
+
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("command", ["decompose", "lift"])
+def test_empty_rotation_decomposes_and_lifts(capsys, tmp_path, command, order):
+    """The (0|0) rotation, which check-so0 accepts, is not malformed input."""
+    path = write_json(tmp_path, "empty.json", Supermatrix.eye(0, 0, order).to_dict())
+    code, out, _ = run_cli(capsys, "check-so0", "-i", path)
+    assert code == 0 and json.loads(out)["is_so0"] is True
+    code, out, err = run_cli(capsys, command, "-i", path)
+    assert code == 0, err
+    payload = json.loads(out)
+    if command == "decompose":
+        assert payload["residual"] == 0.0
+    else:
+        assert len(SpinElement.from_dict(payload).factors) == 3
 
 
 def test_lift_act_consistency(capsys, rotation, tmp_path):
@@ -553,3 +576,56 @@ def test_sdet_of_numerically_singular_body_is_a_domain_violation(capsys, tmp_pat
     code, out, err = run_cli(capsys, "sdet", "-i", path)
     assert code == 1 and out == ""
     assert f"domain violation: body of block {block} is numerically singular" in err
+
+
+# -- exit-code contract under mutated payloads --------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# each payload subcommand with its golden (3, 1, 4) input; check-o0 reads a matrix
+PROBE_INPUTS = {command: (GOLDEN / f"{command}.json").read_text() for command in (
+    "check-so0", "check-so0-algebra", "sdet", "exp", "ln", "decompose", "lift",
+    "act", "reflect", "inner", "phi", "phi-inv")}
+PROBE_INPUTS["check-o0"] = PROBE_INPUTS["check-so0"]
+JUNK = [None, True, False, 0, 1, -1, 2 ** 70, 0.5, 1e308, math.nan, "", "x", [], [[]], {},
+        {"N": 0, "terms": []}]
+
+
+def _field_paths(value, path=()):
+    """Every key or index path below the root of a JSON value."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+PROBE_PATHS = {command: list(_field_paths(json.loads(text)))
+               for command, text in PROBE_INPUTS.items()}
+
+
+@pytest.mark.parametrize("command", sorted(PROBE_INPUTS))
+@settings(max_examples=50)
+@given(data=st.data())
+def test_mutated_payloads_keep_the_exit_code_contract(command, data):
+    """One field set to a junk value or deleted: exit 0, 1 or 2, and no
+    stdout unless the exit is 0.  numpy RuntimeWarnings are not raised here,
+    as they are not for a user: near-overflow coefficients (1e308) still make
+    some library routines warn before they report a domain violation."""
+    payload = json.loads(PROBE_INPUTS[command])
+    *parents, key = data.draw(st.sampled_from(PROBE_PATHS[command]))
+    container = payload
+    for parent in parents:
+        container = container[parent]
+    junk = data.draw(st.sampled_from(JUNK + ["delete"]))
+    if junk == "delete":
+        del container[key]
+    else:
+        container[key] = junk
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(payload))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([command])
+    assert code in (0, 1, 2), err.getvalue()
+    assert code == 0 or out.getvalue() == ""

@@ -432,6 +432,48 @@ def test_nilpotent_exponent_has_no_body_blade(m, n, order):
     assert third.mat.masks and 0 not in third.mat.masks
 
 
+def eager_decomposition(mat):
+    """Oracle of the decomposition as first written: B^-1 by the four-block
+    inverse, Z as ``logm`` of I + nil(B^-1 M), and the residual from B exp(Z)."""
+    dec = decompose_rotation(mat)
+    group_body = expm(dec.compact) @ expm(dec.symmetric)
+    nilpotent = logm(Supermatrix.eye(mat.p, mat.q, mat.order)
+                     + (group_body.inverse() @ mat).nilpotent_part())
+    residual = (group_body @ expm(nilpotent) - mat).norm() / max(1.0, mat.norm())
+    return nilpotent, residual
+
+
+@pytest.mark.parametrize("m, n, order", [(3, 1, 4), (6, 2, 4), (0, 1, 2), (2, 0, 3)])
+def test_decompose_matches_the_eager_formula(m, n, order):
+    for seed in range(4):
+        mat = random_rotation(m, n, order, seed=seed + 40)
+        dec = decompose_rotation(mat)
+        nilpotent, residual = eager_decomposition(mat)
+        assert abs(dec.residual - residual) <= 1e-15
+        assert (dec.nilpotent - nilpotent).norm() <= 1e-15 * max(1.0, nilpotent.norm())
+
+
+def test_lift_exponentiates_only_the_two_body_factors(monkeypatch):
+    """lift_rotation forms exp(X) and exp(Y), both body-only, and neither
+    exp(Z) nor the reconstruction that decompose_rotation's residual needs."""
+    from superspin import orthosymplectic, spin, supermatrix
+
+    mat, arguments = random_rotation(6, 2, 4, seed=3), []
+
+    def counting_expm(x):
+        arguments.append(x)
+        return expm(x)
+
+    for module in (orthosymplectic, spin, supermatrix):
+        monkeypatch.setattr(module, "expm", counting_expm)
+    lift_rotation(mat)
+    assert len(arguments) == 2
+    assert all(set(x.mat.masks) <= {0} for x in arguments)
+    arguments.clear()
+    decompose_rotation(mat)
+    assert len(arguments) == 3
+
+
 def test_decompose_rejects_non_members():
     with pytest.raises(MembershipError):
         decompose_rotation(random_supermatrix(M_DIM, N_PLANES, ORDER, seed=5))
@@ -459,11 +501,11 @@ def test_standard_osp_rejects_non_algebra():
 
 
 def test_degenerate_signatures_decompose_and_lift():
-    # pure symplectic (m = 0), pure bosonic (n = 0) and scalar coefficients
-    # (order 0) all stay inside the same code paths
+    # pure symplectic (m = 0), pure bosonic (n = 0), scalar coefficients
+    # (order 0) and the empty (0|0) rotation all stay inside the same code paths
     from superspin import action_matrix, lift_rotation
 
-    for m, n, order in ((0, 1, 2), (3, 0, 2), (2, 1, 0)):
+    for m, n, order in ((0, 1, 2), (3, 0, 2), (2, 1, 0), (0, 0, 0), (0, 0, 2)):
         mat = random_rotation(m, n, order, seed=5, factors=2)
         assert check_so0(mat, 1e-9).ok
         dec = decompose_rotation(mat)

@@ -28,6 +28,7 @@ from superspin import (
     symplectic_form,
 )
 from superspin import supermatrix
+from superspin.grassmann import _nilpotent_matrix_series
 from superspin.supermatrix import COND_LIMIT, SERIES_EPS
 from test_kernel import SETTINGS, parity_blocks
 
@@ -333,6 +334,57 @@ def test_numerically_singular_body_block_raises_its_error_class(p, q, block):
         assert abs(gauss_det(mat.mat).body - 1e-13) <= 1e-25
         with pytest.raises(SingularBodyError):
             mat.mat.det()
+
+
+def full_power_sdet(m):
+    """Oracle Berezinian from the whole matrix series: log(I + X) summed
+    from every power X^k as a matrix, then its supertrace (production
+    forms only X^k with k <= ceil(N / 2) and takes the other supertraces
+    from products)."""
+    p, body = m.p, m.mat.body()
+    a0, d0 = body[:p, :p], body[p:, p:]
+    inv0 = np.zeros_like(body)
+    inv0[p:, p:] = supermatrix._body_inverse(d0, NotInvertibleError, "body of block D")
+    inv0[:p, :p] = supermatrix._body_inverse(a0, SingularBodyError, "body of block A")
+    x = m.mat.nilpotent_part()
+    log = x.with_stack(*_nilpotent_matrix_series(x.masks, inv0 @ x.stack, m.order,
+                                                 supermatrix._log_coeff))
+    str_log = Supermatrix(p, m.q, log, validate=False).supertrace()
+    return str_log.exp() * complex(np.linalg.det(a0) / np.linalg.det(d0))
+
+
+# (m, n, order) with q = 2n: p = 0, q = 0 and N in {0, 1, 4, 6} each appear
+HALF_POWER_SHAPES = [(0, 0, 0), (2, 0, 0), (0, 1, 0), (2, 1, 0), (2, 0, 1), (0, 1, 1),
+                     (2, 1, 1), (0, 0, 4), (3, 0, 4), (0, 2, 4), (3, 1, 4), (6, 2, 4),
+                     (2, 0, 6), (0, 1, 6), (2, 1, 6)]
+
+
+@pytest.mark.parametrize("m, n, order", HALF_POWER_SHAPES,
+                         ids=[f"m{m}-n{n}-N{order}" for m, n, order in HALF_POWER_SHAPES])
+@settings(max_examples=8)
+@given(seed=st.integers(0, 2 ** 16), group=st.booleans())
+def test_sdet_matches_the_full_power_series(m, n, order, seed, group):
+    """Group elements, and non-group supermatrices I + random, agree with
+    the full-power oracle to 1e-13 relative."""
+    mat = (random_rotation(m, n, order, seed=seed, factors=2) if group
+           else random_supermatrix(m, n, order, seed=seed) + Supermatrix.eye(m, 2 * n, order))
+    assert_relative(mat.sdet(), full_power_sdet(mat), tol=1e-13)
+
+
+@pytest.mark.parametrize("singular", ["D", "A", "AD"])
+def test_sdet_checks_the_d_body_first(singular):
+    """D0 is checked first (NotInvertibleError), then A0 (SingularBodyError),
+    by production and by the oracle alike."""
+    body = np.eye(SIZE, dtype=complex)
+    if "A" in singular:
+        body[1, 1] = 1e-13
+    if "D" in singular:
+        body[M_DIM + 1, M_DIM + 1] = 1e-13
+    mat = Supermatrix.from_body(M_DIM, Q_DIM, body, ORDER) + rand(71).nilpotent_part()
+    error, block = (SingularBodyError, "A") if singular == "A" else (NotInvertibleError, "D")
+    for sdet in (Supermatrix.sdet, full_power_sdet):
+        with pytest.raises(error, match=f"body of block {block}"):
+            sdet(mat)
 
 
 # (order, p, q): p = 0, q = 0 and N in {0, 1} each appear
