@@ -4,11 +4,12 @@ Output is 2-space-indented JSON, byte for byte what
 ``json.dumps(payload, indent=2, allow_nan=False)`` writes of the payload's
 ``to_dict`` form, and is written only once complete.  Handlers hand the
 library objects themselves to ``_emit``; the writer, ``grassmann._json_text``
-(with ``indent`` the stdlib falls back to its pure-Python encoder), inlines
-each object's ``to_json`` text, whose Grassmann cells are rendered straight
-from the blade stack, and the objects' ``to_dict`` is the parse of that
-text.  The argument parser is built once per process, so repeated ``main``
-calls share it.
+(with ``indent`` the stdlib falls back to its pure-Python encoder), turns
+each object's JSON tree, whose Grassmann cells hold their values straight
+from the blade stack, into one format string and applies it once to all the
+cell values; the objects' ``to_dict`` is the parse of that text.  The
+argument parser is built once per process, so repeated ``main`` calls share
+it.
 
 Exit codes: 0 success, 1 domain violation (membership, singular body,
 convergence domain, ...), 2 malformed input.

@@ -48,9 +48,9 @@ from .grassmann import (
     GrassmannNumber,
     _blade_product,
     _json_cells,
-    _json_text,
     _parity_array,
     _read_cells,
+    _to_json,
     json_int,
     random_grassmann,
     reorder_sign,
@@ -334,10 +334,9 @@ class CliffordElement:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self, newline: str = "\n") -> str:
-        """``to_dict``'s JSON text (``newline`` as in ``_json_text``), the
-        terms by ascending key."""
-        return _json_text({
+    def _json_tree(self) -> dict:
+        """``to_dict``'s tree, the terms by ascending key."""
+        return {
             "m": self.m,
             "n": self.n,
             "N": self.order,
@@ -347,7 +346,9 @@ class CliffordElement:
                 {"emask": emask, "alpha": list(alpha), "coeff": coeff}
                 for (emask, alpha), coeff in sorted(self.terms.items())
             ],
-        }, newline)
+        }
+
+    to_json = _to_json
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())
@@ -491,12 +492,14 @@ class Supervector:
         dev = self.square() + 1.0
         return dev.nilpotent().norm() <= nil_tol and abs(dev.body) <= tol
 
-    def to_json(self, newline: str = "\n") -> str:
-        """``to_dict``'s JSON text (``newline`` as in ``_json_text``), every
-        coordinate rendered straight from the column."""
+    def _json_tree(self) -> dict:
+        """``to_dict``'s tree, every coordinate a cell read straight from
+        the column."""
         cells, _ = _json_cells(self.order, self.col.masks, self.col.stack[:, :, 0].T)
-        return _json_text({"m": self.m, "n": self.n, "N": self.order,
-                           "even": cells[:self.m], "odd": cells[self.m:]}, newline)
+        return {"m": self.m, "n": self.n, "N": self.order,
+                "even": cells[:self.m], "odd": cells[self.m:]}
+
+    to_json = _to_json
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())
@@ -705,16 +708,16 @@ class ExtendedSuperbivector:
                              for (u, v), g in self.bb.items()), GrassmannNumber.zero(self.order))
         return CliffordElement(self.m, self.n, self.order, cap, terms)
 
-    def to_json(self, newline: str = "\n") -> str:
-        """``to_dict``'s JSON text (``newline`` as in ``_json_text``): the
-        nonzero coefficients of each family by ascending key, rendered
-        straight from the stack."""
+    def _json_tree(self) -> dict:
+        """``to_dict``'s tree: the nonzero coefficients of each family by
+        ascending key, cells read straight from the stack."""
         cells, sizes = _json_cells(self.order, self.mat.masks, self._values().T)
         b, bq, bb = ([{"j": j, "k": k, "coeff": cells[i]}
                       for (j, k), i in index.items() if sizes[i]]
                      for index in _layout(self.m, self.n).index)
-        return _json_text(
-            {"m": self.m, "n": self.n, "N": self.order, "b": b, "bq": bq, "B": bb}, newline)
+        return {"m": self.m, "n": self.n, "N": self.order, "b": b, "bq": bq, "B": bb}
+
+    to_json = _to_json
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())

@@ -10,15 +10,19 @@ The package's one product kernel lives here too.  It works on blade stacks
 multiplies numbers (as (k, 1, 1) stacks), matrices, supervectors, bivectors
 and Clifford coefficients, and ``_nilpotent_matrix_series`` sums every finite
 nilpotent series, of numbers and of matrices alike.  The package's JSON
-codec lives here as well: ``_json_cells`` renders Grassmann cells as text straight from a
-blade stack, ``_json_text`` is the one writer (``json.dumps(indent=2)``
-byte for byte), and ``_read_cells`` reads cells back into a stack.
+codec lives here as well: ``_json_cells`` reads Grassmann cells off a blade
+stack as ``_Cell`` placeholders (order, term count, flat mask/re/im values),
+``_json_text`` is the one writer (``json.dumps(indent=2)`` byte for byte),
+which turns a tree of literals and cells into one format string of escaped
+literal text and cached cell templates and applies it once, and
+``_read_cells`` reads cells back into a stack in one pass over their terms.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import json
 import math
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -95,13 +99,57 @@ def json_float(value, name: str) -> float:
 # -- JSON text -----------------------------------------------------------------
 
 
-class JSONText(str):
-    """Finished JSON text, written at indent 0.  ``_json_text`` inlines it
-    at any depth by indenting its lines, which is safe because JSON text
-    holds no raw newline inside a string literal."""
+class _Cell(NamedTuple):
+    """One Grassmann number in a JSON tree: its order, its number of terms
+    and the terms' flat (mask, re, im) values, or (mask, re) values when
+    ``real`` says every im is +0.0, so the ``%`` pass formats no im.
+    ``_json_text`` writes it through a cell template."""
 
-    __slots__ = ()
+    order: int
+    count: int
+    values: list
+    real: bool = False
 
+
+# Cell templates are memoised while their total length stays within
+# _TEMPLATE_BYTES (they are ASCII: one byte a character).  A template that
+# would overfill the cache empties it first; one longer than the bound (a cell
+# of more than 9000 to 17000 terms, by indent, so N >= 14) is built for each
+# cell.  The (6, 2, 4) benchmark outputs use 19 templates, 9 KB in all.
+_TEMPLATE_BYTES = 1 << 20
+
+
+class _Templates(dict):
+    """Cell templates by (order, count, newline, real): the text of a cell
+    of ``count`` terms at indent ``newline``, with a ``%d``/``%r``/``%r``
+    slot for each term's mask, re and im (im written as 0.0 if ``real``);
+    ``size`` is their total length."""
+
+    __slots__ = ("size",)
+
+    def __init__(self):
+        super().__init__()
+        self.size = 0
+
+    def __missing__(self, key: tuple[int, int, str, bool]) -> str:
+        order, count, newline, real = key
+        inner, item = newline + "  ", newline + "    "
+        field = item + "  "
+        im = "0.0" if real else "%r"
+        term = f'{{{field}"mask": %d,{field}"re": %r,{field}"im": {im}{item}}}'
+        template = (f'{{{inner}"N": {order},{inner}"terms": [{item}{term}'
+                    + ("," + item + term) * (count - 1) + f'{inner}]{newline}}}'
+                    if count else f'{{{inner}"N": {order},{inner}"terms": []{newline}}}')
+        if len(template) <= _TEMPLATE_BYTES:
+            if self.size + len(template) > _TEMPLATE_BYTES:
+                self.clear()
+                self.size = 0
+            self[key] = template
+            self.size += len(template)
+        return template
+
+
+_templates = _Templates()
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -114,9 +162,10 @@ def _float_text(value: float) -> str:
 
 def _scalar_text(value) -> str | None:
     """``json``'s text for a str, None, bool, int or float (subclasses
-    included, in the order ``json`` tests them); None for anything else."""
+    included, in the order ``json`` tests them), ``%`` escaped; None for
+    anything else."""
     if isinstance(value, str):
-        return _encode_str(value)
+        return _encode_str(value).replace("%", "%%")
     if value is None:
         return "null"
     if value is True:
@@ -131,45 +180,61 @@ def _scalar_text(value) -> str | None:
 
 
 def _key_text(key) -> str:
-    """A dict key as ``json`` writes it: non-str keys become strings."""
-    if isinstance(key, str):
-        return _encode_str(key)
+    """A dict key as ``json`` writes it (non-str keys become strings), ``%``
+    escaped."""
     text = _scalar_text(key)
     if text is None:
         raise TypeError(f"keys must be str, int, float, bool or None, "
                         f"not {key.__class__.__name__}")
-    return f'"{text}"'
+    return text if isinstance(key, str) else f'"{text}"'
 
 
 def _json_text(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte, where
-    a ``JSONText`` fragment stands for the value it encodes and an object
-    with a ``to_json`` method (the package's payload classes) for its
-    ``to_dict`` form, written by ``to_json(newline)``.
+    an object with a ``_json_tree`` method (the package's payload classes)
+    stands for its tree and any other object with a ``to_json`` method for
+    the text ``to_json(newline)`` returns.
 
     ``newline`` is the line break plus the indent of ``value``'s own line.
-    Exact types are tried first, with finite floats inlined in dicts (the
-    coefficient fields); subclasses fall back to ``isinstance`` in the
-    order ``json`` uses.  Non-finite floats raise ValueError and anything
-    else ``json`` cannot write raises TypeError, as in ``json``.
+    The whole output is one format string, applied once to the values of
+    every Grassmann cell (``_Cell``) in the tree: literal text with ``%``
+    escaped and, for each cell, its cached template.  Non-finite floats
+    raise ValueError and anything else ``json`` cannot write raises
+    TypeError, as in ``json``, before any formatting.
     """
+    values: list = []
+    return _format(value, newline, values) % tuple(values)
+
+
+def _to_json(self, newline: str = "\n") -> str:
+    """``to_dict``'s JSON text (``newline`` as in ``_json_text``): the
+    writer's text of the payload's ``_json_tree``."""
+    return _json_text(self, newline)
+
+
+def _format(value, newline: str, values: list) -> str:
+    """``value``'s part of ``_json_text``'s format string; the values of its
+    cells are appended to ``values`` in the order of their slots.  Exact
+    types are tried first, with finite floats inlined in dicts; subclasses
+    fall back to ``isinstance`` in the order ``json`` uses."""
     kind = type(value)
+    if kind is _Cell:
+        values += value.values
+        return _templates[value.order, value.count, newline, value.real]
     if kind is float:
         return _float_text(value)
     if kind is int:
         return int.__repr__(value)
     if kind is str:
-        return _encode_str(value)
-    if kind is JSONText:
-        return value.replace("\n", newline)
+        return _encode_str(value).replace("%", "%%")
     if kind is dict or isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
         items = [
-            (_encode_str(k) if type(k) is str else _key_text(k)) + ": "
+            (_encode_str(k).replace("%", "%%") if type(k) is str else _key_text(k)) + ": "
             + (float.__repr__(v) if type(v) is float and v - v == 0.0
-               else _json_text(v, inner))
+               else _format(v, inner, values))
             for k, v in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
@@ -177,80 +242,92 @@ def _json_text(value, newline: str = "\n") -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        items = [_json_text(v, inner) for v in value]
+        items = [_format(v, inner, values) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     text = _scalar_text(value)
     if text is not None:
         return text
+    tree = getattr(kind, "_json_tree", None)
+    if tree is not None:
+        return _format(tree(value), newline, values)
     to_json = getattr(kind, "to_json", None)
     if to_json is None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    return to_json(value, newline)
-
-
-# One Grassmann number, as GrassmannNumber.to_json writes it at indent 0.
-_TERM = '{\n      "mask": %d,\n      "re": %r,\n      "im": %r\n    }'
-_CELL = '{\n  "N": %d,\n  "terms": [\n    %s\n  ]\n}'
-_EMPTY_CELL = '{\n  "N": %d,\n  "terms": []\n}'
+    return to_json(value, newline).replace("%", "%%")
 
 
 def _json_cells(order: int, masks: Sequence[int],
-                values: np.ndarray) -> tuple[list[JSONText], list[int]]:
-    """``GrassmannNumber.to_json`` of each row of ``values`` (cells x blades,
-    the blades being ``masks``), rendered straight from the array, and each
-    cell's number of terms: one canonical CANON_EPS filter over all
-    coefficients, one template per term, floats through ``tolist`` so they
-    keep their repr.  A kept non-finite coefficient raises ValueError, as
-    ``json`` does."""
+                values: np.ndarray) -> tuple[list[_Cell], list[int]]:
+    """The ``_Cell`` of each row of ``values`` (cells x blades, the blades
+    being ``masks``) and each cell's number of terms: one canonical
+    CANON_EPS filter over all coefficients, and the kept (mask, re, im)
+    triples as one object array's ``tolist``, so the masks are ints and
+    the floats keep their repr; when every kept im is +0.0 (a real stack),
+    the cells are ``real`` and hold (mask, re) pairs.  A kept non-finite
+    coefficient raises ValueError, as ``json`` does."""
     re, im = values.real, values.imag
     kept = (np.abs(re) >= CANON_EPS) | (np.abs(im) >= CANON_EPS)
     ii, kk = np.nonzero(kept)
-    if not np.isfinite(values[ii, kk]).all():
+    coeffs = values[ii, kk]
+    if not np.isfinite(coeffs).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    terms = [_TERM % term for term in zip(
-        np.asarray(masks, dtype=np.int64)[kk].tolist(), re[ii, kk].tolist(),
-        im[ii, kk].tolist())]
+    real = not (coeffs.imag.any() or np.signbit(coeffs.imag).any())
+    flat = np.empty((len(ii), 2 if real else 3), dtype=object)
+    flat[:, 0] = np.asarray(masks, dtype=np.int64)[kk]
+    flat[:, 1] = coeffs.real
+    if not real:
+        flat[:, 2] = coeffs.imag
+    width = flat.shape[1]
+    flat = flat.ravel().tolist()
     sizes = kept.sum(axis=1).tolist()
-    ends = np.cumsum(sizes, dtype=np.int64).tolist()
-    return [_cell(order, terms[start:end]) for start, end in zip([0] + ends, ends)], sizes
-
-
-def _cell(order: int, terms: list[str]) -> JSONText:
-    """One number's text from its rendered terms."""
-    return JSONText(_CELL % (order, ",\n    ".join(terms)) if terms else _EMPTY_CELL % order)
+    ends = [width * end for end in itertools.accumulate(sizes)]
+    return [_Cell(order, size, flat[start:end], real)
+            for size, start, end in zip(sizes, [0] + ends, ends)], sizes
 
 
 def _read_cells(entries: Sequence[Mapping], order: int, cells: Sequence[int],
                 count: int) -> tuple[list[int], np.ndarray]:
     """(masks, values) of JSON Grassmann numbers read as ``from_dict`` reads
     one: ascending masks, one row each, and ``count`` columns, entry e adding
-    into column ``cells[e]``.  Sums
-    (a repeated mask or column) start from -0.0, so a -0.0 part keeps its
-    sign; one that overflows raises AlgebraError, not a warning.  Parts
-    below CANON_EPS in both re and im become 0.0."""
+    into column ``cells[e]``.  One pass over the terms checks each field
+    (``json_int`` only for a value that is not an int, ``json_float`` only
+    for one that is not a float); the columns are the cells repeated by
+    their term counts, and the rows come from a 2^N presence array of the
+    masks.  Sums (a repeated mask or column) start from -0.0, so a -0.0 part
+    keeps its sign; one that overflows raises AlgebraError, not a warning.
+    Parts below CANON_EPS in both re and im become 0.0."""
     if not 0 <= order <= MAX_ORDER:
         raise OrderMismatchError(f"order must be in [0, {MAX_ORDER}], got {order}")
     limit = 1 << order
-    masks, where, re, im = [], [], [], []
-    for cell, entry in zip(cells, entries):
-        if json_int(entry["N"], "N") != order:
+    masks, counts, parts = [], [], []  # parts: re, im of each term in turn
+    for entry in entries:
+        entry_order = entry["N"]
+        if type(entry_order) is not int:
+            json_int(entry_order, "N")
+        if entry_order != order:
             raise OrderMismatchError("entry order differs from matrix order")
+        before = len(masks)
         for item in entry.get("terms", []):
-            mask = json_int(item["mask"], "mask")
+            mask = item["mask"]
+            if type(mask) is not int:
+                json_int(mask, "mask")
             if not 0 <= mask < limit:
                 raise OrderMismatchError(f"mask {mask} out of range for order {order}")
             masks.append(mask)
-            where.append(cell)
-            # JSON numbers only; a float skips the call
             real, imag = item["re"], item.get("im", 0.0)
-            re.append(real if type(real) is float else json_float(real, "re"))
-            im.append(imag if type(imag) is float else json_float(imag, "im"))
-    keys, slot = np.unique(np.asarray(masks, dtype=np.int64), return_inverse=True)
-    values = np.empty(len(masks), dtype=complex)
-    values.real, values.imag = re, im
+            parts.append(real if type(real) is float else json_float(real, "re"))
+            parts.append(imag if type(imag) is float else json_float(imag, "im"))
+        counts.append(len(masks) - before)
+    masks = np.asarray(masks, dtype=np.int64)
+    present = np.zeros(limit, dtype=bool)
+    present[masks] = True
+    keys = np.flatnonzero(present)
+    slot = np.cumsum(present)[masks] - 1
+    where = np.repeat(np.fromiter(cells, np.intp, len(counts)), counts)
+    values = np.fromiter(parts, np.float64, len(parts)).view(complex)
     stack = np.full((len(keys), count), complex(-0.0, -0.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        np.add.at(stack, (slot, np.asarray(where, dtype=np.int64)), values)
+        np.add.at(stack, (slot, where), values)
     if not np.isfinite(stack).all():
         raise AlgebraError("non-finite entry in blade slice")
     stack[(np.abs(stack.real) < CANON_EPS) & (np.abs(stack.imag) < CANON_EPS)] = 0.0
@@ -585,20 +662,11 @@ class GrassmannNumber:
     def is_even(self) -> bool:
         return self.parity() == _EVEN
 
-    def is_odd(self) -> bool:
-        return not self.terms or self.parity() == _ODD
-
     # -- metrics -----------------------------------------------------------
 
     def norm(self) -> float:
         """Sum of coefficient moduli; submultiplicative."""
         return sum(abs(c) for c in self.terms.values())
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
-
-    def is_real(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(abs(c.imag) <= tol for c in self.terms.values())
 
     def isclose(self, other: "GrassmannNumber", tol: float = DEFAULT_TOL) -> bool:
         self._require_same_order(other)
@@ -647,12 +715,13 @@ class GrassmannNumber:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self, newline: str = "\n") -> str:
-        """``to_dict``'s JSON text (``newline`` as in ``_json_text``), the
-        terms by ascending mask."""
+    def _json_tree(self) -> _Cell:
+        """The number as one cell, the terms by ascending mask."""
         # canonical and finite already: the terms need no filter
-        return _json_text(_cell(self.order, [_TERM % (m, c.real, c.imag)
-                                             for m, c in sorted(self.terms.items())]), newline)
+        return _Cell(self.order, len(self.terms), [
+            part for m, c in sorted(self.terms.items()) for part in (m, c.real, c.imag)])
+
+    to_json = _to_json
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())

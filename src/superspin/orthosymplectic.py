@@ -70,24 +70,33 @@ def _shape(mat: Supermatrix) -> tuple[int, int]:
     return mat.p, mat.q // 2
 
 
-def _residuals(mat: Supermatrix, gram: np.ndarray, group: bool) -> tuple[float, float]:
+def _residuals(mat: Supermatrix, gram: np.ndarray,
+               group: bool) -> tuple[float, float, float]:
     """(norm, block residual) of M^{ST} G M - G (group) or X^{ST} G + G X,
     one blade stack for a real block-diagonal body G (so M^{ST} G is M^T G
-    with its C block negated).  Norms skip all-zero slices, as a matrix
-    stores none; a non-finite entry raises AlgebraError."""
+    with its C block negated), and the scale of the membership tolerances,
+    max(1, norm of mat).  Norms skip all-zero slices, as a matrix stores
+    none.  A non-finite entry or an overflowing norm raises AlgebraError;
+    numpy's overflow warnings are not raised on the way."""
     p, x = mat.p, mat.mat
-    left = x.stack.transpose(0, 2, 1) @ gram
-    left[:, p:, :p] *= -1.0
-    if group:
-        masks, stack = _union_add(*_blade_product(np.matmul, x.masks, left, x.masks, x.stack,
-                                                  mat.order, gram.shape), (0,), -gram[None])
-    else:
-        masks, stack = x.masks, left + gram @ x.stack
-    if not np.isfinite(stack).all():
-        raise AlgebraError("non-finite entry in the defining expression")
-    total, a, b, d = (float(np.abs(_drop_zero_slices(masks, part)[1]).sum()) for part in (
-        stack, stack[:, :p, :p], stack[:, :p, p:], stack[:, p:, p:]))
-    return total, max(a, b, d if group else 2.0 * d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = x.stack.transpose(0, 2, 1) @ gram
+        left[:, p:, :p] *= -1.0
+        if group:
+            masks, stack = _union_add(*_blade_product(
+                np.matmul, x.masks, left, x.masks, x.stack, mat.order, gram.shape),
+                (0,), -gram[None])
+        else:
+            masks, stack = x.masks, left + gram @ x.stack
+        if not np.isfinite(stack).all():
+            raise AlgebraError("non-finite entry in the defining expression")
+        total, a, b, d = (float(np.abs(_drop_zero_slices(masks, part)[1]).sum()) for part in (
+            stack, stack[:, :p, :p], stack[:, :p, p:], stack[:, p:, p:]))
+        scale = max(1.0, mat.norm())
+    blocks = max(a, b, d if group else 2.0 * d)
+    if not (math.isfinite(total) and math.isfinite(blocks) and math.isfinite(scale)):
+        raise AlgebraError("a norm of the membership test overflows")
+    return total, blocks, scale
 
 
 def check_o0(mat: Supermatrix, tol: float = DEFAULT_TOL) -> GroupReport:
@@ -99,15 +108,15 @@ def check_o0(mat: Supermatrix, tol: float = DEFAULT_TOL) -> GroupReport:
     ``defining_residual`` is its norm and ``block_residual`` the largest of
     those three block norms.  A Berezinian that fails on a singular body is
     reported as sdet None with ok False.  Raises MembershipError for odd q
-    and AlgebraError when an entry of the expression is not finite.
+    and AlgebraError when an entry of the expression is not finite or a
+    norm overflows.
     """
-    defining, blocks = _residuals(mat, _q_gram_body(*_shape(mat)), group=True)
+    defining, blocks, scale = _residuals(mat, _q_gram_body(*_shape(mat)), group=True)
     try:
         sdet = mat.sdet()
         deviation = min((sdet - 1.0).norm(), (sdet + 1.0).norm())
     except (NotInvertibleError, SingularBodyError):
         sdet, deviation = None, math.inf
-    scale = max(1.0, mat.norm())
     ok = defining <= tol * scale and blocks <= tol * scale and deviation <= tol
     return GroupReport(ok, defining, blocks, sdet, deviation)
 
@@ -131,9 +140,10 @@ def check_so0_algebra(mat: Supermatrix, tol: float = DEFAULT_TOL) -> AlgebraRepo
     A^T + A, B - C^T Omega / 2 and -(D^T Omega + Omega D) / 2, so
     ``block_residual``, the largest norm of A^T + A, B - C^T Omega / 2 and
     D^T Omega + Omega D, is max(|A block|, |B block|, 2 |D block|).
+    Raises AlgebraError when an entry of the expression is not finite or a
+    norm overflows.
     """
-    defining, blocks = _residuals(mat, _q_gram_body(*_shape(mat)), group=False)
-    scale = max(1.0, mat.norm())
+    defining, blocks, scale = _residuals(mat, _q_gram_body(*_shape(mat)), group=False)
     ok = defining <= tol * scale and blocks <= tol * scale
     return AlgebraReport(ok, defining, blocks)
 

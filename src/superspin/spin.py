@@ -33,7 +33,7 @@ from .clifford import (
     matrix_to_bivector,
 )
 from .exceptions import AlgebraError, CapExceededError, MembershipError, ShapeMismatchError
-from .grassmann import DEFAULT_TOL, GrassmannNumber, _json_text, json_int
+from .grassmann import DEFAULT_TOL, GrassmannNumber, _to_json, json_int
 from .orthosymplectic import (
     _split_rotation,
     check_so0,
@@ -68,10 +68,11 @@ class SpinElement:
         return SpinElement(self.m, self.n, self.order,
                            self.factors + other.factors)
 
-    def to_json(self, newline: str = "\n") -> str:
-        """``to_dict``'s JSON text (``newline`` as in ``_json_text``)."""
-        return _json_text({"m": self.m, "n": self.n, "N": self.order,
-                                    "factors": list(self.factors)}, newline)
+    def _json_tree(self) -> dict:
+        """``to_dict``'s tree, the factors as bivector trees."""
+        return {"m": self.m, "n": self.n, "N": self.order, "factors": list(self.factors)}
+
+    to_json = _to_json
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())

@@ -37,8 +37,8 @@ from .exceptions import (
     SingularBodyError,
 )
 from .grassmann import (CANON_EPS, DEFAULT_TOL, GrassmannNumber, _blade_product,
-                        _drop_zero_slices, _json_cells, _json_text, _nilpotent_matrix_series,
-                        _read_cells, _union_add, json_int)
+                        _drop_zero_slices, _json_cells, _nilpotent_matrix_series,
+                        _read_cells, _to_json, _union_add, json_int)
 
 # Relative truncation threshold for the exp/ln power series.
 SERIES_EPS = 1e-14
@@ -231,9 +231,6 @@ class GrassmannMatrix:
     def norm(self) -> float:
         """Entry-sum norm: sum over entries of Grassmann coefficient norms."""
         return float(np.abs(self.stack).sum())
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
 
     def isclose(self, other: "GrassmannMatrix", tol: float = DEFAULT_TOL) -> bool:
         scale = max(1.0, self.norm(), other.norm())
@@ -535,18 +532,20 @@ class Supermatrix:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_json(self, newline: str = "\n") -> str:
-        """``to_dict``'s JSON text (``newline`` as in ``_json_text``), every
-        entry rendered straight from the stack by ``_json_cells``."""
+    def _json_tree(self) -> dict:
+        """``to_dict``'s tree, every entry a cell read straight from the
+        stack by ``_json_cells``."""
         size = self.size
         cells, _ = _json_cells(self.order, self.mat.masks,
-                            self.mat.stack.reshape(len(self.mat.masks), size * size).T)
-        return _json_text({
+                               self.mat.stack.reshape(len(self.mat.masks), size * size).T)
+        return {
             "p": self.p,
             "q": self.q,
             "N": self.order,
             "rows": [cells[i * size:(i + 1) * size] for i in range(size)],
-        }, newline)
+        }
+
+    to_json = _to_json
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())

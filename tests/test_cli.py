@@ -22,6 +22,7 @@ from superspin import (
     SpinElement,
     Supermatrix,
     Supervector,
+    check_so0_algebra,
     matrix_to_bivector,
     random_rotation,
     random_so0,
@@ -29,6 +30,7 @@ from superspin import (
     random_supervector,
 )
 from superspin.cli import main
+from superspin.exceptions import AlgebraError
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +113,20 @@ def test_exp_with_overflowing_norm_is_a_domain_violation(tmp_path):
     assert run.returncode == 1 and run.stdout == ""
     assert run.stderr.startswith("domain violation:")
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("command", ["check-so0-algebra", "check-so0", "check-o0", "phi-inv"])
+def test_an_overflowing_residual_is_a_domain_violation(capsys, tmp_path, command):
+    """The golden (3, 1, 4) algebra payload with one coefficient at 1e308:
+    its residual norm overflows, which is a domain violation (exit 1), with
+    no numpy warning on the way (the suite raises RuntimeWarning)."""
+    data = json.loads((Path(__file__).parent / "golden" / "check-so0-algebra.json").read_text())
+    data["rows"][0][1]["terms"][0]["re"] = 1e308
+    code, out, err = run_cli(capsys, command, "-i", write_json(tmp_path, "huge.json", data))
+    assert code == 1 and out == ""
+    assert err.startswith("domain violation")
+    with pytest.raises(AlgebraError):
+        check_so0_algebra(Supermatrix.from_dict(data))
 
 
 def test_ln_that_does_not_converge_is_a_domain_violation(capsys, tmp_path):

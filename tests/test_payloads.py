@@ -40,7 +40,8 @@ from superspin.exceptions import (
     ParityError,
     ShapeMismatchError,
 )
-from superspin.grassmann import CANON_EPS, DEFAULT_TOL, MAX_ORDER, JSONText, _json_text
+from superspin import grassmann
+from superspin.grassmann import CANON_EPS, DEFAULT_TOL, MAX_ORDER, _json_text
 
 
 def oracle_text(value) -> str:
@@ -53,9 +54,11 @@ FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
           | st.sampled_from([0.0, -0.0, 5e-324, -2.225e-308, 1e16, -1e16, 1e22,
                              0.1, 1 / 3, 1e-7, 123456789.0, 1.7976931348623157e308]))
 INTS = st.integers() | st.sampled_from([2 ** 63, -2 ** 64, 10 ** 40, -(10 ** 300)])
-STRINGS = st.text() | st.text(alphabet=st.sampled_from(
+# pieces of any length; the %-forms would be format slots if the writer did not escape them
+STRINGS = st.text() | st.lists(st.sampled_from(
     ['"', "\\", "/", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f",
-     " ", "é", "€", "\U0001f600", "a"]))
+     " ", "é", "€", "\U0001f600", "a",
+     "%", "%%", "%s", "%(k)d", "100%"])).map("".join)
 KEYS = STRINGS | INTS | FLOATS | st.booleans() | st.none()
 SCALARS = st.none() | st.booleans() | INTS | FLOATS | STRINGS
 TREES = st.recursive(
@@ -325,6 +328,28 @@ def test_to_json_covers_the_edge_shapes():
         assert x.to_dict() == oracle_dict(x)
 
 
+def test_a_full_max_order_cell_renders_and_the_template_cache_stays_bounded():
+    """A complex cell of all 2^16 blades, and a real matrix whose cells
+    hold the 2^15 even ones: their templates are longer than the cache's
+    byte bound, so they are built for the cell and never cached."""
+    rng = np.random.default_rng(3)
+    size = 1 << MAX_ORDER
+    scales = 10.0 ** rng.integers(-5, 17, size)
+    coeffs = (rng.normal(size=size) + 1j * rng.normal(size=size)) * scales
+    number = GrassmannNumber(MAX_ORDER, dict(enumerate(coeffs)))
+    assert len(number.terms) == size
+    even = [m for m in range(size) if m.bit_count() % 2 == 0]
+    matrix = Supermatrix(2, 0, GrassmannMatrix(2, 2, MAX_ORDER, masks=even,
+                                               stack=coeffs.real[even, None, None] * np.eye(2)))
+    templates = grassmann._templates
+    for x in (number, matrix, {"%": [number], "%s": {"m": matrix}}):
+        assert _json_text(x) == oracle_text(oracle_tree(x))
+        assert templates.size == sum(map(len, templates.values()))
+        assert templates.size <= grassmann._TEMPLATE_BYTES
+        assert all(key[1] < len(even) for key in templates)
+    assert number.to_dict() == oracle_dict(number)
+
+
 def test_a_non_finite_cell_raises_value_error_as_json_does():
     matrix = Supermatrix(1, 0, GrassmannMatrix(1, 1, 0, masks=(0,), stack=np.ones((1, 1, 1))))
     # a finite stack is checked on construction; swap in a non-finite one
@@ -341,9 +366,21 @@ SAMPLE_OBJECTS = [GrassmannNumber(2, {0: 1.5, 3: complex(-0.0, 2e-14)}),
                   CliffordElement(1, 1, 2, 4, {(1, (1, 0)): GrassmannNumber.one(2)})]
 SAMPLE_OBJECTS.append(SpinElement(2, 1, 2, [SAMPLE_OBJECTS[3]]))
 
+
+class Fragment:
+    """Finished JSON text from outside the package: an object whose
+    ``to_json(newline)`` returns its text, which the writer inlines."""
+
+    def __init__(self, tree):
+        self.tree = tree
+
+    def to_json(self, newline="\n"):
+        return oracle_text(self.tree).replace("\n", newline)
+
+
 # (tree holding fragments and payload objects, the same tree with dicts in their place)
 LEAF_PAIRS = (SCALARS.map(lambda v: (v, v))
-              | TREES.map(lambda tree: (JSONText(oracle_text(tree)), tree))
+              | TREES.map(lambda tree: (Fragment(tree), tree))
               | st.sampled_from(SAMPLE_OBJECTS).map(lambda x: (x, oracle_dict(x))))
 PAIR_TREES = st.recursive(
     LEAF_PAIRS,
