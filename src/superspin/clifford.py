@@ -20,6 +20,13 @@ An extended superbivector is one packed graded-antisymmetric
 algebra so_0 is phi(B) = S K and its inverse S = X K^-1, with
 K = blockdiag(-2 I_m, Omega_2n) the form of ``inner``; its arithmetic is
 whole-stack, and the commutator action has a table of its own over S.
+
+One construction: every Supervector and ExtendedSuperbivector result is
+built once, by the class's ``_adopt``, from the raw (masks, stack) of its
+last step, with no intermediate GrassmannMatrix or GrassmannNumber.  The
+-0.0 rule: ``_drop_tiny`` canonicalises a stack only when some entry below
+the threshold is not zero; otherwise the stack is kept as it is, -0.0 parts
+included, as the per-number canonical form keeps them.
 """
 
 from __future__ import annotations
@@ -47,10 +54,12 @@ from .grassmann import (
     MAX_ORDER,
     GrassmannNumber,
     _blade_product,
+    _drop_zero_slices,
     _json_cells,
     _parity_array,
     _read_cells,
     _to_json,
+    _union_add,
     json_int,
     random_grassmann,
     reorder_sign,
@@ -124,9 +133,13 @@ def _key_product(key_a: _Key, key_b: _Key, n: int,
 
 
 def _drop_tiny(values: np.ndarray, eps: float | np.ndarray = CANON_EPS) -> np.ndarray:
-    """``values`` with the entries whose |re| and |im| are both below
-    ``eps`` set to zero, as GrassmannNumber canonicalises."""
-    return np.where((np.abs(values.real) < eps) & (np.abs(values.imag) < eps), 0.0, values)
+    """``values`` canonical as GrassmannNumber keeps its terms: when an
+    entry whose |re| and |im| are both below ``eps`` is not zero, a copy with
+    every such entry set to +0.0; otherwise ``values`` itself, so its -0.0
+    parts survive."""
+    top = np.maximum(np.abs(values.real), np.abs(values.imag))
+    tiny = top < eps
+    return np.where(tiny, 0.0, values) if (tiny & (top > 0.0)).any() else values
 
 
 class CliffordElement:
@@ -374,8 +387,15 @@ class CliffordElement:
 class Supervector:
     """Element of R^{m,2n}(Lambda_N): m even and 2n odd Grassmann coordinates,
     stored as one packed (m + 2n) x 1 column ``col``, canonical as
-    GrassmannNumber is.  Results built from checked columns skip the shape,
-    order and parity checks (``_adopt``): the blade product fixes parity."""
+    GrassmannNumber is.
+
+    Every result is built once, by ``_adopt``, from the raw (masks, stack)
+    of the operation that made it: one canonicalisation (``_drop_tiny``,
+    which keeps the stack, -0.0 parts included, when no entry is tiny) and
+    one GrassmannMatrix, which checks finiteness and the masks.  Results of
+    checked operands skip the shape, order and parity checks: the blade
+    product fixes parity.  ``from_column`` holds a canonical checked column
+    as it is."""
 
     __slots__ = ("m", "n", "order", "col")
 
@@ -390,11 +410,13 @@ class Supervector:
         self._check()
 
     @classmethod
-    def _adopt(cls, m: int, n: int, col: GrassmannMatrix) -> "Supervector":
-        clean = _drop_tiny(col.stack)
+    def _adopt(cls, m: int, n: int, order: int, masks: Sequence[int],
+               stack: np.ndarray) -> "Supervector":
+        """The vector whose column holds ``stack`` (len(masks), m + 2n, 1),
+        canonicalised; no parity check."""
         vec = object.__new__(cls)
-        vec.m, vec.n, vec.order = m, n, col.order
-        vec.col = col if (clean == col.stack).all() else col.with_stack(col.masks, clean)
+        vec.m, vec.n, vec.order = m, n, order
+        vec.col = GrassmannMatrix(m + 2 * n, 1, order, masks=masks, stack=_drop_tiny(stack))
         return vec
 
     def _check(self) -> None:
@@ -439,11 +461,13 @@ class Supervector:
 
     def __add__(self, other: "Supervector") -> "Supervector":
         self._require_compatible(other)
-        return Supervector._adopt(self.m, self.n, self.col + other.col)
+        return Supervector._adopt(self.m, self.n, self.order, *_union_add(
+            self.col.masks, self.col.stack, other.col.masks, other.col.stack))
 
     def __sub__(self, other: "Supervector") -> "Supervector":
         self._require_compatible(other)
-        return Supervector._adopt(self.m, self.n, self.col - other.col)
+        return Supervector._adopt(self.m, self.n, self.order, *_union_add(
+            self.col.masks, self.col.stack, other.col.masks, -other.col.stack))
 
     def __neg__(self):
         return self.scale(-1.0)
@@ -452,7 +476,7 @@ class Supervector:
         """Scale by a complex number or an even Grassmann number."""
         if isinstance(factor, GrassmannNumber) and not factor.is_even():
             raise ParityError("supervector scaling factor must be even")
-        return Supervector._adopt(self.m, self.n, self.col.scale(factor))
+        return Supervector._adopt(self.m, self.n, self.order, *self.col._scaled(factor))
 
     def norm(self) -> float:
         return self.col.norm()
@@ -476,7 +500,11 @@ class Supervector:
     def from_column(cls, m: int, n: int, col: GrassmannMatrix) -> "Supervector":
         if min(m, n) < 0 or col.cols != 1 or col.rows != m + 2 * n:
             raise ShapeMismatchError("column shape does not match (m, n)")
-        vec = cls._adopt(m, n, col)
+        if _drop_tiny(col.stack) is col.stack:
+            vec = object.__new__(cls)
+            vec.m, vec.n, vec.order, vec.col = m, n, col.order, col
+        else:
+            vec = cls._adopt(m, n, col.order, col.masks, col.stack)
         vec._check()
         return vec
 
@@ -565,10 +593,13 @@ def _layout(m: int, n: int) -> _Layout:
 
 def _times(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """values * weights for real weights, the real and imaginary parts
-    scaled apart, so a signed zero part stays as GrassmannNumber keeps it."""
+    scaled apart, so a signed zero part stays as GrassmannNumber keeps it.
+    An overflow gives inf without a warning, for the matrix built from the
+    result to refuse."""
     out = np.empty(np.broadcast_shapes(values.shape, weights.shape), dtype=complex)
-    out.real = values.real * weights
-    out.imag = values.imag * weights
+    with np.errstate(over="ignore"):
+        out.real = values.real * weights
+        out.imag = values.imag * weights
     return out
 
 
@@ -590,8 +621,13 @@ class ExtendedSuperbivector:
     at (j, k), bq_ju at (j, m + u) with S_C = -S_B^T, and S_D symmetric with
     bb_uv at (u, v) and 2 bb_uu on the diagonal, so that phi(B) = S K (see
     ``bivector_to_matrix``).  S is canonical as GrassmannNumber is; ``b``,
-    ``bq`` and ``bb`` list the nonzero coefficients.  Results built from
-    checked matrices skip the parity check (``_adopt``).
+    ``bq`` and ``bb`` list the nonzero coefficients.
+
+    As for Supervector, every result is built once, by ``_adopt``, from the
+    raw (masks, stack) of the operation that made it: one canonicalisation
+    against the per-entry threshold of S (``_drop_tiny``, keeping the stack
+    and its -0.0 parts when no entry is tiny) and one GrassmannMatrix.
+    Results of checked operands skip the parity check.
     """
 
     __slots__ = ("m", "n", "order", "mat")
@@ -631,11 +667,15 @@ class ExtendedSuperbivector:
         self._check()
 
     @classmethod
-    def _adopt(cls, m: int, n: int, mat: GrassmannMatrix) -> "ExtendedSuperbivector":
-        clean = _drop_tiny(mat.stack, _layout(m, n).canon)
+    def _adopt(cls, m: int, n: int, order: int, masks: Sequence[int],
+               stack: np.ndarray) -> "ExtendedSuperbivector":
+        """The bivector whose S holds ``stack`` (len(masks), m + 2n, m + 2n),
+        canonicalised; no parity check."""
+        size = m + 2 * n
         biv = object.__new__(cls)
-        biv.m, biv.n, biv.order = m, n, mat.order
-        biv.mat = mat if (clean == mat.stack).all() else mat.with_stack(mat.masks, clean)
+        biv.m, biv.n, biv.order = m, n, order
+        biv.mat = GrassmannMatrix(size, size, order, masks=masks,
+                                  stack=_drop_tiny(stack, _layout(m, n).canon))
         return biv
 
     def _check(self) -> None:
@@ -666,11 +706,13 @@ class ExtendedSuperbivector:
 
     def __add__(self, other: "ExtendedSuperbivector") -> "ExtendedSuperbivector":
         self._require_compatible(other)
-        return ExtendedSuperbivector._adopt(self.m, self.n, self.mat + other.mat)
+        return ExtendedSuperbivector._adopt(self.m, self.n, self.order, *_union_add(
+            self.mat.masks, self.mat.stack, other.mat.masks, other.mat.stack))
 
     def __sub__(self, other: "ExtendedSuperbivector") -> "ExtendedSuperbivector":
         self._require_compatible(other)
-        return ExtendedSuperbivector._adopt(self.m, self.n, self.mat - other.mat)
+        return ExtendedSuperbivector._adopt(self.m, self.n, self.order, *_union_add(
+            self.mat.masks, self.mat.stack, other.mat.masks, -other.mat.stack))
 
     def __neg__(self):
         return self.scale(-1.0)
@@ -679,7 +721,8 @@ class ExtendedSuperbivector:
         """Scale by a complex number or an even Grassmann number."""
         if isinstance(factor, GrassmannNumber) and not factor.is_even():
             raise ParityError("superbivector scaling factor must be even")
-        return ExtendedSuperbivector._adopt(self.m, self.n, self.mat.scale(factor))
+        return ExtendedSuperbivector._adopt(self.m, self.n, self.order,
+                                            *self.mat._scaled(factor))
 
     def norm(self) -> float:
         """Sum of the coefficients' norms."""
@@ -769,13 +812,17 @@ def clifford_exp(x: CliffordElement, max_terms: int = 200) -> CliffordElement:
 # -- inner product and wedge --------------------------------------------------
 
 
+def _inner_stack(x: Supervector, y: Supervector) -> tuple[tuple[int, ...], np.ndarray]:
+    """(masks, (k, 1, 1) stack) of <x, y>: one 1 x s by s x 1 blade product."""
+    return _blade_product(np.matmul, x.col.masks, x.col.stack.transpose(0, 2, 1),
+                          y.col.masks, _q_gram_body(x.m, x.n) @ y.col.stack, x.order, (1, 1))
+
+
 def inner(x: Supervector, y: Supervector) -> GrassmannNumber:
     """Generalized inner product, equal to -{x,y}/2 and to x^T G y with G
-    the body Gram matrix: one 1 x s by s x 1 blade product."""
+    the body Gram matrix."""
     x._require_compatible(y)
-    masks, stack = _blade_product(
-        np.matmul, x.col.masks, x.col.stack.transpose(0, 2, 1), y.col.masks,
-        _q_gram_body(x.m, x.n) @ y.col.stack, x.order, (1, 1))
+    masks, stack = _inner_stack(x, y)
     return GrassmannNumber(x.order, dict(zip(masks, stack[:, 0, 0].tolist())))
 
 
@@ -788,12 +835,14 @@ def wedge(x: Supervector, y: Supervector) -> ExtendedSuperbivector:
     """
     x._require_compatible(y)
     m, size = x.m, x.col.rows
-    outer = x.col @ y.col.transpose()
-    flipped = outer.stack.transpose(0, 2, 1)
-    stack = outer.stack - flipped
-    stack[:, m:, m:] = outer.stack[:, m:, m:] + flipped[:, m:, m:]
-    stack[:, range(m, size), range(m, size)] *= 2.0
-    return ExtendedSuperbivector._adopt(m, x.n, outer.with_stack(outer.masks, stack))
+    masks, outer = _blade_product(np.matmul, x.col.masks, x.col.stack, y.col.masks,
+                                  y.col.stack.transpose(0, 2, 1), x.order, (size, size))
+    flipped = outer.transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = outer - flipped
+        stack[:, m:, m:] = outer[:, m:, m:] + flipped[:, m:, m:]
+        stack[:, range(m, size), range(m, size)] *= 2.0
+    return ExtendedSuperbivector._adopt(m, x.n, x.order, masks, stack)
 
 
 # -- the linear action of a superbivector -------------------------------------
@@ -801,10 +850,12 @@ def wedge(x: Supervector, y: Supervector) -> ExtendedSuperbivector:
 
 def bivector_to_matrix(biv: ExtendedSuperbivector) -> Supermatrix:
     """Supermatrix phi(B) of the commutator action x -> [B, x], in so_0:
-    S K with K = ``_reflection_form``, one product with a body matrix."""
+    S K with K = ``_reflection_form``, one product with a body matrix.  An
+    entry that overflows raises AlgebraError, without a numpy warning."""
     mat = biv.mat
-    return Supermatrix(biv.m, 2 * biv.n, mat.with_stack(
-        mat.masks, mat.stack @ _reflection_form(biv.m, biv.n)), validate=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = mat.stack @ _reflection_form(biv.m, biv.n)
+    return Supermatrix(biv.m, 2 * biv.n, mat.with_stack(mat.masks, stack), validate=False)
 
 
 def matrix_to_bivector(x: Supermatrix, tol: float = DEFAULT_TOL) -> ExtendedSuperbivector:
@@ -821,8 +872,8 @@ def matrix_to_bivector(x: Supermatrix, tol: float = DEFAULT_TOL) -> ExtendedSupe
     m, n = x.p, x.q // 2
     layout = _layout(m, n)
     product = x.mat.stack @ _reflection_form_inverse(m, n)
-    biv = ExtendedSuperbivector._adopt(m, n, x.mat.with_stack(
-        x.mat.masks, _mirrored(layout, x.size, product[:, layout.rows, layout.cols])))
+    biv = ExtendedSuperbivector._adopt(m, n, x.order, x.mat.masks, _mirrored(
+        layout, x.size, product[:, layout.rows, layout.cols]))
     biv._check()
     return biv
 
@@ -875,14 +926,16 @@ def commutator_action(biv: ExtendedSuperbivector, x: Supervector) -> Supervector
         x.col.masks, x.col.stack[:, sources, 0][:, None, :], x.order, (1, len(rows)))
     out = np.zeros((len(masks), x.col.rows), dtype=complex)
     np.add.at(out, (slice(None), targets), products[:, 0, :])
-    return Supervector._adopt(x.m, x.n, x.col.with_stack(masks, out[:, :, None]))
+    return Supervector._adopt(x.m, x.n, x.order, masks, out[:, :, None])
 
 
 def apply_matrix(mat: Supermatrix, x: Supervector) -> Supervector:
     """Supermatrix action on a supervector: one product with its column."""
     if mat.p != x.m or mat.q != 2 * x.n or mat.order != x.order:
         raise ShapeMismatchError("matrix and vector shapes differ")
-    return Supervector._adopt(x.m, x.n, mat.mat @ x.col)
+    return Supervector._adopt(x.m, x.n, x.order, *_blade_product(
+        np.matmul, mat.mat.masks, mat.mat.stack, x.col.masks, x.col.stack, x.order,
+        (x.col.rows, 1)))
 
 
 # -- supervector reflections ---------------------------------------------------
@@ -913,10 +966,13 @@ def reflection_matrix(w: Supervector) -> Supermatrix:
     """
     if not w.on_supersphere():
         raise MembershipError("reflection axis must satisfy w^2 = -1")
-    outer = w.col @ w.col.transpose()
-    kick = outer.with_stack(outer.masks, outer.stack @ _reflection_form(w.m, w.n))
-    return Supermatrix(w.m, 2 * w.n, GrassmannMatrix.eye(w.col.rows, w.order) + kick,
-                       validate=False)
+    size = w.col.rows
+    masks, outer = _blade_product(np.matmul, w.col.masks, w.col.stack, w.col.masks,
+                                  w.col.stack.transpose(0, 2, 1), w.order, (size, size))
+    masks, stack = _union_add((0,), np.eye(size, dtype=complex)[None], masks,
+                              outer @ _reflection_form(w.m, w.n))
+    return Supermatrix(w.m, 2 * w.n, GrassmannMatrix(size, size, w.order, masks=masks,
+                                                     stack=stack), validate=False)
 
 
 def reflect(w: Supervector, x: Supervector) -> Supervector:
@@ -927,11 +983,29 @@ def reflect(w: Supervector, x: Supervector) -> Supervector:
     central, so it commutes past w.  Raises MembershipError unless w is on
     the supersphere (w^2 = -1), the same check as ``reflection_matrix``,
     whose action equals this map.
+
+    On raw stacks: 2<x,w> is checked as a GrassmannNumber would be (finite,
+    parts below CANON_EPS dropped, even), w scaled by it is canonicalised as
+    a Supervector would be, and x minus that is the one result built.
     """
     w._require_compatible(x)
     if not w.on_supersphere():
         raise MembershipError("reflection axis must satisfy w^2 = -1")
-    return x - w.scale(inner(x, w) * 2.0)
+    masks, stack = _inner_stack(x, w)
+    values = stack[:, 0, 0]
+    kept = (np.abs(values.real) >= CANON_EPS) | (np.abs(values.imag) >= CANON_EPS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        twice = values[kept] * 2.0
+    if not (np.isfinite(values).all() and np.isfinite(twice).all()):
+        raise AlgebraError("non-finite coefficient in 2<x, w>")
+    masks = np.asarray(masks, dtype=np.int64)[kept]
+    if _parity_array(x.order)[masks].any():
+        raise ParityError("supervector scaling factor must be even")
+    masks, kick = _blade_product(np.multiply, tuple(masks.tolist()), twice[:, None, None],
+                                 w.col.masks, w.col.stack, w.order, (w.col.rows, 1))
+    masks, kick = _drop_zero_slices(masks, _drop_tiny(kick))
+    return Supervector._adopt(x.m, x.n, x.order,
+                              *_union_add(x.col.masks, x.col.stack, masks, -kick))
 
 
 def random_supervector(m: int, n: int, order: int, seed: int,

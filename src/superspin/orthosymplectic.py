@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AlgebraError, MembershipError, NotInvertibleError, SingularBodyError
-from .grassmann import (DEFAULT_TOL, GrassmannNumber, _blade_product, _drop_zero_slices,
+from .grassmann import (DEFAULT_TOL, GrassmannNumber, _blade_product,
                         _nilpotent_matrix_series, _union_add, random_grassmann)
 from .supermatrix import (
     GrassmannMatrix,
@@ -75,23 +75,25 @@ def _residuals(mat: Supermatrix, gram: np.ndarray,
     """(norm, block residual) of M^{ST} G M - G (group) or X^{ST} G + G X,
     one blade stack for a real block-diagonal body G (so M^{ST} G is M^T G
     with its C block negated), and the scale of the membership tolerances,
-    max(1, norm of mat).  Norms skip all-zero slices, as a matrix stores
-    none.  A non-finite entry or an overflowing norm raises AlgebraError;
-    numpy's overflow warnings are not raised on the way."""
+    max(1, norm of mat).  The moduli are taken once, and every norm sums
+    them over the slices that are not all zero, as a matrix stores none.  A
+    non-finite entry or an overflowing norm raises AlgebraError; numpy's
+    overflow warnings are not raised on the way."""
     p, x = mat.p, mat.mat
     with np.errstate(over="ignore", invalid="ignore"):
         left = x.stack.transpose(0, 2, 1) @ gram
         left[:, p:, :p] *= -1.0
         if group:
-            masks, stack = _union_add(*_blade_product(
+            stack = _union_add(*_blade_product(
                 np.matmul, x.masks, left, x.masks, x.stack, mat.order, gram.shape),
-                (0,), -gram[None])
+                (0,), -gram[None])[1]
         else:
-            masks, stack = x.masks, left + gram @ x.stack
+            stack = left + gram @ x.stack
         if not np.isfinite(stack).all():
             raise AlgebraError("non-finite entry in the defining expression")
-        total, a, b, d = (float(np.abs(_drop_zero_slices(masks, part)[1]).sum()) for part in (
-            stack, stack[:, :p, :p], stack[:, :p, p:], stack[:, p:, p:]))
+        size = np.abs(stack)
+        total, a, b, d = (float(part[part.any(axis=(1, 2))].sum()) for part in (
+            size, size[:, :p, :p], size[:, :p, p:], size[:, p:, p:]))
         scale = max(1.0, mat.norm())
     blocks = max(a, b, d if group else 2.0 * d)
     if not (math.isfinite(total) and math.isfinite(blocks) and math.isfinite(scale)):

@@ -39,7 +39,7 @@ from .orthosymplectic import (
     check_so0,
     to_unitary,
 )
-from .supermatrix import GrassmannMatrix, Supermatrix, expm, symplectic_form
+from .supermatrix import Supermatrix, expm, symplectic_form
 
 
 class SpinElement:
@@ -135,9 +135,11 @@ def split_bivector(biv: ExtendedSuperbivector) -> BivectorSplit:
     compact[m:, m:] = (d - turned) / 2
     symmetric = np.zeros_like(compact)
     symmetric[m:, m:] = (d + turned) / 2
-    return BivectorSplit(*(ExtendedSuperbivector._adopt(m, biv.n, part) for part in (
-        GrassmannMatrix.from_body(compact, biv.order),
-        GrassmannMatrix.from_body(symmetric, biv.order), mat.nilpotent_part())))
+    start = 1 if mat.masks[:1] == (0,) else 0
+    return BivectorSplit(*(
+        ExtendedSuperbivector._adopt(m, biv.n, biv.order, masks, stack) for masks, stack in (
+            ((0,), compact[None]), ((0,), symmetric[None]),
+            (mat.masks[start:], mat.stack[start:]))))
 
 
 def lift_rotation(mat: Supermatrix, tol: float = DEFAULT_TOL) -> SpinElement:

@@ -194,13 +194,16 @@ class GrassmannMatrix:
 
     def scale(self, factor) -> "GrassmannMatrix":
         """Left-multiply every entry by a complex scalar or GrassmannNumber."""
+        return self.with_stack(*self._scaled(factor))
+
+    def _scaled(self, factor) -> tuple[tuple[int, ...], np.ndarray]:
+        """``scale``'s (masks, stack), before a matrix is built from them."""
         if isinstance(factor, GrassmannNumber):
             if factor.order != self.order:
                 raise OrderMismatchError("order mismatch in scale")
-            return self.with_stack(*_blade_product(
-                np.multiply, *factor._packed(), self.masks, self.stack, self.order,
-                (self.rows, self.cols)))
-        return self.with_stack(self.masks, factor * self.stack)
+            return _blade_product(np.multiply, *factor._packed(), self.masks, self.stack,
+                                  self.order, (self.rows, self.cols))
+        return self.masks, factor * self.stack
 
     def __matmul__(self, other: "GrassmannMatrix") -> "GrassmannMatrix":
         if self.cols != other.rows:

@@ -129,6 +129,52 @@ def test_an_overflowing_residual_is_a_domain_violation(capsys, tmp_path, command
         check_so0_algebra(Supermatrix.from_dict(data))
 
 
+def _coefficient_paths(value, path=()):
+    """The key path of every coefficient's "re" in a JSON payload."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        if key == "re":
+            yield path + (key,)
+        yield from _coefficient_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("command", ["phi", "phi-inv"])
+def test_near_overflow_coefficients_in_phi_payloads_never_warn(command):
+    """Every coefficient of the golden phi and phi-inv payloads set to
+    +-1.7e308 in turn, with numpy warnings raised as errors: exit 0 with
+    output, or exit 1 or 2 with empty stdout and one stderr line, never a
+    warning.  phi's product S K overflows for a bosonic or mixed
+    coefficient (a domain violation, exit 1); a doubled diagonal symplectic
+    one overflows in the decoder (malformed input, exit 2)."""
+    text = (Path(__file__).parent / "golden" / f"{command}.json").read_text()
+    codes = set()
+    for *parents, key in _coefficient_paths(json.loads(text)):
+        for value in (1.7e308, -1.7e308):
+            payload = json.loads(text)
+            container = payload
+            for parent in parents:
+                container = container[parent]
+            container[key] = value
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(payload))), \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([command])
+            codes.add(code)
+            assert code == 0 or (out.getvalue() == "" and err.getvalue().count("\n") == 1)
+    assert codes == ({0, 1, 2} if command == "phi" else {0, 1})
+
+
+def test_phi_of_an_overflowing_product_is_a_domain_violation(capsys, tmp_path):
+    data = json.loads((Path(__file__).parent / "golden" / "phi.json").read_text())
+    data["b"][0]["coeff"]["terms"][0]["re"] = 1.7e308
+    code, out, err = run_cli(capsys, "phi", "-i", write_json(tmp_path, "huge.json", data))
+    assert (code, out) == (1, "")
+    assert err == "domain violation: non-finite entry in blade slice\n"
+
+
 def test_ln_that_does_not_converge_is_a_domain_violation(capsys, tmp_path):
     body = np.eye(3, dtype=complex)
     body[:2, :2] = [[np.cos(1.045), -np.sin(1.045)], [np.sin(1.045), np.cos(1.045)]]
