@@ -26,7 +26,10 @@ built once, by the class's ``_adopt``, from the raw (masks, stack) of its
 last step, with no intermediate GrassmannMatrix or GrassmannNumber.  The
 -0.0 rule: ``_drop_tiny`` canonicalises a stack only when some entry below
 the threshold is not zero; otherwise the stack is kept as it is, -0.0 parts
-included, as the per-number canonical form keeps them.
+included, as the per-number canonical form keeps them.  Their stacks follow
+the kernel's dtype rule (``grassmann._as_stack``): float64 when every
+coefficient is real, as for the paper's real vectors, reflections and
+bivectors, and complex128 once a complex operand enters.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .grassmann import (
     DEFAULT_TOL,
     MAX_ORDER,
     GrassmannNumber,
+    _as_stack,
     _blade_product,
     _drop_zero_slices,
     _json_cells,
@@ -592,12 +596,14 @@ def _layout(m: int, n: int) -> _Layout:
 
 
 def _times(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """values * weights for real weights, the real and imaginary parts
-    scaled apart, so a signed zero part stays as GrassmannNumber keeps it.
-    An overflow gives inf without a warning, for the matrix built from the
-    result to refuse."""
-    out = np.empty(np.broadcast_shapes(values.shape, weights.shape), dtype=complex)
+    """values * weights for real weights; for complex values the real and
+    imaginary parts are scaled apart, so a signed zero part stays as
+    GrassmannNumber keeps it.  An overflow gives inf without a warning, for
+    the matrix built from the result to refuse."""
     with np.errstate(over="ignore"):
+        if values.dtype.kind != "c":
+            return values * weights
+        out = np.empty(np.broadcast_shapes(values.shape, weights.shape), dtype=complex)
         out.real = values.real * weights
         out.imag = values.imag * weights
     return out
@@ -606,7 +612,7 @@ def _times(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _mirrored(layout: _Layout, size: int, cells: np.ndarray) -> np.ndarray:
     """The stack of S whose coefficient cells hold ``cells`` (one row per
     blade), mirrored into the graded-antisymmetric rest of S."""
-    stack = np.zeros((len(cells), size, size), dtype=complex)
+    stack = np.zeros((len(cells), size, size), dtype=cells.dtype)
     stack[:, layout.rows, layout.cols] = cells
     stack[:, layout.cols, layout.rows] = np.where(layout.scale < 0, -cells, cells)
     return stack
@@ -654,7 +660,7 @@ class ExtendedSuperbivector:
         keys, slot = np.unique(np.asarray(masks, dtype=np.int64), return_inverse=True)
         coeffs = np.zeros((len(keys), len(layout.scale)), dtype=complex)
         coeffs[slot, cells] = values
-        self._fill(m, n, order, keys.tolist(), coeffs)
+        self._fill(m, n, order, keys.tolist(), _as_stack(coeffs))
 
     def _fill(self, m: int, n: int, order: int, masks: list[int], coeffs: np.ndarray) -> None:
         """Hold the canonical coefficients ``coeffs`` (one row per blade of
@@ -924,7 +930,7 @@ def commutator_action(biv: ExtendedSuperbivector, x: Supervector) -> Supervector
     masks, products = _blade_product(
         np.multiply, biv.mat.masks, (biv.mat.stack[:, rows, cols] * factors)[:, None, :],
         x.col.masks, x.col.stack[:, sources, 0][:, None, :], x.order, (1, len(rows)))
-    out = np.zeros((len(masks), x.col.rows), dtype=complex)
+    out = np.zeros((len(masks), x.col.rows), dtype=products.dtype)
     np.add.at(out, (slice(None), targets), products[:, 0, :])
     return Supervector._adopt(x.m, x.n, x.order, masks, out[:, :, None])
 
@@ -969,7 +975,7 @@ def reflection_matrix(w: Supervector) -> Supermatrix:
     size = w.col.rows
     masks, outer = _blade_product(np.matmul, w.col.masks, w.col.stack, w.col.masks,
                                   w.col.stack.transpose(0, 2, 1), w.order, (size, size))
-    masks, stack = _union_add((0,), np.eye(size, dtype=complex)[None], masks,
+    masks, stack = _union_add((0,), np.eye(size, dtype=outer.dtype)[None], masks,
                               outer @ _reflection_form(w.m, w.n))
     return Supermatrix(w.m, 2 * w.n, GrassmannMatrix(size, size, w.order, masks=masks,
                                                      stack=stack), validate=False)
@@ -984,9 +990,10 @@ def reflect(w: Supervector, x: Supervector) -> Supervector:
     the supersphere (w^2 = -1), the same check as ``reflection_matrix``,
     whose action equals this map.
 
-    On raw stacks: 2<x,w> is checked as a GrassmannNumber would be (finite,
-    parts below CANON_EPS dropped, even), w scaled by it is canonicalised as
-    a Supervector would be, and x minus that is the one result built.
+    On raw stacks: 2<x,w> is checked and held as a GrassmannNumber would be
+    (finite, parts below CANON_EPS dropped, even, float64 unless some
+    imaginary part is not +0.0), w scaled by it is canonicalised and held
+    as a Supervector would be, and x minus that is the one result built.
     """
     w._require_compatible(x)
     if not w.on_supersphere():
@@ -995,7 +1002,7 @@ def reflect(w: Supervector, x: Supervector) -> Supervector:
     values = stack[:, 0, 0]
     kept = (np.abs(values.real) >= CANON_EPS) | (np.abs(values.imag) >= CANON_EPS)
     with np.errstate(over="ignore", invalid="ignore"):
-        twice = values[kept] * 2.0
+        twice = _as_stack(values[kept] * 2.0)
     if not (np.isfinite(values).all() and np.isfinite(twice).all()):
         raise AlgebraError("non-finite coefficient in 2<x, w>")
     masks = np.asarray(masks, dtype=np.int64)[kept]
@@ -1003,7 +1010,7 @@ def reflect(w: Supervector, x: Supervector) -> Supervector:
         raise ParityError("supervector scaling factor must be even")
     masks, kick = _blade_product(np.multiply, tuple(masks.tolist()), twice[:, None, None],
                                  w.col.masks, w.col.stack, w.order, (w.col.rows, 1))
-    masks, kick = _drop_zero_slices(masks, _drop_tiny(kick))
+    masks, kick = _drop_zero_slices(masks, _as_stack(_drop_tiny(kick)))
     return Supervector._adopt(x.m, x.n, x.order,
                               *_union_add(x.col.masks, x.col.stack, masks, -kick))
 

@@ -6,7 +6,10 @@ splits as body + nilpotent part, which makes exponential, logarithm and
 fractional powers finite computations on the nilpotent side.
 
 The package's one product kernel lives here too.  It works on blade stacks
-(ascending masks and one complex array of a slice per mask): ``_blade_product``
+(ascending masks and one array of a slice per mask, float64 when every
+imaginary part is +0.0 and complex128 otherwise, ``_as_stack``'s rule; every
+array the kernel allocates takes its operands' ``np.result_type``, so numpy's
+promotion is the only switch between the two): ``_blade_product``
 multiplies numbers (as (k, 1, 1) stacks), matrices, supervectors, bivectors
 and Clifford coefficients, and ``_nilpotent_matrix_series`` sums every finite
 nilpotent series, of numbers and of matrices alike.  The package's JSON
@@ -256,22 +259,46 @@ def _format(value, newline: str, values: list) -> str:
     return to_json(value, newline).replace("%", "%%")
 
 
+# -- the dtype rule --------------------------------------------------------------
+
+
+def _imaginary(values: np.ndarray) -> bool:
+    """Whether some imaginary part of ``values`` (float64 or complex128) is
+    not +0.0, the one float whose bits are all zero.  The package's one
+    dtype rule: a blade stack without such a part is held as float64
+    (``_as_stack``), and a Grassmann cell without one is written without
+    its im parts (``_json_cells``)."""
+    return values.dtype.kind == "c" and bool(values.imag.view(np.uint64).any())
+
+
+def _as_stack(values) -> np.ndarray:
+    """``values`` as a blade stack holds them: complex128 when some
+    imaginary part is not +0.0 (``_imaginary``), float64 otherwise.  A
+    float64 array is returned as it is; a complex one without imaginary
+    bits becomes a copy of its real part."""
+    values = np.asarray(values)
+    if values.dtype.kind != "c":
+        return values.astype(float, copy=False)
+    values = values.astype(complex, copy=False)
+    return values if _imaginary(values) else values.real.copy()
+
+
 def _json_cells(order: int, masks: Sequence[int],
                 values: np.ndarray) -> tuple[list[_Cell], list[int]]:
     """The ``_Cell`` of each row of ``values`` (cells x blades, the blades
     being ``masks``) and each cell's number of terms: one canonical
     CANON_EPS filter over all coefficients, and the kept (mask, re, im)
     triples as one object array's ``tolist``, so the masks are ints and
-    the floats keep their repr; when every kept im is +0.0 (a real stack),
-    the cells are ``real`` and hold (mask, re) pairs.  A kept non-finite
-    coefficient raises ValueError, as ``json`` does."""
+    the floats keep their repr; when every kept im is +0.0 (always, for a
+    float64 stack), the cells are ``real`` and hold (mask, re) pairs.  A
+    kept non-finite coefficient raises ValueError, as ``json`` does."""
     re, im = values.real, values.imag
     kept = (np.abs(re) >= CANON_EPS) | (np.abs(im) >= CANON_EPS)
     ii, kk = np.nonzero(kept)
     coeffs = values[ii, kk]
     if not np.isfinite(coeffs).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    real = not (coeffs.imag.any() or np.signbit(coeffs.imag).any())
+    real = not _imaginary(coeffs)
     flat = np.empty((len(ii), 2 if real else 3), dtype=object)
     flat[:, 0] = np.asarray(masks, dtype=np.int64)[kk]
     flat[:, 1] = coeffs.real
@@ -295,7 +322,8 @@ def _read_cells(entries: Sequence[Mapping], order: int, cells: Sequence[int],
     their term counts, and the rows come from a 2^N presence array of the
     masks.  Sums (a repeated mask or column) start from -0.0, so a -0.0 part
     keeps its sign; one that overflows raises AlgebraError, not a warning.
-    Parts below CANON_EPS in both re and im become 0.0."""
+    Parts below CANON_EPS in both re and im become 0.0, and the stack is
+    held by ``_as_stack``'s rule."""
     if not 0 <= order <= MAX_ORDER:
         raise OrderMismatchError(f"order must be in [0, {MAX_ORDER}], got {order}")
     limit = 1 << order
@@ -331,7 +359,7 @@ def _read_cells(entries: Sequence[Mapping], order: int, cells: Sequence[int],
     if not np.isfinite(stack).all():
         raise AlgebraError("non-finite entry in blade slice")
     stack[(np.abs(stack.real) < CANON_EPS) & (np.abs(stack.imag) < CANON_EPS)] = 0.0
-    return keys.tolist(), stack
+    return keys.tolist(), _as_stack(stack)
 
 
 # -- the product kernel --------------------------------------------------------
@@ -417,8 +445,9 @@ def _blade_product(op: Callable, masks_a: tuple[int, ...], a_stack: np.ndarray,
     plan: its pairs all have sign +1 and distinct product masks.
     """
     na, nb = len(masks_a), len(masks_b)
+    dtype = np.result_type(a_stack, b_stack)
     if not na or not nb:
-        return (), np.zeros((0, *shape), dtype=complex)
+        return (), np.zeros((0, *shape), dtype=dtype)
     if masks_a == (0,) or masks_b == (0,):
         out = op(a_stack[0], b_stack) if masks_a == (0,) else op(a_stack, b_stack[0])
         out *= 1.0  # the +1 sign: a complex product by 1 + 0j can flip a zero's sign
@@ -429,7 +458,7 @@ def _blade_product(op: Callable, masks_a: tuple[int, ...], a_stack: np.ndarray,
         plan = (_cached_plan if na * nb <= _CACHED_PAIRS else _build_plan)(
             masks_a, masks_b, order)
         if not plan.keys:
-            return (), np.zeros((0, *shape), dtype=complex)
+            return (), np.zeros((0, *shape), dtype=dtype)
         return plan.keys, _combine(plan, op, a_stack, b_stack)
     # Tiled: fix the output masks first (one bitwise test per pair, no
     # gather), so that each tile's groups are added into place and dropped;
@@ -446,7 +475,7 @@ def _blade_product(op: Callable, masks_a: tuple[int, ...], a_stack: np.ndarray,
         left, right = ma[sa, None], mb[None, sb]
         present[(left | right)[(left & right) == 0]] = True
     keys = np.flatnonzero(present)
-    out = np.zeros((len(keys), *shape), dtype=complex)
+    out = np.zeros((len(keys), *shape), dtype=dtype)
     for sa, sb in tiles:
         plan = _build_plan(masks_a[sa], masks_b[sb], order)
         if plan.keys:
@@ -462,7 +491,7 @@ def _union_add(masks_a: tuple[int, ...], a_stack: np.ndarray, masks_b: tuple[int
         return masks_a, a_stack + b_stack
     masks = tuple(sorted(set(masks_a).union(masks_b)))
     position = {m: k for k, m in enumerate(masks)}.__getitem__
-    stack = np.zeros((len(masks), *a_stack.shape[1:]), dtype=complex)
+    stack = np.zeros((len(masks), *a_stack.shape[1:]), dtype=np.result_type(a_stack, b_stack))
     stack[np.fromiter(map(position, masks_a), np.intp, len(masks_a))] = a_stack
     stack[np.fromiter(map(position, masks_b), np.intp, len(masks_b))] += b_stack
     return masks, stack
@@ -486,7 +515,7 @@ def _nilpotent_matrix_series(masks: tuple[int, ...], stack: np.ndarray, order: i
     size = stack.shape[1]
     # x has no body blade, so the k = 0 and k = 1 terms stack without a union
     total_masks = (0, *masks)
-    total = np.concatenate((coeff(0) * np.eye(size, dtype=complex)[None], coeff(1) * stack))
+    total = np.concatenate((coeff(0) * np.eye(size, dtype=stack.dtype)[None], coeff(1) * stack))
     power_masks, power, k = masks, stack, 2
     while True:
         power_masks, power = _drop_zero_slices(*_blade_product(
@@ -591,10 +620,10 @@ class GrassmannNumber:
 
     def _packed(self) -> tuple[tuple[int, ...], np.ndarray]:
         """(masks, stack): the ascending masks and their coefficients as a
-        (k, 1, 1) blade stack."""
+        (k, 1, 1) blade stack, held by ``_as_stack``'s rule."""
         masks = tuple(sorted(self.terms))
-        return masks, np.array([self.terms[m] for m in masks],
-                               dtype=complex).reshape(-1, 1, 1)
+        return masks, _as_stack(np.array([self.terms[m] for m in masks],
+                                         dtype=complex).reshape(-1, 1, 1))
 
     def __mul__(self, other):
         if isinstance(other, GrassmannNumber):

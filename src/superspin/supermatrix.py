@@ -1,8 +1,12 @@
 """Block supermatrices over the Grassmann algebra.
 
 A matrix over Lambda_N is stored packed: an ascending tuple of the blade
-masks that carry a nonzero slice, and one read-only complex array stacking
-those slices, so that every entrywise operation is a whole-stack numpy op.
+masks that carry a nonzero slice, and one read-only array stacking those
+slices, so that every entrywise operation is a whole-stack numpy op.  The
+array is float64 when every imaginary part is +0.0 and complex128 otherwise
+(``grassmann._as_stack``, applied by the constructor); the arrays built on
+the way to a result take their operands' ``np.result_type``, so a real
+matrix computes in real arithmetic and a complex operand makes it complex.
 Products of matrices (``@`` and scaling by a GrassmannNumber) go through
 ``grassmann``'s blade-stack kernel, the one that multiplies Grassmann numbers.
 Supermatrix adds the (p|q) parity pattern, supertranspose, supertrace,
@@ -22,6 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -36,7 +41,7 @@ from .exceptions import (
     ShapeMismatchError,
     SingularBodyError,
 )
-from .grassmann import (CANON_EPS, DEFAULT_TOL, GrassmannNumber, _blade_product,
+from .grassmann import (CANON_EPS, DEFAULT_TOL, GrassmannNumber, _as_stack, _blade_product,
                         _drop_zero_slices, _json_cells, _nilpotent_matrix_series,
                         _read_cells, _to_json, _union_add, json_int)
 
@@ -54,13 +59,15 @@ class GrassmannMatrix:
     """Rectangular matrix with Grassmann-number entries (no parity pattern).
 
     ``masks`` is the ascending tuple of blade masks with a nonzero slice and
-    ``stack`` the read-only complex array of shape (len(masks), rows, cols)
-    holding those slices; absent masks are zero slices.  Build one from a
-    ``{mask: slice}`` mapping (``blades``, copied) or directly from ``masks``
-    (strictly ascending, each below 2^order) and ``stack``, whose complex
-    array is adopted and made read-only.  Either way the masks and the slice
-    shapes are checked, the slices must be finite (``AlgebraError``
-    otherwise), and all-zero slices are dropped.
+    ``stack`` the read-only array of shape (len(masks), rows, cols) holding
+    those slices; absent masks are zero slices.  The stack is float64 when
+    every imaginary part is +0.0 and complex128 otherwise
+    (``grassmann._as_stack``).  Build one from a ``{mask: slice}`` mapping
+    (``blades``, copied) or directly from ``masks`` (strictly ascending, each
+    below 2^order) and ``stack``, which is adopted and made read-only when
+    it is float64 or has imaginary parts, else replaced by its real part.
+    Either way the masks and the slice shapes are checked, the slices must
+    be finite (``AlgebraError`` otherwise), and all-zero slices are dropped.
     """
 
     __slots__ = ("rows", "cols", "order", "masks", "stack")
@@ -70,21 +77,20 @@ class GrassmannMatrix:
                  masks: Sequence[int] = (), stack: np.ndarray | None = None):
         if stack is None:
             masks = tuple(sorted(blades)) if blades else ()
-            slices = [np.asarray(blades[m], dtype=complex) for m in masks]
+            slices = [np.asarray(blades[m]) for m in masks]
             for arr in slices:
                 if arr.shape != (rows, cols):
                     raise ShapeMismatchError(
                         f"blade slice shape {arr.shape} != ({rows}, {cols})"
                     )
-            stack = (np.stack(slices) if slices
-                     else np.zeros((0, rows, cols), dtype=complex))
+            stack = np.stack(slices) if slices else np.zeros((0, rows, cols))
         masks = tuple(masks)
         if masks and not (0 <= masks[0] and masks[-1] < 1 << order
-                          and all(a < b for a, b in zip(masks, masks[1:]))):
+                          and all(map(operator.lt, masks, masks[1:]))):
             raise AlgebraError(
                 f"blade masks must be ascending, unique and below 2^{order}: {masks}"
             )
-        stack = np.asarray(stack, dtype=complex)
+        stack = _as_stack(stack)
         if stack.shape != (len(masks), rows, cols):
             raise ShapeMismatchError(
                 f"blade stack shape {stack.shape} != ({len(masks)}, {rows}, {cols})"
@@ -117,12 +123,11 @@ class GrassmannMatrix:
 
     @classmethod
     def eye(cls, size: int, order: int) -> "GrassmannMatrix":
-        return cls(size, size, order, masks=(0,),
-                   stack=np.eye(size, dtype=complex)[None])
+        return cls(size, size, order, masks=(0,), stack=np.eye(size)[None])
 
     @classmethod
     def from_body(cls, body: np.ndarray, order: int) -> "GrassmannMatrix":
-        body = np.array(body, dtype=complex)
+        body = np.array(body)
         return cls(body.shape[0], body.shape[1], order, masks=(0,), stack=body[None])
 
     @classmethod
@@ -166,7 +171,7 @@ class GrassmannMatrix:
     def body(self) -> np.ndarray:
         if self.masks and self.masks[0] == 0:
             return self.stack[0].copy()
-        return np.zeros((self.rows, self.cols), dtype=complex)
+        return np.zeros((self.rows, self.cols), dtype=self.stack.dtype)
 
     def submatrix(self, rows: slice, cols: slice) -> "GrassmannMatrix":
         return self.with_stack(self.masks, self.stack[:, rows, cols])
@@ -357,7 +362,8 @@ class Supermatrix:
         p, q = a.rows, d.rows
         masks = tuple(sorted(set(a.masks).union(b.masks, c.masks, d.masks)))
         position = {m: k for k, m in enumerate(masks)}
-        stack = np.zeros((len(masks), p + q, p + q), dtype=complex)
+        stack = np.zeros((len(masks), p + q, p + q),
+                         dtype=np.result_type(a.stack, b.stack, c.stack, d.stack))
         for src, (r0, c0) in ((a, (0, 0)), (b, (0, p)), (c, (p, 0)), (d, (p, p))):
             stack[[position[m] for m in src.masks],
                   r0:r0 + src.rows, c0:c0 + src.cols] = src.stack
@@ -503,6 +509,8 @@ class Supermatrix:
         X^h X^{k-h}, one kernel product under ``_trace_of_product`` that
         forms no matrix.  A numerically singular body raises
         NotInvertibleError for D0 (checked first), SingularBodyError for A0.
+        The sums run without numpy's overflow warnings: a non-finite
+        coefficient that reaches the result raises AlgebraError there.
         """
         p, mat, order, size = self.p, self.mat, self.order, self.size
         body = mat.body()
@@ -511,23 +519,24 @@ class Supermatrix:
         inv0[p:, p:] = _body_inverse(d0, NotInvertibleError, "body of block D")
         inv0[:p, :p] = _body_inverse(a0, SingularBodyError, "body of block A")
         start = 1 if mat.masks and mat.masks[0] == 0 else 0
-        masks, x = mat.masks[start:], inv0 @ mat.stack[start:]
         sign = np.where(np.arange(size) < p, 1.0, -1.0)
         product = functools.partial(_blade_product, order=order)
         half = (order + 1) // 2
-        powers = [(masks, x)]  # X^1 .. X^h, or up to the first X^k = 0
-        while powers[-1][0] and len(powers) < half:
-            powers.append(_drop_zero_slices(*product(np.matmul, *powers[-1], masks, x,
-                                                     shape=(size, size))))
-        str_log = np.zeros(1 << order, dtype=complex)
-        for k, (pm, pw) in enumerate(powers, start=1):
-            str_log[list(pm)] += _log_coeff(k) * np.einsum("kii,i->k", pw, sign)
-        if powers[-1][0]:  # X^h != 0: the supertraces of X^h X^{k-h}
-            top_masks, signed_top = powers[-1][0], sign[:, None] * powers[-1][1]
-            for k in range(half + 1, order + 1):
-                tm, tv = product(_trace_of_product, top_masks, signed_top,
-                                 *powers[k - half - 1], shape=(1, 1))
-                str_log[list(tm)] += _log_coeff(k) * tv[:, 0, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            masks, x = mat.masks[start:], inv0 @ mat.stack[start:]
+            powers = [(masks, x)]  # X^1 .. X^h, or up to the first X^k = 0
+            while powers[-1][0] and len(powers) < half:
+                powers.append(_drop_zero_slices(*product(np.matmul, *powers[-1], masks, x,
+                                                         shape=(size, size))))
+            str_log = np.zeros(1 << order, dtype=x.dtype)
+            for k, (pm, pw) in enumerate(powers, start=1):
+                str_log[list(pm)] += _log_coeff(k) * np.einsum("kii,i->k", pw, sign)
+            if powers[-1][0]:  # X^h != 0: the supertraces of X^h X^{k-h}
+                top_masks, signed_top = powers[-1][0], sign[:, None] * powers[-1][1]
+                for k in range(half + 1, order + 1):
+                    tm, tv = product(_trace_of_product, top_masks, signed_top,
+                                     *powers[k - half - 1], shape=(1, 1))
+                    str_log[list(tm)] += _log_coeff(k) * tv[:, 0, 0]
         nonzero = np.flatnonzero(str_log)
         str_log = GrassmannNumber(order, dict(zip(nonzero.tolist(),
                                                   str_log[nonzero].tolist())))
@@ -590,7 +599,7 @@ def expm(m: Supermatrix) -> Supermatrix:
     s = math.ceil(math.log2(max(norm, 1.0)))
     masks, stack = mat.masks, 0.5 ** s * mat.stack
     product = functools.partial(_blade_product, np.matmul, order=m.order, shape=(size, size))
-    total_masks, total = term_masks, term = (0,), np.eye(size, dtype=complex)[None]
+    total_masks, total = term_masks, term = (0,), np.eye(size, dtype=stack.dtype)[None]
     for k in range(1, 200):
         term_masks, term = _drop_zero_slices(*product(term_masks, term, masks, stack))
         if not term_masks:
@@ -611,34 +620,38 @@ def logm(m: Supermatrix) -> Supermatrix:
     Finite when m - I has no body blade; otherwise requires either
     ||m - I|| < 1 or the body of m - I to have spectral radius below 1, and
     raises LogDomainError when 5000 terms do not meet the stopping test.
+    The norm tests and sums run without numpy's overflow warnings; the one
+    matrix built at the end refuses a non-finite entry (AlgebraError).
     """
     mat, size, max_iter = m.mat, m.size, 5000
-    eye = np.eye(size, dtype=complex)[None]
+    eye = np.eye(size, dtype=mat.stack.dtype)[None]
     masks, stack = _drop_zero_slices(*_union_add(mat.masks, mat.stack, (0,), -eye))
     if not masks or masks[0] != 0:
         return Supermatrix(m.p, m.q, mat.with_stack(*_nilpotent_matrix_series(
             masks, stack, m.order, _log_coeff)), validate=False)
-    if np.abs(stack).sum() >= 1.0:
-        rho = float(np.max(np.abs(np.linalg.eigvals(stack[0]))))
-        if rho >= 1.0 - 1e-12:
-            raise LogDomainError(
-                f"matrix is outside the logarithm domain (spectral radius {rho:.6f})"
-            )
     product = functools.partial(_blade_product, np.matmul, order=m.order, shape=(size, size))
-    total_masks, total = (), np.zeros((0, size, size), dtype=complex)
+    total_masks, total = (), np.zeros((0, size, size), dtype=stack.dtype)
     power_masks, power = (0,), eye
-    for k in range(1, max_iter + 1):
-        power_masks, power = _drop_zero_slices(*product(power_masks, power, masks, stack))
-        if not power_masks:
-            break
-        total_masks, total = _union_add(total_masks, total, power_masks, _log_coeff(k) * power)
-        power_norm = np.abs(power).sum()
-        if k > 4 and power_norm / k <= SERIES_EPS * max(1.0, np.abs(total).sum()):
-            break
-    else:
-        raise LogDomainError(
-            f"logarithm series did not converge in {max_iter} terms "
-            f"(last term norm {power_norm / max_iter:.3e})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.abs(stack).sum() >= 1.0:
+            rho = float(np.max(np.abs(np.linalg.eigvals(stack[0]))))
+            if rho >= 1.0 - 1e-12:
+                raise LogDomainError(
+                    f"matrix is outside the logarithm domain (spectral radius {rho:.6f})"
+                )
+        for k in range(1, max_iter + 1):
+            power_masks, power = _drop_zero_slices(*product(power_masks, power, masks, stack))
+            if not power_masks:
+                break
+            total_masks, total = _union_add(total_masks, total, power_masks,
+                                            _log_coeff(k) * power)
+            power_norm = np.abs(power).sum()
+            if k > 4 and power_norm / k <= SERIES_EPS * max(1.0, np.abs(total).sum()):
+                break
+        else:
+            raise LogDomainError(
+                f"logarithm series did not converge in {max_iter} terms "
+                f"(last term norm {power_norm / max_iter:.3e})")
     return Supermatrix(m.p, m.q, mat.with_stack(total_masks, total), validate=False)
 
 

@@ -167,6 +167,38 @@ def test_near_overflow_coefficients_in_phi_payloads_never_warn(command):
     assert codes == ({0, 1, 2} if command == "phi" else {0, 1})
 
 
+@pytest.mark.parametrize("command, code", [
+    ("sdet", 0), ("check-so0", 0), ("ln", 0), ("decompose", 1), ("lift", 1)])
+def test_near_overflow_coefficients_in_matrix_payloads_never_warn(command, code):
+    """The golden payload with one coefficient at +-1.7e308, numpy warnings
+    raised as errors: the last term of the last diagonal cell for sdet,
+    check-so0, decompose and lift (the Berezinian's X = M0^-1 (M - M0)
+    overflows on the way), the last term of every cell for ln (its norm
+    test overflows).  The exit codes are those of the computation with
+    warnings ignored: sdet, check-so0 and ln print a result, decompose and
+    lift report a domain violation (not a special superrotation), and so
+    does ln for cell (3, 3), whose logarithm has a non-finite entry."""
+    text = (Path(__file__).parent / "golden" / f"{command}.json").read_text()
+    size = len(json.loads(text)["rows"])
+    cells = ([(i, j) for i in range(size) for j in range(size)] if command == "ln"
+             else [(size - 1, size - 1)])
+    for i, j in cells:
+        expected = 1 if command == "ln" and (i, j) == (3, 3) else code
+        for value in (1.7e308, -1.7e308):
+            payload = json.loads(text)
+            payload["rows"][i][j]["terms"][-1]["re"] = value
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(payload))), \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main([command]) == expected
+            if expected:
+                assert out.getvalue() == "" and err.getvalue().startswith("domain violation")
+            else:
+                assert json.loads(out.getvalue())
+
+
 def test_phi_of_an_overflowing_product_is_a_domain_violation(capsys, tmp_path):
     data = json.loads((Path(__file__).parent / "golden" / "phi.json").read_text())
     data["b"][0]["coeff"]["terms"][0]["re"] = 1.7e308

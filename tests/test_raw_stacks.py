@@ -7,9 +7,11 @@ one GrassmannMatrix from the raw (masks, stack) of their last step.  Before,
 each went through intermediate matrices and numbers: a checked matrix per
 step, and a two-step adopt that canonicalised an already built matrix and
 rebuilt it when that changed a value.  Those compositions are written out
-below.  The results must agree in their masks and in the bytes of their
-stacks, so a signed zero counts: a -0.0 part survives canonicalisation
-unless some entry of the same result is tiny.
+below.  The results must agree in their masks, their dtypes and the bytes
+of their stacks, so a signed zero counts: a -0.0 part survives
+canonicalisation unless some entry of the same result is tiny.  Both stack
+dtypes are covered: real inputs give float64 stacks, and complex inputs
+(nonzero or -0.0 imaginary parts) complex128 ones.
 """
 
 import numpy as np
@@ -121,7 +123,7 @@ def old_commutator_action(biv, x):
     masks, products = _blade_product(
         np.multiply, biv.mat.masks, (biv.mat.stack[:, rows, cols] * factors)[:, None, :],
         x.col.masks, x.col.stack[:, sources, 0][:, None, :], x.order, (1, len(rows)))
-    out = np.zeros((len(masks), x.col.rows), dtype=complex)
+    out = np.zeros((len(masks), x.col.rows), dtype=products.dtype)
     np.add.at(out, (slice(None), targets), products[:, 0, :])
     return old_vector(x.m, x.n, x.col.with_stack(masks, out[:, :, None]))
 
@@ -175,9 +177,10 @@ def old_residual_sums(mat, group):
 
 
 def signed_zeros(x, rng):
-    """``x`` with a random half of its zero parts turned to -0.0: a canonical
-    column, held as it is."""
-    stack = x.col.stack.copy()
+    """``x`` on a complex stack with a random half of its zero parts turned
+    to -0.0: a canonical column, held as it is (complex, as some imaginary
+    part is -0.0)."""
+    stack = x.col.stack.astype(complex)
     flat = stack.reshape(-1)
     for part in (flat.real, flat.imag):
         zero = np.flatnonzero(part == 0.0)
@@ -185,23 +188,38 @@ def signed_zeros(x, rng):
     return Supervector.from_column(x.m, x.n, x.col.with_stack(x.col.masks, stack))
 
 
+COMPLEX = 0.6 - 0.8j
+
+
 def vectors(m, n, order, seed, kind):
-    """Two supervectors of the given kind: random, carrying -0.0 parts, or
-    the zero vector (no blades) paired with a random one."""
+    """Two supervectors of the given kind: random and real (float64
+    stacks), random and complex (one real, one complex), carrying -0.0
+    parts (complex), or the zero vector (no blades) paired with a random
+    one."""
     x = random_supervector(m, n, order, seed=seed)
     y = random_supervector(m, n, order, seed=seed + 1)
+    assert x.col.stack.dtype == y.col.stack.dtype == np.float64
     if kind == "signed-zero":
         rng = np.random.default_rng(seed)
         return signed_zeros(x, rng), signed_zeros(y.scale(-1.0), rng)
+    if kind == "complex":
+        return x, y.scale(COMPLEX)
     if kind == "zero":
         return Supervector.zero(m, n, order), y
     return x, y
+
+
+def algebra_element(m, n, order, seed, kind):
+    """A random element of so_0, made complex for the complex kind."""
+    phi = random_so0(m, n, order, seed=seed)
+    return phi.scale(COMPLEX) if kind == "complex" else phi
 
 
 def same_bits(got, want):
     """Equal masks (plain ints) and equal stack bytes."""
     assert all(type(mask) is int for mask in got.masks)
     assert got.masks == want.masks
+    assert got.stack.dtype == want.stack.dtype
     assert got.stack.shape == want.stack.shape
     assert got.stack.tobytes() == want.stack.tobytes()
 
@@ -223,7 +241,7 @@ def same_outcome(got, want):
 
 
 CASES = st.tuples(st.sampled_from(SHAPES), st.integers(0, 10 ** 6),
-                  st.sampled_from(["random", "signed-zero", "zero"]))
+                  st.sampled_from(["real", "complex", "signed-zero", "zero"]))
 
 
 # -- properties ------------------------------------------------------------------------
@@ -247,7 +265,7 @@ def test_vector_arithmetic_is_bit_identical(case, factor):
 def test_vector_products_are_bit_identical(case):
     (m, n, order), seed, kind = case
     x, y = vectors(m, n, order, seed, kind)
-    biv = matrix_to_bivector(random_so0(m, n, order, seed=seed + 2))
+    biv = matrix_to_bivector(algebra_element(m, n, order, seed + 2, kind))
     mat = bivector_to_matrix(biv)
     same_outcome(wedge(x, y), old_wedge(x, y))
     same_outcome(wedge(y, x.scale(1e-15)), old_wedge(y, x.scale(1e-15)))
@@ -260,7 +278,7 @@ def test_vector_products_are_bit_identical(case):
 def test_bivector_results_are_bit_identical(case, factor):
     (m, n, order), seed, kind = case
     x, y = vectors(m, n, order, seed, kind)
-    phi = random_so0(m, n, order, seed=seed + 2)
+    phi = algebra_element(m, n, order, seed + 2, kind)
     biv, other = matrix_to_bivector(phi), wedge(x, y)
     same_outcome(biv, old_matrix_to_bivector(phi))
     same_outcome(matrix_to_bivector(phi.scale(-1.0)), old_matrix_to_bivector(phi.scale(-1.0)))
@@ -309,10 +327,19 @@ def test_the_zero_vector_has_no_blades_and_reflects_to_itself():
 
 
 def test_a_result_without_tiny_entries_keeps_its_signed_zeros():
-    x = random_supervector(2, 1, 4, seed=8).scale(-1.0)
-    assert np.signbit(x.col.stack.imag).any()
-    tiny = x.scale(1e-15)
-    assert not np.signbit(tiny.col.stack.imag).any()
+    """On a real stack (the -0.0 real parts of scaling by -1.0) and on a
+    complex one (scaling by -1 + 0j also gives -0.0 imaginary parts, so the
+    stack stays complex)."""
+    def zero_parts(vec):
+        stack = vec.col.stack
+        parts = np.concatenate([stack.real.ravel(), stack.imag.ravel()])
+        return parts[parts == 0.0]
+
+    for factor, dtype in ((-1.0, np.float64), (complex(-1.0, 0.0), np.complex128)):
+        x = random_supervector(2, 1, 4, seed=8).scale(factor)
+        assert x.col.stack.dtype == dtype
+        assert np.signbit(zero_parts(x)).any()
+        assert not np.signbit(zero_parts(x.scale(1e-15))).any()
 
 
 def test_an_overflowing_reflection_coefficient_is_an_algebra_error():
