@@ -34,6 +34,7 @@ bivectors, and complex128 once a complex operand enters.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import json
@@ -206,6 +207,24 @@ class CliffordElement:
         alpha = [0] * (2 * n)
         alpha[u - 1] = 1
         return cls(m, n, order, cap, {(0, tuple(alpha)): GrassmannNumber.one(order)})
+
+    @classmethod
+    def _adopt(cls, m: int, n: int, order: int, cap: int,
+               values: Mapping[_Key, complex]) -> "CliffordElement":
+        """The element whose coefficient at each key of ``values`` is that
+        body value, the keys taken as valid: each value is held as
+        ``GrassmannNumber.scalar`` holds it (AlgebraError when it is not
+        finite, dropped when both parts are below CANON_EPS)."""
+        elem = object.__new__(cls)
+        elem.m, elem.n, elem.order, elem.cap, elem.truncated = m, n, order, cap, False
+        elem.terms = {}
+        for key, value in values.items():
+            c = complex(value)
+            if not cmath.isfinite(c):
+                raise AlgebraError(f"non-finite coefficient {c!r}")
+            if abs(c.real) >= CANON_EPS or abs(c.imag) >= CANON_EPS:
+                elem.terms[key] = GrassmannNumber._adopt(order, {0: c})
+        return elem
 
     def _like(self, terms, truncated=False):
         return CliffordElement(self.m, self.n, self.order, self.cap, terms,
@@ -520,9 +539,27 @@ class Supervector:
         return self.col.body()[:self.m, 0]
 
     def on_supersphere(self, tol: float = DEFAULT_TOL, nil_tol: float = 1e-12) -> bool:
-        """w^2 = -1: exact nilpotent cancellation plus a unit-sphere body."""
-        dev = self.square() + 1.0
-        return dev.nilpotent().norm() <= nil_tol and abs(dev.body) <= tol
+        """w^2 = -1, i.e. <w, w> = 1: exact nilpotent cancellation plus a
+        unit-sphere body, read off the raw stack of <w, w> with each
+        coefficient, and the body deviation 1 - c_0, held as a
+        GrassmannNumber holds it (AlgebraError when not finite, dropped when
+        both parts are below CANON_EPS); the nilpotent moduli are summed in
+        mask order, as ``GrassmannNumber.norm`` sums them."""
+        masks, stack = _inner_stack(self, self)
+        values = stack[:, 0, 0]
+        nonfinite = values[~np.isfinite(values)]
+        if nonfinite.size:
+            raise AlgebraError(f"non-finite coefficient {complex(nonfinite[0])!r}")
+        norm, dev = 0, 1.0
+        for mask, c in zip(masks, values.tolist()):
+            if abs(c.real) >= CANON_EPS or abs(c.imag) >= CANON_EPS:
+                if mask:
+                    norm += abs(c)
+                else:
+                    dev = 1.0 - c
+        if abs(dev.real) < CANON_EPS and abs(dev.imag) < CANON_EPS:
+            dev = 0.0
+        return norm <= nil_tol and abs(dev) <= tol
 
     def _json_tree(self) -> dict:
         """``to_dict``'s tree, every coordinate a cell read straight from
@@ -818,8 +855,11 @@ def clifford_exp(x: CliffordElement, max_terms: int = 200) -> CliffordElement:
 # -- inner product and wedge --------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _inner_stack(x: Supervector, y: Supervector) -> tuple[tuple[int, ...], np.ndarray]:
-    """(masks, (k, 1, 1) stack) of <x, y>: one 1 x s by s x 1 blade product."""
+    """(masks, (k, 1, 1) stack) of <x, y>: one 1 x s by s x 1 blade product.
+    An overflow leaves a non-finite coefficient, for the caller to reject,
+    without a numpy warning."""
     return _blade_product(np.matmul, x.col.masks, x.col.stack.transpose(0, 2, 1),
                           y.col.masks, _q_gram_body(x.m, x.n) @ y.col.stack, x.order, (1, 1))
 
@@ -935,8 +975,10 @@ def commutator_action(biv: ExtendedSuperbivector, x: Supervector) -> Supervector
     return Supervector._adopt(x.m, x.n, x.order, masks, out[:, :, None])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def apply_matrix(mat: Supermatrix, x: Supervector) -> Supervector:
-    """Supermatrix action on a supervector: one product with its column."""
+    """Supermatrix action on a supervector: one product with its column.  An
+    entry that overflows raises AlgebraError, without a numpy warning."""
     if mat.p != x.m or mat.q != 2 * x.n or mat.order != x.order:
         raise ShapeMismatchError("matrix and vector shapes differ")
     return Supervector._adopt(x.m, x.n, x.order, *_blade_product(
@@ -981,6 +1023,7 @@ def reflection_matrix(w: Supervector) -> Supermatrix:
                                                      stack=stack), validate=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def reflect(w: Supervector, x: Supervector) -> Supervector:
     """The reflection w x w, computed as x - 2<x,w> w.
 
@@ -994,6 +1037,7 @@ def reflect(w: Supervector, x: Supervector) -> Supervector:
     (finite, parts below CANON_EPS dropped, even, float64 unless some
     imaginary part is not +0.0), w scaled by it is canonicalised and held
     as a Supervector would be, and x minus that is the one result built.
+    An overflow on the way raises AlgebraError, without a numpy warning.
     """
     w._require_compatible(x)
     if not w.on_supersphere():
@@ -1001,8 +1045,7 @@ def reflect(w: Supervector, x: Supervector) -> Supervector:
     masks, stack = _inner_stack(x, w)
     values = stack[:, 0, 0]
     kept = (np.abs(values.real) >= CANON_EPS) | (np.abs(values.imag) >= CANON_EPS)
-    with np.errstate(over="ignore", invalid="ignore"):
-        twice = _as_stack(values[kept] * 2.0)
+    twice = _as_stack(values[kept] * 2.0)
     if not (np.isfinite(values).all() and np.isfinite(twice).all()):
         raise AlgebraError("non-finite coefficient in 2<x, w>")
     masks = np.asarray(masks, dtype=np.int64)[kept]

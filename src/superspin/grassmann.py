@@ -570,6 +570,15 @@ class GrassmannNumber:
         return cls(order, {0: value})
 
     @classmethod
+    def _adopt(cls, order: int, terms: dict[int, complex]) -> "GrassmannNumber":
+        """The number holding ``terms`` as given, unchecked: canonical, finite
+        complex coefficients under masks below 2^order."""
+        number = object.__new__(cls)
+        object.__setattr__(number, "order", order)
+        object.__setattr__(number, "terms", terms)
+        return number
+
+    @classmethod
     def one(cls, order: int) -> "GrassmannNumber":
         return cls(order, {0: 1.0})
 

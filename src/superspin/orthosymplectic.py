@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import AlgebraError, MembershipError, NotInvertibleError, SingularBodyError
-from .grassmann import (DEFAULT_TOL, GrassmannNumber, _blade_product,
-                        _nilpotent_matrix_series, _union_add, random_grassmann)
+from .grassmann import (CANON_EPS, DEFAULT_TOL, GrassmannNumber, _blade_product,
+                        _nilpotent_matrix_series, _parity_array, _union_add,
+                        random_grassmann)
 from .supermatrix import (
     GrassmannMatrix,
     Supermatrix,
@@ -419,28 +420,38 @@ def _sp_basis(n: int) -> list[np.ndarray]:
 
 def _random_so0_from_rng(m: int, n: int, order: int, rng,
                          scale: float) -> Supermatrix:
-    zero = GrassmannNumber.zero(order)
-    a_grid = [[zero for _ in range(m)] for _ in range(m)]
-    for j in range(m):
-        for k in range(j + 1, m):
-            g = random_grassmann(rng, order, parity="even", scale=scale)
-            a_grid[j][k] = g
-            a_grid[k][j] = -g
-    a = GrassmannMatrix.from_entries(a_grid, order) if m else \
-        GrassmannMatrix.zeros(0, 0, order)
-    c_grid = [
-        [random_grassmann(rng, order, parity="odd", scale=scale) for _ in range(m)]
-        for _ in range(2 * n)
-    ]
-    c = GrassmannMatrix.from_entries(c_grid, order) if m and n else \
-        GrassmannMatrix.zeros(2 * n, m, order)
-    omega = GrassmannMatrix.from_body(symplectic_form(n), order)
-    b = (c.transpose() @ omega).scale(0.5)
-    d = GrassmannMatrix.zeros(2 * n, 2 * n, order)
-    for basis_mat in _sp_basis(n):
-        g = random_grassmann(rng, order, parity="even", scale=scale)
-        d = d + GrassmannMatrix.from_body(basis_mat, order).scale(g)
-    return Supermatrix.from_blocks(a, b, c, d)
+    """A seeded so_0 element built on one real blade stack.
+
+    The draws are ``random_grassmann``'s, made in its order by one
+    ``rng.normal`` call: the even blades of each upper-triangle entry of A,
+    row by row; the odd blades of each entry of C; then the even blades of
+    the coefficient of each ``_sp_basis`` element.  A is that triangle minus
+    its transpose, B = C^T Omega / 2 one product with a body matrix, and D
+    the running sum of coefficient times basis element, in basis order.
+    """
+    parity = _parity_array(order)
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    basis = _sp_basis(n)
+    upper = np.triu_indices(m, 1)
+    counts = [len(upper[0]) * len(even), 2 * n * m * len(odd), len(basis) * len(even)]
+    draws = rng.normal(0.0, scale, sum(counts))
+    # random_grassmann keeps its coefficients canonical
+    draws[np.abs(draws) < CANON_EPS] = 0.0
+    a_draws, c_draws, d_draws = np.split(draws, np.cumsum(counts[:2]))
+    stack = np.zeros((1 << order, m + 2 * n, m + 2 * n))
+    triangle = np.zeros((len(even), m, m))
+    triangle[:, upper[0], upper[1]] = a_draws.reshape(-1, len(even)).T
+    stack[even, :m, :m] = triangle - triangle.transpose(0, 2, 1)
+    c = c_draws.reshape(2 * n, m, len(odd)).transpose(2, 0, 1)
+    stack[odd, m:, :m] = c
+    stack[odd, :m, m:] = 0.5 * (c.transpose(0, 2, 1) @ symplectic_form(n))
+    d = np.zeros((len(even), 2 * n, 2 * n))
+    for coeffs, basis_mat in zip(d_draws.reshape(-1, len(even)), basis):
+        d = d + coeffs[:, None, None] * basis_mat
+    stack[even, m:, m:] = d
+    return Supermatrix(m, 2 * n, GrassmannMatrix(m + 2 * n, m + 2 * n, order,
+                                                 masks=range(1 << order), stack=stack),
+                       validate=False)
 
 
 def random_so0(m: int, n: int, order: int, seed: int,

@@ -191,13 +191,16 @@ def _ladder_table(n: int, plane: int, cap: int) -> tuple[tuple[tuple, ...], ...]
 
 def _ladder_sum(weights: Sequence[complex], factor: complex, plane: int, m: int, n: int,
                 order: int, cap: int, one: complex = 0.0) -> CliffordElement:
-    """factor (one + sum_j weights[j-1] a^j b^j), summed over the ladder table."""
+    """factor (one + sum_j weights[j-1] a^j b^j), summed over the ladder table
+    into body values per key and built once by ``CliffordElement._adopt``:
+    the table's keys are valid for any m and N, and the values are checked
+    and canonicalised there, as ``GrassmannNumber.scalar`` would."""
     sums = {(0, (0,) * (2 * n)): one}
     for weight, terms in zip(weights, _ladder_table(n, plane, cap)):
         for key, value in terms:
             sums[key] = sums.get(key, 0.0) + value * weight
-    return CliffordElement(m, n, order, cap, {
-        key: GrassmannNumber.scalar(order, value * factor) for key, value in sums.items()})
+    return CliffordElement._adopt(m, n, order, cap,
+                                  {key: value * factor for key, value in sums.items()})
 
 
 def oscillator_power(k: int, plane: int, m: int, n: int, order: int,
@@ -208,6 +211,7 @@ def oscillator_power(k: int, plane: int, m: int, n: int, order: int,
         raise ShapeMismatchError("power must be at least 1")
     if 2 * k > cap:
         raise CapExceededError(f"(ab)^{k} has degree {2 * k} > cap {cap}")
+    check_signature(m, n, order)
     return _ladder_sum([complex(0.0, -2.0) ** (k - j) * stirling2(k, j) for j in range(1, k + 1)],
                        1.0, plane, m, n, order, cap)
 

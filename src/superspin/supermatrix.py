@@ -43,7 +43,7 @@ from .exceptions import (
 )
 from .grassmann import (CANON_EPS, DEFAULT_TOL, GrassmannNumber, _as_stack, _blade_product,
                         _drop_zero_slices, _json_cells, _nilpotent_matrix_series,
-                        _read_cells, _to_json, _union_add, json_int)
+                        _parity_array, _read_cells, _to_json, _union_add, json_int)
 
 # Relative truncation threshold for the exp/ln power series.
 SERIES_EPS = 1e-14
@@ -296,6 +296,18 @@ def _log_coeff(k: int) -> float:
     return (-1.0) ** (k + 1) / k if k else 0.0
 
 
+@functools.cache
+def _wrong_blocks(p: int, q: int) -> np.ndarray:
+    """(2, p + q, p + q) weights: 1.0 on the blocks an even blade (row 0,
+    the odd blocks B and C) or an odd blade (row 1, the even blocks A and
+    D) must leave empty, 0.0 elsewhere."""
+    weights = np.ones((2, p + q, p + q))
+    weights[0, :p, :p] = weights[0, p:, p:] = 0.0
+    weights[1, :p, p:] = weights[1, p:, :p] = 0.0
+    weights.flags.writeable = False
+    return weights
+
+
 def symplectic_form(n: int) -> np.ndarray:
     """Omega_{2n}: block diagonal of [[0, 1], [-1, 0]]."""
     omega = np.zeros((2 * n, 2 * n))
@@ -372,16 +384,15 @@ class Supermatrix:
     # -- parity -------------------------------------------------------------
 
     def validate_parity(self, tol: float = CANON_EPS) -> None:
-        """Check the (p|q) even/odd block pattern; raises ParityError."""
-        p, masks, s = self.p, self.mat.masks, self.mat.stack
+        """Check the (p|q) even/odd block pattern; raises ParityError.
 
-        def largest(x, y):
-            return np.maximum(np.abs(x).max(axis=(1, 2), initial=0.0),
-                              np.abs(y).max(axis=(1, 2), initial=0.0))
-
-        even = np.array([m.bit_count() % 2 == 0 for m in masks], dtype=bool)
-        bad = np.where(even, largest(s[:, :p, p:], s[:, p:, :p]),
-                       largest(s[:, :p, :p], s[:, p:, p:]))
+        The largest modulus each blade has in the blocks its parity must
+        leave empty, from one product of the moduli with the (p, q) weights
+        of ``_wrong_blocks`` picked by the masks' parities: the first mask
+        above ``tol`` is named."""
+        masks, s = self.mat.masks, self.mat.stack
+        weights = _wrong_blocks(self.p, self.q)[_parity_array(self.order)[list(masks)]]
+        bad = (np.abs(s) * weights).max(axis=(1, 2), initial=0.0)
         offending = np.flatnonzero(bad > tol)
         if offending.size:
             k = offending[0]
@@ -581,19 +592,20 @@ class Supermatrix:
         return f"Supermatrix(p={self.p}, q={self.q}, N={self.order})"
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def expm(m: Supermatrix) -> Supermatrix:
     """Matrix exponential over Lambda_N: the finite sum of x^k / k! for input
     with no body blade, else scaling and squaring, with the argument scaled
     to entry-sum norm at most 1 and a Taylor series to SERIES_EPS.  Terms
     stay raw blade stacks; an argument whose norm overflows, or the one
-    matrix built at the end with a non-finite entry, raises AlgebraError."""
+    matrix built at the end with a non-finite entry, raises AlgebraError,
+    without a numpy warning from the norm, a term or a square."""
     mat, size = m.mat, m.size
     if not mat.masks or mat.masks[0] != 0:
         return Supermatrix(m.p, m.q, mat.with_stack(*_nilpotent_matrix_series(
             mat.masks, mat.stack, m.order, lambda k: 1.0 / math.factorial(k))),
             validate=False)
-    with np.errstate(over="ignore"):
-        norm = mat.norm()
+    norm = mat.norm()
     if not math.isfinite(norm):
         raise AlgebraError("entry-sum norm overflows, so exp cannot scale its argument")
     s = math.ceil(math.log2(max(norm, 1.0)))

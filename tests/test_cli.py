@@ -199,6 +199,74 @@ def test_near_overflow_coefficients_in_matrix_payloads_never_warn(command, code)
                 assert json.loads(out.getvalue())
 
 
+def test_exp_of_an_overflowing_body_coefficient_never_warns():
+    """Each body coefficient of the golden exp payload set to +-1.7e308,
+    numpy warnings raised as errors.  The exit codes are those of the
+    computation with warnings ignored: the squaring steps overflow, a domain
+    violation (exit 1), except for a diagonal entry at -1.7e308, whose
+    exponential decays (exit 0)."""
+    text = (Path(__file__).parent / "golden" / "exp.json").read_text()
+    rows = json.loads(text)["rows"]
+    cells = [(i, j) for i, row in enumerate(rows) for j, cell in enumerate(row)
+             if cell["terms"] and cell["terms"][0]["mask"] == 0]
+    assert len(cells) == 10
+    for i, j in cells:
+        for value in (1.7e308, -1.7e308):
+            payload = json.loads(text)
+            payload["rows"][i][j]["terms"][0]["re"] = value
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(payload))), \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["exp"])
+            if i == j and value < 0:
+                assert code == 0 and json.loads(out.getvalue())
+            else:
+                assert code == 1 and out.getvalue() == ""
+                assert err.getvalue() == "domain violation: non-finite entry in blade slice\n"
+
+
+@pytest.mark.parametrize("command, failing", [
+    ("act", {"matrix": (37, 0), "vector": (12, 0)}),
+    ("reflect", {"w": (40, 40), "x": (10, 0)}),
+    ("inner", {"x": (0, 0), "y": (7, 0)}),
+])
+def test_near_overflow_coefficients_in_vector_payloads_never_warn(command, failing):
+    """Every coefficient of the golden act, reflect and inner payloads set to
+    +-1.7e308 and to 1e200 in turn, numpy warnings raised as errors.  The
+    exit codes are those of the computation with warnings ignored:
+    ``failing`` counts, per payload part, the coefficients at +-1.7e308 and
+    at 1e200 whose product overflows (a domain violation, exit 1; any
+    coefficient of reflect's axis leaves the supersphere); the rest exit 0
+    with output."""
+    text = (Path(__file__).parent / "golden" / f"{command}.json").read_text()
+    counts = {}
+    for *parents, key in _coefficient_paths(json.loads(text)):
+        for value in (1.7e308, -1.7e308, 1e200):
+            payload = json.loads(text)
+            container = payload
+            for parent in parents:
+                container = container[parent]
+            container[key] = value
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(payload))), \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([command])
+            if code:
+                assert code == 1 and out.getvalue() == ""
+                assert err.getvalue().startswith("domain violation")
+            else:
+                assert json.loads(out.getvalue())
+            part = (parents[0], abs(value))
+            counts[part] = counts.get(part, 0) + code
+    assert counts == {(part, value): count
+                      for part, (huge, large) in failing.items()
+                      for value, count in ((1.7e308, 2 * huge), (1e200, large))}
+
+
 def test_phi_of_an_overflowing_product_is_a_domain_violation(capsys, tmp_path):
     data = json.loads((Path(__file__).parent / "golden" / "phi.json").read_text())
     data["b"][0]["coeff"]["terms"][0]["re"] = 1.7e308
@@ -702,9 +770,9 @@ PROBE_PATHS = {command: list(_field_paths(json.loads(text)))
 @given(data=st.data())
 def test_mutated_payloads_keep_the_exit_code_contract(command, data):
     """One field set to a junk value or deleted: exit 0, 1 or 2, and no
-    stdout unless the exit is 0.  numpy RuntimeWarnings are not raised here,
-    as they are not for a user: near-overflow coefficients (1e308) still make
-    some library routines warn before they report a domain violation."""
+    stdout unless the exit is 0.  A numpy RuntimeWarning is an error here,
+    as everywhere in the suite: a near-overflow coefficient (1e308) makes a
+    domain violation without a warning on the way."""
     payload = json.loads(PROBE_INPUTS[command])
     *parents, key = data.draw(st.sampled_from(PROBE_PATHS[command]))
     container = payload
@@ -717,9 +785,7 @@ def test_mutated_payloads_keep_the_exit_code_contract(command, data):
         container[key] = junk
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(payload))), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command])
     assert code in (0, 1, 2), err.getvalue()
     assert code == 0 or out.getvalue() == ""

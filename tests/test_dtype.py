@@ -34,6 +34,7 @@ from superspin import (
     lift_rotation,
     logm,
     matrix_to_bivector,
+    orthosymplectic,
     random_grassmann,
     random_rotation,
     random_so0,
@@ -46,6 +47,8 @@ from superspin import (
 )
 from superspin.cli import main
 from superspin.grassmann import _as_stack
+from superspin.orthosymplectic import _sp_basis
+from superspin.supermatrix import symplectic_form
 
 M, N, ORDER = 3, 1, 4
 COMPLEX = 0.6 - 0.8j
@@ -91,10 +94,6 @@ def matrix_of(obj) -> GrassmannMatrix:
     return obj.col if isinstance(obj, Supervector) else obj.mat
 
 
-def real_part(mat: Supermatrix) -> Supermatrix:
-    return Supermatrix(mat.p, mat.q, mat.mat.with_stack(mat.mat.masks, mat.mat.stack.real))
-
-
 def odd_part(mat: Supermatrix) -> Supermatrix:
     """The off-diagonal blocks: in so_0 when ``mat`` is."""
     zero_a = GrassmannMatrix.zeros(mat.p, mat.p, mat.order)
@@ -123,9 +122,7 @@ def assert_close(got, want):
 
 ROTATION = random_rotation(M, N, ORDER, seed=1)
 ROTATION_B = random_rotation(M, N, ORDER, seed=2)
-# random_so0 negates GrassmannNumbers, whose +0.0 imaginary parts become
-# -0.0, so its stack is complex; its real part is the same real element
-ALGEBRA = real_part(random_so0(M, N, ORDER, seed=3))
+ALGEBRA = random_so0(M, N, ORDER, seed=3)
 NEAR_IDENTITY = expm(ALGEBRA.scale(0.1))
 VECTOR = random_supervector(M, N, ORDER, seed=4)
 AXIS = random_sphere_vector(M, N, ORDER, seed=5)
@@ -139,7 +136,7 @@ ALGEBRA_C = ALGEBRA.scale(COMPLEX)
 VECTOR_C = random_supervector(M, N, ORDER, seed=9).scale(COMPLEX)
 BIVECTOR_C = matrix_to_bivector(ALGEBRA_C)
 ROTATION_MIXED = ROTATION + odd_part(random_supermatrix(M, N, ORDER, seed=10)).scale(0.1j)
-ALGEBRA_MIXED = ALGEBRA + odd_part(real_part(random_so0(M, N, ORDER, seed=11))).scale(0.2j)
+ALGEBRA_MIXED = ALGEBRA + odd_part(random_so0(M, N, ORDER, seed=11)).scale(0.2j)
 
 
 def test_the_operands_have_the_dtypes_the_rule_gives():
@@ -148,7 +145,6 @@ def test_the_operands_have_the_dtypes_the_rule_gives():
     for mixed in (MATRIX_C, ALGEBRA_C, VECTOR_C, BIVECTOR_C, ROTATION_MIXED, ALGEBRA_MIXED):
         assert matrix_of(mixed).stack.dtype == np.complex128
         assert np.abs(matrix_of(mixed).stack.imag).max() > 0.01
-    assert random_so0(M, N, ORDER, seed=3).mat.stack.dtype == np.complex128
     assert random_supermatrix(M, N, ORDER, seed=8).mat.stack.dtype == np.float64
     # the blocks of the mixed inputs: real diagonal, complex odd
     assert ROTATION_MIXED.block_a().stack.dtype == np.float64
@@ -260,6 +256,90 @@ def test_real_payloads_compute_in_float64_through_every_matrix_and_vector_comman
     assert main([command.removesuffix("-spin"), "--input", str(path)]) == 0
     assert '"im": -0.0' not in capsys.readouterr().out
     assert built and set(built) == {np.dtype(np.float64)}
+
+
+# -- the seeded so_0 generator -------------------------------------------------------
+
+
+def per_entry_so0(m, n, order, rng, scale):
+    """The so_0 generator as it was built entry by entry: a GrassmannNumber
+    grid for A (its lower triangle negated numbers, whose imaginary parts
+    are -0.0) and C, and D summed one basis matrix at a time."""
+    zero = GrassmannNumber.zero(order)
+    a_grid = [[zero for _ in range(m)] for _ in range(m)]
+    for j in range(m):
+        for k in range(j + 1, m):
+            g = random_grassmann(rng, order, parity="even", scale=scale)
+            a_grid[j][k] = g
+            a_grid[k][j] = -g
+    a = GrassmannMatrix.from_entries(a_grid, order) if m else \
+        GrassmannMatrix.zeros(0, 0, order)
+    c_grid = [[random_grassmann(rng, order, parity="odd", scale=scale) for _ in range(m)]
+              for _ in range(2 * n)]
+    c = GrassmannMatrix.from_entries(c_grid, order) if m and n else \
+        GrassmannMatrix.zeros(2 * n, m, order)
+    omega = GrassmannMatrix.from_body(symplectic_form(n), order)
+    b = (c.transpose() @ omega).scale(0.5)
+    d = GrassmannMatrix.zeros(2 * n, 2 * n, order)
+    for basis_mat in _sp_basis(n):
+        g = random_grassmann(rng, order, parity="even", scale=scale)
+        d = d + GrassmannMatrix.from_body(basis_mat, order).scale(g)
+    return Supermatrix.from_blocks(a, b, c, d)
+
+
+def workload_seeds(seed):
+    """(shape, seed) of each so_0 element and of each rotation stream the
+    two benchmark workloads draw at workload seed ``seed``."""
+    so0 = [((4, 2, 4), seed * 1000 + 10 * i + 3) for i in range(20)]
+    so0 += [((6, 2, 4), seed * 1000 + 10 * i + 1) for i in range(2)]
+    rotations = [((6, 2, 4), seed * 1000 + 10 * i + k) for i in range(2) for k in (0, 5)]
+    return so0, rotations
+
+
+SO0_SHAPES = [(0, 1, 0), (0, 2, 4), (1, 1, 2), (2, 1, 1), (3, 0, 4), (3, 1, 4), (4, 2, 4),
+              (6, 2, 4), (2, 0, 0), (0, 0, 3)]
+TEST_SEEDS = [*range(31), 50, 61, 66, 700, 801, 802, 900, 901]
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (0, 2), (3, 0), (1, 0), (2, 1), (3, 1)])
+@pytest.mark.parametrize("order", [0, 1, 4])
+def test_seeded_so0_elements_rotations_and_bivectors_are_float64(m, n, order):
+    for seed in range(3):
+        algebra = random_so0(m, n, order, seed=seed)
+        assert algebra.mat.stack.dtype == np.float64
+        assert matrix_to_bivector(algebra).mat.stack.dtype == np.float64
+        assert random_rotation(m, n, order, seed=seed).mat.stack.dtype == np.float64
+
+
+@pytest.mark.parametrize("shape", SO0_SHAPES)
+def test_the_so0_generator_draws_the_per_entry_elements_bit_for_bit(shape):
+    """Three elements drawn in a row from one generator, as random_rotation
+    draws its factors: the same masks, and real parts with the same bits
+    (the per-entry imaginary parts are zeros of either sign)."""
+    seeds = TEST_SEEDS
+    if shape in ((4, 2, 4), (6, 2, 4)):
+        for workload_seed in (1, 2, 77, 301, 4242, 9111):
+            so0, rotations = workload_seeds(workload_seed)
+            seeds = seeds + [s for s_shape, s in so0 + rotations if s_shape == shape]
+    for seed in seeds:
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = orthosymplectic._random_so0_from_rng(*shape, got_rng, 0.25)
+            want = per_entry_so0(*shape, want_rng, 0.25)
+            assert got.mat.stack.dtype == np.float64
+            assert got.mat.masks == want.mat.masks
+            assert not want.mat.stack.imag.any()
+            assert (got.mat.stack.view(np.uint64)
+                    == np.ascontiguousarray(want.mat.stack.real).view(np.uint64)).all()
+
+
+def test_seeded_rotations_are_the_products_of_the_per_entry_exponentials():
+    for shape, seed in [((3, 1, 4), 1), ((2, 1, 2), 5), ((6, 2, 4), 9111000)]:
+        rng = np.random.default_rng(seed)
+        want = Supermatrix.eye(shape[0], 2 * shape[1], shape[2])
+        for _ in range(3):
+            want = want @ expm(per_entry_so0(*shape, rng, 0.25))
+        assert random_rotation(*shape, seed=seed).mat.isclose(want.mat, 1e-14)
 
 
 # -- signed zeros and the rule itself ------------------------------------------------
