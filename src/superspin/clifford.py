@@ -21,12 +21,13 @@ algebra so_0 is phi(B) = S K and its inverse S = X K^-1, with
 K = blockdiag(-2 I_m, Omega_2n) the form of ``inner``; its arithmetic is
 whole-stack, and the commutator action has a table of its own over S.
 
-One construction: every Supervector and ExtendedSuperbivector result is
-built once, by the class's ``_adopt``, from the raw (masks, stack) of its
-last step, with no intermediate GrassmannMatrix or GrassmannNumber.  The
--0.0 rule: ``_drop_tiny`` canonicalises a stack only when some entry below
-the threshold is not zero; otherwise the stack is kept as it is, -0.0 parts
-included, as the per-number canonical form keeps them.  Their stacks follow
+Both classes subclass ``supermatrix._Graded``, which writes their linear
+operations and comparison once.  One construction: every Supervector and
+ExtendedSuperbivector result is built once, by the class's ``_adopt``, from
+the raw (masks, stack) of its last step, with no intermediate GrassmannMatrix
+or GrassmannNumber.  The -0.0 rule: ``_drop_tiny`` canonicalises a stack only
+when some entry below the threshold is not zero; otherwise the stack is kept
+as it is, -0.0 parts included, as the per-number canonical form keeps them.  Their stacks follow
 the kernel's dtype rule (``grassmann._as_stack``): float64 when every
 coefficient is real, as for the paper's real vectors, reflections and
 bivectors, and complex128 once a complex operand enters.
@@ -37,7 +38,6 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-import json
 import math
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -60,16 +60,19 @@ from .grassmann import (
     _as_stack,
     _blade_product,
     _drop_zero_slices,
+    _isclose,
     _json_cells,
     _parity_array,
+    _random_stack,
     _read_cells,
+    _to_dict,
     _to_json,
     _union_add,
     json_int,
     random_grassmann,
     reorder_sign,
 )
-from .supermatrix import GrassmannMatrix, Supermatrix, _q_gram_body
+from .supermatrix import GrassmannMatrix, Supermatrix, _Graded, _q_gram_body
 
 DEFAULT_CAP = 8
 
@@ -313,10 +316,7 @@ class CliffordElement:
     def norm(self) -> float:
         return sum(c.norm() for c in self.terms.values())
 
-    def isclose(self, other: "CliffordElement", tol: float = DEFAULT_TOL) -> bool:
-        self._require_compatible(other)
-        scale = max(1.0, self.norm(), other.norm())
-        return (self - other).norm() <= tol * scale
+    isclose = _isclose
 
     def as_supervector(self, tol: float = EXTRACT_TOL) -> "Supervector":
         """Extract a supervector; residue above tol * norm is an error."""
@@ -385,9 +385,7 @@ class CliffordElement:
         }
 
     to_json = _to_json
-
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
+    to_dict = _to_dict
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CliffordElement":
@@ -407,9 +405,9 @@ class CliffordElement:
                 f"terms={len(self.terms)}, cap={self.cap})")
 
 
-class Supervector:
+class Supervector(_Graded):
     """Element of R^{m,2n}(Lambda_N): m even and 2n odd Grassmann coordinates,
-    stored as one packed (m + 2n) x 1 column ``col``, canonical as
+    stored as one packed (m + 2n) x 1 column ``mat``, canonical as
     GrassmannNumber is.
 
     Every result is built once, by ``_adopt``, from the raw (masks, stack)
@@ -420,17 +418,19 @@ class Supervector:
     product fixes parity.  ``from_column`` holds a canonical checked column
     as it is."""
 
-    __slots__ = ("m", "n", "order", "col")
+    __slots__ = ("m", "n")
 
     def __init__(self, m: int, n: int, order: int,
                  even: Sequence[GrassmannNumber], odd: Sequence[GrassmannNumber]):
         if len(even) != m or len(odd) != 2 * n:
             raise ShapeMismatchError("coordinate counts must be m and 2n")
         entries = [[g] for g in (*even, *odd)]
-        self.m, self.n, self.order = m, n, order
-        self.col = (GrassmannMatrix.from_entries(entries, order) if entries
+        self.m, self.n = m, n
+        self.mat = (GrassmannMatrix.from_entries(entries, order) if entries
                     else GrassmannMatrix.zeros(0, 1, order))
         self._check()
+
+    _grading = property(lambda self: (self.m, self.n))
 
     @classmethod
     def _adopt(cls, m: int, n: int, order: int, masks: Sequence[int],
@@ -438,15 +438,15 @@ class Supervector:
         """The vector whose column holds ``stack`` (len(masks), m + 2n, 1),
         canonicalised; no parity check."""
         vec = object.__new__(cls)
-        vec.m, vec.n, vec.order = m, n, order
-        vec.col = GrassmannMatrix(m + 2 * n, 1, order, masks=masks, stack=_drop_tiny(stack))
+        vec.m, vec.n = m, n
+        vec.mat = GrassmannMatrix(m + 2 * n, 1, order, masks=masks, stack=_drop_tiny(stack))
         return vec
 
     def _check(self) -> None:
         """Order in range; no odd mask in an even row, no even mask in an odd row."""
         check_signature(self.m, self.n, self.order)
-        odd = _parity_array(self.order)[list(self.col.masks)] == 1
-        entries = self.col.stack[:, :, 0]
+        odd = _parity_array(self.order)[list(self.mat.masks)] == 1
+        entries = self.mat.stack[:, :, 0]
         if entries[odd, :self.m].any():
             raise ParityError("bosonic coordinates must be even")
         if entries[~odd, self.m:].any():
@@ -454,11 +454,11 @@ class Supervector:
 
     @property
     def even(self) -> tuple[GrassmannNumber, ...]:
-        return tuple(self.col.entry(i, 0) for i in range(self.m))
+        return tuple(self.mat.entry(i, 0) for i in range(self.m))
 
     @property
     def odd(self) -> tuple[GrassmannNumber, ...]:
-        return tuple(self.col.entry(i, 0) for i in range(self.m, self.col.rows))
+        return tuple(self.mat.entry(i, 0) for i in range(self.m, self.mat.rows))
 
     @classmethod
     def zero(cls, m, n, order):
@@ -478,37 +478,6 @@ class Supervector:
             return g if isinstance(g, GrassmannNumber) else GrassmannNumber.scalar(order, g)
         return cls(m, n, order, [conv(g) for g in even], [conv(g) for g in odd])
 
-    def _require_compatible(self, other: "Supervector") -> None:
-        if (self.m, self.n, self.order) != (other.m, other.n, other.order):
-            raise ShapeMismatchError("incompatible supervector shapes")
-
-    def __add__(self, other: "Supervector") -> "Supervector":
-        self._require_compatible(other)
-        return Supervector._adopt(self.m, self.n, self.order, *_union_add(
-            self.col.masks, self.col.stack, other.col.masks, other.col.stack))
-
-    def __sub__(self, other: "Supervector") -> "Supervector":
-        self._require_compatible(other)
-        return Supervector._adopt(self.m, self.n, self.order, *_union_add(
-            self.col.masks, self.col.stack, other.col.masks, -other.col.stack))
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def scale(self, factor) -> "Supervector":
-        """Scale by a complex number or an even Grassmann number."""
-        if isinstance(factor, GrassmannNumber) and not factor.is_even():
-            raise ParityError("supervector scaling factor must be even")
-        return Supervector._adopt(self.m, self.n, self.order, *self.col._scaled(factor))
-
-    def norm(self) -> float:
-        return self.col.norm()
-
-    def isclose(self, other: "Supervector", tol: float = DEFAULT_TOL) -> bool:
-        self._require_compatible(other)
-        scale = max(1.0, self.norm(), other.norm())
-        return (self - other).norm() <= tol * scale
-
     def to_clifford(self, cap: int = DEFAULT_CAP) -> CliffordElement:
         zeros = (0,) * (2 * self.n)
         terms = {(1 << j, zeros): g for j, g in enumerate(self.even)}
@@ -517,7 +486,7 @@ class Supervector:
         return CliffordElement(self.m, self.n, self.order, cap, terms)
 
     def to_column(self) -> GrassmannMatrix:
-        return self.col
+        return self.mat
 
     @classmethod
     def from_column(cls, m: int, n: int, col: GrassmannMatrix) -> "Supervector":
@@ -525,7 +494,7 @@ class Supervector:
             raise ShapeMismatchError("column shape does not match (m, n)")
         if _drop_tiny(col.stack) is col.stack:
             vec = object.__new__(cls)
-            vec.m, vec.n, vec.order, vec.col = m, n, col.order, col
+            vec.m, vec.n, vec.mat = m, n, col
         else:
             vec = cls._adopt(m, n, col.order, col.masks, col.stack)
         vec._check()
@@ -536,7 +505,7 @@ class Supervector:
         return -inner(self, self)
 
     def body_vector(self) -> np.ndarray:
-        return self.col.body()[:self.m, 0]
+        return self.mat.body()[:self.m, 0]
 
     def on_supersphere(self, tol: float = DEFAULT_TOL, nil_tol: float = 1e-12) -> bool:
         """w^2 = -1, i.e. <w, w> = 1: exact nilpotent cancellation plus a
@@ -564,14 +533,12 @@ class Supervector:
     def _json_tree(self) -> dict:
         """``to_dict``'s tree, every coordinate a cell read straight from
         the column."""
-        cells, _ = _json_cells(self.order, self.col.masks, self.col.stack[:, :, 0].T)
+        cells, _ = _json_cells(self.order, self.mat.masks, self.mat.stack[:, :, 0].T)
         return {"m": self.m, "n": self.n, "N": self.order,
                 "even": cells[:self.m], "odd": cells[self.m:]}
 
     to_json = _to_json
-
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
+    to_dict = _to_dict
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Supervector":
@@ -655,7 +622,7 @@ def _mirrored(layout: _Layout, size: int, cells: np.ndarray) -> np.ndarray:
     return stack
 
 
-class ExtendedSuperbivector:
+class ExtendedSuperbivector(_Graded):
     """Degree-2 element: orthogonal (b, even), mixed (bq, odd) and symplectic
     (bb, even, the body allowed) coefficient families.
 
@@ -673,7 +640,7 @@ class ExtendedSuperbivector:
     Results of checked operands skip the parity check.
     """
 
-    __slots__ = ("m", "n", "order", "mat")
+    __slots__ = ("m", "n")
 
     _RULES = ("bosonic pair {} needs 1<=j<k<=m", "mixed pair {} out of range",
               "symplectic pair {} needs 1<=u<=v<=2n")
@@ -704,7 +671,7 @@ class ExtendedSuperbivector:
         ``masks``, one column per coefficient number) as S; check parity."""
         # S is canonical: its entries are canonical coefficients, negated or doubled
         layout, size = _layout(m, n), m + 2 * n
-        self.m, self.n, self.order = m, n, order
+        self.m, self.n = m, n
         self.mat = GrassmannMatrix(size, size, order, masks=masks, stack=_mirrored(
             layout, size, _times(coeffs, 1.0 / layout.scale)))
         self._check()
@@ -716,10 +683,12 @@ class ExtendedSuperbivector:
         canonicalised; no parity check."""
         size = m + 2 * n
         biv = object.__new__(cls)
-        biv.m, biv.n, biv.order = m, n, order
+        biv.m, biv.n = m, n
         biv.mat = GrassmannMatrix(size, size, order, masks=masks,
                                   stack=_drop_tiny(stack, _layout(m, n).canon))
         return biv
+
+    _grading = property(lambda self: (self.m, self.n))
 
     def _check(self) -> None:
         """Even b and bb, odd bq: the (m|2n) parity pattern of S."""
@@ -743,38 +712,9 @@ class ExtendedSuperbivector:
     def zero(cls, m, n, order):
         return cls(m, n, order)
 
-    def _require_compatible(self, other: "ExtendedSuperbivector") -> None:
-        if (self.m, self.n, self.order) != (other.m, other.n, other.order):
-            raise ShapeMismatchError("incompatible superbivector shapes")
-
-    def __add__(self, other: "ExtendedSuperbivector") -> "ExtendedSuperbivector":
-        self._require_compatible(other)
-        return ExtendedSuperbivector._adopt(self.m, self.n, self.order, *_union_add(
-            self.mat.masks, self.mat.stack, other.mat.masks, other.mat.stack))
-
-    def __sub__(self, other: "ExtendedSuperbivector") -> "ExtendedSuperbivector":
-        self._require_compatible(other)
-        return ExtendedSuperbivector._adopt(self.m, self.n, self.order, *_union_add(
-            self.mat.masks, self.mat.stack, other.mat.masks, -other.mat.stack))
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def scale(self, factor) -> "ExtendedSuperbivector":
-        """Scale by a complex number or an even Grassmann number."""
-        if isinstance(factor, GrassmannNumber) and not factor.is_even():
-            raise ParityError("superbivector scaling factor must be even")
-        return ExtendedSuperbivector._adopt(self.m, self.n, self.order,
-                                            *self.mat._scaled(factor))
-
     def norm(self) -> float:
         """Sum of the coefficients' norms."""
         return float(np.abs(self._values()).sum())
-
-    def isclose(self, other: "ExtendedSuperbivector", tol: float = DEFAULT_TOL) -> bool:
-        self._require_compatible(other)
-        scale = max(1.0, self.norm(), other.norm())
-        return (self - other).norm() <= tol * scale
 
     def is_strict(self, tol: float = 0.0) -> bool:
         """True when every symplectic coefficient is nilpotent (zero body)."""
@@ -804,9 +744,7 @@ class ExtendedSuperbivector:
         return {"m": self.m, "n": self.n, "N": self.order, "b": b, "bq": bq, "B": bb}
 
     to_json = _to_json
-
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
+    to_dict = _to_dict
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExtendedSuperbivector":
@@ -860,8 +798,8 @@ def _inner_stack(x: Supervector, y: Supervector) -> tuple[tuple[int, ...], np.nd
     """(masks, (k, 1, 1) stack) of <x, y>: one 1 x s by s x 1 blade product.
     An overflow leaves a non-finite coefficient, for the caller to reject,
     without a numpy warning."""
-    return _blade_product(np.matmul, x.col.masks, x.col.stack.transpose(0, 2, 1),
-                          y.col.masks, _q_gram_body(x.m, x.n) @ y.col.stack, x.order, (1, 1))
+    return _blade_product(np.matmul, x.mat.masks, x.mat.stack.transpose(0, 2, 1),
+                          y.mat.masks, _q_gram_body(x.m, x.n) @ y.mat.stack, x.order, (1, 1))
 
 
 def inner(x: Supervector, y: Supervector) -> GrassmannNumber:
@@ -880,9 +818,9 @@ def wedge(x: Supervector, y: Supervector) -> ExtendedSuperbivector:
     P - P^T, bb_uv (u <= v) of P + P^T.
     """
     x._require_compatible(y)
-    m, size = x.m, x.col.rows
-    masks, outer = _blade_product(np.matmul, x.col.masks, x.col.stack, y.col.masks,
-                                  y.col.stack.transpose(0, 2, 1), x.order, (size, size))
+    m, size = x.m, x.mat.rows
+    masks, outer = _blade_product(np.matmul, x.mat.masks, x.mat.stack, y.mat.masks,
+                                  y.mat.stack.transpose(0, 2, 1), x.order, (size, size))
     flipped = outer.transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         stack = outer - flipped
@@ -898,10 +836,9 @@ def bivector_to_matrix(biv: ExtendedSuperbivector) -> Supermatrix:
     """Supermatrix phi(B) of the commutator action x -> [B, x], in so_0:
     S K with K = ``_reflection_form``, one product with a body matrix.  An
     entry that overflows raises AlgebraError, without a numpy warning."""
-    mat = biv.mat
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = mat.stack @ _reflection_form(biv.m, biv.n)
-    return Supermatrix(biv.m, 2 * biv.n, mat.with_stack(mat.masks, stack), validate=False)
+        stack = biv.mat.stack @ _reflection_form(biv.m, biv.n)
+    return Supermatrix._adopt(biv.m, 2 * biv.n, biv.order, biv.mat.masks, stack)
 
 
 def matrix_to_bivector(x: Supermatrix, tol: float = DEFAULT_TOL) -> ExtendedSuperbivector:
@@ -964,15 +901,14 @@ def commutator_action(biv: ExtendedSuperbivector, x: Supervector) -> Supervector
     One elementwise blade product of the scaled entries of S with the
     gathered coordinates, summed into place by one ``np.add.at``.
     """
-    if (biv.m, biv.n, biv.order) != (x.m, x.n, x.order):
-        raise ShapeMismatchError("bivector and supervector shapes differ")
+    biv._require_compatible(x)
     rows, cols, factors, sources, targets = _action_table(x.m, x.n)
     masks, products = _blade_product(
         np.multiply, biv.mat.masks, (biv.mat.stack[:, rows, cols] * factors)[:, None, :],
-        x.col.masks, x.col.stack[:, sources, 0][:, None, :], x.order, (1, len(rows)))
-    out = np.zeros((len(masks), x.col.rows), dtype=products.dtype)
+        x.mat.masks, x.mat.stack[:, sources, 0][:, None, :], x.order, (1, len(rows)))
+    out = np.zeros((len(masks), x.mat.rows), dtype=products.dtype)
     np.add.at(out, (slice(None), targets), products[:, 0, :])
-    return Supervector._adopt(x.m, x.n, x.order, masks, out[:, :, None])
+    return x._like(masks, out[:, :, None])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -981,9 +917,8 @@ def apply_matrix(mat: Supermatrix, x: Supervector) -> Supervector:
     entry that overflows raises AlgebraError, without a numpy warning."""
     if mat.p != x.m or mat.q != 2 * x.n or mat.order != x.order:
         raise ShapeMismatchError("matrix and vector shapes differ")
-    return Supervector._adopt(x.m, x.n, x.order, *_blade_product(
-        np.matmul, mat.mat.masks, mat.mat.stack, x.col.masks, x.col.stack, x.order,
-        (x.col.rows, 1)))
+    return x._like(*_blade_product(np.matmul, mat.mat.masks, mat.mat.stack, x.mat.masks,
+                                   x.mat.stack, x.order, (x.mat.rows, 1)))
 
 
 # -- supervector reflections ---------------------------------------------------
@@ -1014,13 +949,11 @@ def reflection_matrix(w: Supervector) -> Supermatrix:
     """
     if not w.on_supersphere():
         raise MembershipError("reflection axis must satisfy w^2 = -1")
-    size = w.col.rows
-    masks, outer = _blade_product(np.matmul, w.col.masks, w.col.stack, w.col.masks,
-                                  w.col.stack.transpose(0, 2, 1), w.order, (size, size))
-    masks, stack = _union_add((0,), np.eye(size, dtype=outer.dtype)[None], masks,
-                              outer @ _reflection_form(w.m, w.n))
-    return Supermatrix(w.m, 2 * w.n, GrassmannMatrix(size, size, w.order, masks=masks,
-                                                     stack=stack), validate=False)
+    size = w.mat.rows
+    masks, outer = _blade_product(np.matmul, w.mat.masks, w.mat.stack, w.mat.masks,
+                                  w.mat.stack.transpose(0, 2, 1), w.order, (size, size))
+    return Supermatrix._adopt(w.m, 2 * w.n, w.order, *_union_add(
+        (0,), np.eye(size, dtype=outer.dtype)[None], masks, outer @ _reflection_form(w.m, w.n)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -1050,23 +983,21 @@ def reflect(w: Supervector, x: Supervector) -> Supervector:
         raise AlgebraError("non-finite coefficient in 2<x, w>")
     masks = np.asarray(masks, dtype=np.int64)[kept]
     if _parity_array(x.order)[masks].any():
-        raise ParityError("supervector scaling factor must be even")
+        raise ParityError("Supervector scaling factor must be even")
     masks, kick = _blade_product(np.multiply, tuple(masks.tolist()), twice[:, None, None],
-                                 w.col.masks, w.col.stack, w.order, (w.col.rows, 1))
+                                 w.mat.masks, w.mat.stack, w.order, (w.mat.rows, 1))
     masks, kick = _drop_zero_slices(masks, _as_stack(_drop_tiny(kick)))
-    return Supervector._adopt(x.m, x.n, x.order,
-                              *_union_add(x.col.masks, x.col.stack, masks, -kick))
+    return x._like(*_union_add(x.mat.masks, x.mat.stack, masks, -kick))
 
 
 def random_supervector(m: int, n: int, order: int, seed: int,
                        scale: float = 0.5) -> Supervector:
-    """Seeded random supervector with real coefficients of correct parity."""
-    rng = np.random.default_rng(seed)
-    even = [random_grassmann(rng, order, parity="even", scale=scale)
-            for _ in range(m)]
-    odd = [random_grassmann(rng, order, parity="odd", scale=scale)
-           for _ in range(2 * n)]
-    return Supervector(m, n, order, even, odd)
+    """Seeded random supervector with real coefficients of correct parity:
+    ``random_grassmann``'s draws, even then odd coordinates, on one stack."""
+    check_signature(m, n, order)
+    stack = _random_stack(np.random.default_rng(seed), order,
+                          (np.arange(m + 2 * n) >= m)[:, None], scale)
+    return Supervector._adopt(m, n, order, range(1 << order), stack)
 
 
 def random_sphere_vector(m: int, n: int, order: int, seed: int,

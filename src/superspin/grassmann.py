@@ -99,6 +99,14 @@ def json_float(value, name: str) -> float:
     raise TypeError(f"{name} must be a number, got {value!r}")
 
 
+def _isclose(self, other, tol: float = DEFAULT_TOL) -> bool:
+    """Whether ``other``, of the same kind (``_require_compatible``), has
+    (self - other).norm() <= tol * max(1, self.norm(), other.norm())."""
+    self._require_compatible(other)
+    scale = max(1.0, self.norm(), other.norm())
+    return (self - other).norm() <= tol * scale
+
+
 # -- JSON text -----------------------------------------------------------------
 
 
@@ -215,6 +223,11 @@ def _to_json(self, newline: str = "\n") -> str:
     return _json_text(self, newline)
 
 
+def _to_dict(self) -> dict:
+    """The payload as plain JSON data: ``to_json``'s text, parsed."""
+    return json.loads(self.to_json())
+
+
 def _format(value, newline: str, values: list) -> str:
     """``value``'s part of ``_json_text``'s format string; the values of its
     cells are appended to ``values`` in the order of their slots.  Exact
@@ -319,8 +332,8 @@ def _read_cells(entries: Sequence[Mapping], order: int, cells: Sequence[int],
     into column ``cells[e]``.  One pass over the terms checks each field
     (``json_int`` only for a value that is not an int, ``json_float`` only
     for one that is not a float); the columns are the cells repeated by
-    their term counts, and the rows come from a 2^N presence array of the
-    masks.  Sums (a repeated mask or column) start from -0.0, so a -0.0 part
+    their term counts, and the rows are the masks present in a 2^N array,
+    each term's row found by binary search.  Sums (a repeated mask or column) start from -0.0, so a -0.0 part
     keeps its sign; one that overflows raises AlgebraError, not a warning.
     Parts below CANON_EPS in both re and im become 0.0, and the stack is
     held by ``_as_stack``'s rule."""
@@ -350,7 +363,7 @@ def _read_cells(entries: Sequence[Mapping], order: int, cells: Sequence[int],
     present = np.zeros(limit, dtype=bool)
     present[masks] = True
     keys = np.flatnonzero(present)
-    slot = np.cumsum(present)[masks] - 1
+    slot = np.searchsorted(keys, masks)
     where = np.repeat(np.fromiter(cells, np.intp, len(counts)), counts)
     values = np.fromiter(parts, np.float64, len(parts)).view(complex)
     stack = np.full((len(keys), count), complex(-0.0, -0.0))
@@ -595,7 +608,7 @@ class GrassmannNumber:
 
     # -- ring operations ---------------------------------------------------
 
-    def _require_same_order(self, other: "GrassmannNumber") -> None:
+    def _require_compatible(self, other: "GrassmannNumber") -> None:
         if self.order != other.order:
             raise OrderMismatchError(
                 f"order mismatch: {self.order} vs {other.order}"
@@ -603,7 +616,7 @@ class GrassmannNumber:
 
     def __add__(self, other):
         if isinstance(other, GrassmannNumber):
-            self._require_same_order(other)
+            self._require_compatible(other)
             out = dict(self.terms)
             for mask, c in other.terms.items():
                 out[mask] = out.get(mask, 0.0) + c
@@ -636,7 +649,7 @@ class GrassmannNumber:
 
     def __mul__(self, other):
         if isinstance(other, GrassmannNumber):
-            self._require_same_order(other)
+            self._require_compatible(other)
             masks, stack = _blade_product(np.multiply, *self._packed(), *other._packed(),
                                           self.order, (1, 1))
             return GrassmannNumber(self.order, dict(zip(masks, stack[:, 0, 0].tolist())))
@@ -706,10 +719,7 @@ class GrassmannNumber:
         """Sum of coefficient moduli; submultiplicative."""
         return sum(abs(c) for c in self.terms.values())
 
-    def isclose(self, other: "GrassmannNumber", tol: float = DEFAULT_TOL) -> bool:
-        self._require_same_order(other)
-        scale = max(1.0, self.norm(), other.norm())
-        return (self - other).norm() <= tol * scale
+    isclose = _isclose
 
     # -- transcendental maps -------------------------------------------------
 
@@ -760,23 +770,16 @@ class GrassmannNumber:
             part for m, c in sorted(self.terms.items()) for part in (m, c.real, c.imag)])
 
     to_json = _to_json
-
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
+    to_dict = _to_dict
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GrassmannNumber":
+        """Inverse of ``to_dict``: the number read as one 1 x 1 cell by
+        ``_read_cells``, its terms by ascending mask."""
         order = json_int(data["N"], "N")
-        terms: dict[int, complex] = {}
-        for item in data.get("terms", []):
-            mask = json_int(item["mask"], "mask")
-            # JSON numbers only; a float skips the call
-            real, imag = item["re"], item.get("im", 0.0)
-            value = complex(real if type(real) is float else json_float(real, "re"),
-                            imag if type(imag) is float else json_float(imag, "im"))
-            # a repeat adds to the first term, not to 0.0: -0.0 keeps its sign
-            terms[mask] = terms[mask] + value if mask in terms else value
-        return cls(order, terms)
+        masks, values = _read_cells((data,), order, (0,), 1)
+        return cls._adopt(order, {m: complex(c) for m, c in zip(masks, values[:, 0].tolist())
+                                  if c})
 
     # -- misc ----------------------------------------------------------------
 
@@ -830,3 +833,17 @@ def random_grassmann(
             c = complex(c, rng.normal(0.0, scale))
         terms[mask] = complex(c)
     return GrassmannNumber(order, terms)
+
+
+def _random_stack(rng, order: int, odd: np.ndarray, scale: float) -> np.ndarray:
+    """A (2^order, *odd.shape) float64 blade stack holding a real
+    ``random_grassmann`` draw per entry, odd where ``odd`` is True and even
+    elsewhere: one ``rng.normal`` call in that function's draw order (the
+    entries row by row, each over its parity's masks ascending), a draw
+    below CANON_EPS set to 0.0 as the number drops it."""
+    entry, mask = np.nonzero(_parity_array(order) == odd.reshape(-1, 1))
+    draws = rng.normal(0.0, scale, len(entry))
+    draws[np.abs(draws) < CANON_EPS] = 0.0
+    stack = np.zeros((1 << order, odd.size))
+    stack[mask, entry] = draws
+    return stack.reshape(1 << order, *odd.shape)

@@ -16,10 +16,8 @@ import numpy as np
 
 from .exceptions import AlgebraError, MembershipError, NotInvertibleError, SingularBodyError
 from .grassmann import (CANON_EPS, DEFAULT_TOL, GrassmannNumber, _blade_product,
-                        _nilpotent_matrix_series, _parity_array, _union_add,
-                        random_grassmann)
+                        _nilpotent_matrix_series, _parity_array, _random_stack, _union_add)
 from .supermatrix import (
-    GrassmannMatrix,
     Supermatrix,
     _body_inverse,
     _log_coeff,
@@ -156,8 +154,7 @@ def grade_path(mat: Supermatrix, t: float, tol: float = DEFAULT_TOL) -> Supermat
     if not check_so0(mat, tol).ok:
         raise MembershipError("grade path requires a special superrotation")
     weights = np.array([t ** mask.bit_count() for mask in mat.mat.masks])
-    stack = weights.reshape(-1, 1, 1) * mat.mat.stack
-    return Supermatrix(mat.p, mat.q, mat.mat.with_stack(mat.mat.masks, stack), validate=False)
+    return mat._like(mat.mat.masks, weights.reshape(-1, 1, 1) * mat.mat.stack)
 
 
 # -- real matrix logarithms -----------------------------------------------------
@@ -342,8 +339,8 @@ def _split_rotation(mat: Supermatrix, tol: float
     b0_inv[:m, :m] = _body_inverse(b0[:m, :m], NotInvertibleError, "body of block A")
     b0_inv[m:, m:] = _body_inverse(b0[m:, m:], NotInvertibleError, "body of block D")
     x = mat.mat.nilpotent_part()
-    nilpotent = Supermatrix(m, 2 * n, x.with_stack(*_nilpotent_matrix_series(
-        x.masks, b0_inv @ x.stack, mat.order, _log_coeff)), validate=False)
+    nilpotent = mat._like(*_nilpotent_matrix_series(x.masks, b0_inv @ x.stack, mat.order,
+                                                    _log_coeff))
     return compact, symmetric, nilpotent, group_body
 
 
@@ -384,8 +381,7 @@ def osp_standard_form(mat: Supermatrix, tol: float = DEFAULT_TOL) -> Supermatrix
     right[m:, m:] = 1j * math.sqrt(2.0) * perm.T
     left = np.eye(size, dtype=complex)
     left[m:, m:] = (-1j / math.sqrt(2.0)) * perm
-    stack = left @ mat.mat.stack @ right
-    return Supermatrix(mat.p, mat.q, mat.mat.with_stack(mat.mat.masks, stack), validate=False)
+    return mat._like(mat.mat.masks, left @ mat.mat.stack @ right)
 
 
 def osp_defect(mat: Supermatrix) -> float:
@@ -449,9 +445,7 @@ def _random_so0_from_rng(m: int, n: int, order: int, rng,
     for coeffs, basis_mat in zip(d_draws.reshape(-1, len(even)), basis):
         d = d + coeffs[:, None, None] * basis_mat
     stack[even, m:, m:] = d
-    return Supermatrix(m, 2 * n, GrassmannMatrix(m + 2 * n, m + 2 * n, order,
-                                                 masks=range(1 << order), stack=stack),
-                       validate=False)
+    return Supermatrix._adopt(m, 2 * n, order, range(1 << order), stack)
 
 
 def random_so0(m: int, n: int, order: int, seed: int,
@@ -473,14 +467,10 @@ def random_rotation(m: int, n: int, order: int, seed: int, factors: int = 3,
 
 def random_supermatrix(m: int, n: int, order: int, seed: int,
                        scale: float = 0.25) -> Supermatrix:
-    """Seeded random parity-valid supermatrix (no group constraint)."""
-    rng = np.random.default_rng(seed)
-    size = m + 2 * n
-    zero = GrassmannNumber.zero(order)
-    grid = [[zero for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            diag_block = (i < m) == (j < m)
-            parity = "even" if diag_block else "odd"
-            grid[i][j] = random_grassmann(rng, order, parity=parity, scale=scale)
-    return Supermatrix.from_entries(m, 2 * n, grid, order)
+    """Seeded random parity-valid supermatrix (no group constraint):
+    ``random_grassmann``'s draws, entry by entry, row by row, on one stack,
+    even in the diagonal blocks and odd off them."""
+    bosonic = np.arange(m + 2 * n) < m
+    stack = _random_stack(np.random.default_rng(seed), order,
+                          bosonic[:, None] != bosonic[None, :], scale)
+    return Supermatrix._adopt(m, 2 * n, order, range(1 << order), stack)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -33,7 +32,7 @@ from .clifford import (
     matrix_to_bivector,
 )
 from .exceptions import AlgebraError, CapExceededError, MembershipError, ShapeMismatchError
-from .grassmann import DEFAULT_TOL, GrassmannNumber, _to_json, json_int
+from .grassmann import DEFAULT_TOL, GrassmannNumber, _to_dict, _to_json, json_int
 from .orthosymplectic import (
     _split_rotation,
     check_so0,
@@ -73,9 +72,7 @@ class SpinElement:
         return {"m": self.m, "n": self.n, "N": self.order, "factors": list(self.factors)}
 
     to_json = _to_json
-
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
+    to_dict = _to_dict
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SpinElement":
@@ -136,10 +133,8 @@ def split_bivector(biv: ExtendedSuperbivector) -> BivectorSplit:
     symmetric = np.zeros_like(compact)
     symmetric[m:, m:] = (d + turned) / 2
     start = 1 if mat.masks[:1] == (0,) else 0
-    return BivectorSplit(*(
-        ExtendedSuperbivector._adopt(m, biv.n, biv.order, masks, stack) for masks, stack in (
-            ((0,), compact[None]), ((0,), symmetric[None]),
-            (mat.masks[start:], mat.stack[start:]))))
+    return BivectorSplit(*(biv._like(masks, stack) for masks, stack in (
+        ((0,), compact[None]), ((0,), symmetric[None]), (mat.masks[start:], mat.stack[start:]))))
 
 
 def lift_rotation(mat: Supermatrix, tol: float = DEFAULT_TOL) -> SpinElement:

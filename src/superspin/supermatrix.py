@@ -9,13 +9,16 @@ the way to a result take their operands' ``np.result_type``, so a real
 matrix computes in real arithmetic and a complex operand makes it complex.
 Products of matrices (``@`` and scaling by a GrassmannNumber) go through
 ``grassmann``'s blade-stack kernel, the one that multiplies Grassmann numbers.
-Supermatrix adds the (p|q) parity pattern, supertranspose, supertrace,
-Berezinian, inverse and the exp/ln pair.  The Berezinian, and ``det`` as its
-q = 0 case, is det A0 / det D0 * exp(str log(I + X)) for M = M0 (I + X):
-numpy on the body M0 and a finite sum of supertraces of powers of the
-nilpotent X, half of them formed as matrices.  A body with
-condition number above COND_LIMIT raises SingularBodyError (block A, ``det``)
-or NotInvertibleError (block D, ``inverse``).  The exp/ln and nilpotent series
+``_Graded`` is a packed matrix under a grading, with its +, -, scale, norm
+and isclose written once; Supermatrix, and ``clifford``'s Supervector and
+ExtendedSuperbivector, subclass it.  Supermatrix adds the (p|q) parity
+pattern, supertranspose, supertrace, Berezinian, inverse and the exp/ln pair.
+The Berezinian, and ``det`` as its q = 0 case, is det A0 / det D0 *
+exp(str log(I + X)) for M = M0 (I + X): numpy on the body M0 and a finite
+sum of supertraces of powers of the nilpotent X, half of them formed as
+matrices.  A body with condition number above COND_LIMIT raises
+SingularBodyError (block A, ``det``) or NotInvertibleError (block D,
+``inverse``).  The exp/ln and nilpotent series
 iterate on raw (masks, stack) pairs and build one matrix at the end; exp with
 no body blade and ln with body exactly I are finite nilpotent series, summed
 by the kernel's ``_nilpotent_matrix_series`` as the number series are.
@@ -24,7 +27,6 @@ by the kernel's ``_nilpotent_matrix_series`` as the number series are.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from types import MappingProxyType
@@ -41,9 +43,9 @@ from .exceptions import (
     ShapeMismatchError,
     SingularBodyError,
 )
-from .grassmann import (CANON_EPS, DEFAULT_TOL, GrassmannNumber, _as_stack, _blade_product,
-                        _drop_zero_slices, _json_cells, _nilpotent_matrix_series,
-                        _parity_array, _read_cells, _to_json, _union_add, json_int)
+from .grassmann import (CANON_EPS, GrassmannNumber, _as_stack, _blade_product,
+                        _drop_zero_slices, _isclose, _json_cells, _nilpotent_matrix_series,
+                        _parity_array, _read_cells, _to_dict, _to_json, _union_add, json_int)
 
 # Relative truncation threshold for the exp/ln power series.
 SERIES_EPS = 1e-14
@@ -178,7 +180,7 @@ class GrassmannMatrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _require_same_shape(self, other: "GrassmannMatrix") -> None:
+    def _require_compatible(self, other: "GrassmannMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatchError(
                 f"shape mismatch: {(self.rows, self.cols)} vs {(other.rows, other.cols)}"
@@ -187,11 +189,11 @@ class GrassmannMatrix:
             raise OrderMismatchError(f"order mismatch: {self.order} vs {other.order}")
 
     def __add__(self, other: "GrassmannMatrix") -> "GrassmannMatrix":
-        self._require_same_shape(other)
+        self._require_compatible(other)
         return self.with_stack(*_union_add(self.masks, self.stack, other.masks, other.stack))
 
     def __sub__(self, other: "GrassmannMatrix") -> "GrassmannMatrix":
-        self._require_same_shape(other)
+        self._require_compatible(other)
         return self.with_stack(*_union_add(self.masks, self.stack, other.masks, -other.stack))
 
     def __neg__(self) -> "GrassmannMatrix":
@@ -240,9 +242,7 @@ class GrassmannMatrix:
         """Entry-sum norm: sum over entries of Grassmann coefficient norms."""
         return float(np.abs(self.stack).sum())
 
-    def isclose(self, other: "GrassmannMatrix", tol: float = DEFAULT_TOL) -> bool:
-        scale = max(1.0, self.norm(), other.norm())
-        return (self - other).norm() <= tol * scale
+    isclose = _isclose
 
     # -- inverse and determinant --------------------------------------------
 
@@ -325,10 +325,62 @@ def split_symplectic_form(n: int) -> np.ndarray:
     return j
 
 
-class Supermatrix:
+class _Graded:
+    """A packed GrassmannMatrix ``mat`` under a grading ``_grading``, a pair
+    such as (p, q) or (m, n).  A subclass builds each result with its own
+    ``_adopt(a, b, order, masks, stack)``; an operand of another grading or
+    order raises ShapeMismatchError or OrderMismatchError, naming the class."""
+
+    __slots__ = ("mat",)
+
+    @property
+    def order(self) -> int:
+        return self.mat.order
+
+    def _like(self, masks: Sequence[int], stack: np.ndarray):
+        """The element of this grading and order holding ``stack``."""
+        return self._adopt(*self._grading, self.mat.order, masks, stack)
+
+    def _require_compatible(self, other: "_Graded") -> None:
+        name = type(self).__name__
+        if self._grading != other._grading:
+            raise ShapeMismatchError(
+                f"{name} grading mismatch: {self._grading} vs {other._grading}")
+        if self.mat.order != other.mat.order:
+            raise OrderMismatchError(
+                f"{name} order mismatch: {self.mat.order} vs {other.mat.order}")
+
+    def __add__(self, other):
+        self._require_compatible(other)
+        return self._like(*_union_add(self.mat.masks, self.mat.stack,
+                                      other.mat.masks, other.mat.stack))
+
+    def __sub__(self, other):
+        self._require_compatible(other)
+        return self._like(*_union_add(self.mat.masks, self.mat.stack,
+                                      other.mat.masks, -other.mat.stack))
+
+    def __neg__(self):
+        return self.scale(-1.0)
+
+    def scale(self, factor):
+        """Left-multiply by a complex number or an even GrassmannNumber; an
+        odd or mixed one raises ParityError."""
+        if isinstance(factor, GrassmannNumber) and not factor.is_even():
+            raise ParityError(f"{type(self).__name__} scaling factor must be even")
+        return self._like(*self.mat._scaled(factor))
+
+    def norm(self) -> float:
+        """Entry-sum norm of ``mat``."""
+        return self.mat.norm()
+
+    isclose = _isclose
+
+
+class Supermatrix(_Graded):
     """(p|q) block supermatrix: diagonal blocks even, off-diagonal blocks odd."""
 
-    __slots__ = ("p", "q", "mat")
+    __slots__ = ("p", "q")
 
     def __init__(self, p: int, q: int, mat: GrassmannMatrix, validate: bool = True):
         if min(p, q) < 0 or mat.rows != mat.cols or mat.rows != p + q:
@@ -340,11 +392,16 @@ class Supermatrix:
         if validate:
             self.validate_parity()
 
-    # -- constructors ------------------------------------------------------
+    _grading = property(lambda self: (self.p, self.q))
 
-    @property
-    def order(self) -> int:
-        return self.mat.order
+    @classmethod
+    def _adopt(cls, p: int, q: int, order: int, masks: Sequence[int],
+               stack: np.ndarray) -> "Supermatrix":
+        """The (p|q) supermatrix holding ``stack`` under ``masks``; no parity check."""
+        return cls(p, q, GrassmannMatrix(p + q, p + q, order, masks=masks, stack=stack),
+                   validate=False)
+
+    # -- constructors ------------------------------------------------------
 
     @property
     def size(self) -> int:
@@ -423,28 +480,6 @@ class Supermatrix:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _require_compatible(self, other: "Supermatrix") -> None:
-        if (self.p, self.q) != (other.p, other.q):
-            raise ShapeMismatchError(
-                f"block shape mismatch: ({self.p}|{self.q}) vs ({other.p}|{other.q})"
-            )
-        if self.order != other.order:
-            raise OrderMismatchError(f"order mismatch: {self.order} vs {other.order}")
-
-    def __add__(self, other: "Supermatrix") -> "Supermatrix":
-        self._require_compatible(other)
-        return Supermatrix(self.p, self.q, self.mat + other.mat, validate=False)
-
-    def __sub__(self, other: "Supermatrix") -> "Supermatrix":
-        self._require_compatible(other)
-        return Supermatrix(self.p, self.q, self.mat - other.mat, validate=False)
-
-    def __neg__(self) -> "Supermatrix":
-        return Supermatrix(self.p, self.q, -self.mat, validate=False)
-
-    def scale(self, factor) -> "Supermatrix":
-        return Supermatrix(self.p, self.q, self.mat.scale(factor), validate=False)
-
     def __matmul__(self, other: "Supermatrix") -> "Supermatrix":
         self._require_compatible(other)
         return Supermatrix(self.p, self.q, self.mat @ other.mat, validate=False)
@@ -454,8 +489,7 @@ class Supermatrix:
         p = self.p
         out = self.mat.stack.transpose(0, 2, 1).copy()
         out[:, p:, :p] *= -1.0
-        return Supermatrix(self.p, self.q, self.mat.with_stack(self.mat.masks, out),
-                           validate=False)
+        return self._like(self.mat.masks, out)
 
     def supertrace(self) -> GrassmannNumber:
         """tr(A) - tr(D); an even Grassmann number."""
@@ -477,13 +511,6 @@ class Supermatrix:
 
     def grade(self, k: int) -> "Supermatrix":
         return Supermatrix(self.p, self.q, self.mat.grade(k), validate=False)
-
-    def norm(self) -> float:
-        return self.mat.norm()
-
-    def isclose(self, other: "Supermatrix", tol: float = DEFAULT_TOL) -> bool:
-        self._require_compatible(other)
-        return self.mat.isclose(other.mat, tol)
 
     # -- inverse / Berezinian -------------------------------------------------
 
@@ -569,9 +596,7 @@ class Supermatrix:
         }
 
     to_json = _to_json
-
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
+    to_dict = _to_dict
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Supermatrix":
@@ -597,14 +622,13 @@ def expm(m: Supermatrix) -> Supermatrix:
     """Matrix exponential over Lambda_N: the finite sum of x^k / k! for input
     with no body blade, else scaling and squaring, with the argument scaled
     to entry-sum norm at most 1 and a Taylor series to SERIES_EPS.  Terms
-    stay raw blade stacks; an argument whose norm overflows, or the one
-    matrix built at the end with a non-finite entry, raises AlgebraError,
-    without a numpy warning from the norm, a term or a square."""
+    stay raw blade stacks; an argument whose norm overflows, a square with
+    a non-finite entry (the squaring stops there) or a non-finite sum raises
+    AlgebraError, without a numpy warning from the norm, a term or a square."""
     mat, size = m.mat, m.size
     if not mat.masks or mat.masks[0] != 0:
-        return Supermatrix(m.p, m.q, mat.with_stack(*_nilpotent_matrix_series(
-            mat.masks, mat.stack, m.order, lambda k: 1.0 / math.factorial(k))),
-            validate=False)
+        return m._like(*_nilpotent_matrix_series(mat.masks, mat.stack, m.order,
+                                                 lambda k: 1.0 / math.factorial(k)))
     norm = mat.norm()
     if not math.isfinite(norm):
         raise AlgebraError("entry-sum norm overflows, so exp cannot scale its argument")
@@ -623,7 +647,9 @@ def expm(m: Supermatrix) -> Supermatrix:
             break
     for _ in range(s):
         total_masks, total = _drop_zero_slices(*product(total_masks, total, total_masks, total))
-    return Supermatrix(m.p, m.q, mat.with_stack(total_masks, total), validate=False)
+        if not np.isfinite(total).all():
+            raise AlgebraError("non-finite entry in blade slice")
+    return m._like(total_masks, total)
 
 
 def logm(m: Supermatrix) -> Supermatrix:
@@ -639,8 +665,7 @@ def logm(m: Supermatrix) -> Supermatrix:
     eye = np.eye(size, dtype=mat.stack.dtype)[None]
     masks, stack = _drop_zero_slices(*_union_add(mat.masks, mat.stack, (0,), -eye))
     if not masks or masks[0] != 0:
-        return Supermatrix(m.p, m.q, mat.with_stack(*_nilpotent_matrix_series(
-            masks, stack, m.order, _log_coeff)), validate=False)
+        return m._like(*_nilpotent_matrix_series(masks, stack, m.order, _log_coeff))
     product = functools.partial(_blade_product, np.matmul, order=m.order, shape=(size, size))
     total_masks, total = (), np.zeros((0, size, size), dtype=stack.dtype)
     power_masks, power = (0,), eye
@@ -664,7 +689,7 @@ def logm(m: Supermatrix) -> Supermatrix:
             raise LogDomainError(
                 f"logarithm series did not converge in {max_iter} terms "
                 f"(last term norm {power_norm / max_iter:.3e})")
-    return Supermatrix(m.p, m.q, mat.with_stack(total_masks, total), validate=False)
+    return m._like(total_masks, total)
 
 
 @functools.cache

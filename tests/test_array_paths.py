@@ -125,7 +125,7 @@ def test_an_oscillator_power_checks_the_signature():
 
 
 def scaled(w, factor):
-    return Supervector.from_column(w.m, w.n, w.col.with_stack(w.col.masks, w.col.stack * factor))
+    return Supervector.from_column(w.m, w.n, w.mat.with_stack(w.mat.masks, w.mat.stack * factor))
 
 
 @pytest.mark.parametrize("m, n, order", [(3, 1, 4), (4, 2, 4), (1, 0, 0), (2, 1, 2),
@@ -153,9 +153,9 @@ def test_the_supersphere_test_matches_the_number_composition(m, n, order):
 def test_a_supersphere_test_that_overflows_raises_without_a_warning():
     w = random_sphere_vector(3, 1, 4, seed=2)
     for value in (1.7e308, -1.7e308, 1e200):
-        stack = w.col.stack.copy()
+        stack = w.mat.stack.copy()
         stack[0, 0, 0] = value
-        huge = Supervector.from_column(3, 1, w.col.with_stack(w.col.masks, stack))
+        huge = Supervector.from_column(3, 1, w.mat.with_stack(w.mat.masks, stack))
         with pytest.raises(AlgebraError, match="non-finite coefficient"):
             huge.on_supersphere()
         with pytest.raises(AlgebraError, match="non-finite coefficient"):

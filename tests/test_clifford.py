@@ -199,8 +199,8 @@ def reference_inner(x, y):
     u = np.arange(x.m, x.m + 2 * x.n, 2)
     gram[u, u + 1], gram[u + 1, u] = -0.5, 0.5
     masks, stack = _blade_product(
-        np.matmul, x.col.masks, x.col.stack.transpose(0, 2, 1), y.col.masks,
-        gram @ y.col.stack, x.order, (1, 1))
+        np.matmul, x.mat.masks, x.mat.stack.transpose(0, 2, 1), y.mat.masks,
+        gram @ y.mat.stack, x.order, (1, 1))
     return GrassmannNumber(x.order, dict(zip(masks, stack[:, 0, 0].tolist())))
 
 

@@ -82,16 +82,8 @@ def held_complex(obj):
     if isinstance(obj, Supermatrix):
         return Supermatrix(obj.p, obj.q, held_complex(obj.mat), validate=False)
     copy = object.__new__(type(obj))
-    copy.m, copy.n, copy.order = obj.m, obj.n, obj.order
-    if isinstance(obj, Supervector):
-        copy.col = held_complex(obj.col)
-    else:
-        copy.mat = held_complex(obj.mat)
+    copy.m, copy.n, copy.mat = obj.m, obj.n, held_complex(obj.mat)
     return copy
-
-
-def matrix_of(obj) -> GrassmannMatrix:
-    return obj.col if isinstance(obj, Supervector) else obj.mat
 
 
 def odd_part(mat: Supermatrix) -> Supermatrix:
@@ -114,7 +106,7 @@ def assert_close(got, want):
     if isinstance(want, GrassmannNumber):
         assert got.isclose(want, TOL)
     else:
-        assert matrix_of(got).isclose(matrix_of(want), TOL)
+        assert got.mat.isclose(want.mat, TOL)
 
 
 # -- operands ----------------------------------------------------------------------
@@ -141,10 +133,10 @@ ALGEBRA_MIXED = ALGEBRA + odd_part(random_so0(M, N, ORDER, seed=11)).scale(0.2j)
 
 def test_the_operands_have_the_dtypes_the_rule_gives():
     for real in (ROTATION, ROTATION_B, ALGEBRA, NEAR_IDENTITY, VECTOR, AXIS, BIVECTOR):
-        assert matrix_of(real).stack.dtype == np.float64
+        assert real.mat.stack.dtype == np.float64
     for mixed in (MATRIX_C, ALGEBRA_C, VECTOR_C, BIVECTOR_C, ROTATION_MIXED, ALGEBRA_MIXED):
-        assert matrix_of(mixed).stack.dtype == np.complex128
-        assert np.abs(matrix_of(mixed).stack.imag).max() > 0.01
+        assert mixed.mat.stack.dtype == np.complex128
+        assert np.abs(mixed.mat.stack.imag).max() > 0.01
     assert random_supermatrix(M, N, ORDER, seed=8).mat.stack.dtype == np.float64
     # the blocks of the mixed inputs: real diagonal, complex odd
     assert ROTATION_MIXED.block_a().stack.dtype == np.float64
@@ -182,8 +174,8 @@ def test_a_complex_operand_gives_the_complex_computation(name):
     function, args = MIXED[name]
     got, want = same_as_complex_computation(function, *args)
     if not isinstance(got, GrassmannNumber):
-        assert matrix_of(got).stack.dtype == np.complex128
-        assert np.abs(matrix_of(got).stack.imag).max() > 1e-3
+        assert got.mat.stack.dtype == np.complex128
+        assert np.abs(got.mat.stack.imag).max() > 1e-3
     assert_close(got, want)
 
 
@@ -210,8 +202,8 @@ def test_real_operands_compute_in_float64_as_the_complex_computation(name):
     function, args = REAL[name]
     got, want = same_as_complex_computation(function, *args)
     if not isinstance(got, GrassmannNumber):
-        assert matrix_of(got).stack.dtype == np.float64
-        assert matrix_of(want).stack.dtype == np.complex128
+        assert got.mat.stack.dtype == np.float64
+        assert want.mat.stack.dtype == np.complex128
     assert_close(got, want)
 
 
@@ -342,6 +334,37 @@ def test_seeded_rotations_are_the_products_of_the_per_entry_exponentials():
         assert random_rotation(*shape, seed=seed).mat.isclose(want.mat, 1e-14)
 
 
+def per_entry_supermatrix(m, n, order, seed, scale=0.25):
+    """``random_supermatrix`` as it was built: one ``random_grassmann`` per
+    entry, row by row, even in the diagonal blocks and odd off them."""
+    rng = np.random.default_rng(seed)
+    size = m + 2 * n
+    grid = [[random_grassmann(rng, order, parity="even" if (i < m) == (j < m) else "odd",
+                              scale=scale) for j in range(size)] for i in range(size)]
+    return Supermatrix.from_entries(m, 2 * n, grid, order)
+
+
+def per_entry_supervector(m, n, order, seed, scale=0.5):
+    """``random_supervector`` as it was built: m even, then 2n odd numbers."""
+    rng = np.random.default_rng(seed)
+    even = [random_grassmann(rng, order, parity="even", scale=scale) for _ in range(m)]
+    odd = [random_grassmann(rng, order, parity="odd", scale=scale) for _ in range(2 * n)]
+    return Supervector(m, n, order, even, odd)
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 0), (3, 0, 1), (2, 1, 4), (6, 2, 4), (4, 2, 4),
+                                   (3, 1, 5), (0, 0, 3), (1, 1, 0)])
+def test_seeded_supermatrices_and_vectors_are_the_per_entry_draws(shape):
+    for seed in range(5):
+        for got, want in ((random_supermatrix(*shape, seed=seed),
+                           per_entry_supermatrix(*shape, seed)),
+                          (random_supervector(*shape, seed=seed),
+                           per_entry_supervector(*shape, seed))):
+            assert got.mat.masks == want.mat.masks
+            assert got.mat.stack.dtype == want.mat.stack.dtype == np.float64
+            assert got.mat.stack.tobytes() == want.mat.stack.tobytes()
+
+
 # -- signed zeros and the rule itself ------------------------------------------------
 
 
@@ -356,12 +379,12 @@ def test_a_negative_zero_imaginary_part_keeps_its_stack_complex_and_its_text():
                 if cls is Supermatrix else data["b"][0]["coeff"])
         cell["terms"][0]["im"] = -0.0
         held = cls.from_dict(data)
-        assert matrix_of(held).stack.dtype == np.complex128
+        assert held.mat.stack.dtype == np.complex128
         text = held.to_json()
         assert text.count('"im": -0.0') == 1
         assert cls.from_dict(json.loads(text)).to_json() == text
         cell["terms"][0]["im"] = 0.0
-        assert matrix_of(cls.from_dict(data)).stack.dtype == np.float64
+        assert cls.from_dict(data).mat.stack.dtype == np.float64
 
 
 def test_the_rule_reads_the_bits_of_every_imaginary_part():

@@ -187,7 +187,7 @@ def oracle_dict(x) -> dict:
         return {"p": x.p, "q": x.q, "N": x.order,
                 "rows": [cells[i * size:(i + 1) * size] for i in range(size)]}
     if isinstance(x, Supervector):
-        cells = oracle_cells(x.order, x.col.masks, x.col.stack[:, :, 0].T)
+        cells = oracle_cells(x.order, x.mat.masks, x.mat.stack[:, :, 0].T)
         return {"m": x.m, "n": x.n, "N": x.order, "even": cells[:x.m], "odd": cells[x.m:]}
     if isinstance(x, ExtendedSuperbivector):
         return oracle_bivector_dict(x.m, x.n, x.order, (x.b, x.bq, x.bb))

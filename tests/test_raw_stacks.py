@@ -71,15 +71,15 @@ def old_vector(m, n, col):
     value, then rebuild it from the canonical stack."""
     clean = old_drop_tiny(col.stack)
     vec = object.__new__(Supervector)
-    vec.m, vec.n, vec.order = m, n, col.order
-    vec.col = col if (clean == col.stack).all() else col.with_stack(col.masks, clean)
+    vec.m, vec.n = m, n
+    vec.mat = col if (clean == col.stack).all() else col.with_stack(col.masks, clean)
     return vec
 
 
 def old_bivector(m, n, mat):
     clean = old_drop_tiny(mat.stack, _layout(m, n).canon)
     biv = object.__new__(ExtendedSuperbivector)
-    biv.m, biv.n, biv.order = m, n, mat.order
+    biv.m, biv.n = m, n
     biv.mat = mat if (clean == mat.stack).all() else mat.with_stack(mat.masks, clean)
     return biv
 
@@ -88,13 +88,13 @@ def old_scale(x, factor):
     if isinstance(factor, GrassmannNumber) and not factor.is_even():
         raise ParityError("scaling factor must be even")
     if isinstance(x, Supervector):
-        return old_vector(x.m, x.n, x.col.scale(factor))
+        return old_vector(x.m, x.n, x.mat.scale(factor))
     return old_bivector(x.m, x.n, x.mat.scale(factor))
 
 
 def old_sum(x, y, sign):
     if isinstance(x, Supervector):
-        return old_vector(x.m, x.n, x.col + y.col if sign > 0 else x.col - y.col)
+        return old_vector(x.m, x.n, x.mat + y.mat if sign > 0 else x.mat - y.mat)
     return old_bivector(x.m, x.n, x.mat + y.mat if sign > 0 else x.mat - y.mat)
 
 
@@ -105,8 +105,8 @@ def old_reflect(w, x):
 
 
 def old_wedge(x, y):
-    m, size = x.m, x.col.rows
-    outer = x.col @ y.col.transpose()
+    m, size = x.m, x.mat.rows
+    outer = x.mat @ y.mat.transpose()
     flipped = outer.stack.transpose(0, 2, 1)
     stack = outer.stack - flipped
     stack[:, m:, m:] = outer.stack[:, m:, m:] + flipped[:, m:, m:]
@@ -115,23 +115,23 @@ def old_wedge(x, y):
 
 
 def old_apply_matrix(mat, x):
-    return old_vector(x.m, x.n, mat.mat @ x.col)
+    return old_vector(x.m, x.n, mat.mat @ x.mat)
 
 
 def old_commutator_action(biv, x):
     rows, cols, factors, sources, targets = _action_table(x.m, x.n)
     masks, products = _blade_product(
         np.multiply, biv.mat.masks, (biv.mat.stack[:, rows, cols] * factors)[:, None, :],
-        x.col.masks, x.col.stack[:, sources, 0][:, None, :], x.order, (1, len(rows)))
-    out = np.zeros((len(masks), x.col.rows), dtype=products.dtype)
+        x.mat.masks, x.mat.stack[:, sources, 0][:, None, :], x.order, (1, len(rows)))
+    out = np.zeros((len(masks), x.mat.rows), dtype=products.dtype)
     np.add.at(out, (slice(None), targets), products[:, 0, :])
-    return old_vector(x.m, x.n, x.col.with_stack(masks, out[:, :, None]))
+    return old_vector(x.m, x.n, x.mat.with_stack(masks, out[:, :, None]))
 
 
 def old_reflection_matrix(w):
-    outer = w.col @ w.col.transpose()
+    outer = w.mat @ w.mat.transpose()
     kick = outer.with_stack(outer.masks, outer.stack @ _reflection_form(w.m, w.n))
-    return Supermatrix(w.m, 2 * w.n, GrassmannMatrix.eye(w.col.rows, w.order) + kick,
+    return Supermatrix(w.m, 2 * w.n, GrassmannMatrix.eye(w.mat.rows, w.order) + kick,
                        validate=False)
 
 
@@ -180,12 +180,12 @@ def signed_zeros(x, rng):
     """``x`` on a complex stack with a random half of its zero parts turned
     to -0.0: a canonical column, held as it is (complex, as some imaginary
     part is -0.0)."""
-    stack = x.col.stack.astype(complex)
+    stack = x.mat.stack.astype(complex)
     flat = stack.reshape(-1)
     for part in (flat.real, flat.imag):
         zero = np.flatnonzero(part == 0.0)
         part[rng.choice(zero, size=len(zero) // 2, replace=False)] = -0.0
-    return Supervector.from_column(x.m, x.n, x.col.with_stack(x.col.masks, stack))
+    return Supervector.from_column(x.m, x.n, x.mat.with_stack(x.mat.masks, stack))
 
 
 COMPLEX = 0.6 - 0.8j
@@ -198,7 +198,7 @@ def vectors(m, n, order, seed, kind):
     one."""
     x = random_supervector(m, n, order, seed=seed)
     y = random_supervector(m, n, order, seed=seed + 1)
-    assert x.col.stack.dtype == y.col.stack.dtype == np.float64
+    assert x.mat.stack.dtype == y.mat.stack.dtype == np.float64
     if kind == "signed-zero":
         rng = np.random.default_rng(seed)
         return signed_zeros(x, rng), signed_zeros(y.scale(-1.0), rng)
@@ -236,8 +236,7 @@ def same_outcome(got, want):
     if isinstance(want, type):
         assert got is want
     else:
-        same_bits(got.col if isinstance(got, Supervector) else got.mat,
-                  want.col if isinstance(want, Supervector) else want.mat)
+        same_bits(got.mat, want.mat)
 
 
 CASES = st.tuples(st.sampled_from(SHAPES), st.integers(0, 10 ** 6),
@@ -321,8 +320,8 @@ def test_reflections_are_bit_identical(case):
 def test_the_zero_vector_has_no_blades_and_reflects_to_itself():
     w = random_sphere_vector(2, 1, 4, seed=5)
     zero = Supervector.zero(2, 1, 4)
-    assert zero.col.masks == () and zero.col.stack.shape == (0, 4, 1)
-    same_bits(reflect(w, zero).col, zero.col)
+    assert zero.mat.masks == () and zero.mat.stack.shape == (0, 4, 1)
+    same_bits(reflect(w, zero).mat, zero.mat)
     same_bits(wedge(zero, w).mat, ExtendedSuperbivector.zero(2, 1, 4).mat)
 
 
@@ -331,13 +330,13 @@ def test_a_result_without_tiny_entries_keeps_its_signed_zeros():
     complex one (scaling by -1 + 0j also gives -0.0 imaginary parts, so the
     stack stays complex)."""
     def zero_parts(vec):
-        stack = vec.col.stack
+        stack = vec.mat.stack
         parts = np.concatenate([stack.real.ravel(), stack.imag.ravel()])
         return parts[parts == 0.0]
 
     for factor, dtype in ((-1.0, np.float64), (complex(-1.0, 0.0), np.complex128)):
         x = random_supervector(2, 1, 4, seed=8).scale(factor)
-        assert x.col.stack.dtype == dtype
+        assert x.mat.stack.dtype == dtype
         assert np.signbit(zero_parts(x)).any()
         assert not np.signbit(zero_parts(x.scale(1e-15))).any()
 

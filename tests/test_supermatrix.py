@@ -2,7 +2,9 @@
 Berezinian, inverse, exponential and logarithm."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from superspin import (
     symplectic_form,
 )
 from superspin import supermatrix
-from superspin.grassmann import _nilpotent_matrix_series
+from superspin.grassmann import _blade_product, _nilpotent_matrix_series
 from superspin.supermatrix import COND_LIMIT, SERIES_EPS
 from test_kernel import SETTINGS, parity_blocks
 
@@ -652,6 +654,27 @@ def test_exp_of_argument_with_overflowing_norm_raises_algebra_error():
     with pytest.raises(AlgebraError, match="norm overflows") as info:
         expm(Supermatrix.from_body(M_DIM, 0, body, ORDER))
     assert type(info.value) is AlgebraError
+
+
+def test_exp_stops_squaring_at_the_first_overflow(monkeypatch):
+    """A diagonal body coefficient of 1.7e308 in the golden exp payload makes
+    the squaring count about 1024; the total overflows within a few squares,
+    and exp raises there, after a few dozen kernel products, not one a step."""
+    data = json.loads((Path(__file__).parent / "golden" / "exp.json").read_text())
+    diagonal = next(row[i]["terms"][0] for i, row in enumerate(data["rows"])
+                    if row[i]["terms"] and row[i]["terms"][0]["mask"] == 0)
+    diagonal["re"] = 1.7e308
+    mat = Supermatrix.from_dict(data)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _blade_product(*args, **kwargs)
+
+    monkeypatch.setattr(supermatrix, "_blade_product", counted)
+    with pytest.raises(AlgebraError, match="^non-finite entry in blade slice$"):
+        expm(mat)
+    assert 0 < len(calls) < 100
 
 
 def test_log_domain_error():
