@@ -19,7 +19,7 @@ An extended superbivector is one packed graded-antisymmetric
 (m + 2n) x (m + 2n) matrix S, chosen so that the isomorphism onto the Lie
 algebra so_0 is phi(B) = S K and its inverse S = X K^-1, with
 K = blockdiag(-2 I_m, Omega_2n) the form of ``inner``; its arithmetic is
-whole-stack, and the commutator action has a table of its own over S.
+whole-stack, and its commutator action on a supervector is phi(B) x.
 
 Both classes subclass ``supermatrix._Graded``, which writes their linear
 operations and comparison once.  One construction: every Supervector and
@@ -861,54 +861,11 @@ def matrix_to_bivector(x: Supermatrix, tol: float = DEFAULT_TOL) -> ExtendedSupe
     return biv
 
 
-@functools.cache
-def _action_table(m: int, n: int) -> tuple[np.ndarray, ...]:
-    """The terms of [B, x] as index arrays over S: term t adds
-    factor[t] * S[row[t], col[t]] * x[source[t]] to coordinate target[t].
-
-    From the commutators: b_jk sends x_j to 2 b_jk x_j in k and x_k to
-    -2 b_jk x_k in j; bq_ju sends x_j to 2 bq_ju x_j in u and the partner w
-    of u to +-bq_ju x'_w in j (+ for odd u); bb_uv sends the partner of u
-    into v and that of v into u (S holds 2 bb_uu on the diagonal).
-    """
-    def partner(u: int) -> tuple[float, int]:
-        # e'_u pairs with +x'_{u+1} for odd u, -x'_{u-1} for even u (1-based)
-        return (1.0, m + u + 1) if u % 2 == 0 else (-1.0, m + u - 1)
-
-    terms = []
-    for j in range(m):
-        for k in range(j + 1, m):
-            terms += [(j, k, 2.0, j, k), (j, k, -2.0, k, j)]
-        for u in range(2 * n):
-            terms += [(j, m + u, 2.0, j, m + u), (j, m + u, *partner(u), j)]
-    for u in range(2 * n):
-        for v in range(u, 2 * n):
-            half = 0.5 if u == v else 1.0
-            (su, pu), (sv, pv) = partner(u), partner(v)
-            terms += [(m + u, m + v, half * su, pu, m + v),
-                      (m + u, m + v, half * sv, pv, m + u)]
-    table = tuple(np.array(column) for column in zip(*terms)) if terms else (
-        np.zeros(0, dtype=np.int64),) * 5
-    for array in table:
-        array.flags.writeable = False
-    return table
-
-
 def commutator_action(biv: ExtendedSuperbivector, x: Supervector) -> Supervector:
-    """[B, x] from its own table of terms over S (``_action_table``);
-    agrees with the matrix action.
-
-    One elementwise blade product of the scaled entries of S with the
-    gathered coordinates, summed into place by one ``np.add.at``.
-    """
+    """[B, x] = phi(B) x: ``apply_matrix`` of ``bivector_to_matrix``, the
+    matrix that defines phi.  An entry that overflows raises AlgebraError."""
     biv._require_compatible(x)
-    rows, cols, factors, sources, targets = _action_table(x.m, x.n)
-    masks, products = _blade_product(
-        np.multiply, biv.mat.masks, (biv.mat.stack[:, rows, cols] * factors)[:, None, :],
-        x.mat.masks, x.mat.stack[:, sources, 0][:, None, :], x.order, (1, len(rows)))
-    out = np.zeros((len(masks), x.mat.rows), dtype=products.dtype)
-    np.add.at(out, (slice(None), targets), products[:, 0, :])
-    return x._like(masks, out[:, :, None])
+    return apply_matrix(bivector_to_matrix(biv), x)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -816,23 +816,18 @@ def random_grassmann(
 ) -> GrassmannNumber:
     """Seeded random element with optional parity/grade restriction.
 
-    Coefficients are N(0, scale^2) per admissible blade; `grade_min` > 0
-    produces nilpotent draws.
+    Coefficients are N(0, scale^2) per admissible blade, masks ascending, in
+    one ``rng.normal`` call (a complex coefficient draws its real part, then
+    its imaginary part); `grade_min` > 0 produces nilpotent draws.
     """
-    terms: dict[int, complex] = {}
-    for mask in range(1 << order):
-        k = mask.bit_count()
-        if k < grade_min:
-            continue
-        if parity == _EVEN and k % 2 == 1:
-            continue
-        if parity == _ODD and k % 2 == 0:
-            continue
-        c = rng.normal(0.0, scale)
-        if not real:
-            c = complex(c, rng.normal(0.0, scale))
-        terms[mask] = complex(c)
-    return GrassmannNumber(order, terms)
+    grades = np.array([mask.bit_count() for mask in range(1 << order)])
+    keep = grades >= grade_min
+    if parity in (_EVEN, _ODD):
+        keep &= grades % 2 == (parity == _ODD)
+    masks = np.flatnonzero(keep)
+    draws = rng.normal(0.0, scale, (len(masks), 1 if real else 2))
+    values = draws[:, 0] if real else draws.view(complex)[:, 0]
+    return GrassmannNumber(order, dict(zip(masks.tolist(), values.tolist())))
 
 
 def _random_stack(rng, order: int, odd: np.ndarray, scale: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from .grassmann import (CANON_EPS, DEFAULT_TOL, GrassmannNumber, _blade_product,
                         _nilpotent_matrix_series, _parity_array, _random_stack, _union_add)
 from .supermatrix import (
     Supermatrix,
-    _body_inverse,
+    _block_body_inverse,
     _log_coeff,
     _q_gram_body,
     expm,
@@ -309,8 +309,8 @@ def _split_rotation(mat: Supermatrix, tol: float
     """(X, Y, Z, B) with mat = B exp(Z) and B = exp(X) exp(Y) body-only.
 
     X and Y come from real logs of the body blocks, so B is block diagonal
-    and is inverted from its A and D bodies, each condition-checked as in
-    ``Supermatrix.inverse`` (A first, NotInvertibleError).  B^-1 M has body
+    and is inverted by ``_block_body_inverse``, as the body of
+    ``Supermatrix.inverse`` is (A first, NotInvertibleError).  B^-1 M has body
     I in exact arithmetic; Z is the log of I + nil(B^-1 M), which keeps Z
     free of body rounding.
     """
@@ -334,10 +334,7 @@ def _split_rotation(mat: Supermatrix, tol: float
     compact = Supermatrix.from_body(m, 2 * n, compact_body, mat.order)
     symmetric = Supermatrix.from_body(m, 2 * n, symmetric_body, mat.order)
     group_body = expm(compact) @ expm(symmetric)
-    b0 = group_body.body_matrix()
-    b0_inv = np.zeros_like(b0)
-    b0_inv[:m, :m] = _body_inverse(b0[:m, :m], NotInvertibleError, "body of block A")
-    b0_inv[m:, m:] = _body_inverse(b0[m:, m:], NotInvertibleError, "body of block D")
+    b0_inv = _block_body_inverse(group_body.body_matrix(), m)
     x = mat.mat.nilpotent_part()
     nilpotent = mat._like(*_nilpotent_matrix_series(x.masks, b0_inv @ x.stack, mat.order,
                                                     _log_coeff))

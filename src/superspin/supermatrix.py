@@ -17,8 +17,8 @@ The Berezinian, and ``det`` as its q = 0 case, is det A0 / det D0 *
 exp(str log(I + X)) for M = M0 (I + X): numpy on the body M0 and a finite
 sum of supertraces of powers of the nilpotent X, half of them formed as
 matrices.  A body with condition number above COND_LIMIT raises
-SingularBodyError (block A, ``det``) or NotInvertibleError (block D,
-``inverse``).  The exp/ln and nilpotent series
+SingularBodyError (block A of ``sdet`` and ``det``) or NotInvertibleError
+(block D of ``sdet``, either block of ``inverse``).  The exp/ln and nilpotent series
 iterate on raw (masks, stack) pairs and build one matrix at the end; exp with
 no body blade and ln with body exactly I are finite nilpotent series, summed
 by the kernel's ``_nilpotent_matrix_series`` as the number series are.
@@ -284,6 +284,16 @@ def _body_inverse(body: np.ndarray, error: type[AlgebraError], what: str) -> np.
     return np.linalg.inv(body)
 
 
+def _block_body_inverse(body: np.ndarray, p: int) -> np.ndarray:
+    """Inverse of a block-diagonal body diag(A0, D0), A0 of size p: each
+    block inverted as ``_body_inverse``, NotInvertibleError naming the
+    singular block (A checked first)."""
+    inverse = np.zeros_like(body)
+    inverse[:p, :p] = _body_inverse(body[:p, :p], NotInvertibleError, "body of block A")
+    inverse[p:, p:] = _body_inverse(body[p:, p:], NotInvertibleError, "body of block D")
+    return inverse
+
+
 def _trace_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """tr(a b) over the last two axes, shaped (..., 1, 1): a pairwise
     ``_blade_product`` op, as ``np.multiply`` is for numbers.  With the
@@ -515,26 +525,11 @@ class Supermatrix(_Graded):
     # -- inverse / Berezinian -------------------------------------------------
 
     def inverse(self) -> "Supermatrix":
-        """Four-block inverse; requires invertible A and D bodies.
-
-        B and C are odd, so the Schur complements A - B D^-1 C and
-        D - C A^-1 B have the bodies A0 and D0: each body is inverted, and
-        its condition checked, once.  A numerically singular body raises
-        NotInvertibleError naming its block (A checked first).
-        """
-        p, body = self.p, self.mat.body()
-        a, b = self.block_a(), self.block_b()
-        c, d = self.block_c(), self.block_d()
-        a0_inv = _body_inverse(body[:p, :p], NotInvertibleError, "body of block A")
-        d0_inv = _body_inverse(body[p:, p:], NotInvertibleError, "body of block D")
-        a_inv = a._inverse_from_body(a0_inv)
-        d_inv = d._inverse_from_body(d0_inv)
-        if not (p and self.q):
-            return Supermatrix.from_blocks(a_inv, b, c, d_inv)
-        schur_a = (a - b @ d_inv @ c)._inverse_from_body(a0_inv)
-        schur_d = (d - c @ a_inv @ b)._inverse_from_body(d0_inv)
-        return Supermatrix.from_blocks(schur_a, -(a_inv @ b @ schur_d),
-                                       -(d_inv @ c @ schur_a), schur_d)
+        """The finite Neumann series of ``GrassmannMatrix.inverse`` around
+        the body, block diagonal as B and C are odd: ``_block_body_inverse``
+        raises NotInvertibleError naming a singular block (A checked first)."""
+        return Supermatrix(self.p, self.q, self.mat._inverse_from_body(
+            _block_body_inverse(self.mat.body(), self.p)), validate=False)
 
     def sdet(self) -> GrassmannNumber:
         """Berezinian sdet M = det A0 / det D0 * exp(str log(I + X)).
@@ -674,7 +669,7 @@ def logm(m: Supermatrix) -> Supermatrix:
             rho = float(np.max(np.abs(np.linalg.eigvals(stack[0]))))
             if rho >= 1.0 - 1e-12:
                 raise LogDomainError(
-                    f"matrix is outside the logarithm domain (spectral radius {rho:.6f})"
+                    f"matrix is outside the logarithm domain (spectral radius {rho:.3e})"
                 )
         for k in range(1, max_iter + 1):
             power_masks, power = _drop_zero_slices(*product(power_masks, power, masks, stack))

@@ -15,6 +15,15 @@ before oscillator exponentials summed a cached table of ladder products;
 ``tests/test_golden.py`` compares the current stdout with them within a
 stated tolerance.  Pass command names after the directory to rewrite only
 those files, e.g. ``make_corpus.py tests/golden osc-exp frft``.
+
+``make_corpus.py --snapshot DIR`` writes no corpus.  For every committed
+payload and every flag command it writes ``<name>.stdout``,
+``<name>.stderr`` and ``<name>.code`` (the exit code) into DIR, and adds
+``selftest.stdout`` and ``selftest.code``; selftest's stderr, which holds
+wall times, is left out.  Payloads are passed by file name from this
+directory, so no path reaches stderr.  Snapshot two checkouts with the same
+script, e.g. ``PYTHONPATH=<checkout>/src python tests/golden/make_corpus.py
+--snapshot <dir>`` for each, and compare them with ``diff -r``.
 """
 
 from __future__ import annotations
@@ -71,13 +80,19 @@ def payloads() -> dict[str, object]:
     }
 
 
-def run(argv: list[str]) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def capture(argv: list[str]) -> tuple[str, str, int]:
+    """(stdout, stderr, exit code) of ``superspin`` run in-process on ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    return out.getvalue(), err.getvalue(), code
+
+
+def run(argv: list[str]) -> str:
+    stdout, _, code = capture(argv)
     if code != 0:
         raise SystemExit(f"{argv[0]} exited {code}")
-    return out.getvalue()
+    return stdout
 
 
 def write_corpus(directory: str = HERE, only: list[str] | None = None) -> None:
@@ -97,5 +112,26 @@ def write_corpus(directory: str = HERE, only: list[str] | None = None) -> None:
             handle.write(stdout)
 
 
+def write_snapshot(directory: str) -> None:
+    directory = os.path.abspath(directory)
+    os.makedirs(directory, exist_ok=True)
+    os.chdir(HERE)
+    argvs = {name[:-5]: [name[:-5], "--input", name]
+             for name in sorted(os.listdir(HERE)) if name.endswith(".json")}
+    argvs.update(FLAG_COMMANDS, selftest=["selftest"])
+    for name, argv in argvs.items():
+        stdout, stderr, code = capture(argv)
+        files = {"stdout": stdout, "code": f"{code}\n"}
+        if name != "selftest":  # selftest's stderr holds wall times
+            files["stderr"] = stderr
+        for suffix, text in files.items():
+            with open(os.path.join(directory, f"{name}.{suffix}"), "w",
+                      encoding="utf-8") as handle:
+                handle.write(text)
+
+
 if __name__ == "__main__":
-    write_corpus(sys.argv[1] if len(sys.argv) > 1 else HERE, sys.argv[2:] or None)
+    if sys.argv[1:2] == ["--snapshot"]:
+        write_snapshot(sys.argv[2])
+    else:
+        write_corpus(sys.argv[1] if len(sys.argv) > 1 else HERE, sys.argv[2:] or None)

@@ -353,6 +353,15 @@ def test_commutator_action_three_routes():
         assert (tabulated - via_clifford).norm() <= 1e-12 * max(1.0, tabulated.norm())
 
 
+def test_commutator_action_overflow_is_an_algebra_error():
+    """An entry of phi(B) x that overflows is refused, with no numpy warning
+    on the way (the suite turns RuntimeWarning into an error)."""
+    huge = GrassmannNumber(ORDER, {0: 1.5e308})
+    biv = ExtendedSuperbivector(2, 1, ORDER, b={(1, 2): huge})
+    with pytest.raises(AlgebraError, match="non-finite"):
+        commutator_action(biv, Supervector.unit(2, 1, ORDER, 1))
+
+
 def test_supervector_extraction_rejects_residue():
     junk = elem_e(1) * elem_e(2)
     with pytest.raises(AlgebraError):

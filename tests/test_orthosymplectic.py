@@ -241,7 +241,6 @@ def test_membership_check_outcomes_at_degenerate_shapes():
         assert not check_so0_algebra(random_supermatrix(m, n, order, seed=3)).ok
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_membership_checks_raise_on_overflow_and_odd_q():
     rotation = random_rotation(3, 1, 4, seed=7).scale(1e200)
     for check in (check_o0, check_so0):

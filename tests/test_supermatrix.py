@@ -137,7 +137,8 @@ def four_block_inverse(m):
     return Supermatrix.from_blocks(schur_a, top_right, bottom_left, schur_d)
 
 
-@pytest.mark.parametrize("m, n, order", [(6, 2, 4), (3, 0, 4), (0, 1, 4), (2, 1, 0)])
+@pytest.mark.parametrize("m, n, order", [(6, 2, 4), (3, 0, 4), (0, 1, 4), (2, 1, 0),
+                                           (3, 1, 7), (0, 0, 3)])
 def test_inverse_checks_each_body_block_once(monkeypatch, m, n, order):
     """One condition number per nonempty body block (the Schur complements
     share the blocks' bodies), and the same inverse as block by block."""
@@ -681,6 +682,14 @@ def test_log_domain_error():
     body = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]).astype(complex)
     with pytest.raises(LogDomainError):
         logm(Supermatrix.from_body(M_DIM, Q_DIM, body, ORDER))
+
+
+def test_log_domain_message_writes_the_radius_in_e_format():
+    # a fixed-point radius would print 1e200 as a 201-digit number
+    body = np.eye(3)
+    body[0, 0] = 1e200
+    with pytest.raises(LogDomainError, match=r"\(spectral radius 1\.000e\+200\)$"):
+        logm(Supermatrix.from_body(3, 0, body, 2))
 
 
 def bosonic_rotation(theta):
