@@ -30,7 +30,13 @@ when some entry below the threshold is not zero; otherwise the stack is kept
 as it is, -0.0 parts included, as the per-number canonical form keeps them.  Their stacks follow
 the kernel's dtype rule (``grassmann._as_stack``): float64 when every
 coefficient is real, as for the paper's real vectors, reflections and
-bivectors, and complex128 once a complex operand enters.
+bivectors, and complex128 once a complex operand enters; on a float64
+stack ``_drop_tiny`` and ``reflect``'s 2<x,w> filter take |x| directly,
+which for real x is max(|re|, |im|), and scan no imaginary part.
+
+A Supervector keeps its supersphere measurement (``_sphere``), so a mirror
+applied to many vectors is measured once; the tolerances of
+``on_supersphere`` are compared on every call.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from .grassmann import (
     _drop_zero_slices,
     _isclose,
     _json_cells,
+    _kept,
     _parity_array,
     _random_stack,
     _read_cells,
@@ -145,7 +152,8 @@ def _drop_tiny(values: np.ndarray, eps: float | np.ndarray = CANON_EPS) -> np.nd
     entry whose |re| and |im| are both below ``eps`` is not zero, a copy with
     every such entry set to +0.0; otherwise ``values`` itself, so its -0.0
     parts survive."""
-    top = np.maximum(np.abs(values.real), np.abs(values.imag))
+    top = (np.maximum(np.abs(values.real), np.abs(values.imag))
+           if values.dtype.kind == "c" else np.abs(values))
     tiny = top < eps
     return np.where(tiny, 0.0, values) if (tiny & (top > 0.0)).any() else values
 
@@ -418,7 +426,7 @@ class Supervector(_Graded):
     product fixes parity.  ``from_column`` holds a canonical checked column
     as it is."""
 
-    __slots__ = ("m", "n")
+    __slots__ = ("m", "n", "_sphere")
 
     def __init__(self, m: int, n: int, order: int,
                  even: Sequence[GrassmannNumber], odd: Sequence[GrassmannNumber]):
@@ -513,7 +521,21 @@ class Supervector(_Graded):
         coefficient, and the body deviation 1 - c_0, held as a
         GrassmannNumber holds it (AlgebraError when not finite, dropped when
         both parts are below CANON_EPS); the nilpotent moduli are summed in
-        mask order, as ``GrassmannNumber.norm`` sums them."""
+        mask order, as ``GrassmannNumber.norm`` sums them.
+
+        The two measured numbers do not depend on the tolerances, so the
+        vector keeps them in ``_sphere`` with the ``mat`` and (m, n) they
+        were read from, and a later call, at any ``tol`` and ``nil_tol``,
+        only compares them again; a vector whose ``mat``, m or n has been
+        replaced is measured again.  A non-finite <w, w> keeps nothing and
+        raises on every call."""
+        kept = getattr(self, "_sphere", None)
+        if kept is None or kept[0] is not self.mat or kept[1:3] != (self.m, self.n):
+            kept = self._sphere = (self.mat, self.m, self.n, *self._sphere_measure())
+        return kept[3] <= nil_tol and kept[4] <= tol
+
+    def _sphere_measure(self) -> tuple[float, float]:
+        """``on_supersphere``'s (nilpotent modulus sum, |1 - c_0|)."""
         masks, stack = _inner_stack(self, self)
         values = stack[:, 0, 0]
         nonfinite = values[~np.isfinite(values)]
@@ -528,7 +550,7 @@ class Supervector(_Graded):
                     dev = 1.0 - c
         if abs(dev.real) < CANON_EPS and abs(dev.imag) < CANON_EPS:
             dev = 0.0
-        return norm <= nil_tol and abs(dev) <= tol
+        return norm, abs(dev)
 
     def _json_tree(self) -> dict:
         """``to_dict``'s tree, every coordinate a cell read straight from
@@ -934,7 +956,7 @@ def reflect(w: Supervector, x: Supervector) -> Supervector:
         raise MembershipError("reflection axis must satisfy w^2 = -1")
     masks, stack = _inner_stack(x, w)
     values = stack[:, 0, 0]
-    kept = (np.abs(values.real) >= CANON_EPS) | (np.abs(values.imag) >= CANON_EPS)
+    kept = _kept(values)
     twice = _as_stack(values[kept] * 2.0)
     if not (np.isfinite(values).all() and np.isfinite(twice).all()):
         raise AlgebraError("non-finite coefficient in 2<x, w>")

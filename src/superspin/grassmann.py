@@ -12,7 +12,11 @@ array the kernel allocates takes its operands' ``np.result_type``, so numpy's
 promotion is the only switch between the two): ``_blade_product``
 multiplies numbers (as (k, 1, 1) stacks), matrices, supervectors, bivectors
 and Clifford coefficients, and ``_nilpotent_matrix_series`` sums every finite
-nilpotent series, of numbers and of matrices alike.  The package's JSON
+nilpotent series, of numbers and of matrices alike.  A float64 stack's
+imaginary part is zero, so the CANON_EPS filters (``_kept``, for
+``_json_cells`` and ``clifford.reflect``, and ``clifford._drop_tiny``) take
+|x| of it directly, which is max(|re|, |im|) for real x, and scan no
+imaginary part.  The package's JSON
 codec lives here as well: ``_json_cells`` reads Grassmann cells off a blade
 stack as ``_Cell`` placeholders (order, term count, flat mask/re/im values),
 ``_json_text`` is the one writer (``json.dumps(indent=2)`` byte for byte),
@@ -296,6 +300,14 @@ def _as_stack(values) -> np.ndarray:
     return values if _imaginary(values) else values.real.copy()
 
 
+def _kept(values: np.ndarray) -> np.ndarray:
+    """Where |re| or |im| is at least CANON_EPS: the entries a canonical
+    GrassmannNumber keeps.  A float64 array is read by |x| alone."""
+    if values.dtype.kind == "c":
+        return (np.abs(values.real) >= CANON_EPS) | (np.abs(values.imag) >= CANON_EPS)
+    return np.abs(values) >= CANON_EPS
+
+
 def _json_cells(order: int, masks: Sequence[int],
                 values: np.ndarray) -> tuple[list[_Cell], list[int]]:
     """The ``_Cell`` of each row of ``values`` (cells x blades, the blades
@@ -305,8 +317,7 @@ def _json_cells(order: int, masks: Sequence[int],
     the floats keep their repr; when every kept im is +0.0 (always, for a
     float64 stack), the cells are ``real`` and hold (mask, re) pairs.  A
     kept non-finite coefficient raises ValueError, as ``json`` does."""
-    re, im = values.real, values.imag
-    kept = (np.abs(re) >= CANON_EPS) | (np.abs(im) >= CANON_EPS)
+    kept = _kept(values)
     ii, kk = np.nonzero(kept)
     coeffs = values[ii, kk]
     if not np.isfinite(coeffs).all():
@@ -371,7 +382,7 @@ def _read_cells(entries: Sequence[Mapping], order: int, cells: Sequence[int],
         np.add.at(stack, (slot, where), values)
     if not np.isfinite(stack).all():
         raise AlgebraError("non-finite entry in blade slice")
-    stack[(np.abs(stack.real) < CANON_EPS) & (np.abs(stack.imag) < CANON_EPS)] = 0.0
+    stack[~_kept(stack)] = 0.0
     return keys.tolist(), _as_stack(stack)
 
 

@@ -23,7 +23,14 @@ payload and every flag command it writes ``<name>.stdout``,
 wall times, is left out.  Payloads are passed by file name from this
 directory, so no path reaches stderr.  Snapshot two checkouts with the same
 script, e.g. ``PYTHONPATH=<checkout>/src python tests/golden/make_corpus.py
---snapshot <dir>`` for each, and compare them with ``diff -r``.
+--snapshot <dir>`` for each, and compare them with ``diff -r``.  Every
+command but selftest runs twice in the one process, and the snapshot stops
+with an error when the second run's stdout, stderr or exit code differs from
+the first's.  That shows an output changed by state a module keeps
+between calls, such as ``grassmann._templates`` or a ``functools.cache``
+table; a value kept on an object (``Supervector``'s supersphere
+measurement) is out of its reach, since each run decodes new objects, and
+``tests/test_memo.py`` covers it.
 """
 
 from __future__ import annotations
@@ -121,6 +128,9 @@ def write_snapshot(directory: str) -> None:
     argvs.update(FLAG_COMMANDS, selftest=["selftest"])
     for name, argv in argvs.items():
         stdout, stderr, code = capture(argv)
+        if name != "selftest" and capture(argv) != (stdout, stderr, code):
+            raise SystemExit(f"{name}: a second run in the same process gave another "
+                             "stdout, stderr or exit code")
         files = {"stdout": stdout, "code": f"{code}\n"}
         if name != "selftest":  # selftest's stderr holds wall times
             files["stderr"] = stderr

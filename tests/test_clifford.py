@@ -34,6 +34,7 @@ from superspin import (
     reflection_matrix,
     wedge,
 )
+from superspin.clifford import _reflection_form
 from superspin.grassmann import CANON_EPS, _blade_product
 
 M_DIM, N_PLANES, ORDER = 2, 1, 2
@@ -331,7 +332,8 @@ def test_matrix_to_bivector_requires_algebra_membership():
         matrix_to_bivector(bad)
 
 
-def test_commutator_action_tabulated_row():
+def test_commutator_action_of_a_rotation_generator_on_a_unit_vector():
+    # [e_1 e_2, e_1] = 2 e_2; the zero vector goes to zero
     one = GrassmannNumber.one(ORDER)
     biv = ExtendedSuperbivector(2, 1, ORDER, b={(1, 2): one})
     x = Supervector.unit(2, 1, ORDER, 1)
@@ -345,12 +347,16 @@ def test_commutator_action_three_routes():
     for seed in range(10):
         biv = rand_bivector(seed)
         x = random_supervector(M_DIM, N_PLANES, ORDER, seed=seed + 150)
-        tabulated = commutator_action(biv, x)
-        via_matrix = apply_matrix(bivector_to_matrix(biv), x)
+        action = commutator_action(biv, x)
+        # phi(B) = S K formed here, apart from bivector_to_matrix and the
+        # phi(B) it keeps on B, and applied by the matrix product
+        phi = GrassmannMatrix(biv.mat.rows, biv.mat.cols, ORDER, masks=biv.mat.masks,
+                              stack=biv.mat.stack @ _reflection_form(M_DIM, N_PLANES))
+        via_matrix = Supervector.from_column(M_DIM, N_PLANES, phi @ x.to_column())
         bc, xc = biv.to_clifford(6), x.to_clifford(6)
         via_clifford = (bc * xc - xc * bc).as_supervector()
-        assert (tabulated - via_matrix).norm() <= 1e-12 * max(1.0, tabulated.norm())
-        assert (tabulated - via_clifford).norm() <= 1e-12 * max(1.0, tabulated.norm())
+        assert (action - via_matrix).norm() <= 1e-12 * max(1.0, action.norm())
+        assert (action - via_clifford).norm() <= 1e-12 * max(1.0, action.norm())
 
 
 def test_commutator_action_overflow_is_an_algebra_error():
