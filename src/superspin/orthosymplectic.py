@@ -10,7 +10,7 @@ symplectic block, and seeded random generators for both levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,12 +69,12 @@ def _shape(mat: Supermatrix) -> tuple[int, int]:
     return mat.p, mat.q // 2
 
 
-def _residuals(mat: Supermatrix, gram: np.ndarray,
-               group: bool) -> tuple[float, float, float]:
+def _residuals(mat: Supermatrix, gram: np.ndarray, group: bool,
+               tol: float = 0.0) -> tuple[float, float, bool]:
     """(norm, block residual) of M^{ST} G M - G (group) or X^{ST} G + G X,
     one blade stack for a real block-diagonal body G (so M^{ST} G is M^T G
-    with its C block negated), and the scale of the membership tolerances,
-    max(1, norm of mat).  The moduli are taken once, and every norm sums
+    with its C block negated), and whether both are within tol times the
+    scale max(1, norm of mat).  The moduli are taken once, and every norm sums
     them over the slices that are not all zero, as a matrix stores none.  A
     non-finite entry or an overflowing norm raises AlgebraError; numpy's
     overflow warnings are not raised on the way."""
@@ -97,7 +97,7 @@ def _residuals(mat: Supermatrix, gram: np.ndarray,
     blocks = max(a, b, d if group else 2.0 * d)
     if not (math.isfinite(total) and math.isfinite(blocks) and math.isfinite(scale)):
         raise AlgebraError("a norm of the membership test overflows")
-    return total, blocks, scale
+    return total, blocks, total <= tol * scale and blocks <= tol * scale
 
 
 def check_o0(mat: Supermatrix, tol: float = DEFAULT_TOL) -> GroupReport:
@@ -112,14 +112,13 @@ def check_o0(mat: Supermatrix, tol: float = DEFAULT_TOL) -> GroupReport:
     and AlgebraError when an entry of the expression is not finite or a
     norm overflows.
     """
-    defining, blocks, scale = _residuals(mat, _q_gram_body(*_shape(mat)), group=True)
+    defining, blocks, ok = _residuals(mat, _q_gram_body(*_shape(mat)), True, tol)
     try:
         sdet = mat.sdet()
         deviation = min((sdet - 1.0).norm(), (sdet + 1.0).norm())
     except (NotInvertibleError, SingularBodyError):
         sdet, deviation = None, math.inf
-    ok = defining <= tol * scale and blocks <= tol * scale and deviation <= tol
-    return GroupReport(ok, defining, blocks, sdet, deviation)
+    return GroupReport(ok and deviation <= tol, defining, blocks, sdet, deviation)
 
 
 def check_so0(mat: Supermatrix, tol: float = DEFAULT_TOL) -> GroupReport:
@@ -128,9 +127,7 @@ def check_so0(mat: Supermatrix, tol: float = DEFAULT_TOL) -> GroupReport:
     if base.sdet is None:
         return base
     deviation = (base.sdet - 1.0).norm()
-    ok = base.ok and deviation <= tol
-    return GroupReport(ok, base.defining_residual, base.block_residual,
-                       base.sdet, deviation)
+    return replace(base, ok=base.ok and deviation <= tol, sdet_deviation=deviation)
 
 
 def check_so0_algebra(mat: Supermatrix, tol: float = DEFAULT_TOL) -> AlgebraReport:
@@ -144,8 +141,7 @@ def check_so0_algebra(mat: Supermatrix, tol: float = DEFAULT_TOL) -> AlgebraRepo
     Raises AlgebraError when an entry of the expression is not finite or a
     norm overflows.
     """
-    defining, blocks, scale = _residuals(mat, _q_gram_body(*_shape(mat)), group=False)
-    ok = defining <= tol * scale and blocks <= tol * scale
+    defining, blocks, ok = _residuals(mat, _q_gram_body(*_shape(mat)), False, tol)
     return AlgebraReport(ok, defining, blocks)
 
 
@@ -288,8 +284,8 @@ class RotationDecomposition:
     """M = exp(compact) exp(symmetric) exp(nilpotent); the last two unique.
 
     ``residual`` is |exp(compact) exp(symmetric) exp(nilpotent) - M| / max(1, |M|),
-    computed by ``decompose_rotation`` from the body-only factor its split
-    already formed; ``lift_rotation`` shares the split but not this check.
+    from the body-only factor the split formed after its membership check
+    (``_split_rotation``); ``lift_rotation`` shares the split, not the residual.
     """
 
     compact: Supermatrix
@@ -309,14 +305,17 @@ def _split_rotation(mat: Supermatrix, tol: float
     """(X, Y, Z, B) with mat = B exp(Z) and B = exp(X) exp(Y) body-only.
 
     X and Y come from real logs of the body blocks, so B is block diagonal
-    and is inverted by ``_block_body_inverse``, as the body of
-    ``Supermatrix.inverse`` is (A first, NotInvertibleError).  B^-1 M has body
-    I in exact arithmetic; Z is the log of I + nil(B^-1 M), which keeps Z
-    free of body rounding.
+    and is inverted by ``_block_body_inverse`` (A first, NotInvertibleError);
+    Z = log(I + nil(B^-1 M)) is free of body rounding.  MembershipError comes
+    from, in order, ``check_o0``'s residuals (one kernel product), the body
+    logs (det A0 = -1, D0 not symplectic) and sdet M = 1.  X and Y are
+    trace-free and Z bodiless, so with r = det A0 / det D0, |sdet M - 1| <=
+    |r - 1| + |r| (exp|str Z| - 1), at no product.  That carries B0 - M0
+    times |Z| (1e-10 at |M| = 2e4), so past tol ``sdet`` decides, as in check_so0.
     """
-    if not check_so0(mat, tol).ok:
-        raise MembershipError("decomposition requires a special superrotation")
     m, n = _shape(mat)
+    if not _residuals(mat, _q_gram_body(m, n), True, tol)[2]:
+        raise MembershipError("decomposition requires a special superrotation")
     body = mat.body_matrix()
     if np.abs(body.imag).max(initial=0.0) > tol * max(1.0, np.abs(body).max(initial=0.0)):
         raise MembershipError("body must be real for the real-log decomposition")
@@ -338,6 +337,10 @@ def _split_rotation(mat: Supermatrix, tol: float
     x = mat.mat.nilpotent_part()
     nilpotent = mat._like(*_nilpotent_matrix_series(x.masks, b0_inv @ x.stack, mat.order,
                                                     _log_coeff))
+    ratio = float(np.linalg.det(a0) / np.linalg.det(d0))
+    if not (abs(ratio - 1.0) + abs(ratio) * math.expm1(nilpotent.supertrace().norm()) <= tol
+            or (mat.sdet() - 1.0).norm() <= tol):
+        raise MembershipError("decomposition requires a special superrotation")
     return compact, symmetric, nilpotent, group_body
 
 

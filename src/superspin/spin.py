@@ -33,12 +33,8 @@ from .clifford import (
 )
 from .exceptions import AlgebraError, CapExceededError, MembershipError, ShapeMismatchError
 from .grassmann import DEFAULT_TOL, GrassmannNumber, _to_dict, _to_json, json_int
-from .orthosymplectic import (
-    _split_rotation,
-    check_so0,
-    to_unitary,
-)
-from .supermatrix import Supermatrix, expm, symplectic_form
+from .orthosymplectic import _residuals, _split_rotation, to_unitary
+from .supermatrix import Supermatrix, _q_gram_body, expm, symplectic_form
 
 
 class SpinElement:
@@ -87,11 +83,12 @@ class SpinElement:
 
 def action_matrix(s: SpinElement, tol: float = 1e-8) -> Supermatrix:
     """Superrotation induced by a spin element: the product of the factor
-    exponentials in the matrix representation (checked to land in the group)."""
+    exponentials in the matrix representation, checked by ``check_o0``'s
+    residuals alone: str phi(B) = 0 exactly, so the sdet is 1 by construction."""
     result = functools.reduce(Supermatrix.__matmul__, [
         expm(bivector_to_matrix(factor)) for factor in s.factors
     ] or [Supermatrix.eye(s.m, 2 * s.n, s.order)])
-    if not check_so0(result, tol).ok:
+    if not _residuals(result, _q_gram_body(s.m, s.n), True, tol)[2]:
         raise MembershipError("spin action left the superrotation group")
     return result
 
@@ -139,7 +136,7 @@ def split_bivector(biv: ExtendedSuperbivector) -> BivectorSplit:
 
 def lift_rotation(mat: Supermatrix, tol: float = DEFAULT_TOL) -> SpinElement:
     """Three-factor spin element covering the given superrotation: the
-    exponents of ``decompose_rotation``, without its reconstruction residual."""
+    exponents and membership check of ``decompose_rotation``, not its residual."""
     factors = [matrix_to_bivector(x, tol) for x in _split_rotation(mat, tol)[:3]]
     return SpinElement(mat.p, mat.q // 2, mat.order, factors)
 
