@@ -27,9 +27,9 @@ from .supermatrix import (
     symplectic_form,
 )
 
-# Threshold separating a 2x2 rotation block from two real eigenvalues in a
-# real Schur form of an orthogonal matrix.
-_SCHUR_BLOCK_EPS = 1e-10
+# Sine up to which a rotation's eigenvalue is read as real (+-1): such a plane
+# turns by at most this, so reading it either way agrees to within this.
+_PLANE_EPS = 1e-13
 
 
 # -- group and algebra membership ----------------------------------------------
@@ -156,12 +156,29 @@ def grade_path(mat: Supermatrix, t: float, tol: float = DEFAULT_TOL) -> Supermat
 # -- real matrix logarithms -----------------------------------------------------
 
 
+def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenvectors and eigenphases in [-pi, pi] of a unitary u.
+
+    With v = u turned so the widest gap between its eigenvalues centres on -1,
+    and Y = (I + v)^-1, the symmetrized Cayley transform i(I - v)(I + v)^-1 is
+    i(Y - Y^H), Hermitian and bounded: one ``eigh`` gives the vectors, and the
+    phases are the angles of u's Rayleigh quotients.
+    """
+    phases = np.sort(np.angle(np.linalg.eigvals(u)))
+    gaps = np.concatenate((phases[1:], phases[:1] + 2.0 * math.pi)) - phases
+    widest = gaps.argmax()
+    y = np.linalg.inv(np.eye(len(u)) - np.exp(-1j * (phases[widest] + 0.5 * gaps[widest])) * u)
+    vecs = np.linalg.eigh(1j * (y - y.conj().T))[1]
+    return vecs, np.angle((vecs.conj() * (u @ vecs)).sum(axis=0))
+
+
 def rotation_log(a0: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Antisymmetric log of a special orthogonal matrix.
 
-    Real Schur form -> 2x2 rotation blocks -> angles in (-pi, pi]; -1
-    eigenvalues are paired into angle-pi planes (their pairing is the
-    branch convention, not canonical).
+    Re q and Im q of one eigenvector q (``_unitary_eig``) per conjugate pair
+    are orthonormalized into rotation planes; a real basis of the -1
+    eigenvectors left over is paired into angle-pi planes (the branch
+    convention, not canonical).  Each angle is read from a0 in its plane.
     """
     a0 = np.asarray(a0, dtype=float)
     size = a0.shape[0]
@@ -171,30 +188,22 @@ def rotation_log(a0: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise MembershipError("matrix is not orthogonal")
     if abs(np.linalg.det(a0) - 1.0) > tol:
         raise MembershipError("matrix is not special orthogonal")
-    from scipy.linalg import schur
-
-    t, z = schur(a0, output="real")
-    log_t = np.zeros_like(t)
-    flips = []
-    i = 0
-    while i < size:
-        if i + 1 < size and abs(t[i + 1, i]) > _SCHUR_BLOCK_EPS:
-            cos_a = 0.5 * (t[i, i] + t[i + 1, i + 1])
-            sin_a = 0.5 * (t[i + 1, i] - t[i, i + 1])
-            angle = math.atan2(sin_a, cos_a)
-            log_t[i, i + 1] = -angle
-            log_t[i + 1, i] = angle
-            i += 2
-        else:
-            if t[i, i] < 0:
-                flips.append(i)
-            i += 1
-    if len(flips) % 2:
-        raise MembershipError("odd number of -1 eigenvalues; determinant is -1")
-    for a, b in zip(flips[::2], flips[1::2]):
-        log_t[a, b] = -math.pi
-        log_t[b, a] = math.pi
-    return z @ log_t @ z.T
+    vecs, phases = _unitary_eig(a0)
+    sines = np.sin(phases)
+    # columns Re q, Im q of one eigenvector q per conjugate pair
+    frame = np.linalg.qr(np.ascontiguousarray(vecs[:, sines > _PLANE_EPS]).view(float))[0]
+    if (np.cos(phases[np.abs(sines) <= _PLANE_EPS]) < 0).any():
+        rest = np.eye(size) - frame @ frame.T
+        cosines, basis = np.linalg.eigh(rest @ (a0 + a0.T) @ rest)
+        flips = basis[:, cosines < -1.0]
+        if flips.shape[1] % 2:
+            raise MembershipError("odd number of -1 eigenvalues; determinant is -1")
+        frame = np.hstack([frame, flips])
+    t = frame.T @ a0 @ frame
+    angles = np.arctan2(t[1::2, ::2].diagonal() - t[::2, 1::2].diagonal(),
+                        t[::2, ::2].diagonal() + t[1::2, 1::2].diagonal())
+    x, y = frame[:, ::2], frame[:, 1::2]
+    return (y * angles) @ x.T - (x * angles) @ y.T
 
 
 def symplectic_polar(d0: np.ndarray, tol: float = DEFAULT_TOL
@@ -252,8 +261,9 @@ def from_unitary(l0: np.ndarray) -> np.ndarray:
 def compact_symplectic_log(r: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Log of a symplectic orthogonal matrix inside the compact subalgebra.
 
-    Unitary log with eigenphases in (-pi, pi] (ties at -pi become +pi),
-    pulled back through the unitary squashing.
+    Unitary log from the eigenvectors and eigenphases of the unitary
+    squashing (``_unitary_eig``), phases in (-pi, pi] (ties at -pi become
+    +pi), pulled back through the squashing.
     """
     r = np.asarray(r, dtype=float)
     size = r.shape[0]
@@ -264,16 +274,12 @@ def compact_symplectic_log(r: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarra
             or np.abs(r.T @ omega @ r - omega).max() > tol:
         raise MembershipError("matrix is not symplectic orthogonal")
     u = to_unitary(r)
-    from scipy.linalg import schur
-
-    t, z = schur(u, output="complex")
-    diag = np.diag(t)
-    if np.abs(t - np.diag(diag)).max() > math.sqrt(tol):
+    vecs, phases = _unitary_eig(u)
+    # u V = V e^(i phases) exactly when the Schur form V^H u V is diagonal
+    if np.abs(u @ vecs - vecs * np.exp(1j * phases)).max() > math.sqrt(tol):
         raise MembershipError("unitary Schur form is not diagonal")
-    phases = np.angle(diag)
     phases[phases <= -math.pi + 1e-12] = math.pi
-    log_u = (z * (1j * phases)) @ z.conj().T
-    return from_unitary(log_u)
+    return from_unitary((vecs * (1j * phases)) @ vecs.conj().T)
 
 
 # -- the three-exponential decomposition ----------------------------------------

@@ -258,8 +258,6 @@ def _conjugated_winding_element(m, n, order, windings, rng, rotate):
     """Kernel generator with the given 2-pi windings per symplectic plane,
     optionally conjugated by a random compact symplectic rotation so the
     block structure is hidden from the sign computation."""
-    from scipy.linalg import expm as dense_expm
-
     angles = np.zeros((2 * n, 2 * n))
     for t, k in enumerate(windings):
         angles[2 * t, 2 * t + 1] = 2.0 * math.pi * k
@@ -269,7 +267,8 @@ def _conjugated_winding_element(m, n, order, windings, rng, rotate):
         sym = rng.normal(size=(2 * n, 2 * n), scale=0.6)
         generator = omega @ (sym + sym.T)
         generator = 0.5 * (generator - generator.T)
-        frame = dense_expm(generator)
+        phases, vecs = np.linalg.eigh(1j * generator)  # exp(generator) from i * generator
+        frame = ((vecs * np.exp(-1j * phases)) @ vecs.conj().T).real
         angles = frame @ angles @ frame.T
     body = np.zeros((m + 2 * n, m + 2 * n), dtype=complex)
     body[m:, m:] = angles

@@ -269,9 +269,9 @@ def kernel_sign(biv: ExtendedSuperbivector, tol: float = 1e-8) -> int | None:
 
     Returns +1 or -1 for kernel members, None when the induced rotation is
     not the identity.  The bosonic factor is evaluated in the finite Clifford
-    algebra.  The symplectic factor is read from the angles of its block
-    diagonalization: an angle 2 pi k contributes exp(k pi (e'^2 + e'^2)),
-    which the oscillator series telescopes to exactly (-1)^k.
+    algebra.  The symplectic factor is read from its plane angles, the eigenvalues
+    of i times its unitary squashing: an angle 2 pi k contributes
+    exp(k pi (e'^2 + e'^2)), which the oscillator series telescopes to exactly (-1)^k.
     """
     _compact_membership(biv, tol)
     m, n, order = biv.m, biv.n, biv.order
@@ -291,12 +291,7 @@ def kernel_sign(biv: ExtendedSuperbivector, tol: float = 1e-8) -> int | None:
             sign = -sign
     if n and biv.bb:
         d_block = generator.body_matrix()[m:, m:].real
-        u = to_unitary(d_block)
-        from scipy.linalg import schur
-
-        eigenvalues = np.diag(schur(u, output="complex")[0])
-        for lam in eigenvalues:
-            angle = -lam.imag  # eigenvalue -i*theta per block angle theta
+        for angle in np.linalg.eigvalsh(1j * to_unitary(d_block)):
             winding = angle / (2.0 * math.pi)
             k = round(winding)
             if abs(winding - k) > tol:

@@ -113,6 +113,32 @@ def test_python_dash_m_runs_the_cli_from_a_source_checkout():
     assert mismatches(json.loads(run.stdout), json.loads(_expected("sdet"))) == []
 
 
+_RUN_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+sys.path.insert(0, sys.argv[1])
+import make_corpus
+print(json.dumps({name: make_corpus.capture(argv)[::2]
+                  for name, argv in json.loads(sys.argv[2]).items()}))
+"""
+
+
+def test_cli_runs_without_scipy():
+    """Every golden command and selftest give the same stdout and exit code
+    in a fresh interpreter where scipy cannot be imported."""
+    argvs = {command: _argv(command) for command in COMMANDS}
+    argvs["selftest"] = ["selftest"]
+    src = os.path.join(os.path.dirname(os.path.dirname(GOLDEN)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _RUN_WITHOUT_SCIPY, GOLDEN, json.dumps(argvs)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    for name, argv in argvs.items():
+        assert got[name] == list(_make_corpus.capture(argv)[::2]), name
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_emit_reproduces_golden_bytes(capsys, command):
     text = _expected(command)

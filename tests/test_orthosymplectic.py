@@ -276,6 +276,27 @@ def test_grade_path_endpoints_and_membership():
         grade_path(random_supermatrix(M_DIM, N_PLANES, ORDER, seed=3), 0.5)
 
 
+def plane_rotation(angles, extra=0):
+    """Block-diagonal rotation by the given plane angles, then ``extra`` ones."""
+    a0 = np.eye(2 * len(angles) + extra)
+    for i, theta in enumerate(angles):
+        a0[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[math.cos(theta), -math.sin(theta)],
+                                                [math.sin(theta), math.cos(theta)]]
+    return a0
+
+
+def random_special_orthogonal(rng, size):
+    q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def log_error(log, mat):
+    """max(|expm(L) - A|, |L + L^T|), with scipy's expm as the oracle."""
+    return max(np.abs(dense_expm(log) - mat).max(), np.abs(log + log.T).max())
+
+
 def test_rotation_log_basics():
     assert rotation_log(np.eye(3)).shape == (3, 3)
     assert np.abs(rotation_log(np.eye(3))).max() == 0.0
@@ -310,6 +331,10 @@ def test_rotation_log_rejects_non_rotation():
         rotation_log(np.diag([1.0, 2.0]))
     with pytest.raises(MembershipError):
         rotation_log(np.diag([-1.0, 1.0]))
+    reflection = random_special_orthogonal(np.random.default_rng(707), 4) @ np.diag([-1.0, 1, 1, 1])
+    for a0 in (np.diag([-1.0, 1.0, 1.0]), reflection, 1.001 * plane_rotation([math.pi], extra=1)):
+        with pytest.raises(MembershipError):
+            rotation_log(a0)
 
 
 def random_symplectic(rng, n, scale=0.4):
@@ -389,6 +414,63 @@ def test_compact_symplectic_log_roundtrip():
         assert np.abs(dense_expm(y0) - r).max() < 1e-9
         assert np.abs(y0 + y0.T).max() < 1e-10
         assert np.abs(y0.T @ omega + omega @ y0).max() < 1e-10
+
+
+ROTATION_LOG_CASES = {
+    "identity-6": np.eye(6),
+    "minus-identity-4": -np.eye(4),
+    "minus-identity-6": -np.eye(6),
+    "two-flips-and-a-one": np.diag([-1.0, -1.0, 1.0]),
+    "two-equal-angles": plane_rotation([0.7, 0.7], extra=1),
+    "three-equal-angles": plane_rotation([1.1, 1.1, 1.1]),
+    "angle-pi-minus-1e-6": plane_rotation([math.pi - 1e-6], extra=1),
+    "angle-pi-minus-1e-10": plane_rotation([math.pi - 1e-10], extra=1),
+    "angle-pi-minus-1e-13": plane_rotation([math.pi - 1e-13], extra=1),
+    "angle-1e-10": plane_rotation([1e-10], extra=1),
+    "pi-near-pi-and-small": plane_rotation([math.pi, math.pi - 1e-9, 0.2]),
+}
+
+
+@pytest.mark.parametrize("name", ROTATION_LOG_CASES)
+def test_rotation_log_is_accurate_at_and_near_degenerate_angles(name):
+    a0 = ROTATION_LOG_CASES[name]
+    assert log_error(rotation_log(a0), a0) <= 1e-11
+    rng = np.random.default_rng(808)
+    for _ in range(8):  # the same rotation in random frames hides its planes
+        frame = random_special_orthogonal(rng, a0.shape[0])
+        conjugated = frame @ a0 @ frame.T
+        assert log_error(rotation_log(conjugated), conjugated) <= 1e-11
+
+
+def test_rotation_log_random_so6():
+    rng = np.random.default_rng(606)
+    worst = max(log_error(rotation_log(a0), a0)
+                for a0 in (random_special_orthogonal(rng, 6) for _ in range(2000)))
+    assert worst <= 1e-11
+
+
+@pytest.mark.parametrize("phases", [
+    [math.pi], [math.pi, math.pi], [math.pi - 1e-10, 0.3],
+    [math.pi - 1e-9, -(math.pi - 1e-9)], [0.8, 0.8, 0.8],
+], ids=["pi", "pi-pi", "pi-minus-1e-10", "plus-minus-pi-minus-1e-9", "three-equal"])
+def test_compact_symplectic_log_is_accurate_near_phase_pi(phases):
+    rng = np.random.default_rng(len(phases))
+    omega = symplectic_form(len(phases))
+    for _ in range(20):
+        frame, _ = np.linalg.qr(rng.normal(size=(len(phases),) * 2)
+                                + 1j * rng.normal(size=(len(phases),) * 2))
+        r = from_unitary((frame * np.exp(1j * np.array(phases))) @ frame.conj().T)
+        y0 = compact_symplectic_log(r)
+        assert log_error(y0, r) <= 1e-11
+        assert np.abs(y0.T @ omega + omega @ y0).max() <= 1e-11
+
+
+def test_compact_symplectic_log_rejects_non_members():
+    swap = np.eye(4)[[1, 0, 2, 3]]  # orthogonal, not symplectic
+    for r in (np.diag([2.0, 0.5]), swap, random_special_orthogonal(np.random.default_rng(717), 4),
+              1.001 * np.eye(4)):
+        with pytest.raises(MembershipError):
+            compact_symplectic_log(r)
 
 
 def test_decompose_identity():
