@@ -1,18 +1,24 @@
 """Command-line front end: JSON in, JSON out, deterministic under --seed.
 
+Each subcommand is one row of ``build_parser``: its name, what ``--input``
+decodes as (a payload class, a raw JSON object, or nothing: ``osc-exp``,
+``frft`` and ``selftest`` read only flags), its flags and its compute.
+``main`` is the one request path: read, decode, compute, ``_emit``, exit
+code.  Computes look library functions up when they run, not when the
+parser is built, which is once per process.
+
 Output is 2-space-indented JSON, byte for byte what
 ``json.dumps(payload, indent=2, allow_nan=False)`` writes of the payload's
-``to_dict`` form, and is written only once complete.  Handlers hand the
-library objects themselves to ``_emit``; the writer, ``grassmann._json_text``
-(with ``indent`` the stdlib falls back to its pure-Python encoder), turns
-each object's JSON tree, whose Grassmann cells hold their values straight
-from the blade stack, into one format string and applies it once to all the
-cell values; the objects' ``to_dict`` is the parse of that text.  The
-argument parser is built once per process, so repeated ``main`` calls share
-it.
+``to_dict`` form, and is written only once complete.  Computes return the
+library objects themselves; the writer, ``grassmann._json_text`` (with
+``indent`` the stdlib falls back to its pure-Python encoder), turns each
+object's JSON tree, whose Grassmann cells hold their values straight from
+the blade stack, into one format string and applies it once to all the cell
+values; the objects' ``to_dict`` is the parse of that text.
 
 Exit codes: 0 success, 1 domain violation (membership, singular body,
-convergence domain, ...), 2 malformed input.
+convergence domain, ...) or a failed ``selftest`` criterion, 2 malformed
+input.
 """
 
 from __future__ import annotations
@@ -75,76 +81,31 @@ def _parse(kind, data):
         raise InputError(f"cannot decode {kind.__name__}: {exc}") from exc
 
 
-def _group_payload(report, key: str) -> dict:
-    return {
-        key: report.ok,
-        "defining_residual": report.defining_residual,
-        "block_residual": report.block_residual,
-        "sdet": report.sdet,
-        "sdet_deviation": (report.sdet_deviation
-                           if math.isfinite(report.sdet_deviation) else None),
-    }
+def _algebra_payload(key: str, report) -> dict:
+    return {key: report.ok, "defining_residual": report.defining_residual,
+            "block_residual": report.block_residual}
 
 
-def _cmd_check_o0(args):
-    report = check_o0(_parse(Supermatrix, _load_json(args.input)), args.tol)
-    _emit(_group_payload(report, "is_o0"))
-    return 0
+def _group_payload(key: str, report) -> dict:
+    deviation = report.sdet_deviation
+    return {**_algebra_payload(key, report), "sdet": report.sdet,
+            "sdet_deviation": deviation if math.isfinite(deviation) else None}
 
 
-def _cmd_check_so0(args):
-    report = check_so0(_parse(Supermatrix, _load_json(args.input)), args.tol)
-    _emit(_group_payload(report, "is_so0"))
-    return 0
+def _decompose(mat, args):
+    dec = decompose_rotation(mat, args.tol)
+    return {"X": dec.compact, "Y": dec.symmetric, "Z": dec.nilpotent,
+            "residual": dec.residual}
 
 
-def _cmd_check_so0_algebra(args):
-    report = check_so0_algebra(_parse(Supermatrix, _load_json(args.input)), args.tol)
-    _emit({
-        "is_so0_algebra": report.ok,
-        "defining_residual": report.defining_residual,
-        "block_residual": report.block_residual,
-    })
-    return 0
-
-
-def _cmd_sdet(args):
-    _emit(_parse(Supermatrix, _load_json(args.input)).sdet())
-    return 0
-
-
-def _cmd_exp(args):
-    _emit(expm(_parse(Supermatrix, _load_json(args.input))))
-    return 0
-
-
-def _cmd_ln(args):
-    _emit(logm(_parse(Supermatrix, _load_json(args.input))))
-    return 0
-
-
-def _cmd_decompose(args):
-    dec = decompose_rotation(_parse(Supermatrix, _load_json(args.input)), args.tol)
-    _emit({
-        "X": dec.compact,
-        "Y": dec.symmetric,
-        "Z": dec.nilpotent,
-        "residual": dec.residual,
-    })
-    return 0
-
-
-def _cmd_lift(args):
-    mat = _parse(Supermatrix, _load_json(args.input))
+def _lift(mat, args):
     element = lift_rotation(mat, args.tol)
     residual = (action_matrix(element) - mat).norm() / max(1.0, mat.norm())
     print(f"covering residual: {residual:.3e}", file=sys.stderr)
-    _emit(element)
-    return 0
+    return element
 
 
-def _cmd_act(args):
-    data = _load_json(args.input)
+def _act(data, _args):
     vector = _parse(Supervector, data["vector"])
     if "matrix" in data:
         mat = _parse(Supermatrix, data["matrix"])
@@ -152,73 +113,45 @@ def _cmd_act(args):
         mat = action_matrix(_parse(SpinElement, data["spin"]))
     else:
         raise InputError("act expects a 'matrix' or 'spin' key")
-    _emit(apply_matrix(mat, vector))
-    return 0
+    return apply_matrix(mat, vector)
 
 
-def _cmd_reflect(args):
-    data = _load_json(args.input)
+def _reflect(data, _args):
     axis = _parse(Supervector, data["w"])
     mirror = reflection_matrix(axis)
     payload = {"matrix": mirror, "sdet": mirror.sdet()}
     if "x" in data:
         payload["reflected"] = reflect(axis, _parse(Supervector, data["x"]))
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_inner(args):
-    data = _load_json(args.input)
-    _emit(inner(_parse(Supervector, data["x"]), _parse(Supervector, data["y"])))
-    return 0
-
-
-def _cmd_phi(args):
-    biv = _parse(ExtendedSuperbivector, _load_json(args.input))
-    _emit(bivector_to_matrix(biv))
-    return 0
-
-
-def _cmd_phi_inv(args):
-    mat = _parse(Supermatrix, _load_json(args.input))
-    _emit(matrix_to_bivector(mat, args.tol))
-    return 0
-
-
-def _cmd_osc_exp(args):
+def _osc_exp(_input, args):
+    if args.plane > args.n:
+        build_parser().error(f"argument --plane: {args.plane} exceeds --n {args.n}")
     expansion = oscillator_exp(args.theta, args.plane, args.m, args.n,
                                args.grassmann_order, cap=args.cap)
-    _emit({
-        "element": expansion.element,
-        "truncation_bound": expansion.truncation_bound,
-    })
-    return 0
+    return {"element": expansion.element, "truncation_bound": expansion.truncation_bound}
 
 
-def _cmd_frft(args):
+def _frft(_input, args):
     thetas = [float(t) for t in args.thetas.split(",") if t.strip()]
     if not all(math.isfinite(t) for t in thetas):
         raise InputError("thetas must be finite")
     element = fractional_fourier(thetas, args.m, args.grassmann_order)
-    _emit({
-        "element": element,
-        "matrix": action_matrix(element),
-    })
-    return 0
+    return {"element": element, "matrix": action_matrix(element)}
 
 
-def _cmd_selftest(args):
+def _selftest(_input, args):
     results = selftest.run_all(seed=args.seed, only=args.only)
     print(selftest.format_table(results), file=sys.stderr)
-    _emit({
+    return {
         "seed": args.seed,
         "results": [
             {"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
         ],
         "all_passed": all(r.passed for r in results),
-    })
-    return 0 if all(r.passed for r in results) else 1
+    }
 
 
 def _finite_float(text: str) -> float:
@@ -266,18 +199,28 @@ _OPTIONS = {
                   help="comparison tolerance, finite and >= 0 (default 1e-9)"),
     "--seed": dict(type=int, default=selftest.DEFAULT_SEED,
                    help="seed of the acceptance suite"),
+    "--only": dict(type=_criteria, default=None,
+                   help="comma-separated criterion indices to run"),
     "--cap": dict(type=_int_in(0), default=8, help="fermionic degree cap"),
     "--m": dict(type=_int_in(0), default=3, help="bosonic dimension"),
     "--n": dict(type=_int_in(0), default=1,
                 help="number of fermionic planes (q = 2n)"),
     "--N": dict(dest="grassmann_order", type=_int_in(0, MAX_ORDER), default=4,
                 help="Grassmann algebra order"),
+    "--theta": dict(type=_finite_float, required=True),
+    "--plane": dict(type=_int_in(1), default=1, help="fermionic plane, 1..n"),
+    "--thetas": dict(required=True, help="comma-separated orders, one per plane"),
 }
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after."""
+    """The argument parser, built on the first call and shared after.
+
+    Each subcommand is one ``add`` row: its name; what ``--input`` decodes
+    as (a payload class, ``dict`` for a raw JSON object, or None for no
+    input); its compute, called as ``compute(decoded, args)`` and returning
+    the payload; and its flags from ``_OPTIONS``."""
     parser = argparse.ArgumentParser(
         prog="superspin",
         description="Superspace rotations, spin lifts and Grassmann-valued "
@@ -285,55 +228,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, *options, needs_input=True, **extra):
+    def add(name, kind, compute, *options, **extra):
         cmd = sub.add_parser(name, **extra)
-        if needs_input:
+        if kind is not None:
             cmd.add_argument("--input", "-i", default=None,
                              help="input JSON path (default: stdin)")
         for option in options:
             cmd.add_argument(option, **_OPTIONS[option])
-        cmd.set_defaults(handler=handler)
-        return cmd
+        cmd.set_defaults(kind=kind, compute=compute)
 
-    add("check-o0", _cmd_check_o0, "--tol", help="inner-product-preservation test")
-    add("check-so0", _cmd_check_so0, "--tol", help="superrotation membership test")
-    add("check-so0-algebra", _cmd_check_so0_algebra, "--tol",
-        help="Lie algebra membership test")
-    add("sdet", _cmd_sdet, help="Berezinian of a supermatrix")
-    add("exp", _cmd_exp, help="supermatrix exponential")
-    add("ln", _cmd_ln, help="supermatrix logarithm near the identity")
-    add("decompose", _cmd_decompose, "--tol",
+    add("check-o0", Supermatrix,
+        lambda m, a: _group_payload("is_o0", check_o0(m, a.tol)), "--tol",
+        help="inner-product-preservation test")
+    add("check-so0", Supermatrix,
+        lambda m, a: _group_payload("is_so0", check_so0(m, a.tol)), "--tol",
+        help="superrotation membership test")
+    add("check-so0-algebra", Supermatrix,
+        lambda m, a: _algebra_payload("is_so0_algebra", check_so0_algebra(m, a.tol)),
+        "--tol", help="Lie algebra membership test")
+    add("sdet", Supermatrix, lambda m, _: m.sdet(), help="Berezinian of a supermatrix")
+    add("exp", Supermatrix, lambda m, _: expm(m), help="supermatrix exponential")
+    add("ln", Supermatrix, lambda m, _: logm(m),
+        help="supermatrix logarithm near the identity")
+    add("decompose", Supermatrix, _decompose, "--tol",
         help="three-exponential decomposition of a superrotation")
-    add("lift", _cmd_lift, "--tol", help="spin element covering a superrotation")
-    add("act", _cmd_act, help="apply a supermatrix or spin element to a vector")
-    add("reflect", _cmd_reflect, help="reflection along a supersphere vector")
-    add("inner", _cmd_inner, help="generalized inner product of supervectors")
-    add("phi", _cmd_phi, help="supermatrix of a superbivector's commutator action")
-    add("phi-inv", _cmd_phi_inv, "--tol",
+    add("lift", Supermatrix, _lift, "--tol", help="spin element covering a superrotation")
+    add("act", dict, _act, help="apply a supermatrix or spin element to a vector")
+    add("reflect", dict, _reflect, help="reflection along a supersphere vector")
+    add("inner", dict,
+        lambda d, _: inner(_parse(Supervector, d["x"]), _parse(Supervector, d["y"])),
+        help="generalized inner product of supervectors")
+    add("phi", ExtendedSuperbivector, lambda b, _: bivector_to_matrix(b),
+        help="supermatrix of a superbivector's commutator action")
+    add("phi-inv", Supermatrix, lambda m, a: matrix_to_bivector(m, a.tol), "--tol",
         help="superbivector of an algebra supermatrix")
-    osc = add("osc-exp", _cmd_osc_exp, "--cap", "--m", "--n", "--N",
-              needs_input=False, help="normal-ordered oscillator exponential")
-    osc.add_argument("--theta", type=_finite_float, required=True)
-    osc.add_argument("--plane", type=_int_in(1), default=1,
-                     help="fermionic plane, 1..n")
-    frft = add("frft", _cmd_frft, "--m", "--N", needs_input=False,
-               help="fractional Fourier spin element")
-    frft.add_argument("--thetas", required=True,
-                      help="comma-separated orders, one per plane")
-    st = add("selftest", _cmd_selftest, "--seed", needs_input=False,
-             help="run the acceptance suite")
-    st.add_argument("--only", type=_criteria, default=None,
-                    help="comma-separated criterion indices to run")
+    add("osc-exp", None, _osc_exp, "--cap", "--m", "--n", "--N", "--theta", "--plane",
+        help="normal-ordered oscillator exponential")
+    add("frft", None, _frft, "--m", "--N", "--thetas",
+        help="fractional Fourier spin element")
+    add("selftest", None, _selftest, "--seed", "--only", help="run the acceptance suite")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "osc-exp" and args.plane > args.n:
-        parser.error(f"argument --plane: {args.plane} exceeds --n {args.n}")
+    """Parse, read and decode the input, compute, emit; a payload that
+    reports ``all_passed: false`` (a failed selftest criterion) exits 1."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        data = None if args.kind is None else _load_json(args.input)
+        if args.kind not in (None, dict):
+            data = _parse(args.kind, data)
+        payload = args.compute(data, args)
+        _emit(payload)
     except AlgebraError as exc:
         print(f"domain violation: {exc}", file=sys.stderr)
         return 1
@@ -343,6 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         print(f"malformed input: {exc!r}", file=sys.stderr)
         return 2
+    return int(isinstance(payload, dict) and payload.get("all_passed") is False)
 
 
 if __name__ == "__main__":

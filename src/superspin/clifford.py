@@ -397,16 +397,20 @@ class CliffordElement:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CliffordElement":
-        terms = {
-            (json_int(t["emask"], "emask"), tuple(json_int(a, "alpha") for a in t["alpha"])):
-                GrassmannNumber.from_dict(t["coeff"])
-            for t in data.get("terms", [])
-        }
+        """Inverse of ``to_dict``: every coefficient read in one pass, one
+        number per distinct (emask, alpha) key, so a repeated key is summed."""
+        m, n, order = (json_int(data[key], key) for key in ("m", "n", "N"))
+        keys, coeffs, cells = {}, [], []
+        for t in data.get("terms", []):
+            key = (json_int(t["emask"], "emask"), tuple(json_int(a, "alpha") for a in t["alpha"]))
+            coeffs.append(t["coeff"])
+            cells.append(keys.setdefault(key, len(keys)))
+        terms = dict(zip(keys, GrassmannNumber._read_many(coeffs, order, cells, len(keys))))
         truncated = data.get("truncated", False)
         if type(truncated) is not bool:
             raise TypeError(f"truncated must be a boolean, got {truncated!r}")
-        return cls(*(json_int(data[key], key) for key in ("m", "n", "N")),
-                   json_int(data.get("cap", DEFAULT_CAP), "cap"), terms, truncated=truncated)
+        return cls(m, n, order, json_int(data.get("cap", DEFAULT_CAP), "cap"), terms,
+                   truncated=truncated)
 
     def __repr__(self):
         return (f"CliffordElement(m={self.m}, n={self.n}, N={self.order}, "

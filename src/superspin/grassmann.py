@@ -785,12 +785,17 @@ class GrassmannNumber:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GrassmannNumber":
-        """Inverse of ``to_dict``: the number read as one 1 x 1 cell by
-        ``_read_cells``, its terms by ascending mask."""
-        order = json_int(data["N"], "N")
-        masks, values = _read_cells((data,), order, (0,), 1)
-        return cls._adopt(order, {m: complex(c) for m, c in zip(masks, values[:, 0].tolist())
-                                  if c})
+        """Inverse of ``to_dict``: the number read as one cell."""
+        return cls._read_many((data,), json_int(data["N"], "N"), (0,), 1)[0]
+
+    @classmethod
+    def _read_many(cls, entries: Sequence[Mapping], order: int, cells: Sequence[int],
+                   count: int) -> list["GrassmannNumber"]:
+        """``count`` numbers from one ``_read_cells`` pass, entry e adding
+        into number ``cells[e]``; each number's terms by ascending mask."""
+        masks, values = _read_cells(entries, order, cells, count)
+        return [cls._adopt(order, {m: complex(c) for m, c in zip(masks, column) if c})
+                for column in values.T.tolist()]
 
     # -- misc ----------------------------------------------------------------
 

@@ -138,6 +138,8 @@ class GrassmannMatrix:
         rows = len(entries)
         cols = len(entries[0]) if rows else 0
         if order is None:
+            if not cols:
+                raise ShapeMismatchError("the order cannot be read from an empty entry grid")
             order = entries[0][0].order
         keys, ii, jj, values = [], [], [], []
         for i, row in enumerate(entries):

@@ -553,6 +553,22 @@ def test_selftest_subset_deterministic(capsys):
     assert payload["results"][0]["index"] == 7
 
 
+def test_a_failed_criterion_exits_1_and_still_writes_the_report(capsys, monkeypatch):
+    from superspin import selftest
+
+    def failing(seed):
+        return selftest.CriterionResult(1, "patched to fail", False, f"seed {seed}")
+
+    monkeypatch.setattr(selftest, "CRITERIA", (failing, *selftest.CRITERIA[1:]))
+    code, out, err = run_cli(capsys, "selftest", "--only", "1")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_passed"] is False
+    assert payload["results"] == [{"index": 1, "name": "patched to fail", "passed": False,
+                                   "detail": f"seed {payload['seed']}"}]
+    assert "[FAIL] criterion 1" in err
+
+
 def test_emitted_json_reparses_to_equal_value(capsys, rotation):
     mat, path = rotation
     code, out, _ = run_cli(capsys, "exp", "-i", path)
@@ -761,7 +777,8 @@ def _field_paths(value, path=()):
         yield from _field_paths(child, path + (key,))
 
 
-PROBE_PATHS = {command: list(_field_paths(json.loads(text)))
+# the root too: the whole payload replaced by junk, or no input at all
+PROBE_PATHS = {command: [(), *_field_paths(json.loads(text))]
                for command, text in PROBE_INPUTS.items()}
 
 
@@ -774,18 +791,24 @@ def test_mutated_payloads_keep_the_exit_code_contract(command, data):
     as everywhere in the suite: a near-overflow coefficient (1e308) makes a
     domain violation without a warning on the way."""
     payload = json.loads(PROBE_INPUTS[command])
-    *parents, key = data.draw(st.sampled_from(PROBE_PATHS[command]))
-    container = payload
-    for parent in parents:
-        container = container[parent]
+    path = data.draw(st.sampled_from(PROBE_PATHS[command]))
     junk = data.draw(st.sampled_from(JUNK + ["delete"]))
-    if junk == "delete":
-        del container[key]
+    if not path:
+        text = "" if junk == "delete" else json.dumps(junk)
     else:
-        container[key] = junk
+        *parents, key = path
+        container = payload
+        for parent in parents:
+            container = container[parent]
+        if junk == "delete":
+            del container[key]
+        else:
+            container[key] = junk
+        text = json.dumps(payload)
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(payload))), \
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command])
     assert code in (0, 1, 2), err.getvalue()
     assert code == 0 or out.getvalue() == ""
+    assert path or code == 2, err.getvalue()

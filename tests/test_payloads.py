@@ -753,6 +753,30 @@ def test_bivector_decoder_sums_repeated_keys():
     assert ExtendedSuperbivector.from_dict(data).bb == {(1, 2): whole}
 
 
+def test_clifford_decoder_sums_repeated_keys_in_one_read(monkeypatch):
+    half = {"N": 2, "terms": [{"mask": 0, "re": 0.25, "im": -0.0}, {"mask": 3, "re": 1.0}]}
+    other = {"N": 2, "terms": [{"mask": 1, "re": -2.0}]}
+    data = {"m": 1, "n": 1, "N": 2, "terms": [
+        {"emask": 1, "alpha": [1, 0], "coeff": half},
+        {"emask": 0, "alpha": [0, 0], "coeff": other},
+        {"emask": 1, "alpha": [1, 0], "coeff": half}]}
+    reads = []
+    read = grassmann._read_cells
+    monkeypatch.setattr(grassmann, "_read_cells",
+                        lambda *args: (reads.append(len(args[0])), read(*args))[1])
+    element = CliffordElement.from_dict(data)
+    assert reads == [3]
+    whole = GrassmannNumber.from_dict(half) + GrassmannNumber.from_dict(half)
+    assert element.terms == {(1, (1, 0)): whole, (0, (0, 0)): GrassmannNumber.from_dict(other)}
+
+
+def test_clifford_coefficient_of_another_order_is_refused():
+    coeff = {"N": 3, "terms": [{"mask": 4, "re": 1.0}]}
+    with pytest.raises(OrderMismatchError):
+        CliffordElement.from_dict({"m": 1, "n": 1, "N": 2, "terms": [
+            {"emask": 1, "alpha": [0, 0], "coeff": coeff}]})
+
+
 # -- integer fields ---------------------------------------------------------------
 
 

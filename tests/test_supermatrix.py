@@ -19,6 +19,7 @@ from superspin import (
     LogDomainError,
     NotInvertibleError,
     ParityError,
+    ShapeMismatchError,
     SingularBodyError,
     Supermatrix,
     expm,
@@ -68,6 +69,17 @@ def test_parity_validation_rejects_bad_pattern():
     mat = GrassmannMatrix(SIZE, SIZE, ORDER, blades)
     with pytest.raises(ParityError):
         Supermatrix(M_DIM, Q_DIM, mat)
+
+
+@pytest.mark.parametrize("grid", [[], [[]]], ids=["no-rows", "empty-row"])
+def test_the_order_of_an_empty_grid_cannot_be_read(grid):
+    """Without ``order`` the grid's first entry gives it; an empty grid has
+    none, which used to surface as a bare IndexError."""
+    with pytest.raises(ShapeMismatchError, match="empty entry grid"):
+        GrassmannMatrix.from_entries(grid)
+    with pytest.raises(ShapeMismatchError, match="empty entry grid"):
+        Supermatrix.from_entries(0, 0, grid)
+    assert GrassmannMatrix.from_entries(grid, ORDER).order == ORDER
 
 
 def test_supertranspose_antihomomorphism():
