@@ -63,6 +63,7 @@ from .grassmann import (
     DEFAULT_TOL,
     MAX_ORDER,
     GrassmannNumber,
+    _Pair,
     _as_stack,
     _blade_product,
     _drop_zero_slices,
@@ -166,6 +167,7 @@ class CliffordElement:
     def __init__(self, m: int, n: int, order: int, cap: int = DEFAULT_CAP,
                  terms: Mapping[tuple[int, tuple[int, ...]], GrassmannNumber] | None = None,
                  truncated: bool = False):
+        check_signature(m, n, order)
         self.m = m
         self.n = n
         self.order = order
@@ -762,10 +764,9 @@ class ExtendedSuperbivector(_Graded):
 
     def _json_tree(self) -> dict:
         """``to_dict``'s tree: the nonzero coefficients of each family by
-        ascending key, cells read straight from the stack."""
+        ascending key as ``_Pair`` records, cells read straight from the stack."""
         cells, sizes = _json_cells(self.order, self.mat.masks, self._values().T)
-        b, bq, bb = ([{"j": j, "k": k, "coeff": cells[i]}
-                      for (j, k), i in index.items() if sizes[i]]
+        b, bq, bb = ([_Pair(j, k, cells[i]) for (j, k), i in index.items() if sizes[i]]
                      for index in _layout(self.m, self.n).index)
         return {"m": self.m, "n": self.n, "N": self.order, "b": b, "bq": bq, "B": bb}
 

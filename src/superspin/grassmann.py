@@ -18,7 +18,8 @@ imaginary part is zero, so the CANON_EPS filters (``_kept``, for
 |x| of it directly, which is max(|re|, |im|) for real x, and scan no
 imaginary part.  The package's JSON
 codec lives here as well: ``_json_cells`` reads Grassmann cells off a blade
-stack as ``_Cell`` placeholders (order, term count, flat mask/re/im values),
+stack as ``_Cell`` placeholders (order, term count, flat mask/re/im values;
+a bivector's keyed coefficient is a ``_Pair`` holding one),
 ``_json_text`` is the one writer (``json.dumps(indent=2)`` byte for byte),
 which turns a tree of literals and cells into one format string of escaped
 literal text and cached cell templates and applies it once, and
@@ -126,19 +127,32 @@ class _Cell(NamedTuple):
     real: bool = False
 
 
+class _Pair(NamedTuple):
+    """One coefficient of a bivector family in a JSON tree, the object
+    ``{"j": j, "k": k, "coeff": cell}`` for int keys ``j`` and ``k``:
+    ``_json_text`` writes it through one pair template, which holds the
+    cell's template, so no dict is built or walked for it."""
+
+    j: int
+    k: int
+    cell: _Cell
+
+
 # Cell templates are memoised while their total length stays within
 # _TEMPLATE_BYTES (they are ASCII: one byte a character).  A template that
 # would overfill the cache empties it first; one longer than the bound (a cell
 # of more than 9000 to 17000 terms, by indent, so N >= 14) is built for each
-# cell.  The (6, 2, 4) benchmark outputs use 19 templates, 9 KB in all.
+# cell.  The (6, 2, 4) benchmark outputs use 18 to 20 templates, 4 of them for
+# bivector pairs, 10 KB in all.
 _TEMPLATE_BYTES = 1 << 20
 
 
 class _Templates(dict):
-    """Cell templates by (order, count, newline, real): the text of a cell
-    of ``count`` terms at indent ``newline``, with a ``%d``/``%r``/``%r``
-    slot for each term's mask, re and im (im written as 0.0 if ``real``);
-    ``size`` is their total length."""
+    """Cell templates by (order, count, newline, real, pair): the text of a
+    cell of ``count`` terms at indent ``newline``, with a ``%d``/``%r``/``%r``
+    slot for each term's mask, re and im (im written as 0.0 if ``real``),
+    or, if ``pair``, of a ``_Pair`` holding such a cell, with a ``%d`` slot
+    for j and k first; ``size`` is their total length."""
 
     __slots__ = ("size",)
 
@@ -146,15 +160,20 @@ class _Templates(dict):
         super().__init__()
         self.size = 0
 
-    def __missing__(self, key: tuple[int, int, str, bool]) -> str:
-        order, count, newline, real = key
+    def __missing__(self, key: tuple[int, int, str, bool, bool]) -> str:
+        order, count, newline, real, pair = key
         inner, item = newline + "  ", newline + "    "
-        field = item + "  "
-        im = "0.0" if real else "%r"
-        term = f'{{{field}"mask": %d,{field}"re": %r,{field}"im": {im}{item}}}'
-        template = (f'{{{inner}"N": {order},{inner}"terms": [{item}{term}'
-                    + ("," + item + term) * (count - 1) + f'{inner}]{newline}}}'
-                    if count else f'{{{inner}"N": {order},{inner}"terms": []{newline}}}')
+        if pair:
+            cell = self[order, count, inner, real, False]
+            template = f'{{{inner}"j": %d,{inner}"k": %d,{inner}"coeff": {cell}{newline}}}'
+        elif count:
+            field = item + "  "
+            im = "0.0" if real else "%r"
+            term = f'{{{field}"mask": %d,{field}"re": %r,{field}"im": {im}{item}}}'
+            template = (f'{{{inner}"N": {order},{inner}"terms": [{item}{term}'
+                        + ("," + item + term) * (count - 1) + f'{inner}]{newline}}}')
+        else:
+            template = f'{{{inner}"N": {order},{inner}"terms": []{newline}}}'
         if len(template) <= _TEMPLATE_BYTES:
             if self.size + len(template) > _TEMPLATE_BYTES:
                 self.clear()
@@ -212,10 +231,11 @@ def _json_text(value, newline: str = "\n") -> str:
 
     ``newline`` is the line break plus the indent of ``value``'s own line.
     The whole output is one format string, applied once to the values of
-    every Grassmann cell (``_Cell``) in the tree: literal text with ``%``
-    escaped and, for each cell, its cached template.  Non-finite floats
-    raise ValueError and anything else ``json`` cannot write raises
-    TypeError, as in ``json``, before any formatting.
+    every Grassmann cell (``_Cell``, alone or in a bivector's ``_Pair``) in
+    the tree: literal text with ``%`` escaped and, for each cell or pair,
+    its cached template.  Non-finite floats raise ValueError and anything
+    else ``json`` cannot write raises TypeError, as in ``json``, before any
+    formatting.
     """
     values: list = []
     return _format(value, newline, values) % tuple(values)
@@ -240,7 +260,12 @@ def _format(value, newline: str, values: list) -> str:
     kind = type(value)
     if kind is _Cell:
         values += value.values
-        return _templates[value.order, value.count, newline, value.real]
+        return _templates[value.order, value.count, newline, value.real, False]
+    if kind is _Pair:
+        cell = value.cell
+        values += value.j, value.k
+        values += cell.values
+        return _templates[cell.order, cell.count, newline, cell.real, True]
     if kind is float:
         return _float_text(value)
     if kind is int:
@@ -466,15 +491,19 @@ def _blade_product(op: Callable, masks_a: tuple[int, ...], a_stack: np.ndarray,
     ``op`` combines gathered slices pairwise (``np.matmul`` for matrix
     products, ``np.multiply`` for products with the (k, 1, 1) coefficient
     stack of a GrassmannNumber).  A body-only operand (masks (0,)) needs no
-    plan: its pairs all have sign +1 and distinct product masks.
+    plan: its pairs all have sign +1 and distinct product masks.  The +1 is
+    applied, as the plan route's signs are, only to a complex result, where
+    a product by 1 + 0j can turn the sign of a zero part; on a float64
+    result a product by 1.0 changes no bit.  ``np.result_type`` is read only
+    for the arrays this function allocates (an empty result, a tiled one).
     """
     na, nb = len(masks_a), len(masks_b)
-    dtype = np.result_type(a_stack, b_stack)
     if not na or not nb:
-        return (), np.zeros((0, *shape), dtype=dtype)
+        return (), np.zeros((0, *shape), dtype=np.result_type(a_stack, b_stack))
     if masks_a == (0,) or masks_b == (0,):
         out = op(a_stack[0], b_stack) if masks_a == (0,) else op(a_stack, b_stack[0])
-        out *= 1.0  # the +1 sign: a complex product by 1 + 0j can flip a zero's sign
+        if out.dtype.kind == "c":
+            out *= 1.0  # the +1 sign
         return (masks_b if masks_a == (0,) else masks_a), out
     per_pair = max(a_stack[0].size, b_stack[0].size, shape[0] * shape[1], 1)
     tile = max(1, _TILE_ELEMENTS // per_pair)
@@ -482,7 +511,7 @@ def _blade_product(op: Callable, masks_a: tuple[int, ...], a_stack: np.ndarray,
         plan = (_cached_plan if na * nb <= _CACHED_PAIRS else _build_plan)(
             masks_a, masks_b, order)
         if not plan.keys:
-            return (), np.zeros((0, *shape), dtype=dtype)
+            return (), np.zeros((0, *shape), dtype=np.result_type(a_stack, b_stack))
         return plan.keys, _combine(plan, op, a_stack, b_stack)
     # Tiled: fix the output masks first (one bitwise test per pair, no
     # gather), so that each tile's groups are added into place and dropped;
@@ -499,7 +528,7 @@ def _blade_product(op: Callable, masks_a: tuple[int, ...], a_stack: np.ndarray,
         left, right = ma[sa, None], mb[None, sb]
         present[(left | right)[(left & right) == 0]] = True
     keys = np.flatnonzero(present)
-    out = np.zeros((len(keys), *shape), dtype=dtype)
+    out = np.zeros((len(keys), *shape), dtype=np.result_type(a_stack, b_stack))
     for sa, sb in tiles:
         plan = _build_plan(masks_a[sa], masks_b[sb], order)
         if plan.keys:
@@ -510,20 +539,31 @@ def _blade_product(op: Callable, masks_a: tuple[int, ...], a_stack: np.ndarray,
 
 def _union_add(masks_a: tuple[int, ...], a_stack: np.ndarray, masks_b: tuple[int, ...],
                b_stack: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Blade-wise sum of two stacks: (masks, stack) over the union of masks."""
+    """Blade-wise sum of two stacks: (masks, stack) over the union of masks.
+
+    When the left masks cover the right ones, the right slices are added
+    into a copy of the left stack; otherwise into a zeroed union holding
+    the left slices.  Either way each sum is left + right, with the same bits."""
     if masks_a == masks_b:
         return masks_a, a_stack + b_stack
     masks = tuple(sorted(set(masks_a).union(masks_b)))
     position = {m: k for k, m in enumerate(masks)}.__getitem__
-    stack = np.zeros((len(masks), *a_stack.shape[1:]), dtype=np.result_type(a_stack, b_stack))
-    stack[np.fromiter(map(position, masks_a), np.intp, len(masks_a))] = a_stack
+    dtype = np.result_type(a_stack, b_stack)
+    if len(masks) == len(masks_a):
+        stack = a_stack.astype(dtype)
+    else:
+        stack = np.zeros((len(masks), *a_stack.shape[1:]), dtype=dtype)
+        stack[np.fromiter(map(position, masks_a), np.intp, len(masks_a))] = a_stack
     stack[np.fromiter(map(position, masks_b), np.intp, len(masks_b))] += b_stack
     return masks, stack
 
 
 def _drop_zero_slices(masks: tuple[int, ...], stack: np.ndarray
                       ) -> tuple[tuple[int, ...], np.ndarray]:
-    """(masks, stack) without the all-zero slices."""
+    """(masks, stack) without the all-zero slices; a one-slice stack that
+    is not all zero is answered by one ``any``."""
+    if len(masks) == 1 and stack.any():
+        return masks, stack
     nonzero = stack.reshape(len(masks), stack.shape[1] * stack.shape[2]).any(axis=1)
     if nonzero.all():
         return masks, stack

@@ -9,6 +9,7 @@ symplectic block, and seeded random generators for both levels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -21,10 +22,10 @@ from .supermatrix import (
     Supermatrix,
     _block_body_inverse,
     _log_coeff,
+    _omega,
     _q_gram_body,
     expm,
     split_symplectic_form,
-    symplectic_form,
 )
 
 # Sine up to which a rotation's eigenvalue is read as real (+-1): such a plane
@@ -217,7 +218,7 @@ def symplectic_polar(d0: np.ndarray, tol: float = DEFAULT_TOL
     size = d0.shape[0]
     if size == 0:
         return np.zeros((0, 0)), np.zeros((0, 0))
-    omega = symplectic_form(size // 2)
+    omega = _omega(size // 2)
     if np.abs(d0.T @ omega @ d0 - omega).max() > tol * max(1.0, np.abs(d0).max() ** 2):
         raise MembershipError("matrix is not symplectic")
     evals, evecs = np.linalg.eigh(d0.T @ d0)
@@ -229,12 +230,15 @@ def symplectic_polar(d0: np.ndarray, tol: float = DEFAULT_TOL
     return r, z0
 
 
+@functools.cache
 def _interleave_rect(n: int) -> np.ndarray:
-    """The n x 2n matrix with rows (..., 1, i, ...) on consecutive pairs."""
+    """The n x 2n matrix with rows (..., 1, i, ...) on consecutive pairs,
+    one read-only array."""
     q = np.zeros((n, 2 * n), dtype=complex)
     for j in range(n):
         q[j, 2 * j] = 1.0
         q[j, 2 * j + 1] = 1.0j
+    q.flags.writeable = False
     return q
 
 
@@ -269,7 +273,7 @@ def compact_symplectic_log(r: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarra
     size = r.shape[0]
     if size == 0:
         return np.zeros((0, 0))
-    omega = symplectic_form(size // 2)
+    omega = _omega(size // 2)
     if np.abs(r.T @ r - np.eye(size)).max() > tol \
             or np.abs(r.T @ omega @ r - omega).max() > tol:
         raise MembershipError("matrix is not symplectic orthogonal")
@@ -446,7 +450,7 @@ def _random_so0_from_rng(m: int, n: int, order: int, rng,
     stack[even, :m, :m] = triangle - triangle.transpose(0, 2, 1)
     c = c_draws.reshape(2 * n, m, len(odd)).transpose(2, 0, 1)
     stack[odd, m:, :m] = c
-    stack[odd, :m, m:] = 0.5 * (c.transpose(0, 2, 1) @ symplectic_form(n))
+    stack[odd, :m, m:] = 0.5 * (c.transpose(0, 2, 1) @ _omega(n))
     d = np.zeros((len(even), 2 * n, 2 * n))
     for coeffs, basis_mat in zip(d_draws.reshape(-1, len(even)), basis):
         d = d + coeffs[:, None, None] * basis_mat

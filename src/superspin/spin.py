@@ -34,7 +34,7 @@ from .clifford import (
 from .exceptions import AlgebraError, CapExceededError, MembershipError, ShapeMismatchError
 from .grassmann import DEFAULT_TOL, GrassmannNumber, _to_dict, _to_json, json_int
 from .orthosymplectic import _residuals, _split_rotation, to_unitary
-from .supermatrix import Supermatrix, _q_gram_body, expm, symplectic_form
+from .supermatrix import Supermatrix, _omega, _q_gram_body, expm
 
 
 class SpinElement:
@@ -122,7 +122,7 @@ def split_bivector(biv: ExtendedSuperbivector) -> BivectorSplit:
     of sp(2n): the half (S_D - Omega S_D Omega) / 2, whose generator commutes
     with Omega, is compact and (S_D + Omega S_D Omega) / 2 symmetric.
     """
-    m, omega, mat = biv.m, symplectic_form(biv.n), biv.mat
+    m, omega, mat = biv.m, _omega(biv.n), biv.mat
     compact = mat.body()
     d = compact[m:, m:].copy()
     turned = omega @ d @ omega

@@ -321,11 +321,18 @@ def _wrong_blocks(p: int, q: int) -> np.ndarray:
 
 
 def symplectic_form(n: int) -> np.ndarray:
-    """Omega_{2n}: block diagonal of [[0, 1], [-1, 0]]."""
+    """Omega_{2n}: block diagonal of [[0, 1], [-1, 0]], a fresh array."""
+    return _omega(n).copy()
+
+
+@functools.cache
+def _omega(n: int) -> np.ndarray:
+    """``symplectic_form(n)`` as one read-only array, for the package's own reads."""
     omega = np.zeros((2 * n, 2 * n))
     for j in range(n):
         omega[2 * j, 2 * j + 1] = 1.0
         omega[2 * j + 1, 2 * j] = -1.0
+    omega.flags.writeable = False
     return omega
 
 
@@ -621,7 +628,13 @@ def expm(m: Supermatrix) -> Supermatrix:
     to entry-sum norm at most 1 and a Taylor series to SERIES_EPS.  Terms
     stay raw blade stacks; an argument whose norm overflows, a square with
     a non-finite entry (the squaring stops there) or a non-finite sum raises
-    AlgebraError, without a numpy warning from the norm, a term or a square."""
+    AlgebraError, without a numpy warning from the norm, a term or a square.
+
+    The series stops at the first term with norm not above SERIES_EPS times
+    the norm of the sum.  That norm is taken only when the term is within a
+    factor 2 of SERIES_EPS times |I| + the sum of the term norms so far, an
+    upper bound on it (the triangle inequality, far above rounding): a term
+    above that is above the test, so the loop stops at the same term."""
     mat, size = m.mat, m.size
     if not mat.masks or mat.masks[0] != 0:
         return m._like(*_nilpotent_matrix_series(mat.masks, mat.stack, m.order,
@@ -633,14 +646,18 @@ def expm(m: Supermatrix) -> Supermatrix:
     masks, stack = mat.masks, 0.5 ** s * mat.stack
     product = functools.partial(_blade_product, np.matmul, order=m.order, shape=(size, size))
     total_masks, total = term_masks, term = (0,), np.eye(size, dtype=stack.dtype)[None]
+    bound = float(size)  # |I| + the norms of the terms so far
     for k in range(1, 200):
         term_masks, term = _drop_zero_slices(*product(term_masks, term, masks, stack))
         if not term_masks:
             break
         term = term * (1.0 / k)
         total_masks, total = _union_add(total_masks, total, term_masks, term)
+        term_norm = np.abs(term).sum()
+        bound += term_norm
         # "not >" also stops on a NaN term; the final build reports it
-        if not np.abs(term).sum() > SERIES_EPS * np.abs(total).sum():
+        if not (term_norm > 2.0 * SERIES_EPS * bound
+                or term_norm > SERIES_EPS * np.abs(total).sum()):
             break
     for _ in range(s):
         total_masks, total = _drop_zero_slices(*product(total_masks, total, total_masks, total))
@@ -693,7 +710,7 @@ def logm(m: Supermatrix) -> Supermatrix:
 def _q_gram_body(m: int, n: int) -> np.ndarray:
     """diag(I_m, -Omega_{2n} / 2) = diag(I_m, Omega_{2n}^T / 2), one read-only array."""
     gram = np.eye(m + 2 * n)
-    gram[m:, m:] = 0.5 * symplectic_form(n).T
+    gram[m:, m:] = 0.5 * _omega(n).T
     gram.flags.writeable = False
     return gram
 

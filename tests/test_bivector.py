@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superspin import (
+    CliffordElement,
     ExtendedSuperbivector,
     GrassmannNumber,
     OrderMismatchError,
@@ -325,9 +326,10 @@ def test_scaling_by_an_odd_number_is_a_parity_error():
         biv.scale(GrassmannNumber.generator(2, 1))
 
 
-@pytest.mark.parametrize("cls", [ExtendedSuperbivector, SpinElement])
+@pytest.mark.parametrize("cls", [ExtendedSuperbivector, SpinElement, CliffordElement])
 @pytest.mark.parametrize("m, n, order, error", [
     (1, 0, 17, OrderMismatchError), (1, 0, -1, OrderMismatchError),
+    (1, 1, 99, OrderMismatchError),
     (-1, 1, 2, ShapeMismatchError), (1, -1, 2, ShapeMismatchError),
 ])
 def test_constructors_check_the_signature(cls, m, n, order, error):

@@ -528,6 +528,11 @@ def test_construction_drops_zero_slices_and_rejects_bad_stacks():
         GrassmannMatrix(2, 2, 2, {4: np.eye(2)})
     empty = GrassmannMatrix(0, 3, 1, {0: np.zeros((0, 3))})
     assert empty.masks == () and empty.stack.shape == (0, 0, 3)
+    # one slice, float64 or complex, is dropped only when every part is zero
+    for values, masks in (([0.0, -0.0], ()), ([complex(0.0, -0.0), -0.0], ()),
+                          ([-0.0, 5e-324], (3,)), ([complex(-0.0, 5e-324), 0.0], (3,))):
+        one = GrassmannMatrix(1, 2, 2, masks=(3,), stack=np.array(values).reshape(1, 1, 2))
+        assert one.masks == masks and one.stack.shape == (len(masks), 1, 2)
 
 
 # -- body-only operands against the plan route -----------------------------------------
@@ -627,6 +632,75 @@ def test_body_only_operand_skips_plans_and_tiles(monkeypatch):
         assert_bitwise(grassmann._blade_product(np.matmul, *args, 4, (3, 3)),
                        plan_route_product(np.matmul, *args))
     assert plans == []
+
+
+@st.composite
+def body_operand_products_of_either_dtype(draw):
+    """``body_operand_products`` with each stack kept complex or replaced by
+    its real part, a float64 view that keeps the -0.0 entries."""
+    op, masks_a, a_stack, masks_b, b_stack, order, shape = draw(body_operand_products())
+    a_stack, b_stack = (stack.real if draw(st.booleans()) else stack
+                        for stack in (a_stack, b_stack))
+    return op, masks_a, a_stack, masks_b, b_stack, order, shape
+
+
+@settings(max_examples=300)
+@given(body_operand_products_of_either_dtype())
+@example((np.multiply, (0,), np.array([[[-0.0]]]), (0, 3),
+          np.array([[[2.0]], [[-0.0]]]), 2, (1, 1)))
+def test_body_only_operands_of_either_dtype_match_the_plan_route_bit_for_bit(case):
+    """The +1 sign of a body-only product is applied to complex results
+    only: float64 results, which a product by 1.0 leaves as they are, still
+    have the plan route's bits, signed zeros included."""
+    op, masks_a, a_stack, masks_b, b_stack, order, shape = case
+    assert_bitwise(grassmann._blade_product(op, masks_a, a_stack, masks_b, b_stack, order,
+                                            shape),
+                   plan_route_product(op, masks_a, a_stack, masks_b, b_stack))
+
+
+def general_union_add(masks_a, a_stack, masks_b, b_stack):
+    """The union every sum of unequal masks took before a covering left
+    operand was added into a copy of itself: a zeroed stack over the union,
+    the left slices put in and the right ones added."""
+    masks = tuple(sorted(set(masks_a).union(masks_b)))
+    position = {m: k for k, m in enumerate(masks)}
+    stack = np.zeros((len(masks), *a_stack.shape[1:]), dtype=np.result_type(a_stack, b_stack))
+    stack[[position[m] for m in masks_a]] = a_stack
+    stack[[position[m] for m in masks_b]] += b_stack
+    return masks, stack
+
+
+@st.composite
+def union_operands(draw):
+    """Two stacks of one slice shape, each float64 or complex128 with
+    signed zeros, the right masks a subset of the left ones, equal to them,
+    or any set."""
+    order = draw(st.sampled_from(ORDERS))
+    shape = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+    masks_a = tuple(sorted(draw(st.sets(st.integers(0, (1 << order) - 1), max_size=6))))
+    kind = draw(st.sampled_from(["subset", "equal", "any"]))
+    if kind == "subset":
+        masks_b = tuple(sorted(draw(st.sets(st.sampled_from(masks_a))))) if masks_a else ()
+    elif kind == "equal":
+        masks_b = masks_a
+    else:
+        masks_b = tuple(sorted(draw(st.sets(st.integers(0, (1 << order) - 1), max_size=6))))
+
+    def stack(masks):
+        size = len(masks) * shape[0] * shape[1]
+        values = np.array(draw(st.lists(ENTRIES, min_size=size, max_size=size)),
+                          dtype=complex).reshape(len(masks), *shape)
+        return values.real.copy() if draw(st.booleans()) else values
+
+    return masks_a, stack(masks_a), masks_b, stack(masks_b)
+
+
+@settings(max_examples=300)
+@given(union_operands())
+def test_union_add_matches_the_general_union_bit_for_bit(case):
+    """Adding into a copy of a covering left stack gives the general
+    union's masks, dtype and bits, signed zeros included."""
+    assert_bitwise(grassmann._union_add(*case), general_union_add(*case))
 
 
 # -- bounded memory at MAX_ORDER -------------------------------------------------------

@@ -316,16 +316,39 @@ def test_to_json_is_json_dumps_of_the_oracle_dict(x):
     assert json.dumps(got) == json.dumps(want)  # the signs of zeros too
 
 
+def edge_bivectors() -> list[ExtendedSuperbivector]:
+    """Bivectors with m = 0, n = 0 or N = 0, empty families, and complex
+    coefficients, one of them with -0.0 parts."""
+    def g(order, terms):
+        return GrassmannNumber(order, terms)
+
+    return [
+        ExtendedSuperbivector(0, 1, 0, bb={(1, 1): g(0, {0: 1 + 2j}), (1, 2): g(0, {0: -0.5})}),
+        ExtendedSuperbivector(3, 0, 2, b={(1, 2): g(2, {0: -0.5j, 3: 1.0}),
+                                          (2, 3): g(2, {3: 2.5})}),
+        ExtendedSuperbivector(2, 1, 4, bq={(2, 1): g(4, {1: complex(1.5, -0.0), 7: 3j})}),
+        ExtendedSuperbivector(2, 1, 4, b={(1, 2): g(4, {0: complex(-0.0, 0.25)})},
+                              bq={(1, 2): g(4, {2: -1.0})}, bb={(2, 2): g(4, {0: 0.75j, 5: 1.0})}),
+        ExtendedSuperbivector.zero(0, 0, 0),
+    ]
+
+
 def test_to_json_covers_the_edge_shapes():
-    """Empty cells, p = 0, q = 0, N = 0 and MAX_ORDER, written exactly."""
+    """Empty cells, p = 0, q = 0, N = 0 and MAX_ORDER, written exactly; the
+    bivectors and spin elements also as json.dumps of their parsed text."""
+    bivectors = edge_bivectors()
     edge = [Supermatrix.zeros(2, 0, 0), Supermatrix.eye(0, 2, MAX_ORDER),
             Supermatrix.zeros(0, 0, 1), Supervector.zero(0, 1, 4),
             ExtendedSuperbivector.zero(2, 1, MAX_ORDER), SpinElement(1, 0, 0),
             GrassmannNumber(MAX_ORDER, {(1 << MAX_ORDER) - 1: complex(-0.0, 1e16)}),
-            CliffordElement(0, 0, 0, 0)]
+            CliffordElement(0, 0, 0, 0), *bivectors,
+            SpinElement(0, 1, 0, bivectors[:1]), SpinElement(3, 0, 2, bivectors[1:2]),
+            SpinElement(2, 1, 4, [bivectors[2], bivectors[3], ExtendedSuperbivector.zero(2, 1, 4)]),
+            SpinElement(0, 0, 0, [bivectors[4]])]
     for x in edge:
         assert x.to_json() == oracle_text(oracle_dict(x))
         assert x.to_dict() == oracle_dict(x)
+        assert x.to_json() == json.dumps(json.loads(x.to_json()), indent=2)
 
 
 def test_a_full_max_order_cell_renders_and_the_template_cache_stays_bounded():

@@ -1,6 +1,7 @@
 """Supermatrix algebra: parity pattern, supertranspose, supertrace,
 Berezinian, inverse, exponential and logarithm."""
 
+import functools
 import itertools
 import json
 import math
@@ -27,11 +28,14 @@ from superspin import (
     q_gram_matrix,
     random_grassmann,
     random_rotation,
+    random_so0,
     random_supermatrix,
     symplectic_form,
 )
 from superspin import supermatrix
-from superspin.grassmann import _blade_product, _nilpotent_matrix_series
+from superspin.grassmann import (_blade_product, _drop_zero_slices, _nilpotent_matrix_series,
+                                 _union_add)
+from superspin.orthosymplectic import _split_rotation
 from superspin.supermatrix import COND_LIMIT, SERIES_EPS
 from test_kernel import SETTINGS, parity_blocks
 
@@ -543,6 +547,93 @@ def test_exp_and_log_match_their_oracles(shape, data, seed):
     unipotent = Supermatrix.eye(p, q, order) + m.nilpotent_part()
     assert_relative(logm(unipotent), object_logm(unipotent), 1e-14)
     assert_relative(expm(logm(unipotent)), unipotent, 1e-13)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def eager_expm(m):
+    """``expm`` as it was before its stop test took the norm of the sum only
+    near the end: that norm after every Taylor term."""
+    mat, size = m.mat, m.size
+    if not mat.masks or mat.masks[0] != 0:
+        return m._like(*_nilpotent_matrix_series(mat.masks, mat.stack, m.order,
+                                                 lambda k: 1.0 / math.factorial(k)))
+    norm = mat.norm()
+    if not math.isfinite(norm):
+        raise AlgebraError("entry-sum norm overflows, so exp cannot scale its argument")
+    s = math.ceil(math.log2(max(norm, 1.0)))
+    masks, stack = mat.masks, 0.5 ** s * mat.stack
+    product = functools.partial(_blade_product, np.matmul, order=m.order, shape=(size, size))
+    total_masks, total = term_masks, term = (0,), np.eye(size, dtype=stack.dtype)[None]
+    for k in range(1, 200):
+        term_masks, term = _drop_zero_slices(*product(term_masks, term, masks, stack))
+        if not term_masks:
+            break
+        term = term * (1.0 / k)
+        total_masks, total = _union_add(total_masks, total, term_masks, term)
+        if not np.abs(term).sum() > SERIES_EPS * np.abs(total).sum():
+            break
+    for _ in range(s):
+        total_masks, total = _drop_zero_slices(*product(total_masks, total, total_masks, total))
+        if not np.isfinite(total).all():
+            raise AlgebraError("non-finite entry in blade slice")
+    return m._like(total_masks, total)
+
+
+def exp_outcome(function, m):
+    """The result's (masks, dtype, bytes, stack), or the type of the exception raised."""
+    try:
+        got = function(m).mat
+    except AlgebraError as exc:
+        return type(exc)
+    return got.masks, got.stack.dtype, got.stack.tobytes(), got.stack
+
+
+def stop_rule_inputs():
+    """Seeded so_0 elements at N = 0, 1, 4, 6 (also scaled up, so the
+    squaring runs), the body-only compact and symmetric factors of the
+    split, a bodiless element, complex stacks carrying -0.0 imaginary parts,
+    and the golden exp payload with a body coefficient at +-1.7e308."""
+    inputs = {}
+    for order in (0, 1, 4, 6):
+        for scale in (0.25, 3.0):
+            inputs[f"so0-N{order}-x{scale}"] = random_so0(2, 1, order, seed=order + 7,
+                                                          scale=scale)
+    rotation = random_rotation(6, 2, 4, seed=29)
+    inputs["compact"], inputs["symmetric"] = _split_rotation(rotation, 1e-9)[:2]
+    alg = random_so0(3, 1, 4, seed=31)
+    inputs["bodiless"] = alg.nilpotent_part()
+    signed = alg.mat.stack.astype(complex)
+    signed.imag = -0.0
+    inputs["minus-zero-imaginary"] = Supermatrix._adopt(3, 2, 4, alg.mat.masks, signed)
+    turned = alg.scale(0.6 - 0.8j).mat.stack.copy()
+    turned[turned.real == 0.0] = complex(-0.0, -0.0)
+    inputs["complex"] = Supermatrix._adopt(3, 2, 4, alg.mat.masks, turned)
+    text = (Path(__file__).parent / "golden" / "exp.json").read_text()
+    for name, (i, j), value in (("overflowing", (0, 1), 1.7e308),
+                                ("decaying", (3, 3), -1.7e308)):
+        payload = json.loads(text)
+        payload["rows"][i][j]["terms"][0]["re"] = value
+        inputs[f"golden-{name}"] = Supermatrix.from_dict(payload)
+    return inputs
+
+
+STOP_RULE_INPUTS = stop_rule_inputs()
+
+
+@pytest.mark.parametrize("name", STOP_RULE_INPUTS)
+def test_the_stop_rule_stops_at_the_eager_term(name):
+    """expm, which takes the norm of the sum only when a term is near the
+    stopping threshold, gives the eager loop's masks, dtype and bytes, or
+    raises the same exception class."""
+    m = STOP_RULE_INPUTS[name]
+    got, want = exp_outcome(expm, m), exp_outcome(eager_expm, m)
+    if isinstance(want, type):
+        assert got is want
+        assert name == "golden-overflowing"
+    else:
+        assert got[:3] == want[:3]
+        assert np.array_equal(got[3], want[3])
+        assert name != "golden-overflowing"
 
 
 def count_builds(monkeypatch, call, *args):
