@@ -63,7 +63,6 @@ from .grassmann import (
     DEFAULT_TOL,
     MAX_ORDER,
     GrassmannNumber,
-    _Pair,
     _as_stack,
     _blade_product,
     _drop_zero_slices,
@@ -407,7 +406,8 @@ class CliffordElement:
             key = (json_int(t["emask"], "emask"), tuple(json_int(a, "alpha") for a in t["alpha"]))
             coeffs.append(t["coeff"])
             cells.append(keys.setdefault(key, len(keys)))
-        terms = dict(zip(keys, GrassmannNumber._read_many(coeffs, order, cells, len(keys))))
+        terms = dict(zip(keys, GrassmannNumber._read_many(coeffs, order, cells, len(keys),
+                                                          "Clifford element")))
         truncated = data.get("truncated", False)
         if type(truncated) is not bool:
             raise TypeError(f"truncated must be a boolean, got {truncated!r}")
@@ -559,11 +559,11 @@ class Supervector(_Graded):
         return norm, abs(dev)
 
     def _json_tree(self) -> dict:
-        """``to_dict``'s tree, every coordinate a cell read straight from
-        the column."""
-        cells, _ = _json_cells(self.order, self.mat.masks, self.mat.stack[:, :, 0].T)
-        return {"m": self.m, "n": self.n, "N": self.order,
-                "even": cells[:self.m], "odd": cells[self.m:]}
+        """``to_dict``'s tree, the even and the odd coordinates each a list
+        of cells read straight from the column."""
+        even, odd = _json_cells(self.order, self.mat.masks, self.mat.stack[:, :, 0].T,
+                                (self.m, 2 * self.n))
+        return {"m": self.m, "n": self.n, "N": self.order, "even": even, "odd": odd}
 
     to_json = _to_json
     to_dict = _to_dict
@@ -576,7 +576,7 @@ class Supervector(_Graded):
         if len(even) != m or len(odd) != 2 * n:
             raise ShapeMismatchError("coordinate counts must be m and 2n")
         size = m + 2 * n
-        masks, values = _read_cells([*even, *odd], order, range(size), size)
+        masks, values = _read_cells([*even, *odd], order, range(size), size, "supervector")
         return cls.from_column(m, n, GrassmannMatrix(
             size, 1, order, masks=masks, stack=values.reshape(len(masks), size, 1)))
 
@@ -764,10 +764,11 @@ class ExtendedSuperbivector(_Graded):
 
     def _json_tree(self) -> dict:
         """``to_dict``'s tree: the nonzero coefficients of each family by
-        ascending key as ``_Pair`` records, cells read straight from the stack."""
-        cells, sizes = _json_cells(self.order, self.mat.masks, self._values().T)
-        b, bq, bb = ([_Pair(j, k, cells[i]) for (j, k), i in index.items() if sizes[i]]
-                     for index in _layout(self.m, self.n).index)
+        ascending key as a list of pairs, cells read straight from the stack."""
+        index = _layout(self.m, self.n).index
+        b, bq, bb = _json_cells(self.order, self.mat.masks, self._values().T,
+                                [len(family) for family in index],
+                                [key for family in index for key in family])
         return {"m": self.m, "n": self.n, "N": self.order, "b": b, "bq": bq, "B": bb}
 
     to_json = _to_json
@@ -789,7 +790,8 @@ class ExtendedSuperbivector(_Graded):
                 entries.append(item["coeff"])
                 cells.append(index[key])
         biv = object.__new__(cls)
-        biv._fill(m, n, order, *_read_cells(entries, order, cells, len(layout.scale)))
+        biv._fill(m, n, order, *_read_cells(entries, order, cells, len(layout.scale),
+                                            "bivector"))
         return biv
 
     def __repr__(self):

@@ -17,20 +17,22 @@ imaginary part is zero, so the CANON_EPS filters (``_kept``, for
 ``_json_cells`` and ``clifford.reflect``, and ``clifford._drop_tiny``) take
 |x| of it directly, which is max(|re|, |im|) for real x, and scan no
 imaginary part.  The package's JSON
-codec lives here as well: ``_json_cells`` reads Grassmann cells off a blade
-stack as ``_Cell`` placeholders (order, term count, flat mask/re/im values;
-a bivector's keyed coefficient is a ``_Pair`` holding one),
-``_json_text`` is the one writer (``json.dumps(indent=2)`` byte for byte),
-which turns a tree of literals and cells into one format string of escaped
-literal text and cached cell templates and applies it once, and
-``_read_cells`` reads cells back into a stack in one pass over their terms.
+codec lives here as well: ``_json_cells`` reads the Grassmann cells off a
+blade stack as ``_Cells`` list nodes, one per matrix row, supervector
+coordinate list or bivector family (order, each cell's term count, and all
+their mask/re/im values as one flat list; a family's nonzero coefficients
+are keyed pairs), and a lone number is one ``_Cell``.  ``_json_text`` is
+the one writer (``json.dumps(indent=2)`` byte for byte): it turns a tree of
+literals and nodes into one format string of escaped literal text and
+cached cell or pair templates, joined a node at a time, and applies it
+once.  ``_read_cells`` reads cells back into a stack in one pass over their
+terms, and names the container of an entry of another order.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import json
 import math
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -127,15 +129,20 @@ class _Cell(NamedTuple):
     real: bool = False
 
 
-class _Pair(NamedTuple):
-    """One coefficient of a bivector family in a JSON tree, the object
-    ``{"j": j, "k": k, "coeff": cell}`` for int keys ``j`` and ``k``:
-    ``_json_text`` writes it through one pair template, which holds the
-    cell's template, so no dict is built or walked for it."""
+class _Cells(NamedTuple):
+    """A JSON list of Grassmann cells of one order (a matrix row, a
+    supervector's even or odd coordinates): each cell's number of terms and
+    all their values, flat as in ``_Cell``.  With ``pair`` it is a bivector
+    family, each cell the coeff of a ``{"j": j, "k": k, "coeff": cell}``
+    object whose int keys lead its values.  ``_json_text`` writes it as its
+    cells' (or pairs') cached templates joined, so no object is built or
+    walked for a cell."""
 
-    j: int
-    k: int
-    cell: _Cell
+    order: int
+    counts: list
+    values: list
+    real: bool
+    pair: bool = False
 
 
 # Cell templates are memoised while their total length stays within
@@ -151,8 +158,8 @@ class _Templates(dict):
     """Cell templates by (order, count, newline, real, pair): the text of a
     cell of ``count`` terms at indent ``newline``, with a ``%d``/``%r``/``%r``
     slot for each term's mask, re and im (im written as 0.0 if ``real``),
-    or, if ``pair``, of a ``_Pair`` holding such a cell, with a ``%d`` slot
-    for j and k first; ``size`` is their total length."""
+    or, if ``pair``, of a bivector pair object holding such a cell, with a
+    ``%d`` slot for j and k first; ``size`` is their total length."""
 
     __slots__ = ("size",)
 
@@ -231,7 +238,7 @@ def _json_text(value, newline: str = "\n") -> str:
 
     ``newline`` is the line break plus the indent of ``value``'s own line.
     The whole output is one format string, applied once to the values of
-    every Grassmann cell (``_Cell``, alone or in a bivector's ``_Pair``) in
+    every Grassmann cell (a lone ``_Cell``, or one of a ``_Cells`` list) in
     the tree: literal text with ``%`` escaped and, for each cell or pair,
     its cached template.  Non-finite floats raise ValueError and anything
     else ``json`` cannot write raises TypeError, as in ``json``, before any
@@ -261,11 +268,15 @@ def _format(value, newline: str, values: list) -> str:
     if kind is _Cell:
         values += value.values
         return _templates[value.order, value.count, newline, value.real, False]
-    if kind is _Pair:
-        cell = value.cell
-        values += value.j, value.k
-        values += cell.values
-        return _templates[cell.order, cell.count, newline, cell.real, True]
+    if kind is _Cells:
+        if not value.counts:
+            return "[]"
+        values += value.values
+        inner = newline + "  "
+        order, real, pair = value.order, value.real, value.pair
+        return ("[" + inner + ("," + inner).join([
+            _templates[order, count, inner, real, pair] for count in value.counts])
+            + newline + "]")
     if kind is float:
         return _float_text(value)
     if kind is int:
@@ -333,15 +344,19 @@ def _kept(values: np.ndarray) -> np.ndarray:
     return np.abs(values) >= CANON_EPS
 
 
-def _json_cells(order: int, masks: Sequence[int],
-                values: np.ndarray) -> tuple[list[_Cell], list[int]]:
-    """The ``_Cell`` of each row of ``values`` (cells x blades, the blades
-    being ``masks``) and each cell's number of terms: one canonical
-    CANON_EPS filter over all coefficients, and the kept (mask, re, im)
-    triples as one object array's ``tolist``, so the masks are ints and
-    the floats keep their repr; when every kept im is +0.0 (always, for a
-    float64 stack), the cells are ``real`` and hold (mask, re) pairs.  A
-    kept non-finite coefficient raises ValueError, as ``json`` does."""
+def _json_cells(order: int, masks: Sequence[int], values: np.ndarray,
+                groups: Sequence[int],
+                keys: Sequence[tuple[int, int]] | None = None) -> list[_Cells]:
+    """The rows of ``values`` (cells x blades, the blades being ``masks``)
+    as one ``_Cells`` list per group of consecutive cells, ``groups``
+    giving their sizes: one canonical CANON_EPS filter over all
+    coefficients, and the kept (mask, re, im) triples as one object array's
+    ``tolist``, so the masks are ints and the floats keep their repr; when
+    every kept im is +0.0 (always, for a float64 stack), the cells are
+    ``real`` and hold (mask, re) pairs.  With ``keys``, one (j, k) per
+    cell, each group is a bivector family: a cell without terms is left
+    out and a kept one is a pair.  A kept non-finite coefficient raises
+    ValueError, as ``json`` does."""
     kept = _kept(values)
     ii, kk = np.nonzero(kept)
     coeffs = values[ii, kk]
@@ -356,16 +371,33 @@ def _json_cells(order: int, masks: Sequence[int],
     width = flat.shape[1]
     flat = flat.ravel().tolist()
     sizes = kept.sum(axis=1).tolist()
-    ends = [width * end for end in itertools.accumulate(sizes)]
-    return [_Cell(order, size, flat[start:end], real)
-            for size, start, end in zip(sizes, [0] + ends, ends)], sizes
+    nodes, cell, start = [], 0, 0
+    for group in groups:
+        counts = sizes[cell:cell + group]
+        if keys is None:
+            end = start + width * sum(counts)
+            nodes.append(_Cells(order, counts, flat[start:end], real))
+            start = end
+        else:
+            pairs = []
+            for key, count in zip(keys[cell:cell + group], counts):
+                if count:
+                    end = start + width * count
+                    pairs += key
+                    pairs += flat[start:end]
+                    start = end
+            nodes.append(_Cells(order, [c for c in counts if c], pairs, real, True))
+        cell += group
+    return nodes
 
 
 def _read_cells(entries: Sequence[Mapping], order: int, cells: Sequence[int],
-                count: int) -> tuple[list[int], np.ndarray]:
+                count: int, container: str) -> tuple[list[int], np.ndarray]:
     """(masks, values) of JSON Grassmann numbers read as ``from_dict`` reads
     one: ascending masks, one row each, and ``count`` columns, entry e adding
-    into column ``cells[e]``.  One pass over the terms checks each field
+    into column ``cells[e]``; an entry whose order is not ``order`` raises
+    OrderMismatchError naming the ``container`` it sits in (a "matrix").
+    One pass over the terms checks each field
     (``json_int`` only for a value that is not an int, ``json_float`` only
     for one that is not a float); the columns are the cells repeated by
     their term counts, and the rows are the masks present in a 2^N array,
@@ -382,7 +414,7 @@ def _read_cells(entries: Sequence[Mapping], order: int, cells: Sequence[int],
         if type(entry_order) is not int:
             json_int(entry_order, "N")
         if entry_order != order:
-            raise OrderMismatchError("entry order differs from matrix order")
+            raise OrderMismatchError(f"entry order differs from {container} order")
         before = len(masks)
         for item in entry.get("terms", []):
             mask = item["mask"]
@@ -826,14 +858,14 @@ class GrassmannNumber:
     @classmethod
     def from_dict(cls, data: Mapping) -> "GrassmannNumber":
         """Inverse of ``to_dict``: the number read as one cell."""
-        return cls._read_many((data,), json_int(data["N"], "N"), (0,), 1)[0]
+        return cls._read_many((data,), json_int(data["N"], "N"), (0,), 1, "number")[0]
 
     @classmethod
     def _read_many(cls, entries: Sequence[Mapping], order: int, cells: Sequence[int],
-                   count: int) -> list["GrassmannNumber"]:
+                   count: int, container: str) -> list["GrassmannNumber"]:
         """``count`` numbers from one ``_read_cells`` pass, entry e adding
         into number ``cells[e]``; each number's terms by ascending mask."""
-        masks, values = _read_cells(entries, order, cells, count)
+        masks, values = _read_cells(entries, order, cells, count, container)
         return [cls._adopt(order, {m: complex(c) for m, c in zip(masks, column) if c})
                 for column in values.T.tolist()]
 

@@ -294,8 +294,10 @@ class RotationDecomposition:
     """M = exp(compact) exp(symmetric) exp(nilpotent); the last two unique.
 
     ``residual`` is |exp(compact) exp(symmetric) exp(nilpotent) - M| / max(1, |M|),
-    from the body-only factor the split formed after its membership check
-    (``_split_rotation``); ``lift_rotation`` shares the split, not the residual.
+    from the body-only factor B = exp(X) exp(Y) the split formed after its
+    membership check (``_split_rotation``).  ``lift_rotation`` shares the
+    split's body phase and membership check, not the residual, and takes its
+    nilpotent exponent against exp(phi(B_1)) exp(phi(B_2)) instead of B.
     """
 
     compact: Supermatrix
@@ -310,19 +312,11 @@ class RotationDecomposition:
         return expm(self.compact) @ expm(self.symmetric) @ expm(self.nilpotent)
 
 
-def _split_rotation(mat: Supermatrix, tol: float
-                    ) -> tuple[Supermatrix, Supermatrix, Supermatrix, Supermatrix]:
-    """(X, Y, Z, B) with mat = B exp(Z) and B = exp(X) exp(Y) body-only.
-
-    X and Y come from real logs of the body blocks, so B is block diagonal
-    and is inverted by ``_block_body_inverse`` (A first, NotInvertibleError);
-    Z = log(I + nil(B^-1 M)) is free of body rounding.  MembershipError comes
-    from, in order, ``check_o0``'s residuals (one kernel product), the body
-    logs (det A0 = -1, D0 not symplectic) and sdet M = 1.  X and Y are
-    trace-free and Z bodiless, so with r = det A0 / det D0, |sdet M - 1| <=
-    |r - 1| + |r| (exp|str Z| - 1), at no product.  That carries B0 - M0
-    times |Z| (1e-10 at |M| = 2e4), so past tol ``sdet`` decides, as in check_so0.
-    """
+def _split_body(mat: Supermatrix, tol: float) -> tuple[Supermatrix, Supermatrix, float]:
+    """The split's body phase: (X, Y, det A0 / det D0), X and Y the real logs
+    of the body blocks, so exp(X) exp(Y) is body-only and block diagonal.
+    MembershipError comes from, in order, ``check_o0``'s residuals (one
+    kernel product) and the body logs (det A0 = -1, D0 not symplectic)."""
     m, n = _shape(mat)
     if not _residuals(mat, _q_gram_body(m, n), True, tol)[2]:
         raise MembershipError("decomposition requires a special superrotation")
@@ -340,18 +334,38 @@ def _split_rotation(mat: Supermatrix, tol: float
     compact_body[m:, m:] = y0
     symmetric_body = np.zeros((size, size))
     symmetric_body[m:, m:] = z0
-    compact = Supermatrix.from_body(m, 2 * n, compact_body, mat.order)
-    symmetric = Supermatrix.from_body(m, 2 * n, symmetric_body, mat.order)
-    group_body = expm(compact) @ expm(symmetric)
-    b0_inv = _block_body_inverse(group_body.body_matrix(), m)
+    return (Supermatrix.from_body(m, 2 * n, compact_body, mat.order),
+            Supermatrix.from_body(m, 2 * n, symmetric_body, mat.order),
+            float(np.linalg.det(a0) / np.linalg.det(d0)))
+
+
+def _split_nilpotent(mat: Supermatrix, group_body: Supermatrix, ratio: float,
+                     tol: float) -> Supermatrix:
+    """The split's nilpotent phase: Z = log(I + nil(B^-1 M)) for a body
+    factor B = ``group_body``, block diagonal and body-only, so it is
+    inverted by ``_block_body_inverse`` (A first, NotInvertibleError) and Z
+    is free of body rounding; then the sdet M = 1 test (MembershipError).
+    Z is bodiless and str of the body logs is 0, so with r = ``ratio``,
+    |sdet M - 1| <= |r - 1| + |r| (exp|str Z| - 1), at no product.  That
+    carries B0 - M0 times |Z| (1e-10 at |M| = 2e4), so past tol ``sdet``
+    decides, as in check_so0."""
+    b0_inv = _block_body_inverse(group_body.body_matrix(), mat.p)
     x = mat.mat.nilpotent_part()
     nilpotent = mat._like(*_nilpotent_matrix_series(x.masks, b0_inv @ x.stack, mat.order,
                                                     _log_coeff))
-    ratio = float(np.linalg.det(a0) / np.linalg.det(d0))
     if not (abs(ratio - 1.0) + abs(ratio) * math.expm1(nilpotent.supertrace().norm()) <= tol
             or (mat.sdet() - 1.0).norm() <= tol):
         raise MembershipError("decomposition requires a special superrotation")
-    return compact, symmetric, nilpotent, group_body
+    return nilpotent
+
+
+def _split_rotation(mat: Supermatrix, tol: float
+                    ) -> tuple[Supermatrix, Supermatrix, Supermatrix, Supermatrix]:
+    """(X, Y, Z, B) with mat = B exp(Z) and B = exp(X) exp(Y): the body
+    phase, then the nilpotent phase against that B."""
+    compact, symmetric, ratio = _split_body(mat, tol)
+    group_body = expm(compact) @ expm(symmetric)
+    return compact, symmetric, _split_nilpotent(mat, group_body, ratio, tol), group_body
 
 
 def decompose_rotation(mat: Supermatrix, tol: float = DEFAULT_TOL

@@ -33,14 +33,18 @@ from .clifford import (
 )
 from .exceptions import AlgebraError, CapExceededError, MembershipError, ShapeMismatchError
 from .grassmann import DEFAULT_TOL, GrassmannNumber, _to_dict, _to_json, json_int
-from .orthosymplectic import _residuals, _split_rotation, to_unitary
+from .orthosymplectic import _residuals, _split_body, _split_nilpotent, to_unitary
 from .supermatrix import Supermatrix, _omega, _q_gram_body, expm
 
 
 class SpinElement:
-    """Formal product exp(B_1)...exp(B_k); the empty product is the identity."""
+    """Formal product exp(B_1)...exp(B_k); the empty product is the identity.
 
-    __slots__ = ("m", "n", "order", "factors")
+    ``_body`` is None, or (B_1, B_2, exp(phi(B_1)) exp(phi(B_2))) as
+    ``lift_rotation`` formed it, for ``action_matrix`` to start from while
+    the first two factors are still those objects."""
+
+    __slots__ = ("m", "n", "order", "factors", "_body")
 
     def __init__(self, m: int, n: int, order: int,
                  factors: Sequence[ExtendedSuperbivector] = ()):
@@ -52,6 +56,7 @@ class SpinElement:
         self.n = n
         self.order = order
         self.factors = tuple(factors)
+        self._body = None
 
     @classmethod
     def identity(cls, m: int, n: int, order: int) -> "SpinElement":
@@ -84,9 +89,16 @@ class SpinElement:
 def action_matrix(s: SpinElement, tol: float = 1e-8) -> Supermatrix:
     """Superrotation induced by a spin element: the product of the factor
     exponentials in the matrix representation, checked by ``check_o0``'s
-    residuals alone: str phi(B) = 0 exactly, so the sdet is 1 by construction."""
-    result = functools.reduce(Supermatrix.__matmul__, [
-        expm(bivector_to_matrix(factor)) for factor in s.factors
+    residuals alone: str phi(B) = 0 exactly, so the sdet is 1 by construction.
+
+    An element from ``lift_rotation`` keeps exp(phi(B_1)) exp(phi(B_2)), the
+    product's first step, so only the later factors are exponentiated; the
+    result is the same bits as for a fresh element of the same factors."""
+    factors, start, body = s.factors, [], s._body
+    if body is not None and len(factors) > 1 and factors[0] is body[0] and factors[1] is body[1]:
+        factors, start = factors[2:], [body[2]]
+    result = functools.reduce(Supermatrix.__matmul__, start + [
+        expm(bivector_to_matrix(factor)) for factor in factors
     ] or [Supermatrix.eye(s.m, 2 * s.n, s.order)])
     if not _residuals(result, _q_gram_body(s.m, s.n), True, tol)[2]:
         raise MembershipError("spin action left the superrotation group")
@@ -135,10 +147,21 @@ def split_bivector(biv: ExtendedSuperbivector) -> BivectorSplit:
 
 
 def lift_rotation(mat: Supermatrix, tol: float = DEFAULT_TOL) -> SpinElement:
-    """Three-factor spin element covering the given superrotation: the
-    exponents and membership check of ``decompose_rotation``, not its residual."""
-    factors = [matrix_to_bivector(x, tol) for x in _split_rotation(mat, tol)[:3]]
-    return SpinElement(mat.p, mat.q // 2, mat.order, factors)
+    """Three-factor spin element exp(B_1) exp(B_2) exp(B_3) covering the given
+    superrotation, with the membership check of ``decompose_rotation``.
+
+    B_1 and B_2 are its compact and symmetric exponents X and Y.  B_3 is
+    Z = log(I + nil(B^-1 M)) taken against B = exp(phi(B_1)) exp(phi(B_2)),
+    the body product of the element itself, not against decompose's
+    exp(X) exp(Y), which can differ from it by rounding.  The element keeps
+    B for ``action_matrix``; decompose's residual is not formed."""
+    compact, symmetric, ratio = _split_body(mat, tol)
+    first, second = (matrix_to_bivector(x, tol) for x in (compact, symmetric))
+    body = expm(bivector_to_matrix(first)) @ expm(bivector_to_matrix(second))
+    third = matrix_to_bivector(_split_nilpotent(mat, body, ratio, tol), tol)
+    element = SpinElement(mat.p, mat.q // 2, mat.order, (first, second, third))
+    element._body = (first, second, body)
+    return element
 
 
 # -- oscillator exponentials ------------------------------------------------------

@@ -587,16 +587,16 @@ class Supermatrix(_Graded):
     # -- serialization ---------------------------------------------------------
 
     def _json_tree(self) -> dict:
-        """``to_dict``'s tree, every entry a cell read straight from the
-        stack by ``_json_cells``."""
+        """``to_dict``'s tree, each row a list of cells read straight from
+        the stack by ``_json_cells``."""
         size = self.size
-        cells, _ = _json_cells(self.order, self.mat.masks,
-                               self.mat.stack.reshape(len(self.mat.masks), size * size).T)
         return {
             "p": self.p,
             "q": self.q,
             "N": self.order,
-            "rows": [cells[i * size:(i + 1) * size] for i in range(size)],
+            "rows": _json_cells(self.order, self.mat.masks,
+                                self.mat.stack.reshape(len(self.mat.masks), size * size).T,
+                                [size] * size),
         }
 
     to_json = _to_json
@@ -613,7 +613,7 @@ class Supermatrix(_Graded):
         if len(rows) != size or any(len(r) != size for r in rows):
             raise ShapeMismatchError("rows grid does not match p + q")
         masks, values = _read_cells([entry for row in rows for entry in row], order,
-                                    range(size * size), size * size)
+                                    range(size * size), size * size, "matrix")
         return cls(p, q, GrassmannMatrix(size, size, order, masks=masks,
                                          stack=values.reshape(len(masks), size, size)))
 

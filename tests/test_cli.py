@@ -412,6 +412,25 @@ def test_bad_supervector_payloads_are_malformed_input(capsys, tmp_path, command,
     assert "malformed input" in err
 
 
+def test_a_coefficient_of_another_order_is_named_on_stderr(capsys, tmp_path):
+    bad = _bad_vectors()["mixed-order"]
+    payload = {"x": random_supervector(2, 1, 2, seed=19).to_dict(), "y": bad}
+    code, out, err = run_cli(capsys, "inner", "-i", write_json(tmp_path, "bad.json", payload))
+    assert (code, out) == (2, "")
+    assert err == ("malformed input: cannot decode Supervector: "
+                   "entry order differs from supervector order\n")
+
+
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
+    """Only ``selftest`` and ``--only`` read the suite, so the other
+    subcommands never compile it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, superspin.cli; sys.exit('superspin.selftest' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+
 def _bad_bivectors():
     rng = np.random.default_rng(22)
     from superspin import random_grassmann

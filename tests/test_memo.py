@@ -2,7 +2,9 @@
 measurement gives what a fresh vector computes, a new ``mat`` is measured
 again, a failed measurement keeps nothing, and a repeated call skips the
 kernel product it saves.  phi(B) is kept nowhere: each call builds a new
-matrix, so a caller that changes one changes nothing else."""
+matrix, so a caller that changes one changes nothing else.  A lifted spin
+element keeps exp(phi(B_1)) exp(phi(B_2)); its action is a fresh element's,
+bit for bit, with one exponential, and no other element keeps anything."""
 
 import numpy as np
 import pytest
@@ -11,17 +13,22 @@ from superspin import (
     AlgebraError,
     GrassmannNumber,
     MembershipError,
+    SpinElement,
     Supervector,
+    action_matrix,
     bivector_to_matrix,
     commutator_action,
+    expm,
+    lift_rotation,
     matrix_to_bivector,
+    random_rotation,
     random_so0,
     random_sphere_vector,
     random_supervector,
     reflect,
     reflection_matrix,
 )
-from superspin import clifford
+from superspin import clifford, spin
 from superspin.grassmann import _blade_product
 
 M, N, ORDER = 4, 2, 4
@@ -137,3 +144,51 @@ def test_a_vector_measured_by_reflection_matrix_is_not_measured_by_reflect(monke
     reflect(w, x)
     assert measured == [False]
     assert np.array_equal(reflect(w, x).mat.stack, reflect(fresh(w), x).mat.stack)
+
+
+def same_bits(a, b) -> bool:
+    return (a.mat.masks == b.mat.masks and a.mat.stack.dtype == b.mat.stack.dtype
+            and a.mat.stack.tobytes() == b.mat.stack.tobytes())
+
+
+@pytest.mark.parametrize("m, n, order", [(3, 1, 4), (6, 2, 4), (0, 1, 3), (3, 0, 4),
+                                         (2, 1, 0), (1, 1, 1)])
+def test_a_lifted_elements_action_is_a_fresh_elements_bit_for_bit(m, n, order):
+    for seed in range(3):
+        lifted = lift_rotation(random_rotation(m, n, order, seed=seed))
+        got = action_matrix(lifted)
+        assert same_bits(got, action_matrix(SpinElement(m, n, order, lifted.factors)))
+        assert same_bits(got, action_matrix(lifted))
+
+
+def counting_expm(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(spin, "expm", lambda x: calls.append(x) or expm(x))
+    return calls
+
+
+def test_a_lifted_elements_action_makes_one_expm_call(monkeypatch):
+    lifted = lift_rotation(random_rotation(6, 2, 4, seed=3))
+    calls = counting_expm(monkeypatch)
+    action_matrix(lifted)
+    assert len(calls) == 1
+    calls.clear()
+    action_matrix(SpinElement(6, 2, 4, lifted.factors))
+    assert len(calls) == 3
+
+
+def test_only_a_lift_keeps_its_body_product(monkeypatch):
+    """Products and decoded elements keep nothing, and a lifted element whose
+    factors were replaced exponentiates them all again."""
+    lifted = lift_rotation(random_rotation(6, 2, 4, seed=4))
+    one = SpinElement.identity(6, 2, 4)
+    assert lifted._body is not None
+    for element in (lifted * one, one * lifted, SpinElement.from_dict(lifted.to_dict())):
+        assert element._body is None
+    first, second, third = lifted.factors
+    lifted.factors = (second, first, third)
+    calls = counting_expm(monkeypatch)
+    swapped = action_matrix(lifted, tol=float("inf"))
+    assert len(calls) == 3
+    assert same_bits(swapped, action_matrix(SpinElement(6, 2, 4, (second, first, third)),
+                                            tol=float("inf")))

@@ -335,10 +335,22 @@ def edge_bivectors() -> list[ExtendedSuperbivector]:
 
 def test_to_json_covers_the_edge_shapes():
     """Empty cells, p = 0, q = 0, N = 0 and MAX_ORDER, written exactly; the
-    bivectors and spin elements also as json.dumps of their parsed text."""
+    bivectors and spin elements also as json.dumps of their parsed text.
+    Each matrix row, supervector coordinate list and bivector family is one
+    list node of the writer, so a row of empty cells amid full ones, a
+    (0|0) matrix, an empty family between full ones, complex -0.0 parts in a
+    family and an empty even list are among the inputs."""
     bivectors = edge_bivectors()
+    g = GrassmannNumber
     edge = [Supermatrix.zeros(2, 0, 0), Supermatrix.eye(0, 2, MAX_ORDER),
             Supermatrix.zeros(0, 0, 1), Supervector.zero(0, 1, 4),
+            Supermatrix.from_body(1, 2, np.diag([1.5, 0.0, -2.0]), 2),
+            Supermatrix.eye(0, 0, 3),
+            ExtendedSuperbivector(2, 1, 2, b={(1, 2): g(2, {0: 1.0, 3: -0.25})},
+                                  bb={(1, 1): g(2, {3: -2.0}), (2, 2): g(2, {0: 0.5})}),
+            ExtendedSuperbivector(2, 1, 2, b={(1, 2): g(2, {0: complex(-0.0, 1.5)})},
+                                  bq={(2, 2): g(2, {1: complex(2.0, -0.0), 2: -0.5j})}),
+            Supervector(0, 1, 2, [], [g(2, {1: complex(-0.0, 0.5)}), g(2, {2: 1.0})]),
             ExtendedSuperbivector.zero(2, 1, MAX_ORDER), SpinElement(1, 0, 0),
             GrassmannNumber(MAX_ORDER, {(1 << MAX_ORDER) - 1: complex(-0.0, 1e16)}),
             CliffordElement(0, 0, 0, 0), *bivectors,
@@ -791,6 +803,30 @@ def test_clifford_decoder_sums_repeated_keys_in_one_read(monkeypatch):
     assert reads == [3]
     whole = GrassmannNumber.from_dict(half) + GrassmannNumber.from_dict(half)
     assert element.terms == {(1, (1, 0)): whole, (0, (0, 0)): GrassmannNumber.from_dict(other)}
+
+
+def _cells_of_another_order():
+    """(decoder, payload, container noun): each decoder's order-2 payload with
+    one cell of order 3."""
+    coeff = {"N": 3, "terms": [{"mask": 3, "re": 1.0}]}
+    matrix = random_rotation(1, 1, 2, seed=4).to_dict()
+    matrix["rows"][1][1] = coeff
+    vector = random_supervector(1, 1, 2, seed=5).to_dict()
+    vector["even"][0] = coeff
+    bivector = matrix_to_bivector(random_so0(2, 1, 2, seed=6)).to_dict()
+    bivector["b"][0]["coeff"] = coeff
+    element = {"m": 1, "n": 1, "N": 2, "terms": [{"emask": 1, "alpha": [0, 0], "coeff": coeff}]}
+    return [(Supermatrix, matrix, "matrix"), (Supervector, vector, "supervector"),
+            (ExtendedSuperbivector, bivector, "bivector"),
+            (CliffordElement, element, "Clifford element")]
+
+
+@pytest.mark.parametrize("kind, data, noun", _cells_of_another_order(),
+                         ids=[noun for _, _, noun in _cells_of_another_order()])
+def test_a_cell_of_another_order_names_its_container(kind, data, noun):
+    with pytest.raises(OrderMismatchError) as caught:
+        kind.from_dict(data)
+    assert str(caught.value) == f"entry order differs from {noun} order"
 
 
 def test_clifford_coefficient_of_another_order_is_refused():
