@@ -805,7 +805,8 @@ def clifford_exp(x: CliffordElement, max_terms: int = 200) -> CliffordElement:
 
     Exact (finite) for nilpotent-coefficient input; absolutely convergent for
     purely bosonic input; for general capped elements the truncated flag of
-    the result reports any degree loss.
+    the result reports any degree loss.  AlgebraError when max_terms terms
+    do not meet the stop test.
     """
     result = CliffordElement.scalar(x.m, x.n, x.order, 1.0, x.cap)
     term = result
@@ -816,6 +817,8 @@ def clifford_exp(x: CliffordElement, max_terms: int = 200) -> CliffordElement:
         result = result + term
         if term.norm() <= 1e-16 * max(1.0, result.norm()):
             break
+    else:
+        raise AlgebraError(f"exp series did not converge in {max_terms} terms")
     return result
 
 

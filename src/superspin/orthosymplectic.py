@@ -20,7 +20,6 @@ from .grassmann import (CANON_EPS, DEFAULT_TOL, GrassmannNumber, _blade_product,
                         _nilpotent_matrix_series, _parity_array, _random_stack, _union_add)
 from .supermatrix import (
     Supermatrix,
-    _block_body_inverse,
     _log_coeff,
     _omega,
     _q_gram_body,
@@ -212,16 +211,21 @@ def symplectic_polar(d0: np.ndarray, tol: float = DEFAULT_TOL
     """Unique polar split D0 = R exp(Z0) of a symplectic matrix.
 
     R is symplectic orthogonal, Z0 symplectic symmetric; computed from the
-    symmetric eigendecomposition of D0^T D0.
+    symmetric eigendecomposition of D0^T D0.  When that is not finite, nor
+    is D0's condition number |D0|^2: SingularBodyError, without a warning.
     """
     d0 = np.asarray(d0, dtype=float)
     size = d0.shape[0]
     if size == 0:
         return np.zeros((0, 0)), np.zeros((0, 0))
     omega = _omega(size // 2)
-    if np.abs(d0.T @ omega @ d0 - omega).max() > tol * max(1.0, np.abs(d0).max() ** 2):
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, defect = d0.T @ d0, np.abs(d0.T @ omega @ d0 - omega).max()
+    if not np.isfinite(gram).all():
+        raise SingularBodyError("D0^T D0 overflows or is not finite")
+    if defect > tol * max(1.0, np.abs(d0).max() ** 2):
         raise MembershipError("matrix is not symplectic")
-    evals, evecs = np.linalg.eigh(d0.T @ d0)
+    evals, evecs = np.linalg.eigh(gram)
     if evals.min() <= 0:
         raise MembershipError("polar factor is not positive definite")
     z0 = (evecs * (0.5 * np.log(evals))) @ evecs.T
@@ -343,13 +347,15 @@ def _split_nilpotent(mat: Supermatrix, group_body: Supermatrix, ratio: float,
                      tol: float) -> Supermatrix:
     """The split's nilpotent phase: Z = log(I + nil(B^-1 M)) for a body
     factor B = ``group_body``, block diagonal and body-only, so it is
-    inverted by ``_block_body_inverse`` (A first, NotInvertibleError) and Z
+    inverted block by block, ungated as exp(X) exp(Y) is invertible, and Z
     is free of body rounding; then the sdet M = 1 test (MembershipError).
     Z is bodiless and str of the body logs is 0, so with r = ``ratio``,
     |sdet M - 1| <= |r - 1| + |r| (exp|str Z| - 1), at no product.  That
     carries B0 - M0 times |Z| (1e-10 at |M| = 2e4), so past tol ``sdet``
     decides, as in check_so0."""
-    b0_inv = _block_body_inverse(group_body.body_matrix(), mat.p)
+    body, p = group_body.body_matrix(), mat.p
+    b0_inv = np.zeros_like(body)
+    b0_inv[:p, :p], b0_inv[p:, p:] = np.linalg.inv(body[:p, :p]), np.linalg.inv(body[p:, p:])
     x = mat.mat.nilpotent_part()
     nilpotent = mat._like(*_nilpotent_matrix_series(x.masks, b0_inv @ x.stack, mat.order,
                                                     _log_coeff))

@@ -276,20 +276,21 @@ def _conjugated_winding_element(m, n, order, windings, rng, rotate):
 
 
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Double cover: kernel signs are +-1, predicted by winding parity."""
+    """Double cover: kernel signs are +-1, predicted by winding parity, also
+    at windings 10 and 25 in one bosonic plane and (4, 3) in two planes of a
+    random SO(5) frame."""
     m, n, order = 3, 2, 2
     pi_coeff = GrassmannNumber.scalar(order, math.pi)
-    checks = []
+
+    def bosonic(k):
+        return ExtendedSuperbivector(m, n, order,
+                                     b={(1, 2): GrassmannNumber.scalar(order, k * math.pi)})
+
     sigma = ExtendedSuperbivector(m, n, order,
                                   bb={(1, 1): pi_coeff, (2, 2): pi_coeff})
-    checks.append(kernel_sign(sigma) == -1)
-    bos_pi = ExtendedSuperbivector(m, n, order, b={(1, 2): pi_coeff})
-    checks.append(kernel_sign(bos_pi) == -1)
-    checks.append(kernel_sign(ExtendedSuperbivector.zero(m, n, order)) == 1)
-    double_twist = ExtendedSuperbivector(
-        m, n, order, b={(1, 2): GrassmannNumber.scalar(order, 2 * math.pi)}
-    )
-    checks.append(kernel_sign(double_twist) == 1)
+    checks = [kernel_sign(sigma) == -1, kernel_sign(bosonic(1)) == -1,
+              kernel_sign(ExtendedSuperbivector.zero(m, n, order)) == 1,
+              kernel_sign(bosonic(2)) == 1]
     rng = np.random.default_rng(seed)
     signs = set()
     prediction_ok = True
@@ -305,13 +306,17 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
             m, n, order, windings[1:], rng, rotate=bool(sample % 2)
         )
         sign = kernel_sign(element)
-        if sign not in (-1, 1):
-            prediction_ok = False
-            break
         signs.add(sign)
         if sign != (-1) ** int(windings.sum()):
             prediction_ok = False
             break
+    turns, frame = np.zeros((5, 5)), np.linalg.qr(rng.normal(size=(5, 5)))[0]
+    turns[0, 1], turns[2, 3] = 8.0 * math.pi, 6.0 * math.pi
+    frame[:, 0] *= np.sign(np.linalg.det(frame))  # into SO(5)
+    tilted = matrix_to_bivector(
+        Supermatrix.from_body(5, 0, frame @ (turns - turns.T) @ frame.T, order))
+    prediction_ok = prediction_ok and kernel_sign(bosonic(10)) == 1 \
+        and kernel_sign(bosonic(25)) == -1 and kernel_sign(tilted) == -1
     passed = all(checks) and prediction_ok and signs == {-1, 1}
     return _result(8, "double cover kernel signs", passed,
                    f"fixed cases {checks}, both signs seen: {signs == {-1, 1}}")

@@ -4,7 +4,8 @@ generator split, the Stirling-number oscillator exponentials, kernel signs of
 the double cover, and the fractional Fourier correspondence.
 
 Spin elements stay formal (factor lists); everything quantitative routes
-through the matrix representation or through degree-capped Clifford series.
+through the matrix representation, and a kernel sign is read from the
+windings of its body blocks.
 The oscillator exponentials and powers are weighted sums of one memoised
 table of ladder products a^j b^j per (n, plane, cap), so they make no product.
 The generator split works on a bivector's packed matrix S: its nilpotent
@@ -28,7 +29,6 @@ from .clifford import (
     ExtendedSuperbivector,
     bivector_to_matrix,
     check_signature,
-    clifford_exp,
     matrix_to_bivector,
 )
 from .exceptions import AlgebraError, CapExceededError, MembershipError, ShapeMismatchError
@@ -281,47 +281,35 @@ def _compact_membership(biv: ExtendedSuperbivector, tol: float) -> None:
         raise MembershipError("kernel sign is defined on compact generators only")
 
 
-def _bosonic_exponential(biv: ExtendedSuperbivector) -> CliffordElement:
-    """exp of the bosonic bivector part inside the finite algebra on the e_j."""
-    return clifford_exp(CliffordElement(biv.m, 0, biv.order, 0, {
-        ((1 << (j - 1)) | (1 << (k - 1)), ()): g for (j, k), g in biv.b.items()}))
+def _windings(block: np.ndarray, tol: float) -> int:
+    """Sum of |k| over the eigenvalues 2 pi i k of a body block or its
+    unitary squashing, read by ``eigvals`` as the block may be complex;
+    MembershipError when a k is off an integer by more than tol."""
+    turns = np.linalg.eigvals(block) / (2j * math.pi)
+    k = np.round(turns.real)
+    if np.abs(turns - k).max(initial=0.0) > tol:
+        raise MembershipError("body angles are not 2 pi multiples")
+    return int(np.abs(k).sum())
 
 
 def kernel_sign(biv: ExtendedSuperbivector, tol: float = 1e-8) -> int | None:
     """Sign of exp(B) for a compact generator whose rotation is the identity.
 
     Returns +1 or -1 for kernel members, None when the induced rotation is
-    not the identity.  The bosonic factor is evaluated in the finite Clifford
-    algebra.  The symplectic factor is read from its plane angles, the eigenvalues
-    of i times its unitary squashing: an angle 2 pi k contributes
-    exp(k pi (e'^2 + e'^2)), which the oscillator series telescopes to exactly (-1)^k.
+    not the identity.  Both factors are read from ``_windings``: a 2 pi k
+    turn of the A block of phi(B) in one plane gives the pair +-k, from
+    exp(k pi e_i e_j) = (-1)^k, and each k of the D block's unitary
+    squashing gives exp(k pi (e'^2 + e'^2)), telescoped to (-1)^k.
     """
     _compact_membership(biv, tol)
-    m, n, order = biv.m, biv.n, biv.order
-    generator = bivector_to_matrix(biv)
+    m, generator = biv.m, bivector_to_matrix(biv)
     rotation = expm(generator)
-    eye = Supermatrix.eye(m, 2 * n, order)
+    eye = Supermatrix.eye(m, 2 * biv.n, biv.order)
     if (rotation - eye).norm() > tol * max(1.0, rotation.norm()):
         return None
-    sign = 1
-    if biv.b:
-        bos = _bosonic_exponential(biv)
-        scalar = bos.scalar_part().body
-        residue = (bos - CliffordElement.scalar(m, 0, order, scalar, 0)).norm()
-        if residue > tol * max(1.0, bos.norm()) or abs(abs(scalar) - 1.0) > tol:
-            raise MembershipError("bosonic factor did not reduce to a sign")
-        if scalar.real < 0:
-            sign = -sign
-    if n and biv.bb:
-        d_block = generator.body_matrix()[m:, m:].real
-        for angle in np.linalg.eigvalsh(1j * to_unitary(d_block)):
-            winding = angle / (2.0 * math.pi)
-            k = round(winding)
-            if abs(winding - k) > tol:
-                raise MembershipError("symplectic angles are not 2 pi multiples")
-            if k % 2:
-                sign = -sign
-    return sign
+    body = generator.body_matrix()
+    turns = _windings(body[:m, :m], tol) // 2 + _windings(to_unitary(body[m:, m:]), tol)
+    return -1 if turns % 2 else 1
 
 
 # -- fractional Fourier transforms ---------------------------------------------------

@@ -43,7 +43,7 @@ from .exceptions import (
     ShapeMismatchError,
     SingularBodyError,
 )
-from .grassmann import (CANON_EPS, GrassmannNumber, _as_stack, _blade_product,
+from .grassmann import (CANON_EPS, MAX_ORDER, GrassmannNumber, _as_stack, _blade_product,
                         _drop_zero_slices, _isclose, _json_cells, _nilpotent_matrix_series,
                         _parity_array, _read_cells, _to_dict, _to_json, _union_add, json_int)
 
@@ -68,8 +68,9 @@ class GrassmannMatrix:
     (``blades``, copied) or directly from ``masks`` (strictly ascending, each
     below 2^order) and ``stack``, which is adopted and made read-only when
     it is float64 or has imaginary parts, else replaced by its real part.
-    Either way the masks and the slice shapes are checked, the slices must
-    be finite (``AlgebraError`` otherwise), and all-zero slices are dropped.
+    Either way the order (at most MAX_ORDER, OrderMismatchError otherwise),
+    the masks and the slice shapes are checked, the slices must be finite
+    (``AlgebraError`` otherwise), and all-zero slices are dropped.
     """
 
     __slots__ = ("rows", "cols", "order", "masks", "stack")
@@ -77,6 +78,8 @@ class GrassmannMatrix:
     def __init__(self, rows: int, cols: int, order: int,
                  blades: Mapping[int, np.ndarray] | None = None, *,
                  masks: Sequence[int] = (), stack: np.ndarray | None = None):
+        if not 0 <= order <= MAX_ORDER:
+            raise OrderMismatchError(f"order must be in [0, {MAX_ORDER}], got {order}")
         if stack is None:
             masks = tuple(sorted(blades)) if blades else ()
             slices = [np.asarray(blades[m]) for m in masks]
@@ -284,16 +287,6 @@ def _body_inverse(body: np.ndarray, error: type[AlgebraError], what: str) -> np.
     if body.size and np.linalg.cond(body) > COND_LIMIT:
         raise error(f"{what} is numerically singular")
     return np.linalg.inv(body)
-
-
-def _block_body_inverse(body: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a block-diagonal body diag(A0, D0), A0 of size p: each
-    block inverted as ``_body_inverse``, NotInvertibleError naming the
-    singular block (A checked first)."""
-    inverse = np.zeros_like(body)
-    inverse[:p, :p] = _body_inverse(body[:p, :p], NotInvertibleError, "body of block A")
-    inverse[p:, p:] = _body_inverse(body[p:, p:], NotInvertibleError, "body of block D")
-    return inverse
 
 
 def _trace_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -535,10 +528,14 @@ class Supermatrix(_Graded):
 
     def inverse(self) -> "Supermatrix":
         """The finite Neumann series of ``GrassmannMatrix.inverse`` around
-        the body, block diagonal as B and C are odd: ``_block_body_inverse``
-        raises NotInvertibleError naming a singular block (A checked first)."""
-        return Supermatrix(self.p, self.q, self.mat._inverse_from_body(
-            _block_body_inverse(self.mat.body(), self.p)), validate=False)
+        the body, block diagonal as B and C are odd: each block inverted by
+        ``_body_inverse``, NotInvertibleError naming a singular block (A
+        checked first)."""
+        body, p = self.mat.body(), self.p
+        inverse = np.zeros_like(body)
+        inverse[:p, :p] = _body_inverse(body[:p, :p], NotInvertibleError, "body of block A")
+        inverse[p:, p:] = _body_inverse(body[p:, p:], NotInvertibleError, "body of block D")
+        return Supermatrix(self.p, self.q, self.mat._inverse_from_body(inverse), validate=False)
 
     def sdet(self) -> GrassmannNumber:
         """Berezinian sdet M = det A0 / det D0 * exp(str log(I + X)).

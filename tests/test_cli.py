@@ -315,6 +315,34 @@ def test_decompose_rejects_non_rotation(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("nilpotent", [False, True], ids=["body", "with-nilpotent"])
+@pytest.mark.parametrize("stretch", [1e6, 1e7, 1e8])
+@pytest.mark.parametrize("command", ["decompose", "lift"])
+def test_stretched_rotations_decompose_and_lift(capsys, tmp_path, command, stretch, nilpotent):
+    """A symplectic body of condition number 1e12 to 1e16 is no singular body
+    for the split, whose group factor is invertible by construction."""
+    from test_orthosymplectic import stretched_rotation
+
+    path = write_json(tmp_path, "stretched.json",
+                      stretched_rotation(stretch, nilpotent).to_dict())
+    code, out, err = run_cli(capsys, command, "-i", path)
+    assert code == 0, err
+    assert set(json.loads(out)) == ({"X", "Y", "Z", "residual"} if command == "decompose"
+                                    else {"m", "n", "N", "factors"})
+
+
+@pytest.mark.parametrize("command", ["decompose", "lift"])
+def test_an_overflowing_polar_split_is_a_domain_violation(capsys, tmp_path, command):
+    """At |D0| = 1e160, D0^T D0 overflows: exit 1 naming the singular body,
+    not exit 2 with numpy's LinAlgError."""
+    body = np.eye(5)
+    body[3, 3], body[4, 4] = 1e160, 1e-160
+    path = write_json(tmp_path, "huge.json", Supermatrix.from_body(3, 2, body, 4).to_dict())
+    code, _, err = run_cli(capsys, command, "-i", path)
+    assert code == 1
+    assert err.startswith("domain violation:") and "not finite" in err
+
+
 @pytest.mark.parametrize("order", [0, 2])
 @pytest.mark.parametrize("command", ["decompose", "lift"])
 def test_empty_rotation_decomposes_and_lifts(capsys, tmp_path, command, order):

@@ -2,6 +2,7 @@
 the commutator-action isomorphism and supervector reflections."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from superspin import (
     apply_matrix,
     bivector_to_matrix,
     check_o0,
+    clifford_exp,
     commutator_action,
     inner,
     matrix_to_bivector,
@@ -368,6 +370,18 @@ def test_commutator_action_overflow_is_an_algebra_error():
         commutator_action(biv, Supervector.unit(2, 1, ORDER, 1))
 
 
+def test_clifford_exp_refuses_a_series_cut_at_max_terms():
+    """exp(250) needs more than 200 terms; the cut series (2.3e105, not
+    e^250 = 3.7e108) is refused, not returned as converged."""
+    big = CliffordElement.scalar(0, 0, 0, 250.0, 0)
+    with pytest.raises(AlgebraError, match="200 terms"):
+        clifford_exp(big)
+    with pytest.raises(AlgebraError, match="5 terms"):
+        clifford_exp(CliffordElement.scalar(0, 0, 0, 1.0, 0), max_terms=5)
+    one = clifford_exp(CliffordElement.scalar(0, 0, 0, 1.0, 0))
+    assert abs(one.scalar_part().body - math.e) <= 1e-15 * math.e
+
+
 def test_supervector_extraction_rejects_residue():
     junk = elem_e(1) * elem_e(2)
     with pytest.raises(AlgebraError):
@@ -688,19 +702,21 @@ def _column(rows, cols, order, mask, row):
     return GrassmannMatrix(rows, cols, order, masks=(mask,), stack=stack)
 
 
+# each column is built inside pytest.raises: an order-17 one is refused by
+# the GrassmannMatrix constructor before from_column sees it
 @pytest.mark.parametrize("m, n, col, error", [
-    (1, 1, _column(3, 1, 2, 1, 0), ParityError),    # odd blade, even row
-    (1, 1, _column(3, 1, 2, 3, 2), ParityError),    # even blade, odd row
-    (1, 1, _column(3, 1, 2, 0, 1), ParityError),    # body in an odd row
-    (1, 1, _column(4, 1, 2, 0, 0), ShapeMismatchError),
-    (1, 1, _column(3, 2, 2, 0, 0), ShapeMismatchError),
-    (-1, 1, _column(1, 1, 2, 1, 0), ShapeMismatchError),
-    (0, 0, GrassmannMatrix.zeros(0, 1, 17), OrderMismatchError),
+    (1, 1, lambda: _column(3, 1, 2, 1, 0), ParityError),    # odd blade, even row
+    (1, 1, lambda: _column(3, 1, 2, 3, 2), ParityError),    # even blade, odd row
+    (1, 1, lambda: _column(3, 1, 2, 0, 1), ParityError),    # body in an odd row
+    (1, 1, lambda: _column(4, 1, 2, 0, 0), ShapeMismatchError),
+    (1, 1, lambda: _column(3, 2, 2, 0, 0), ShapeMismatchError),
+    (-1, 1, lambda: _column(1, 1, 2, 1, 0), ShapeMismatchError),
+    (0, 0, lambda: GrassmannMatrix.zeros(0, 1, 17), OrderMismatchError),
 ], ids=["odd-in-even", "even-in-odd", "body-in-odd", "rows", "cols", "negative-m",
         "order"])
 def test_from_column_validates(m, n, col, error):
     with pytest.raises(error):
-        Supervector.from_column(m, n, col)
+        Supervector.from_column(m, n, col())
 
 
 def test_from_column_adopts_a_checked_column():

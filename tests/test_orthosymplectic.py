@@ -11,6 +11,7 @@ from superspin import (
     AlgebraError,
     GrassmannMatrix,
     MembershipError,
+    SingularBodyError,
     Supermatrix,
     check_o0,
     check_so0,
@@ -377,6 +378,15 @@ def test_symplectic_polar_rejects_non_symplectic():
         symplectic_polar(np.diag([2.0, 2.0]))
 
 
+@pytest.mark.parametrize("norm", [1e160, 1e300, math.nan])
+def test_symplectic_polar_of_an_overflowing_gram_is_a_singular_body(norm):
+    """Where D0^T D0 overflows, so does the condition number |D0|^2 of a
+    symplectic D0: SingularBodyError, with no numpy warning on the way.  A
+    NaN entry is refused the same way, not returned as NaN factors."""
+    with pytest.raises(SingularBodyError, match="not finite"):
+        symplectic_polar(np.diag([norm, 1.0 / norm]))
+
+
 def test_unitary_squash_isomorphism():
     assert np.abs(to_unitary(np.eye(4)) - np.eye(2)).max() == 0.0
     rng = np.random.default_rng(303)
@@ -553,6 +563,34 @@ def test_lift_exponentiates_only_the_two_body_factors(monkeypatch):
     arguments.clear()
     decompose_rotation(mat)
     assert len(arguments) == 3
+
+
+def stretched_rotation(stretch, nilpotent):
+    """diag(I_3, stretch, 1/stretch), times exp of a bodiless so_0 element
+    when ``nilpotent``, at (3, 1, 4): a superrotation whose symplectic body
+    has condition number stretch^2."""
+    body = np.eye(5)
+    body[3, 3], body[4, 4] = stretch, 1.0 / stretch
+    mat = Supermatrix.from_body(3, 2, body, 4)
+    if nilpotent:
+        mat = mat @ expm(random_so0(3, 1, 4, seed=7).nilpotent_part())
+    return mat
+
+
+@pytest.mark.parametrize("nilpotent", [False, True], ids=["body", "with-nilpotent"])
+@pytest.mark.parametrize("stretch", [1e6, 1e7, 1e8])
+def test_stretched_superrotations_decompose_and_lift(stretch, nilpotent):
+    """B = exp(X) exp(Y) is invertible by construction, so the split inverts
+    it with no condition-number gate, however far exp(Y) stretches."""
+    from superspin import action_matrix
+
+    mat = stretched_rotation(stretch, nilpotent)
+    dec = decompose_rotation(mat)
+    assert dec.residual <= 1e-13
+    assert abs(np.abs(dec.symmetric.body_matrix()).max() - math.log(stretch)) <= 1e-12
+    assert (dec.nilpotent.norm() > 0.0) == nilpotent
+    lifted = lift_rotation(mat)
+    assert (action_matrix(lifted) - mat).norm() <= 1e-13 * mat.norm()
 
 
 def test_decompose_rejects_non_members():

@@ -27,6 +27,7 @@ from superspin import (
     kernel_sign,
     ladder_pair,
     lift_rotation,
+    matrix_to_bivector,
     oscillator_exp,
     oscillator_power,
     random_grassmann,
@@ -457,6 +458,87 @@ def test_kernel_sign_on_conjugated_winding_element():
             factor = oscillator_exp(k * math.pi, 1, m, n, order)
             sign *= int(factor.element.scalar_part().body.real)
         assert kernel_sign(biv) == sign
+
+
+def _body_bivector(m, n, order, a_block):
+    """The compact generator whose phi(B) has body diag(a_block, 0)."""
+    body = np.zeros((m + 2 * n, m + 2 * n), dtype=complex)
+    body[:m, :m] = a_block
+    return matrix_to_bivector(Supermatrix.from_body(m, 2 * n, body, order))
+
+
+def _special_orthogonal(rng, size):
+    q, r = np.linalg.qr(rng.normal(size=(size, size)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@pytest.mark.parametrize("k", [10, 25, 60])
+def test_kernel_sign_at_high_bosonic_winding(k):
+    # exp(k pi e_1 e_2) = (-1)^k at every winding, not only where a Taylor
+    # series of terms up to e^{k pi} still cancels
+    biv = ExtendedSuperbivector(3, 1, 2, b={(1, 2): scal(k * math.pi)})
+    assert kernel_sign(biv) == (-1) ** k
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_kernel_sign_on_two_bosonic_planes_in_a_random_frame(m):
+    rng = np.random.default_rng(31 + m)
+    for k1 in range(8):
+        for k2 in range(8):
+            turns = np.zeros((m, m))
+            turns[0, 1], turns[2, 3] = 2.0 * math.pi * k1, 2.0 * math.pi * k2
+            frame = _special_orthogonal(rng, m)
+            biv = _body_bivector(m, 1, 2, frame @ (turns - turns.T) @ frame.T)
+            assert kernel_sign(biv) == (-1) ** (k1 + k2), (k1, k2)
+
+
+@pytest.mark.parametrize("k, sign", [(1, -1), (2, 1), (3, -1)])
+def test_kernel_sign_of_a_complex_bosonic_generator(k, sign):
+    # skew(v) with v = 2 pi k (cosh t, i sinh t, 0) is not real, yet v.v =
+    # (2 pi k)^2, so its eigenvalues are 0 and +-2 pi i k: a kernel element
+    for t in (0.3, 1.0):
+        x, y, z = 2.0 * math.pi * k * np.array([math.cosh(t), 1j * math.sinh(t), 0.0])
+        skew = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        assert kernel_sign(_body_bivector(3, 0, 2, skew)) == sign
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kernel_sign_of_a_complex_symplectic_generator(k):
+    # the D block of R(A) + i R(B), A and B the anti-Hermitian and i times the
+    # Hermitian half of X = S diag(2 pi i k, 0) S^-1 with S not unitary, squashes
+    # to X itself: exp(X) = I, so it is a kernel element, though A alone has no
+    # 2 pi multiple eigenvalues; the real part of the D block is not the reader
+    from superspin import from_unitary
+
+    m, n = 3, 2
+    for s in (0.3, 1.0):
+        frame = np.array([[1.0, s], [0.0, 1.0]])
+        x = frame @ np.diag([2j * math.pi * k, 0.0]) @ np.linalg.inv(frame)
+        body = np.zeros((m + 2 * n, m + 2 * n), dtype=complex)
+        body[m:, m:] = (from_unitary((x - x.conj().T) / 2)
+                        + 1j * from_unitary((x + x.conj().T) / 2j))
+        biv = matrix_to_bivector(Supermatrix.from_body(m, 2 * n, body, 2))
+        assert kernel_sign(biv) == (-1) ** k
+
+
+def test_kernel_sign_makes_no_clifford_product(monkeypatch):
+    calls = []
+    multiply = CliffordElement.multiply
+
+    def counting_multiply(*args, **kwargs):
+        calls.append(args)
+        return multiply(*args, **kwargs)
+
+    monkeypatch.setattr(CliffordElement, "multiply", counting_multiply)
+    pi = scal(math.pi)
+    for biv in (ExtendedSuperbivector(3, 2, ORDER, b={(1, 2): pi}),
+                ExtendedSuperbivector(3, 2, ORDER, bb={(1, 1): pi, (2, 2): pi}),
+                ExtendedSuperbivector(3, 2, ORDER, b={(1, 2): scal(0.5)})):
+        kernel_sign(biv)
+    assert calls == []
 
 
 def test_fractional_fourier_identity_and_quarter_turn():

@@ -19,6 +19,7 @@ from superspin import (
     GrassmannNumber,
     LogDomainError,
     NotInvertibleError,
+    OrderMismatchError,
     ParityError,
     ShapeMismatchError,
     SingularBodyError,
@@ -84,6 +85,18 @@ def test_the_order_of_an_empty_grid_cannot_be_read(grid):
     with pytest.raises(ShapeMismatchError, match="empty entry grid"):
         Supermatrix.from_entries(0, 0, grid)
     assert GrassmannMatrix.from_entries(grid, ORDER).order == ORDER
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Supermatrix.eye(1, 0, 17),
+    lambda: Supermatrix.from_body(1, 0, np.eye(1), 40),
+    lambda: GrassmannMatrix(1, 1, -1),
+], ids=["eye-17", "from-body-40", "negative"])
+def test_the_matrix_constructor_refuses_an_order_beyond_max_order(build):
+    """An order-40 body would have its parity checked on a 2^40 table
+    (1 TiB); the constructor refuses the order first, as GrassmannNumber does."""
+    with pytest.raises(OrderMismatchError, match="order must be in"):
+        build()
 
 
 def test_supertranspose_antihomomorphism():
