@@ -26,6 +26,7 @@ from .clifford import (
 from .exceptions import (
     AlgebraError,
     CapExceededError,
+    ConvergenceError,
     LogDomainError,
     MembershipError,
     NotInvertibleError,

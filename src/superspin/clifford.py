@@ -481,6 +481,9 @@ class Supervector(_Graded):
     @classmethod
     def unit(cls, m, n, order, index: int, fermionic: bool = False):
         """Unit vector along e_index or e'_index (1-based)."""
+        name, count = ("e'", 2 * n) if fermionic else ("e", m)
+        if not 1 <= index <= count:
+            raise ShapeMismatchError(f"{name} index {index} out of range 1..{count}")
         even = [GrassmannNumber.zero(order)] * m
         odd = [GrassmannNumber.zero(order)] * (2 * n)
         (odd if fermionic else even)[index - 1] = GrassmannNumber.one(order)

@@ -29,6 +29,10 @@ class LogDomainError(AlgebraError):
     """Argument lies outside the convergence domain of the logarithm."""
 
 
+class ConvergenceError(AlgebraError):
+    """A convergent series did not meet its stop test within its term cap."""
+
+
 class CapExceededError(AlgebraError):
     """A strict-mode product would exceed the fermionic degree cap."""
 

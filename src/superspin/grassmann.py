@@ -11,13 +11,13 @@ imaginary part is +0.0 and complex128 otherwise, ``_as_stack``'s rule; every
 array the kernel allocates takes its operands' ``np.result_type``, so numpy's
 promotion is the only switch between the two): ``_blade_product``
 multiplies numbers (as (k, 1, 1) stacks), matrices, supervectors, bivectors
-and Clifford coefficients, and ``_nilpotent_matrix_series`` sums every finite
-nilpotent series, of numbers and of matrices alike.  A float64 stack's
-imaginary part is zero, so the CANON_EPS filters (``_kept``, for
-``_json_cells`` and ``clifford.reflect``, and ``clifford._drop_tiny``) take
-|x| of it directly, which is max(|re|, |im|) for real x, and scan no
-imaginary part.  The package's JSON
-codec lives here as well: ``_json_cells`` reads the Grassmann cells off a
+and Clifford coefficients, and ``_power_series`` is the one series loop,
+finite or convergent, of the number maps and of the matrix exp, ln and
+inverse.  A float64 stack's imaginary part is zero, so the CANON_EPS
+filters (``_kept``, for ``_json_cells`` and ``clifford.reflect``, and
+``clifford._drop_tiny``) take |x| of it directly, which is max(|re|, |im|)
+for real x, and scan no imaginary part.  The package's JSON codec lives
+here as well: ``_json_cells`` reads the Grassmann cells off a
 blade stack as ``_Cells`` list nodes, one per matrix row, supervector
 coordinate list or bivector family (order, each cell's term count, and all
 their mask/re/im values as one flat list; a family's nonzero coefficients
@@ -39,7 +39,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .exceptions import AlgebraError, OrderMismatchError, SingularBodyError
+from .exceptions import AlgebraError, ConvergenceError, OrderMismatchError, SingularBodyError
 
 MAX_ORDER = 16
 
@@ -48,6 +48,10 @@ CANON_EPS = 1e-14
 
 # Default relative tolerance for numeric comparisons throughout the package.
 DEFAULT_TOL = 1e-9
+
+# Relative stop threshold of a convergent series, and the terms it may sum.
+SERIES_EPS = 1e-14
+SERIES_TERMS = 5000
 
 _EVEN = "even"
 _ODD = "odd"
@@ -602,24 +606,47 @@ def _drop_zero_slices(masks: tuple[int, ...], stack: np.ndarray
     return tuple(m for m, keep in zip(masks, nonzero.tolist()) if keep), stack[nonzero]
 
 
-def _nilpotent_matrix_series(masks: tuple[int, ...], stack: np.ndarray, order: int,
-                             coeff: Callable[[int], complex]
-                             ) -> tuple[tuple[int, ...], np.ndarray]:
-    """(masks, stack) of sum_k coeff(k) x^k for x = (masks, stack) square with
-    zero body, a matrix or, as a 1 x 1 stack, a number: x^k has no blades for
-    some k <= order + 1, and the sum stops there."""
+def _log_ratio(k: int) -> float:
+    """Term ratio of log(1 + x) = x - x^2/2 + x^3/3 - ...: 1, then -(k - 1)/k."""
+    return (1.0 - k) / k if k > 1 else 1.0
+
+
+def _power_series(masks: tuple[int, ...], stack: np.ndarray, order: int,
+                  ratio: Callable[[int], complex], first: complex
+                  ) -> tuple[tuple[int, ...], np.ndarray]:
+    """(masks, stack) of first I + t_1 + t_2 + ..., t_1 = x ratio(1) and
+    t_k = t_{k-1} x ratio(k), for x = (masks, stack) square: a matrix or, as
+    a 1 x 1 stack, a number.  The package's one series loop.  Without a body
+    blade x is nilpotent, and the sum ends at the first t_k without blades
+    (k <= order + 1).  With one it ends at the first term of norm not above
+    SERIES_EPS times the sum's, or at a NaN term (the caller's build reports
+    it); the sum's norm is read only once the term is within 2 SERIES_EPS of
+    |first I| + the term norms so far, a bound on it, so the end is the same.
+    A series still running at term SERIES_TERMS raises ConvergenceError."""
     size = stack.shape[1]
-    # x has no body blade, so the k = 0 and k = 1 terms stack without a union
-    total_masks = (0, *masks)
-    total = np.concatenate((coeff(0) * np.eye(size, dtype=stack.dtype)[None], coeff(1) * stack))
-    power_masks, power, k = masks, stack, 2
-    while True:
-        power_masks, power = _drop_zero_slices(*_blade_product(
-            np.matmul, power_masks, power, masks, stack, order, (size, size)))
-        if not power_masks:
-            return total_masks, total
-        total_masks, total = _union_add(total_masks, total, power_masks, coeff(k) * power)
-        k += 1
+    convergent = masks[:1] == (0,)
+    eye = first * np.eye(size, dtype=stack.dtype)[None]
+    term_masks, term = masks, stack * ratio(1)
+    total_masks, total = (_union_add((0,), eye, masks, term) if convergent
+                          else ((0, *masks), np.concatenate((eye, term))))
+    bound = abs(first) * size
+    for k in range(2, SERIES_TERMS + 2):
+        if convergent:
+            term_norm = np.abs(term).sum()
+            bound += term_norm
+            if not (term_norm > 2.0 * SERIES_EPS * bound
+                    or term_norm > SERIES_EPS * np.abs(total).sum()):
+                break
+            if k > SERIES_TERMS:
+                raise ConvergenceError(f"series did not converge in {SERIES_TERMS} terms "
+                                       f"(last term norm {term_norm:.3e})")
+        term_masks, term = _drop_zero_slices(*_blade_product(
+            np.matmul, term_masks, term, masks, stack, order, (size, size)))
+        if not term_masks:
+            break
+        term = term * ratio(k)
+        total_masks, total = _union_add(total_masks, total, term_masks, term)
+    return total_masks, total
 
 
 # -- numbers ----------------------------------------------------------------------
@@ -806,43 +833,45 @@ class GrassmannNumber:
 
     # -- transcendental maps -------------------------------------------------
 
-    def _series(self, scale: complex, coeff: Callable[[int], complex],
+    def _series(self, scale: complex, ratio: Callable[[int], complex], first: complex,
                 factor: complex) -> "GrassmannNumber":
-        """factor * sum_k coeff(k) u^k for u = scale * (nilpotent part), the
-        finite series on the packed 1 x 1 stack (exact beyond rounding)."""
+        """factor * ``_power_series`` of u = scale * (nilpotent part) on the
+        packed 1 x 1 stack: a finite series, exact beyond rounding."""
         masks, stack = self._packed()
         start = 1 if masks and masks[0] == 0 else 0
-        masks, stack = _nilpotent_matrix_series(masks[start:], scale * stack[start:],
-                                                self.order, coeff)
-        return GrassmannNumber(self.order,
-                               dict(zip(masks, (factor * stack[:, 0, 0]).tolist())))
+        masks, stack = _power_series(masks[start:], scale * stack[start:], self.order,
+                                     ratio, first)
+        return GrassmannNumber(self.order, dict(zip(masks, (factor * stack[:, 0, 0]).tolist())))
 
     def exp(self) -> "GrassmannNumber":
-        """exp(body) times the finite nilpotent series (exact beyond rounding)."""
-        return self._series(1.0, lambda k: 1.0 / math.factorial(k), cmath.exp(self.body))
+        """exp(body) times the finite nilpotent series (exact beyond rounding);
+        AlgebraError when exp(body) overflows."""
+        try:
+            factor = cmath.exp(self.body)
+        except OverflowError:
+            raise AlgebraError(f"exp of body {self.body!r} overflows") from None
+        return self._series(1.0, lambda k: 1.0 / k, 1.0, factor)
 
     def log(self) -> "GrassmannNumber":
         """Principal logarithm; requires a nonzero body."""
         b = self.body
         if b == 0:
             raise SingularBodyError("log of a Grassmann number with zero body")
-        return self._series(1.0 / b, lambda k: (-1.0) ** (k + 1) / k if k else cmath.log(b),
-                            1.0)
+        return self._series(1.0 / b, _log_ratio, cmath.log(b), 1.0)
 
     def inv(self) -> "GrassmannNumber":
         """Multiplicative inverse; requires a nonzero body."""
         b = self.body
         if b == 0:
             raise SingularBodyError("inverse of a Grassmann number with zero body")
-        return self._series(-1.0 / b, lambda k: 1.0, 1.0 / b)
+        return self._series(-1.0 / b, lambda k: 1.0, 1.0, 1.0 / b)
 
     def fpow(self, alpha: float) -> "GrassmannNumber":
         """Principal fractional power body**alpha * (1 + nil/body)**alpha."""
         b = self.body
         if b == 0:
             raise SingularBodyError("fractional power of a zero-body element")
-        return self._series(
-            1.0 / b, lambda k: math.prod((alpha - j) / (j + 1) for j in range(k)), b ** alpha)
+        return self._series(1.0 / b, lambda k: (alpha - k + 1) / k, 1.0, b ** alpha)
 
     # -- serialization -----------------------------------------------------
 

@@ -15,12 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import AlgebraError, MembershipError, NotInvertibleError, SingularBodyError
-from .grassmann import (CANON_EPS, DEFAULT_TOL, GrassmannNumber, _blade_product,
-                        _nilpotent_matrix_series, _parity_array, _random_stack, _union_add)
+from .clifford import check_signature
+from .exceptions import (AlgebraError, MembershipError, NotInvertibleError, ShapeMismatchError,
+                         SingularBodyError)
+from .grassmann import (CANON_EPS, DEFAULT_TOL, GrassmannNumber, _blade_product, _log_ratio,
+                        _parity_array, _power_series, _random_stack, _union_add)
 from .supermatrix import (
     Supermatrix,
-    _log_coeff,
     _omega,
     _q_gram_body,
     expm,
@@ -36,21 +37,6 @@ _PLANE_EPS = 1e-13
 
 
 @dataclass(frozen=True)
-class GroupReport:
-    """Diagnostics for membership in the inner-product-preserving group."""
-
-    ok: bool
-    defining_residual: float
-    block_residual: float
-    sdet: GrassmannNumber | None
-    sdet_deviation: float
-
-    @property
-    def residual(self) -> float:
-        return max(self.defining_residual, self.block_residual)
-
-
-@dataclass(frozen=True)
 class AlgebraReport:
     """Diagnostics for membership in the super-antisymmetric Lie algebra."""
 
@@ -61,6 +47,15 @@ class AlgebraReport:
     @property
     def residual(self) -> float:
         return max(self.defining_residual, self.block_residual)
+
+
+@dataclass(frozen=True)
+class GroupReport(AlgebraReport):
+    """Diagnostics for membership in the inner-product-preserving group:
+    the residuals of an algebra report, and the Berezinian."""
+
+    sdet: GrassmannNumber | None
+    sdet_deviation: float
 
 
 def _shape(mat: Supermatrix) -> tuple[int, int]:
@@ -172,6 +167,18 @@ def _unitary_eig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vecs, np.angle((vecs.conj() * (u @ vecs)).sum(axis=0))
 
 
+def _body_block(block: np.ndarray, dtype=None, even: bool = False) -> np.ndarray:
+    """``block`` as an array, checked on entry to a body-group helper: square,
+    even-sized if ``even`` (ShapeMismatchError), finite (SingularBodyError)."""
+    block = np.asarray(block, dtype=dtype)
+    if block.ndim != 2 or block.shape[0] != block.shape[1] or even and block.shape[0] % 2:
+        raise ShapeMismatchError(f"expected a square{' even-sized' * even} matrix, "
+                                 f"got shape {block.shape}")
+    if not np.isfinite(block).all():
+        raise SingularBodyError("matrix entries are not finite")
+    return block
+
+
 def rotation_log(a0: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Antisymmetric log of a special orthogonal matrix.
 
@@ -180,7 +187,7 @@ def rotation_log(a0: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     eigenvectors left over is paired into angle-pi planes (the branch
     convention, not canonical).  Each angle is read from a0 in its plane.
     """
-    a0 = np.asarray(a0, dtype=float)
+    a0 = _body_block(a0, float)
     size = a0.shape[0]
     if size == 0:
         return np.zeros((0, 0))
@@ -211,10 +218,11 @@ def symplectic_polar(d0: np.ndarray, tol: float = DEFAULT_TOL
     """Unique polar split D0 = R exp(Z0) of a symplectic matrix.
 
     R is symplectic orthogonal, Z0 symplectic symmetric; computed from the
-    symmetric eigendecomposition of D0^T D0.  When that is not finite, nor
-    is D0's condition number |D0|^2: SingularBodyError, without a warning.
+    symmetric eigendecomposition of D0^T D0.  When that overflows, so does
+    D0's condition number |D0|^2: SingularBodyError, without a warning, as
+    for a non-finite entry.
     """
-    d0 = np.asarray(d0, dtype=float)
+    d0 = _body_block(d0, float, even=True)
     size = d0.shape[0]
     if size == 0:
         return np.zeros((0, 0)), np.zeros((0, 0))
@@ -252,7 +260,7 @@ def to_unitary(d0: np.ndarray) -> np.ndarray:
     A Lie group isomorphism onto U(n) on symplectic-orthogonal input, and its
     own infinitesimal representation on the algebra level.
     """
-    d0 = np.asarray(d0)
+    d0 = _body_block(d0, even=True)
     n = d0.shape[0] // 2
     q = _interleave_rect(n)
     return 0.5 * q @ d0 @ q.conj().T
@@ -273,7 +281,7 @@ def compact_symplectic_log(r: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarra
     squashing (``_unitary_eig``), phases in (-pi, pi] (ties at -pi become
     +pi), pulled back through the squashing.
     """
-    r = np.asarray(r, dtype=float)
+    r = _body_block(r, float, even=True)
     size = r.shape[0]
     if size == 0:
         return np.zeros((0, 0))
@@ -357,8 +365,7 @@ def _split_nilpotent(mat: Supermatrix, group_body: Supermatrix, ratio: float,
     b0_inv = np.zeros_like(body)
     b0_inv[:p, :p], b0_inv[p:, p:] = np.linalg.inv(body[:p, :p]), np.linalg.inv(body[p:, p:])
     x = mat.mat.nilpotent_part()
-    nilpotent = mat._like(*_nilpotent_matrix_series(x.masks, b0_inv @ x.stack, mat.order,
-                                                    _log_coeff))
+    nilpotent = mat._like(*_power_series(x.masks, b0_inv @ x.stack, mat.order, _log_ratio, 0.0))
     if not (abs(ratio - 1.0) + abs(ratio) * math.expm1(nilpotent.supertrace().norm()) <= tol
             or (mat.sdet() - 1.0).norm() <= tol):
         raise MembershipError("decomposition requires a special superrotation")
@@ -481,6 +488,7 @@ def _random_so0_from_rng(m: int, n: int, order: int, rng,
 def random_so0(m: int, n: int, order: int, seed: int,
                scale: float = 0.25) -> Supermatrix:
     """Seeded random element of the Lie algebra (exact membership)."""
+    check_signature(m, n, order)
     rng = np.random.default_rng(seed)
     return _random_so0_from_rng(m, n, order, rng, scale)
 
@@ -488,6 +496,7 @@ def random_so0(m: int, n: int, order: int, seed: int,
 def random_rotation(m: int, n: int, order: int, seed: int, factors: int = 3,
                     scale: float = 0.25) -> Supermatrix:
     """Seeded random superrotation: a product of algebra exponentials."""
+    check_signature(m, n, order)
     rng = np.random.default_rng(seed)
     result = Supermatrix.eye(m, 2 * n, order)
     for _ in range(factors):
@@ -500,6 +509,7 @@ def random_supermatrix(m: int, n: int, order: int, seed: int,
     """Seeded random parity-valid supermatrix (no group constraint):
     ``random_grassmann``'s draws, entry by entry, row by row, on one stack,
     even in the diagonal blocks and odd off them."""
+    check_signature(m, n, order)
     bosonic = np.arange(m + 2 * n) < m
     stack = _random_stack(np.random.default_rng(seed), order,
                           bosonic[:, None] != bosonic[None, :], scale)

@@ -18,10 +18,9 @@ exp(str log(I + X)) for M = M0 (I + X): numpy on the body M0 and a finite
 sum of supertraces of powers of the nilpotent X, half of them formed as
 matrices.  A body with condition number above COND_LIMIT raises
 SingularBodyError (block A of ``sdet`` and ``det``) or NotInvertibleError
-(block D of ``sdet``, either block of ``inverse``).  The exp/ln and nilpotent series
-iterate on raw (masks, stack) pairs and build one matrix at the end; exp with
-no body blade and ln with body exactly I are finite nilpotent series, summed
-by the kernel's ``_nilpotent_matrix_series`` as the number series are.
+(block D of ``sdet``, either block of ``inverse``).  exp, ln and the
+inverse sum their series with ``grassmann._power_series``, the loop of the
+number series too, on raw (masks, stack) pairs, and build one matrix.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ import numpy as np
 
 from .exceptions import (
     AlgebraError,
+    ConvergenceError,
     LogDomainError,
     NotInvertibleError,
     OrderMismatchError,
@@ -44,11 +44,8 @@ from .exceptions import (
     SingularBodyError,
 )
 from .grassmann import (CANON_EPS, MAX_ORDER, GrassmannNumber, _as_stack, _blade_product,
-                        _drop_zero_slices, _isclose, _json_cells, _nilpotent_matrix_series,
-                        _parity_array, _read_cells, _to_dict, _to_json, _union_add, json_int)
-
-# Relative truncation threshold for the exp/ln power series.
-SERIES_EPS = 1e-14
+                        _drop_zero_slices, _isclose, _json_cells, _log_ratio, _parity_array,
+                        _power_series, _read_cells, _to_dict, _to_json, _union_add, json_int)
 
 # Bodies with condition number beyond this are treated as singular.
 COND_LIMIT = 1e12
@@ -262,8 +259,8 @@ class GrassmannMatrix:
         """Inverse given the inverse of this matrix's body: the Neumann series
         of X = M0^-1 (M - M0), times M0^-1 (body products are plain matmuls)."""
         x = self.nilpotent_part()
-        masks, stack = _nilpotent_matrix_series(x.masks, body_inverse @ x.stack, self.order,
-                                                lambda k: (-1.0) ** k)
+        masks, stack = _power_series(x.masks, body_inverse @ x.stack, self.order,
+                                     lambda k: -1.0, 1.0)
         return self.with_stack(masks, stack @ body_inverse)
 
     def det(self) -> GrassmannNumber:
@@ -294,11 +291,6 @@ def _trace_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``_blade_product`` op, as ``np.multiply`` is for numbers.  With the
     supertrace signs on the rows of a, it is str(a b)."""
     return np.einsum("...ij,...ji->...", a, b)[..., None, None]
-
-
-def _log_coeff(k: int) -> float:
-    """Taylor coefficient of log(1 + x)."""
-    return (-1.0) ** (k + 1) / k if k else 0.0
 
 
 @functools.cache
@@ -569,13 +561,13 @@ class Supermatrix(_Graded):
                                                          shape=(size, size))))
             str_log = np.zeros(1 << order, dtype=x.dtype)
             for k, (pm, pw) in enumerate(powers, start=1):
-                str_log[list(pm)] += _log_coeff(k) * np.einsum("kii,i->k", pw, sign)
+                str_log[list(pm)] += (-1.0) ** (k + 1) / k * np.einsum("kii,i->k", pw, sign)
             if powers[-1][0]:  # X^h != 0: the supertraces of X^h X^{k-h}
                 top_masks, signed_top = powers[-1][0], sign[:, None] * powers[-1][1]
                 for k in range(half + 1, order + 1):
                     tm, tv = product(_trace_of_product, top_masks, signed_top,
                                      *powers[k - half - 1], shape=(1, 1))
-                    str_log[list(tm)] += _log_coeff(k) * tv[:, 0, 0]
+                    str_log[list(tm)] += (-1.0) ** (k + 1) / k * tv[:, 0, 0]
         nonzero = np.flatnonzero(str_log)
         str_log = GrassmannNumber(order, dict(zip(nonzero.tolist(),
                                                   str_log[nonzero].tolist())))
@@ -620,87 +612,45 @@ class Supermatrix(_Graded):
 
 @np.errstate(over="ignore", invalid="ignore")
 def expm(m: Supermatrix) -> Supermatrix:
-    """Matrix exponential over Lambda_N: the finite sum of x^k / k! for input
-    with no body blade, else scaling and squaring, with the argument scaled
-    to entry-sum norm at most 1 and a Taylor series to SERIES_EPS.  Terms
-    stay raw blade stacks; an argument whose norm overflows, a square with
-    a non-finite entry (the squaring stops there) or a non-finite sum raises
-    AlgebraError, without a numpy warning from the norm, a term or a square.
-
-    The series stops at the first term with norm not above SERIES_EPS times
-    the norm of the sum.  That norm is taken only when the term is within a
-    factor 2 of SERIES_EPS times |I| + the sum of the term norms so far, an
-    upper bound on it (the triangle inequality, far above rounding): a term
-    above that is above the test, so the loop stops at the same term."""
+    """Matrix exponential over Lambda_N: the argument scaled by 2^-s to
+    entry-sum norm at most 1, its Taylor series (``_power_series``), then s
+    squarings.  An argument whose norm overflows, a square with a
+    non-finite entry (the squaring stops there) or a non-finite sum raises
+    AlgebraError, without a numpy warning from the norm, a term or a square."""
     mat, size = m.mat, m.size
-    if not mat.masks or mat.masks[0] != 0:
-        return m._like(*_nilpotent_matrix_series(mat.masks, mat.stack, m.order,
-                                                 lambda k: 1.0 / math.factorial(k)))
     norm = mat.norm()
     if not math.isfinite(norm):
         raise AlgebraError("entry-sum norm overflows, so exp cannot scale its argument")
-    s = math.ceil(math.log2(max(norm, 1.0)))
-    masks, stack = mat.masks, 0.5 ** s * mat.stack
-    product = functools.partial(_blade_product, np.matmul, order=m.order, shape=(size, size))
-    total_masks, total = term_masks, term = (0,), np.eye(size, dtype=stack.dtype)[None]
-    bound = float(size)  # |I| + the norms of the terms so far
-    for k in range(1, 200):
-        term_masks, term = _drop_zero_slices(*product(term_masks, term, masks, stack))
-        if not term_masks:
-            break
-        term = term * (1.0 / k)
-        total_masks, total = _union_add(total_masks, total, term_masks, term)
-        term_norm = np.abs(term).sum()
-        bound += term_norm
-        # "not >" also stops on a NaN term; the final build reports it
-        if not (term_norm > 2.0 * SERIES_EPS * bound
-                or term_norm > SERIES_EPS * np.abs(total).sum()):
-            break
+    # a series without a body blade is finite: it needs no scaling
+    s = math.ceil(math.log2(max(norm, 1.0))) if mat.masks[:1] == (0,) else 0
+    masks, stack = _power_series(mat.masks, 0.5 ** s * mat.stack, m.order, lambda k: 1.0 / k, 1.0)
     for _ in range(s):
-        total_masks, total = _drop_zero_slices(*product(total_masks, total, total_masks, total))
-        if not np.isfinite(total).all():
+        masks, stack = _drop_zero_slices(*_blade_product(np.matmul, masks, stack, masks, stack,
+                                                         m.order, (size, size)))
+        if not np.isfinite(stack).all():
             raise AlgebraError("non-finite entry in blade slice")
-    return m._like(total_masks, total)
+    return m._like(masks, stack)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def logm(m: Supermatrix) -> Supermatrix:
-    """Series logarithm around the identity, on raw blade stacks as ``expm``.
-
-    Finite when m - I has no body blade; otherwise requires either
-    ||m - I|| < 1 or the body of m - I to have spectral radius below 1, and
-    raises LogDomainError when 5000 terms do not meet the stopping test.
-    The norm tests and sums run without numpy's overflow warnings; the one
-    matrix built at the end refuses a non-finite entry (AlgebraError).
-    """
-    mat, size, max_iter = m.mat, m.size, 5000
-    eye = np.eye(size, dtype=mat.stack.dtype)[None]
-    masks, stack = _drop_zero_slices(*_union_add(mat.masks, mat.stack, (0,), -eye))
-    if not masks or masks[0] != 0:
-        return m._like(*_nilpotent_matrix_series(masks, stack, m.order, _log_coeff))
-    product = functools.partial(_blade_product, np.matmul, order=m.order, shape=(size, size))
-    total_masks, total = (), np.zeros((0, size, size), dtype=stack.dtype)
-    power_masks, power = (0,), eye
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.abs(stack).sum() >= 1.0:
-            rho = float(np.max(np.abs(np.linalg.eigvals(stack[0]))))
-            if rho >= 1.0 - 1e-12:
-                raise LogDomainError(
-                    f"matrix is outside the logarithm domain (spectral radius {rho:.3e})"
-                )
-        for k in range(1, max_iter + 1):
-            power_masks, power = _drop_zero_slices(*product(power_masks, power, masks, stack))
-            if not power_masks:
-                break
-            total_masks, total = _union_add(total_masks, total, power_masks,
-                                            _log_coeff(k) * power)
-            power_norm = np.abs(power).sum()
-            if k > 4 and power_norm / k <= SERIES_EPS * max(1.0, np.abs(total).sum()):
-                break
-        else:
-            raise LogDomainError(
-                f"logarithm series did not converge in {max_iter} terms "
-                f"(last term norm {power_norm / max_iter:.3e})")
-    return m._like(total_masks, total)
+    """log(I + X) for X = m - I, its series summed by ``_power_series``:
+    finite when X has no body blade, else needing ||X|| < 1 or a body of X
+    of spectral radius below 1, and SERIES_TERMS terms to meet the stop
+    test (LogDomainError otherwise).  No numpy overflow warning is raised; a
+    non-finite entry of the result raises AlgebraError."""
+    mat, size = m.mat, m.size
+    eye = np.eye(size, dtype=mat.stack.dtype)
+    masks, stack = _drop_zero_slices(*_union_add(mat.masks, mat.stack, (0,), -eye[None]))
+    if np.abs(stack).sum() >= 1.0:
+        rho = float(np.max(np.abs(np.linalg.eigvals(mat.body() - eye))))
+        if rho >= 1.0 - 1e-12:
+            raise LogDomainError(f"matrix is outside the logarithm domain "
+                                 f"(spectral radius {rho:.3e})")
+    try:
+        return m._like(*_power_series(masks, stack, m.order, _log_ratio, 0.0))
+    except ConvergenceError as exc:
+        raise LogDomainError(f"logarithm {exc}") from None
 
 
 @functools.cache

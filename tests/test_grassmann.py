@@ -118,6 +118,13 @@ def test_exp_values():
     assert (x.exp() - (2 + 2 * blade)).norm() < 1e-14
 
 
+def test_exp_of_an_overflowing_body_is_an_algebra_error():
+    # cmath.exp(800) raises OverflowError; exp names the overflow instead
+    for x in (GrassmannNumber.scalar(2, 800.0), GrassmannNumber(2, {0: 800.0, 0b11: 1.0})):
+        with pytest.raises(AlgebraError, match="overflows"):
+            x.exp()
+
+
 def test_log_values():
     assert GrassmannNumber.one(N).log() == GrassmannNumber.zero(N)
     blade = f(1) * f(2)

@@ -22,10 +22,8 @@ from superspin import (
     Supervector,
     action_matrix,
     check_so0,
-    clifford,
     decompose_rotation,
     fractional_fourier,
-    grassmann,
     lift_rotation,
     orthosymplectic,
     random_rotation,
@@ -33,10 +31,9 @@ from superspin import (
     random_supermatrix,
     reflection_matrix,
     spin,
-    supermatrix,
 )
 from superspin.cli import main
-from superspin.grassmann import DEFAULT_TOL, _blade_product
+from superspin.grassmann import DEFAULT_TOL
 from superspin.orthosymplectic import _residuals, _split_rotation
 from superspin.selftest import DEFAULT_SEED
 from superspin.supermatrix import _q_gram_body
@@ -215,7 +212,7 @@ def test_verdicts_agree_around_tol(shape, seed, size, blades):
 
 @pytest.mark.parametrize("order", [4, 6, 8])
 @pytest.mark.parametrize("command", ["decompose", "lift", "action_matrix"])
-def test_each_internal_check_makes_one_heavy_product(monkeypatch, command, order):
+def test_each_internal_check_makes_one_heavy_product(monkeypatch, wrap_kernel, command, order):
     """A heavy product is a kernel product where neither operand is body-only.
     The check is the group ``_residuals`` and whatever ``sdet`` or Grassmann
     ``exp`` a Berezinian would take: together they make exactly one.  (The
@@ -226,10 +223,10 @@ def test_each_internal_check_makes_one_heavy_product(monkeypatch, command, order
             "action_matrix": functools.partial(action_matrix, lift_rotation(mat))}[command]
     depth, inside, checks = [0], [], []
 
-    def counted(op, masks_a, a_stack, masks_b, b_stack, order, shape):
+    def counted(product, op, masks_a, a_stack, masks_b, b_stack, order, shape):
         if masks_a != (0,) and masks_b != (0,):
             inside.append(depth[0] > 0)
-        return _blade_product(op, masks_a, a_stack, masks_b, b_stack, order, shape)
+        return product(op, masks_a, a_stack, masks_b, b_stack, order, shape)
 
     def in_check(function, record=False):
         def wrapped(*args, **kwargs):
@@ -242,8 +239,7 @@ def test_each_internal_check_makes_one_heavy_product(monkeypatch, command, order
                 depth[0] -= 1
         return wrapped
 
-    for module in (grassmann, supermatrix, orthosymplectic, clifford):
-        monkeypatch.setattr(module, "_blade_product", counted)
+    wrap_kernel(counted)
     residuals = in_check(orthosymplectic._residuals, record=True)
     for module in (orthosymplectic, spin):
         monkeypatch.setattr(module, "_residuals", residuals)

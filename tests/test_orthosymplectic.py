@@ -2,6 +2,7 @@
 decomposition, the unitary squashing and the standard orthosymplectic form."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from superspin import (
     AlgebraError,
     GrassmannMatrix,
     MembershipError,
+    OrderMismatchError,
+    ShapeMismatchError,
     SingularBodyError,
     Supermatrix,
     check_o0,
@@ -640,3 +643,37 @@ def test_random_generators_membership_and_determinism():
     assert check_so0(mat, 1e-9).ok
     assert x.to_dict() == random_so0(M_DIM, N_PLANES, ORDER, seed=900).to_dict()
     assert mat.to_dict() == random_rotation(M_DIM, N_PLANES, ORDER, seed=901).to_dict()
+
+
+@pytest.mark.parametrize("generator", [random_so0, random_rotation, random_supermatrix])
+@pytest.mark.parametrize("m, n, order, error", [
+    (1, 1, -1, OrderMismatchError), (1, 1, 17, OrderMismatchError),
+    (-1, 1, 2, ShapeMismatchError), (1, -1, 2, ShapeMismatchError),
+], ids=["order-negative", "order-17", "m-negative", "n-negative"])
+def test_seeded_generators_check_their_signature(generator, m, n, order, error):
+    """As ``random_supervector`` does: no bare numpy error, and no order
+    above MAX_ORDER."""
+    with pytest.raises(error):
+        generator(m, n, order, seed=1)
+
+
+@pytest.mark.parametrize("helper, block", [
+    (rotation_log, np.zeros((3, 2))), (rotation_log, np.zeros(3)),
+    (symplectic_polar, np.eye(3)), (symplectic_polar, np.zeros((2, 4))),
+    (to_unitary, np.eye(3)), (compact_symplectic_log, np.eye(3)),
+], ids=["log-3x2", "log-vector", "polar-3x3", "polar-2x4", "unitary-3x3", "compact-3x3"])
+def test_body_helpers_refuse_a_block_of_the_wrong_shape(helper, block):
+    with pytest.raises(ShapeMismatchError):
+        helper(block)
+
+
+@pytest.mark.parametrize("helper", [rotation_log, symplectic_polar, to_unitary,
+                                    compact_symplectic_log])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_body_helpers_refuse_a_non_finite_block_without_a_warning(helper, value):
+    block = np.eye(2)
+    block[0, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlgebraError, match="not finite"):
+            helper(block)

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as dense_expm
+from scipy.linalg import logm as dense_logm
 
 from superspin import (
     AlgebraError,
+    ConvergenceError,
     GrassmannMatrix,
     GrassmannNumber,
     LogDomainError,
@@ -34,10 +36,10 @@ from superspin import (
     symplectic_form,
 )
 from superspin import supermatrix
-from superspin.grassmann import (_blade_product, _drop_zero_slices, _nilpotent_matrix_series,
-                                 _union_add)
+from superspin.grassmann import (SERIES_EPS, SERIES_TERMS, _blade_product, _drop_zero_slices,
+                                 _power_series, _union_add)
 from superspin.orthosymplectic import _split_rotation
-from superspin.supermatrix import COND_LIMIT, SERIES_EPS
+from superspin.supermatrix import COND_LIMIT
 from test_kernel import SETTINGS, parity_blocks
 
 M_DIM, N_PLANES, ORDER = 3, 2, 4
@@ -379,8 +381,8 @@ def full_power_sdet(m):
     inv0[p:, p:] = supermatrix._body_inverse(d0, NotInvertibleError, "body of block D")
     inv0[:p, :p] = supermatrix._body_inverse(a0, SingularBodyError, "body of block A")
     x = m.mat.nilpotent_part()
-    log = x.with_stack(*_nilpotent_matrix_series(x.masks, inv0 @ x.stack, m.order,
-                                                 supermatrix._log_coeff))
+    log = x.with_stack(*_power_series(x.masks, inv0 @ x.stack, m.order,
+                                      supermatrix._log_ratio, 0.0))
     str_log = Supermatrix(p, m.q, log, validate=False).supertrace()
     return str_log.exp() * complex(np.linalg.det(a0) / np.linalg.det(d0))
 
@@ -562,14 +564,51 @@ def test_exp_and_log_match_their_oracles(shape, data, seed):
     assert_relative(expm(logm(unipotent)), unipotent, 1e-13)
 
 
+@pytest.mark.parametrize("shape", EXP_SHAPES, ids=PROPERTY_IDS + ["N4-p6-q4"])
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2 ** 16))
+def test_log_series_matches_the_left_regular_logarithm(shape, data, seed):
+    """logm's convergent series (m - I with a body blade) against scipy's
+    principal logm of the left-regular representation, whose first block
+    column is log(M): ``object_logm`` covers only the finite series."""
+    order, p, q = shape
+    size = p + q
+    x = drawn_supermatrix(data, shape, seed)
+    assume(x.mat.masks[:1] == (0,))
+    m = Supermatrix.eye(p, q, order) + x.scale(0.5 / max(1.0, x.norm()))
+    got = logm(m)
+    want = dense_logm(left_regular(m))[:, :size].reshape(1 << order, size, size)
+    assert np.abs(dense_stack(got) - want).sum() <= 1e-12 * max(1.0, np.abs(want).sum())
+
+
+def test_the_series_loop_refuses_terms_that_never_shrink():
+    """x a body-only rotation and every ratio 1: each term has the norm of
+    the first, so no term meets the stop test, and the loop raises at its
+    cap instead of returning a partial sum."""
+    c, s = math.cos(1.0), math.sin(1.0)
+    rotation = np.array([[[c, -s], [s, c]]])
+    with pytest.raises(ConvergenceError, match=f"did not converge in {SERIES_TERMS} terms"):
+        _power_series((0,), rotation, 2, lambda k: 1.0, 1.0)
+
+
+def test_the_series_loop_sums_a_nilpotent_series_to_its_last_term():
+    """Without a body blade no stop test applies: x of grade 1 and norm
+    about 1e-5 has a grade-4 term x^4 / 24 some 1e-20 below the sum, far
+    under SERIES_EPS of it, and the loop still adds that term."""
+    x = rand(11).grade(1).scale(1e-6)
+    masks, stack = _power_series(x.mat.masks, x.mat.stack, ORDER, lambda k: 1.0 / k, 1.0)
+    total, top = x._like(masks, stack), (x @ x @ x @ x).scale(1.0 / 24.0)
+    assert 0.0 < top.norm() <= 1e-20 * total.norm()
+    assert (total.grade(ORDER) - top).norm() <= 1e-12 * top.norm()
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def eager_expm(m):
     """``expm`` as it was before its stop test took the norm of the sum only
     near the end: that norm after every Taylor term."""
     mat, size = m.mat, m.size
     if not mat.masks or mat.masks[0] != 0:
-        return m._like(*_nilpotent_matrix_series(mat.masks, mat.stack, m.order,
-                                                 lambda k: 1.0 / math.factorial(k)))
+        return m._like(*_power_series(mat.masks, mat.stack, m.order, lambda k: 1.0 / k, 1.0))
     norm = mat.norm()
     if not math.isfinite(norm):
         raise AlgebraError("entry-sum norm overflows, so exp cannot scale its argument")
@@ -680,19 +719,18 @@ def test_series_build_a_fixed_number_of_matrices(monkeypatch):
         assert counts[0] == counts[1], (name, counts)
 
 
-def test_exp_stops_at_a_nan_term(monkeypatch):
+def test_exp_stops_at_a_nan_term(wrap_kernel):
     """A non-finite term ends the series at once and the result build
     reports it; the loop does not run on to its term cap."""
     products = []
-    product = supermatrix._blade_product
 
-    def poisoned(*args, **kwargs):
+    def poisoned(product, *args, **kwargs):
         products.append(1)
         masks, stack = product(*args, **kwargs)
         return masks, stack * np.nan
 
     m = rand(3).scale(0.5 / rand(3).norm())   # no squarings
-    monkeypatch.setattr(supermatrix, "_blade_product", poisoned)
+    wrap_kernel(poisoned)
     with np.errstate(invalid="ignore"), pytest.raises(AlgebraError, match="non-finite"):
         expm(m)
     assert len(products) == 1
@@ -773,7 +811,7 @@ def test_exp_of_argument_with_overflowing_norm_raises_algebra_error():
     assert type(info.value) is AlgebraError
 
 
-def test_exp_stops_squaring_at_the_first_overflow(monkeypatch):
+def test_exp_stops_squaring_at_the_first_overflow(wrap_kernel):
     """A diagonal body coefficient of 1.7e308 in the golden exp payload makes
     the squaring count about 1024; the total overflows within a few squares,
     and exp raises there, after a few dozen kernel products, not one a step."""
@@ -784,11 +822,11 @@ def test_exp_stops_squaring_at_the_first_overflow(monkeypatch):
     mat = Supermatrix.from_dict(data)
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(product, *args, **kwargs):
         calls.append(1)
-        return _blade_product(*args, **kwargs)
+        return product(*args, **kwargs)
 
-    monkeypatch.setattr(supermatrix, "_blade_product", counted)
+    wrap_kernel(counted)
     with pytest.raises(AlgebraError, match="^non-finite entry in blade slice$"):
         expm(mat)
     assert 0 < len(calls) < 100
