@@ -9,12 +9,13 @@ parser is built, which is once per process.
 
 Output is 2-space-indented JSON, byte for byte what
 ``json.dumps(payload, indent=2, allow_nan=False)`` writes of the payload's
-``to_dict`` form, and is written only once complete.  Computes return the
-library objects themselves; the writer, ``grassmann._json_text`` (with
-``indent`` the stdlib falls back to its pure-Python encoder), turns each
-object's JSON tree, whose Grassmann cells hold their values straight from
-the blade stack, into one format string and applies it once to all the cell
-values; the objects' ``to_dict`` is the parse of that text.
+``to_dict`` form, and is written only once complete.  Computes return a
+payload tree: a library object, or str-keyed dicts and lists of them and of
+JSON scalars.  The one writer, ``grassmann._json_text``, takes nothing else
+(TypeError); it writes each object's JSON tree, whose Grassmann cells hold
+their values straight from the blade stack, as one format string applied
+once to all the cell values.  An object's ``to_json()`` (no argument) is
+that text and its ``to_dict()`` the parse of it.
 
 Exit codes: 0 success, 1 domain violation (membership, singular body,
 convergence domain, ...) or a failed ``selftest`` criterion, 2 malformed

@@ -68,12 +68,12 @@ from .grassmann import (
     _drop_zero_slices,
     _isclose,
     _json_cells,
+    _json_text,
     _kept,
     _parity_array,
     _random_stack,
     _read_cells,
     _to_dict,
-    _to_json,
     _union_add,
     json_int,
     random_grassmann,
@@ -393,7 +393,7 @@ class CliffordElement:
             ],
         }
 
-    to_json = _to_json
+    to_json = _json_text
     to_dict = _to_dict
 
     @classmethod
@@ -479,15 +479,13 @@ class Supervector(_Graded):
         return cls.from_column(m, n, GrassmannMatrix.zeros(max(m + 2 * n, 0), 1, order))
 
     @classmethod
-    def unit(cls, m, n, order, index: int, fermionic: bool = False):
-        """Unit vector along e_index or e'_index (1-based)."""
-        name, count = ("e'", 2 * n) if fermionic else ("e", m)
-        if not 1 <= index <= count:
-            raise ShapeMismatchError(f"{name} index {index} out of range 1..{count}")
+    def unit(cls, m, n, order, index: int):
+        """Unit vector along the bosonic e_index (1-based)."""
+        if not 1 <= index <= m:
+            raise ShapeMismatchError(f"e index {index} out of range 1..{m}")
         even = [GrassmannNumber.zero(order)] * m
-        odd = [GrassmannNumber.zero(order)] * (2 * n)
-        (odd if fermionic else even)[index - 1] = GrassmannNumber.one(order)
-        return cls(m, n, order, even, odd)
+        even[index - 1] = GrassmannNumber.one(order)
+        return cls(m, n, order, even, [GrassmannNumber.zero(order)] * (2 * n))
 
     @classmethod
     def from_coefficients(cls, m, n, order, even, odd):
@@ -568,7 +566,7 @@ class Supervector(_Graded):
                                 (self.m, 2 * self.n))
         return {"m": self.m, "n": self.n, "N": self.order, "even": even, "odd": odd}
 
-    to_json = _to_json
+    to_json = _json_text
     to_dict = _to_dict
 
     @classmethod
@@ -774,7 +772,7 @@ class ExtendedSuperbivector(_Graded):
                                 [key for family in index for key in family])
         return {"m": self.m, "n": self.n, "N": self.order, "b": b, "bq": bq, "B": bb}
 
-    to_json = _to_json
+    to_json = _json_text
     to_dict = _to_dict
 
     @classmethod

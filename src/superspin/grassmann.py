@@ -22,8 +22,8 @@ blade stack as ``_Cells`` list nodes, one per matrix row, supervector
 coordinate list or bivector family (order, each cell's term count, and all
 their mask/re/im values as one flat list; a family's nonzero coefficients
 are keyed pairs), and a lone number is one ``_Cell``.  ``_json_text`` is
-the one writer (``json.dumps(indent=2)`` byte for byte): it turns a tree of
-literals and nodes into one format string of escaped literal text and
+the one writer (``json.dumps(indent=2)`` byte for byte) and writes payload
+trees only: it turns one into a format string of escaped literal text and
 cached cell or pair templates, joined a node at a time, and applies it
 once.  ``_read_cells`` reads cells back into a stack in one pass over their
 terms, and names the container of an entry of another order.
@@ -123,24 +123,23 @@ def _isclose(self, other, tol: float = DEFAULT_TOL) -> bool:
 
 class _Cell(NamedTuple):
     """One Grassmann number in a JSON tree: its order, its number of terms
-    and the terms' flat (mask, re, im) values, or (mask, re) values when
-    ``real`` says every im is +0.0, so the ``%`` pass formats no im.
-    ``_json_text`` writes it through a cell template."""
+    and the terms' flat (mask, re, im) values.  ``_json_text`` writes it
+    through a cell template."""
 
     order: int
     count: int
     values: list
-    real: bool = False
 
 
 class _Cells(NamedTuple):
     """A JSON list of Grassmann cells of one order (a matrix row, a
     supervector's even or odd coordinates): each cell's number of terms and
-    all their values, flat as in ``_Cell``.  With ``pair`` it is a bivector
-    family, each cell the coeff of a ``{"j": j, "k": k, "coeff": cell}``
-    object whose int keys lead its values.  ``_json_text`` writes it as its
-    cells' (or pairs') cached templates joined, so no object is built or
-    walked for a cell."""
+    all their values, flat as in ``_Cell``, or (mask, re) values when
+    ``real`` says every im is +0.0, so the ``%`` pass formats no im.  With
+    ``pair`` it is a bivector family, each cell the coeff of a
+    ``{"j": j, "k": k, "coeff": cell}`` object whose int keys lead its
+    values.  ``_json_text`` writes it as its cells' (or pairs') cached
+    templates joined, so no object is built or walked for a cell."""
 
     order: int
     counts: list
@@ -165,11 +164,7 @@ class _Templates(dict):
     or, if ``pair``, of a bivector pair object holding such a cell, with a
     ``%d`` slot for j and k first; ``size`` is their total length."""
 
-    __slots__ = ("size",)
-
-    def __init__(self):
-        super().__init__()
-        self.size = 0
+    size = 0
 
     def __missing__(self, key: tuple[int, int, str, bool, bool]) -> str:
         order, count, newline, real, pair = key
@@ -199,63 +194,21 @@ _templates = _Templates()
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _float_text(value: float) -> str:
-    if math.isfinite(value):
-        return float.__repr__(value)
-    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte, of a
+    payload tree: str-keyed dicts, lists, str, None, bool, int and float
+    (their subclasses, such as ``np.float64``, too), ``_Cell`` and
+    ``_Cells`` nodes, and objects with a ``_json_tree`` method (the payload
+    classes, whose ``to_json`` this is), which stand for their trees.
 
-
-def _scalar_text(value) -> str | None:
-    """``json``'s text for a str, None, bool, int or float (subclasses
-    included, in the order ``json`` tests them), ``%`` escaped; None for
-    anything else."""
-    if isinstance(value, str):
-        return _encode_str(value).replace("%", "%%")
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    return None
-
-
-def _key_text(key) -> str:
-    """A dict key as ``json`` writes it (non-str keys become strings), ``%``
-    escaped."""
-    text = _scalar_text(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return text if isinstance(key, str) else f'"{text}"'
-
-
-def _json_text(value, newline: str = "\n") -> str:
-    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte, where
-    an object with a ``_json_tree`` method (the package's payload classes)
-    stands for its tree and any other object with a ``to_json`` method for
-    the text ``to_json(newline)`` returns.
-
-    ``newline`` is the line break plus the indent of ``value``'s own line.
     The whole output is one format string, applied once to the values of
-    every Grassmann cell (a lone ``_Cell``, or one of a ``_Cells`` list) in
-    the tree: literal text with ``%`` escaped and, for each cell or pair,
-    its cached template.  Non-finite floats raise ValueError and anything
-    else ``json`` cannot write raises TypeError, as in ``json``, before any
-    formatting.
+    every Grassmann cell in the tree: literal text with ``%`` escaped and,
+    for each cell or pair, its cached template.  A non-finite float raises
+    ValueError, and anything else (a tuple, a non-str key, a dict, list or
+    str subclass) TypeError, before any formatting.
     """
     values: list = []
-    return _format(value, newline, values) % tuple(values)
-
-
-def _to_json(self, newline: str = "\n") -> str:
-    """``to_dict``'s JSON text (``newline`` as in ``_json_text``): the
-    writer's text of the payload's ``_json_tree``."""
-    return _json_text(self, newline)
+    return _format(value, "\n", values) % tuple(values)
 
 
 def _to_dict(self) -> dict:
@@ -264,14 +217,14 @@ def _to_dict(self) -> dict:
 
 
 def _format(value, newline: str, values: list) -> str:
-    """``value``'s part of ``_json_text``'s format string; the values of its
-    cells are appended to ``values`` in the order of their slots.  Exact
-    types are tried first, with finite floats inlined in dicts; subclasses
-    fall back to ``isinstance`` in the order ``json`` uses."""
+    """``value``'s part of ``_json_text``'s format string, ``newline`` being
+    the line break and indent of its own line; its cells' values are
+    appended to ``values`` in slot order.  Exact types are tried first, with
+    finite floats inlined in dicts."""
     kind = type(value)
     if kind is _Cell:
         values += value.values
-        return _templates[value.order, value.count, newline, value.real, False]
+        return _templates[value.order, value.count, newline, False, False]
     if kind is _Cells:
         if not value.counts:
             return "[]"
@@ -281,39 +234,42 @@ def _format(value, newline: str, values: list) -> str:
         return ("[" + inner + ("," + inner).join([
             _templates[order, count, inner, real, pair] for count in value.counts])
             + newline + "]")
-    if kind is float:
-        return _float_text(value)
     if kind is int:
         return int.__repr__(value)
     if kind is str:
         return _encode_str(value).replace("%", "%%")
-    if kind is dict or isinstance(value, dict):
+    if kind is dict:
         if not value:
             return "{}"
         inner = newline + "  "
+        # _encode_str raises TypeError for a key that is not a str
         items = [
-            (_encode_str(k).replace("%", "%%") if type(k) is str else _key_text(k)) + ": "
+            _encode_str(k).replace("%", "%%") + ": "
             + (float.__repr__(v) if type(v) is float and v - v == 0.0
                else _format(v, inner, values))
             for k, v in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list or isinstance(value, (list, tuple)):
+    if kind is list:
         if not value:
             return "[]"
         inner = newline + "  "
         items = [_format(v, inner, values) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    text = _scalar_text(value)
-    if text is not None:
-        return text
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if isinstance(value, int):
+        return int.__repr__(value)
     tree = getattr(kind, "_json_tree", None)
-    if tree is not None:
-        return _format(tree(value), newline, values)
-    to_json = getattr(kind, "to_json", None)
-    if to_json is None:
+    if tree is None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    return to_json(value, newline).replace("%", "%%")
+    return _format(tree(value), newline, values)
 
 
 # -- the dtype rule --------------------------------------------------------------
@@ -778,6 +734,8 @@ class GrassmannNumber:
         if isinstance(other, GrassmannNumber):
             return self * other.inv()
         if isinstance(other, (int, float, complex)):
+            if other == 0:
+                raise SingularBodyError("division of a Grassmann number by zero")
             return self * (1.0 / other)
         return NotImplemented
 
@@ -881,7 +839,7 @@ class GrassmannNumber:
         return _Cell(self.order, len(self.terms), [
             part for m, c in sorted(self.terms.items()) for part in (m, c.real, c.imag)])
 
-    to_json = _to_json
+    to_json = _json_text
     to_dict = _to_dict
 
     @classmethod

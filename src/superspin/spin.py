@@ -32,7 +32,7 @@ from .clifford import (
     matrix_to_bivector,
 )
 from .exceptions import AlgebraError, CapExceededError, MembershipError, ShapeMismatchError
-from .grassmann import DEFAULT_TOL, GrassmannNumber, _to_dict, _to_json, json_int
+from .grassmann import DEFAULT_TOL, GrassmannNumber, _json_text, _to_dict, json_int
 from .orthosymplectic import _residuals, _split_body, _split_nilpotent, to_unitary
 from .supermatrix import Supermatrix, _omega, _q_gram_body, expm
 
@@ -72,7 +72,7 @@ class SpinElement:
         """``to_dict``'s tree, the factors as bivector trees."""
         return {"m": self.m, "n": self.n, "N": self.order, "factors": list(self.factors)}
 
-    to_json = _to_json
+    to_json = _json_text
     to_dict = _to_dict
 
     @classmethod

@@ -44,8 +44,9 @@ from .exceptions import (
     SingularBodyError,
 )
 from .grassmann import (CANON_EPS, MAX_ORDER, GrassmannNumber, _as_stack, _blade_product,
-                        _drop_zero_slices, _isclose, _json_cells, _log_ratio, _parity_array,
-                        _power_series, _read_cells, _to_dict, _to_json, _union_add, json_int)
+                        _drop_zero_slices, _isclose, _json_cells, _json_text, _log_ratio,
+                        _parity_array, _power_series, _read_cells, _to_dict, _union_add,
+                        json_int)
 
 # Bodies with condition number beyond this are treated as singular.
 COND_LIMIT = 1e12
@@ -588,7 +589,7 @@ class Supermatrix(_Graded):
                                 [size] * size),
         }
 
-    to_json = _to_json
+    to_json = _json_text
     to_dict = _to_dict
 
     @classmethod

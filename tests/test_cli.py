@@ -568,6 +568,21 @@ def test_frft_command(capsys):
     assert (mat - Supermatrix.eye(3, 4, 2)).norm() <= 1e-9
 
 
+@pytest.mark.parametrize("thetas", ["nan", "1,inf"])
+def test_frft_with_a_non_finite_theta_is_malformed_input(capsys, thetas):
+    code, out, err = run_cli(capsys, "frft", "--thetas", thetas, "--m", "3", "--N", "2")
+    assert code == 2 and out == ""
+    assert "thetas must be finite" in err
+
+
+def test_act_without_a_matrix_or_spin_is_malformed_input(capsys, tmp_path):
+    path = write_json(tmp_path, "act.json",
+                      {"vector": random_supervector(2, 1, 2, seed=21).to_dict()})
+    code, out, err = run_cli(capsys, "act", "-i", path)
+    assert code == 2 and out == ""
+    assert "'matrix' or 'spin'" in err
+
+
 def test_malformed_json_exit_code(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"p": 1, "q": 0')

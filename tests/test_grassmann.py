@@ -181,6 +181,27 @@ def test_inverse_and_fractional_power():
         assert (half * half * x - 1).norm() < 1e-12
 
 
+@pytest.mark.parametrize("zero", [0, 0.0, 0j])
+def test_division_by_a_zero_scalar_is_a_singular_body(zero):
+    with pytest.raises(SingularBodyError):
+        (1.5 + f(1)) / zero
+
+
+def test_division_by_a_zero_body_number_is_a_singular_body():
+    with pytest.raises(SingularBodyError):
+        (1.5 + f(1)) / (f(1) * f(2) + f(3))
+
+
+def test_division_by_a_number_and_by_a_scalar():
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        x = random_grassmann(rng, N, scale=1.0)
+        y = 1.5 + random_grassmann(rng, N, scale=0.4)
+        assert ((x / y) * y - x).norm() <= 1e-12 * max(1.0, x.norm())
+        assert (x / 4).terms == (x * 0.25).terms
+        assert (x / 2j).terms == (x * -0.5j).terms
+
+
 def test_series_identities_at_order_six():
     # even nilpotents at N = 6 have a nonzero cube, so every series term
     # up to u^3 matters

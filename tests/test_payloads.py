@@ -1,6 +1,7 @@
 """CLI payloads: the JSON writer, the payload codecs and the shared parser.
 
-The writer is checked against ``json.dumps(indent=2, allow_nan=False)``;
+The writer is checked against ``json.dumps(indent=2, allow_nan=False)`` on
+payload trees, and refuses anything else;
 every payload class's ``to_json`` against ``json.dumps`` of the dict the
 previous encoders built (``oracle_dict``); and the Supermatrix, Supervector,
 bivector and spin element decoders against the per-entry route through
@@ -59,13 +60,11 @@ STRINGS = st.text() | st.lists(st.sampled_from(
     ['"', "\\", "/", "\n", "\r", "\t", "\b", "\f", "\x00", "\x1f", "\x7f",
      " ", "é", "€", "\U0001f600", "a",
      "%", "%%", "%s", "%(k)d", "100%"])).map("".join)
-KEYS = STRINGS | INTS | FLOATS | st.booleans() | st.none()
 SCALARS = st.none() | st.booleans() | INTS | FLOATS | STRINGS
 TREES = st.recursive(
     SCALARS,
     lambda children: (st.lists(children, max_size=4)
-                      | st.lists(children, max_size=4).map(tuple)
-                      | st.dictionaries(KEYS, children, max_size=4)),
+                      | st.dictionaries(STRINGS, children, max_size=4)),
     max_leaves=25)
 
 
@@ -76,8 +75,8 @@ def test_writer_matches_json_dumps(tree):
 
 
 @pytest.mark.parametrize("value", [
-    [], {}, (), [[]], {"a": {}}, {"a": []}, [{}, ()], {1: 2, 1.5: True, None: None,
-                                                         False: "x", "k": -0.0},
+    [], {}, [[], {}], [[]], {"a": {}}, {"a": []}, [{}, []], {"1": 2, "1.5": True, "null": None,
+                                                             "false": "x", "k": -0.0},
 ])
 def test_writer_matches_json_dumps_on_empty_and_mixed_containers(value):
     assert _json_text(value) == oracle_text(value)
@@ -104,16 +103,18 @@ class Record(dict):
 
 
 def test_writer_accepts_subclasses_as_json_does():
-    value = Record({Name("n"): Count(3), "r": Ratio(0.5), "l": Rows([Count(-1)]),
-                    Count(7): np.float64(0.1), Ratio(2.5): Name("s\n")})
+    """Subclasses of int and float (``np.float64`` among them) as values,
+    and of str as a key; str, list and dict subclasses as values are
+    refused (below)."""
+    value = {Name("n"): Count(3), "r": Ratio(0.5), "l": [Count(-1), np.float64(2.5)],
+             "f": np.float64(0.1), "t": True}
     assert _json_text(value) == oracle_text(value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, Ratio(math.inf)])
-@pytest.mark.parametrize("where", ["top", "list", "dict", "key"])
+@pytest.mark.parametrize("where", ["top", "list", "dict"])
 def test_non_finite_floats_raise_value_error(bad, where):
-    value = {"top": bad, "list": [1.0, bad], "dict": {"a": {"b": bad}},
-             "key": {bad: 1}}[where]
+    value = {"top": bad, "list": [1.0, bad], "dict": {"a": {"b": bad}}}[where]
     with pytest.raises(ValueError):
         oracle_text(value)
     with pytest.raises(ValueError):
@@ -131,6 +132,36 @@ def test_unserialisable_values_raise_type_error(bad):
         _json_text(bad)
 
 
+class OnlyToJson:
+    """JSON text from outside the package, offered through
+    ``to_json(newline)``."""
+
+    def to_json(self, newline="\n"):
+        return "{}"
+
+
+@pytest.mark.parametrize("foreign", [
+    (1, 2), [1.0, (2,)], {1: 2}, {"a": {1.5: None}}, {None: 1}, Record(a=1),
+    [Rows([1])], {"s": Name("x")}, OnlyToJson(), {"a": [OnlyToJson()]},
+], ids=["tuple", "nested-tuple", "int-key", "float-key", "none-key", "dict-subclass",
+        "list-subclass", "str-subclass", "to-json", "nested-to-json"])
+def test_foreign_values_raise_type_error_and_emit_nothing(capsys, foreign):
+    """The writer takes payload trees only.  ``json.dumps`` writes tuples,
+    non-str keys and str, list and dict subclasses, and an object with only
+    ``to_json`` is no payload: the writer refuses them all, before any
+    text, so ``_emit`` writes nothing."""
+    with pytest.raises(TypeError):
+        _json_text(foreign)
+    with pytest.raises(TypeError):
+        cli._emit({"a": [1.0, 2.0], "b": foreign})
+    assert capsys.readouterr().out == ""
+
+
+def test_to_json_takes_no_argument():
+    with pytest.raises(TypeError):
+        GrassmannNumber.one(1).to_json("\n  ")
+
+
 def test_failed_emit_writes_nothing(capsys, monkeypatch, tmp_path):
     with pytest.raises(ValueError):
         cli._emit({"a": [1.0, 2.0], "b": math.nan})
@@ -139,8 +170,8 @@ def test_failed_emit_writes_nothing(capsys, monkeypatch, tmp_path):
     assert capsys.readouterr().out == ""
 
     class Unwritable:
-        def to_json(self, newline="\n"):
-            return _json_text({"p": 1, "rows": [[{"re": math.inf}]]}, newline)
+        def _json_tree(self):
+            return {"p": 1, "rows": [[{"re": math.inf}]]}
 
     with pytest.raises(ValueError, match="Out of range float"):
         cli._emit({"r": Unwritable()})
@@ -310,7 +341,6 @@ PAYLOADS = (numbers() | supermatrices() | supervectors() | bivectors() | spin_el
 def test_to_json_is_json_dumps_of_the_oracle_dict(x):
     want = oracle_dict(x)
     assert x.to_json() == oracle_text(want)
-    assert x.to_json("\n    ") == oracle_text(want).replace("\n", "\n    ")
     got = x.to_dict()
     assert got == want
     assert json.dumps(got) == json.dumps(want)  # the signs of zeros too
@@ -385,6 +415,28 @@ def test_a_full_max_order_cell_renders_and_the_template_cache_stays_bounded():
     assert number.to_dict() == oracle_dict(number)
 
 
+def test_an_overfull_template_cache_is_emptied_and_stays_bounded(monkeypatch):
+    """With the byte bound cut to the longest template two payloads use,
+    each new template empties the cache first: the texts stay exact and
+    the cache within its bound."""
+    payloads = [random_rotation(2, 1, 4, seed=1), matrix_to_bivector(random_so0(2, 1, 4, seed=2))]
+    monkeypatch.setattr(grassmann, "_templates", grassmann._Templates())
+    for x in payloads:
+        _json_text(x)
+    used = dict(grassmann._templates)
+    bound = max(map(len, used.values()))
+    assert sum(map(len, used.values())) > bound
+    templates = grassmann._Templates()
+    monkeypatch.setattr(grassmann, "_templates", templates)
+    monkeypatch.setattr(grassmann, "_TEMPLATE_BYTES", bound)
+    for x in payloads * 2:
+        text = _json_text(x)
+        assert text == json.dumps(json.loads(text), indent=2)
+        assert text == oracle_text(oracle_dict(x))
+        assert templates.size == sum(map(len, templates.values())) <= bound
+    assert len(templates) < len(used)
+
+
 def test_a_non_finite_cell_raises_value_error_as_json_does():
     matrix = Supermatrix(1, 0, GrassmannMatrix(1, 1, 0, masks=(0,), stack=np.ones((1, 1, 1))))
     # a finite stack is checked on construction; swap in a non-finite one
@@ -402,34 +454,22 @@ SAMPLE_OBJECTS = [GrassmannNumber(2, {0: 1.5, 3: complex(-0.0, 2e-14)}),
 SAMPLE_OBJECTS.append(SpinElement(2, 1, 2, [SAMPLE_OBJECTS[3]]))
 
 
-class Fragment:
-    """Finished JSON text from outside the package: an object whose
-    ``to_json(newline)`` returns its text, which the writer inlines."""
-
-    def __init__(self, tree):
-        self.tree = tree
-
-    def to_json(self, newline="\n"):
-        return oracle_text(self.tree).replace("\n", newline)
-
-
-# (tree holding fragments and payload objects, the same tree with dicts in their place)
+# (tree holding payload objects, the same tree with dicts in their place)
 LEAF_PAIRS = (SCALARS.map(lambda v: (v, v))
-              | TREES.map(lambda tree: (Fragment(tree), tree))
               | st.sampled_from(SAMPLE_OBJECTS).map(lambda x: (x, oracle_dict(x))))
 PAIR_TREES = st.recursive(
     LEAF_PAIRS,
     lambda children: (
         st.lists(children, max_size=4).map(
             lambda items: ([a for a, _ in items], [b for _, b in items]))
-        | st.dictionaries(KEYS, children, max_size=4).map(
+        | st.dictionaries(STRINGS, children, max_size=4).map(
             lambda d: ({k: a for k, (a, _) in d.items()}, {k: b for k, (_, b) in d.items()}))),
     max_leaves=12)
 
 
 @settings(max_examples=300, deadline=None)
 @given(PAIR_TREES)
-def test_fragments_and_objects_nest_at_any_depth(pair):
+def test_payload_objects_nest_at_any_depth(pair):
     written, plain = pair
     assert _json_text(written) == oracle_text(plain)
 
